@@ -23,9 +23,10 @@ import numpy as np
 from .complementarity import predicted_label
 from .confidence import ScoreFunction, better_score, passes_threshold, score, softmax
 from .errors import DataError
+from .phash import FINGERPRINTS
 from .records import PairedDataset
 
-MEMORY_METHODS = ("none", "dhash", "moments")
+MEMORY_METHODS = ("none", *FINGERPRINTS)
 
 
 @dataclass
@@ -108,13 +109,13 @@ def cascade_decide_offline(
     probs_a = softmax(logits_a)
     score_a = score(probs_a, score_fn)
     if passes_threshold(score_a, threshold, score_fn):
-        return predicted_label(probs_a), False, "a"
+        return predicted_label(logits_a), False, "a"
     probs_b = softmax(logits_b)
     if post_check:
         chosen = better_score(score_a, score(probs_b, score_fn), score_fn)
     else:
         chosen = "b"
-    predicted = predicted_label(probs_a if chosen == "a" else probs_b)
+    predicted = predicted_label(logits_a if chosen == "a" else logits_b)
     return predicted, True, chosen
 
 
@@ -141,12 +142,12 @@ def _build_table(paired: PairedDataset, score_fn: ScoreFunction, post_check: boo
         probs_b = softmax(s.logits_b)
         score_a = score(probs_a, score_fn)
         scores_a[i] = score_a
-        correct_pass[i] = predicted_label(probs_a) == s.label
+        correct_pass[i] = predicted_label(s.logits_a) == s.label
         if post_check:
             chosen = better_score(score_a, score(probs_b, score_fn), score_fn)
         else:
             chosen = "b"
-        predicted = predicted_label(probs_a if chosen == "a" else probs_b)
+        predicted = predicted_label(s.logits_a if chosen == "a" else s.logits_b)
         correct_esc[i] = predicted == s.label
     return _ReplayTable(scores_a, correct_pass, correct_esc)
 

@@ -27,8 +27,9 @@ from .complementarity import complementarity_matrix, format_matrix_csv
 from .confidence import ScoreFunction
 from .engine import CascadeEngine, ReplayClassifier, SampleRef, format_traces_jsonl, run_batch
 from .errors import DataError
-from .images import load_image_pnm, to_grayscale
+from .images import TRANSFORMS, load_image_pnm, to_grayscale
 from .metering import (
+    RANDOM_TRANSFORM,
     aggregate,
     compare,
     duplication_experiment,
@@ -37,10 +38,8 @@ from .metering import (
     format_report_json,
     load_report,
 )
-from .phash import dhash_fingerprint, moment_invariants, moments_fingerprint
+from .phash import FINGERPRINTS, moment_invariants
 from .records import load_cost_profile, load_prediction_records, align_records
-
-TRANSFORM_NAMES = ("identity", "rot90", "rot180", "mirror_h", "mirror_v", "random_of_these")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -167,13 +166,12 @@ def cmd_hash(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise DataError(f"cannot read image {args.image}: {exc}") from None
     gray = to_grayscale(load_image_pnm(data))
-    if args.method == "dhash":
-        print(f"dhash: {dhash_fingerprint(gray).key}")
-    else:
-        inv = moment_invariants(gray)
-        fp = moments_fingerprint(gray)
-        phi = ",".join(repr(v) for v in inv.vector())
-        print(f"moments: {fp.key} phi=[{phi}]")
+    fp = FINGERPRINTS[args.method](gray)
+    line = f"{fp.method}: {fp.key}"
+    if fp.method == "moments":
+        phi = ",".join(repr(v) for v in moment_invariants(gray).vector())
+        line += f" phi=[{phi}]"
+    print(line)
     return 0
 
 
@@ -267,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run, parser=p)
 
     p = sub.add_parser("hash", help="print an image's fingerprint")
-    p.add_argument("--method", choices=("dhash", "moments"), required=True)
+    p.add_argument("--method", choices=tuple(FINGERPRINTS), required=True)
     p.add_argument("image", help="PGM/PPM image file")
     p.set_defaults(func=cmd_hash, parser=p)
 
@@ -278,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", help="directory of <id>.pgm/.ppm images")
     p.add_argument("--costs", required=True, help="stage cost profile JSON")
     p.add_argument("--ratios", required=True, help="comma-separated ratios in [0,1], e.g. 0,0.5,1")
-    p.add_argument("--transform", choices=TRANSFORM_NAMES, default="identity")
-    p.add_argument("--seed", type=int, default=0, help="seed for transform random_of_these")
+    p.add_argument("--transform", choices=(*TRANSFORMS, RANDOM_TRANSFORM), default="identity")
+    p.add_argument("--seed", type=int, default=0, help=f"seed for transform {RANDOM_TRANSFORM}")
     p.add_argument("--out", required=True, help="curve CSV output path")
     p.set_defaults(func=cmd_duplication, parser=p)
 

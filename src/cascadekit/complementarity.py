@@ -122,10 +122,6 @@ def complementarity_matrix(
     return ComplementarityMatrix(list(names), values)
 
 
-def pick_best_pair(matrix: ComplementarityMatrix) -> tuple[int, int]:
-    return matrix.best_pair()
-
-
 def format_matrix_csv(matrix: ComplementarityMatrix) -> str:
     """CSV with a header row of model names and unscaled 6-decimal values."""
     lines = ["model," + ",".join(matrix.names)]

@@ -19,7 +19,7 @@ from .complementarity import predicted_label
 from .confidence import better_score, passes_threshold, score, softmax
 from .errors import DataError
 from .images import ImageBuffer, to_grayscale
-from .phash import Fingerprint, MemoStore, dhash_fingerprint, moments_fingerprint
+from .phash import FINGERPRINTS, Fingerprint, MemoStore
 from .records import PredictionRecord
 
 PATH_MEMORY_HIT = "memory_hit"
@@ -92,10 +92,7 @@ class CascadeEngine:
             self.store = store if store is not None else MemoStore()
 
     def _fingerprint(self, image: ImageBuffer) -> Fingerprint:
-        gray = to_grayscale(image)
-        if self.config.memory == "dhash":
-            return dhash_fingerprint(gray)
-        return moments_fingerprint(gray)
+        return FINGERPRINTS[self.config.memory](to_grayscale(image))
 
     def classify(self, sample: SampleRef) -> StageTrace:
         """Run one sample through the pipeline and trace every stage.
@@ -132,21 +129,21 @@ class CascadeEngine:
                     )
 
         stages.append("model_a")
-        probs_a = softmax(self.classifier_a.infer(sample.id))
-        score_a = score(probs_a, self.config.score_fn)
+        logits_a = self.classifier_a.infer(sample.id)
+        score_a = score(softmax(logits_a), self.config.score_fn)
         if passes_threshold(score_a, self.config.threshold, self.config.score_fn):
             path, chosen, score_b = PATH_MODEL_A_ONLY, "a", None
-            predicted = predicted_label(probs_a)
+            predicted = predicted_label(logits_a)
         else:
             stages.append("model_b")
-            probs_b = softmax(self.classifier_b.infer(sample.id))
-            score_b = score(probs_b, self.config.score_fn)
+            logits_b = self.classifier_b.infer(sample.id)
+            score_b = score(softmax(logits_b), self.config.score_fn)
             path = PATH_MODEL_AB
             if self.config.post_check:
                 chosen = better_score(score_a, score_b, self.config.score_fn)
             else:
                 chosen = "b"
-            predicted = predicted_label(probs_a if chosen == "a" else probs_b)
+            predicted = predicted_label(logits_a if chosen == "a" else logits_b)
 
         if fp is not None:
             stages.append("memory_insert")

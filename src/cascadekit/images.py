@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DataError
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -85,66 +87,53 @@ def write_image_pnm(img: ImageBuffer) -> bytes:
     return header + img.pixels
 
 
+def _array(img: ImageBuffer) -> np.ndarray:
+    """Read-only (height, width, channels) uint8 view of the pixels."""
+    return np.frombuffer(img.pixels, dtype=np.uint8).reshape(img.height, img.width, img.channels)
+
+
+def _from_array(pixels: np.ndarray) -> ImageBuffer:
+    height, width, channels = pixels.shape
+    return ImageBuffer(width, height, channels, pixels.tobytes())
+
+
+_BT601 = np.array([299, 587, 114], dtype=np.int64)
+
+
 def to_grayscale(img: ImageBuffer) -> ImageBuffer:
     """BT.601 luma with half-up integer rounding; identity for 1-channel input."""
     if img.channels == 1:
         return img
-    out = bytearray(img.width * img.height)
-    px = img.pixels
-    for i in range(img.width * img.height):
-        r, g, b = px[3 * i], px[3 * i + 1], px[3 * i + 2]
-        y = (299 * r + 587 * g + 114 * b + 500) // 1000
-        out[i] = min(y, 255)
-    return ImageBuffer(img.width, img.height, 1, bytes(out))
+    # the weights sum to 1000, so the rounded luma never exceeds 255
+    luma = (_array(img).astype(np.int64) @ _BT601 + 500) // 1000
+    return _from_array(luma.astype(np.uint8)[:, :, np.newaxis])
 
 
 def rotate90(img: ImageBuffer) -> ImageBuffer:
     """Rotate 90 degrees clockwise (width and height swap)."""
-    w, h, c = img.width, img.height, img.channels
-    out = bytearray(len(img.pixels))
-    px = img.pixels
-    for y in range(h):
-        for x in range(w):
-            # old (x, y) -> new (h - 1 - y, x) in an h-wide image
-            src = (y * w + x) * c
-            dst = (x * h + (h - 1 - y)) * c
-            out[dst : dst + c] = px[src : src + c]
-    return ImageBuffer(h, w, c, bytes(out))
+    return _from_array(np.rot90(_array(img), k=-1))
 
 
 def rotate180(img: ImageBuffer) -> ImageBuffer:
-    return rotate90(rotate90(img))
+    return _from_array(np.rot90(_array(img), k=2))
 
 
 def rotate270(img: ImageBuffer) -> ImageBuffer:
-    return rotate90(rotate180(img))
+    return _from_array(np.rot90(_array(img), k=1))
 
 
 def mirror_horizontal(img: ImageBuffer) -> ImageBuffer:
     """Flip left-right."""
-    w, h, c = img.width, img.height, img.channels
-    out = bytearray(len(img.pixels))
-    px = img.pixels
-    for y in range(h):
-        row = y * w * c
-        for x in range(w):
-            src = row + x * c
-            dst = row + (w - 1 - x) * c
-            out[dst : dst + c] = px[src : src + c]
-    return ImageBuffer(w, h, c, bytes(out))
+    return _from_array(_array(img)[:, ::-1])
 
 
 def mirror_vertical(img: ImageBuffer) -> ImageBuffer:
     """Flip top-bottom."""
-    w, h, c = img.width, img.height, img.channels
-    stride = w * c
-    out = bytearray(len(img.pixels))
-    px = img.pixels
-    for y in range(h):
-        out[(h - 1 - y) * stride : (h - y) * stride] = px[y * stride : (y + 1) * stride]
-    return ImageBuffer(w, h, c, bytes(out))
+    return _from_array(_array(img)[::-1])
 
 
+# The duplication experiment's transforms. "random_of_these" draws from them
+# in this order, so adding or reordering entries changes seeded streams.
 TRANSFORMS = {
     "identity": lambda img: img,
     "rot90": rotate90,

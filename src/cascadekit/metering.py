@@ -203,7 +203,8 @@ def memory_overhead(plain: RunReport, memory_run: RunReport) -> float:
     return -compare(plain, memory_run).energy_pct
 
 
-TRANSFORM_CHOICES = ("identity", "rot90", "rot180", "mirror_h", "mirror_v")
+# draws one of TRANSFORMS per duplicate from the seeded rng
+RANDOM_TRANSFORM = "random_of_these"
 
 
 @dataclass
@@ -215,8 +216,8 @@ class DuplicationCurve:
 
 
 def _duplicate(sample: SampleRef, transform_name: str, rng: random.Random) -> SampleRef:
-    if transform_name == "random_of_these":
-        transform_name = rng.choice(TRANSFORM_CHOICES)
+    if transform_name == RANDOM_TRANSFORM:
+        transform_name = rng.choice(list(TRANSFORMS))
     if sample.image is None:
         if transform_name == "identity":
             return sample
@@ -235,7 +236,7 @@ def build_duplicated_stream(
     while duplicates remain; floor(ratio * N) duplicates total."""
     if not 0.0 <= ratio <= 1.0:
         raise DataError(f"duplication ratio {ratio} outside [0, 1]")
-    if transform_name not in TRANSFORM_CHOICES and transform_name != "random_of_these":
+    if transform_name not in TRANSFORMS and transform_name != RANDOM_TRANSFORM:
         raise DataError(f"unknown transform {transform_name!r}")
     ndup = math.floor(ratio * len(samples))
     stream: list[SampleRef] = []

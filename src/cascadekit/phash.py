@@ -21,6 +21,7 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +36,7 @@ DHASH_ROWS = 8
 class Fingerprint:
     """A hashable image key: method name plus canonical key string."""
 
-    method: str  # "dhash" or "moments"
+    method: str  # a FINGERPRINTS name
     key: str
 
 
@@ -53,23 +54,16 @@ def dhash(gray: ImageBuffer) -> int:
     w, h = gray.width, gray.height
     if w < DHASH_COLS or h < DHASH_ROWS:
         raise DataError(f"image {w}x{h} smaller than {DHASH_COLS}x{DHASH_ROWS} grid")
-    col_edges = [k * w // DHASH_COLS for k in range(DHASH_COLS + 1)]
-    row_edges = [k * h // DHASH_ROWS for k in range(DHASH_ROWS + 1)]
-    pixels = gray.pixels
-    word = 0
-    for r in range(DHASH_ROWS):
-        y0, y1 = row_edges[r], row_edges[r + 1]
-        sums = [0] * DHASH_COLS
-        for y in range(y0, y1):
-            base = y * w
-            for c in range(DHASH_COLS):
-                sums[c] += sum(pixels[base + col_edges[c] : base + col_edges[c + 1]])
-        rows = y1 - y0
-        counts = [(col_edges[c + 1] - col_edges[c]) * rows for c in range(DHASH_COLS)]
-        for c in range(DHASH_COLS - 1):
-            bit = 1 if sums[c] * counts[c + 1] > sums[c + 1] * counts[c] else 0
-            word = (word << 1) | bit
-    return word
+    f = np.frombuffer(gray.pixels, dtype=np.uint8).reshape(h, w).astype(np.int64)
+    col_edges = np.arange(DHASH_COLS + 1) * w // DHASH_COLS
+    row_edges = np.arange(DHASH_ROWS + 1) * h // DHASH_ROWS
+    # reduceat needs strictly increasing edges (an empty cell would yield one
+    # pixel, not 0), which w >= 9 and h >= 8 guarantee; the int64 cross
+    # products stay exact for cells of up to 1.9e8 pixels
+    sums = np.add.reduceat(np.add.reduceat(f, row_edges[:-1], axis=0), col_edges[:-1], axis=1)
+    counts = np.outer(np.diff(row_edges), np.diff(col_edges))
+    bits = sums[:, :-1] * counts[:, 1:] > sums[:, 1:] * counts[:, :-1]
+    return int.from_bytes(np.packbits(bits).tobytes(), "big")
 
 
 def dhash_fingerprint(gray: ImageBuffer) -> Fingerprint:
@@ -94,6 +88,18 @@ def _centered_plane(f: np.ndarray) -> tuple[np.ndarray, float]:
     return (xs - xbar) + 1j * (ys - ybar), m00
 
 
+def _moments(gray: ImageBuffer) -> Callable[[int, int], complex]:
+    """The moment function c(p, q) of one image (see complex_moment)."""
+    f = _intensity(gray)
+    z, m00 = _centered_plane(f)
+    zc = np.conj(z)
+
+    def c(p: int, q: int) -> complex:
+        return complex((z**p * zc**q * f).sum() / m00 ** ((p + q) / 2 + 1))
+
+    return c
+
+
 def complex_moment(gray: ImageBuffer, p: int, q: int) -> complex:
     """Centroid-centered, scale-normalized complex moment c_pq.
 
@@ -102,10 +108,7 @@ def complex_moment(gray: ImageBuffer, p: int, q: int) -> complex:
     """
     if p < 0 or q < 0 or p + q > 3:
         raise DataError(f"moment order ({p}, {q}) outside supported range")
-    f = _intensity(gray)
-    z, m00 = _centered_plane(f)
-    total = (z**p * np.conj(z) ** q * f).sum()
-    return complex(total / m00 ** ((p + q) / 2 + 1))
+    return _moments(gray)(p, q)
 
 
 @dataclass(frozen=True)
@@ -124,13 +127,7 @@ class MomentInvariants:
 
 
 def moment_invariants(gray: ImageBuffer) -> MomentInvariants:
-    f = _intensity(gray)
-    z, m00 = _centered_plane(f)
-    zc = np.conj(z)
-
-    def c(p: int, q: int) -> complex:
-        return complex((z**p * zc**q * f).sum() / m00 ** ((p + q) / 2 + 1))
-
+    c = _moments(gray)
     c11 = c(1, 1)
     c21 = c(2, 1)
     c12 = c(1, 2)
@@ -160,6 +157,13 @@ def moments_fingerprint(gray: ImageBuffer) -> Fingerprint:
     inv = moment_invariants(gray)
     scalar = inv.phi1 + inv.phi2 + inv.phi3 + inv.phi5
     return Fingerprint("moments", quantize_key(scalar))
+
+
+# Fingerprint methods by name: the engine, configs and the CLI offer exactly these.
+FINGERPRINTS: dict[str, Callable[[ImageBuffer], Fingerprint]] = {
+    "dhash": dhash_fingerprint,
+    "moments": moments_fingerprint,
+}
 
 
 class MemoStore:
@@ -198,7 +202,8 @@ class MemoStore:
 
     def save(self, path: str) -> None:
         """Write entries as JSON, least-recently-used first."""
-        entries = [{"key": k, "label": v} for k, v in self._entries.items()]
+        with self._lock:
+            entries = [{"key": k, "label": v} for k, v in self._entries.items()]
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"entries": entries}, fh, indent=2)
             fh.write("\n")

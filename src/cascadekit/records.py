@@ -213,15 +213,28 @@ def align_records(
     return PairedDataset(samples, len(a[0].logits), name_a, name_b)
 
 
+def _stage_value(stage: str, key: str, value: object) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"stage {stage} {key} must be a number")
+    if not math.isfinite(value):
+        raise DataError(f"stage {stage} {key} must be finite")
+    if value < 0:
+        raise DataError(f"stage {stage} {key} must be >= 0")
+    return float(value)
+
+
 def parse_cost_profile(data: bytes | str) -> CostProfile:
     """Parse a cost-profile JSON document.
 
     Schema: ``{"stages": {<stage>: {"energy_wh": f, "latency_ms": f}}}`` with
-    all four stages present and non-negative values. A per-stage
+    all four stages present and finite, non-negative values. A per-stage
     ``current_mah`` and a top-level ``comments`` field are optional.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"cost profile is not valid UTF-8: {exc}") from None
     try:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -245,18 +258,12 @@ def parse_cost_profile(data: bytes | str) -> CostProfile:
         for key in ("energy_wh", "latency_ms"):
             if key not in entry:
                 raise DataError(f"stage {name} missing {key}")
-            if isinstance(entry[key], bool) or not isinstance(entry[key], (int, float)):
-                raise DataError(f"stage {name} {key} must be a number")
-            if entry[key] < 0:
-                raise DataError(f"stage {name} {key} must be >= 0")
         current = entry.get("current_mah")
-        if current is not None:
-            if isinstance(current, bool) or not isinstance(current, (int, float)):
-                raise DataError(f"stage {name} current_mah must be a number")
-            if current < 0:
-                raise DataError(f"stage {name} current_mah must be >= 0")
-            current = float(current)
-        stages[name] = StageCost(float(entry["energy_wh"]), float(entry["latency_ms"]), current)
+        stages[name] = StageCost(
+            _stage_value(name, "energy_wh", entry["energy_wh"]),
+            _stage_value(name, "latency_ms", entry["latency_ms"]),
+            None if current is None else _stage_value(name, "current_mah", current),
+        )
     return CostProfile(stages)
 
 

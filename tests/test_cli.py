@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import argparse
 import json
+import math
 
 import pytest
 
-from cascadekit.calibration import load_config
-from cascadekit.cli import main
-from cascadekit.images import ImageBuffer, write_image_pnm
+from cascadekit.calibration import MEMORY_METHODS, load_config
+from cascadekit.cli import build_parser, main
+from cascadekit.images import TRANSFORMS, ImageBuffer, write_image_pnm
+from cascadekit.phash import FINGERPRINTS
 from cascadekit.records import format_prediction_records
 from cascadekit.synthetic import synthetic_image, synthetic_pair
 
@@ -254,6 +257,28 @@ class TestRun:
         assert code == 1
         assert "no image for sample" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            json.dumps({"stages": {**COSTS["stages"], "model_a": {"energy_wh": math.nan, "latency_ms": 1.0}}}).encode(),
+            b"\xff\xfe{}",
+        ],
+        ids=["non_finite", "non_utf8"],
+    )
+    def test_bad_cost_profile_is_a_data_error(self, workspace, tmp_path, capsys, content):
+        costs = tmp_path / "bad_costs.json"
+        costs.write_bytes(content)
+        code = main([
+            "run",
+            "--config", str(workspace / "config_none.json"),
+            "--records-a", str(workspace / "small.jsonl"),
+            "--records-b", str(workspace / "big.jsonl"),
+            "--costs", str(costs),
+            "--report", str(tmp_path / "report.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {costs}: ")
+
     def test_missing_records_file(self, workspace, tmp_path, capsys):
         code = main([
             "run",
@@ -444,6 +469,17 @@ class TestReport:
 
 
 class TestParser:
+    @staticmethod
+    def _choices(command: str, dest: str) -> tuple:
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return tuple(next(a for a in sub.choices[command]._actions if a.dest == dest).choices)
+
+    def test_choices_come_from_the_registries(self):
+        assert self._choices("duplication", "transform") == (*TRANSFORMS, "random_of_these")
+        assert self._choices("hash", "method") == tuple(FINGERPRINTS)
+        assert MEMORY_METHODS == ("none", *FINGERPRINTS)
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

@@ -22,7 +22,7 @@ from cascadekit.engine import (
 from cascadekit.errors import DataError
 from cascadekit.images import ImageBuffer, rotate90
 from cascadekit.phash import MemoStore, dhash_fingerprint, moments_fingerprint
-from cascadekit.records import PredictionRecord
+from cascadekit.records import PredictionRecord, align_records
 from cascadekit.synthetic import synthetic_image
 
 DIFF = ScoreFunction.DIFFERENCE
@@ -327,3 +327,21 @@ class TestTraceSerialization:
         assert first["id"] == "x1"
         assert first["path"] == PATH_MODEL_A_ONLY
         assert ": " not in lines[0]
+
+
+class TestArgmaxOnLogits:
+    # exp(-1e-20) rounds to 1.0, so an argmax over softmax output sees a tie
+    # and picks class 0; the logits themselves favour class 1
+    LOGITS = (0.0, 1e-20)
+
+    def test_engine_offline_rule_and_calibration_agree(self):
+        records = [PredictionRecord("x", 1, self.LOGITS)]
+        for threshold in (0.0, 1.0):  # model A alone, then escalation to B
+            config = CascadeConfig("model_a", "model_b", DIFF, threshold, True)
+            engine = CascadeEngine(
+                config, ReplayClassifier("model_a", records), ReplayClassifier("model_b", records)
+            )
+            assert engine.classify(SampleRef("x")).predicted == 1
+            assert cascade_decide_offline(self.LOGITS, self.LOGITS, DIFF, threshold, True)[0] == 1
+            paired = align_records(records, records)
+            assert accuracy_at(paired, DIFF, threshold, post_check=True)[0] == 1.0

@@ -19,7 +19,7 @@ from cascadekit.engine import (
     run_batch,
 )
 from cascadekit.errors import DataError
-from cascadekit.images import rotate90
+from cascadekit.images import TRANSFORMS, rotate90
 from cascadekit.metering import (
     DuplicationCurve,
     RunReport,
@@ -327,6 +327,15 @@ class TestDuplicatedStream:
         one = build_duplicated_stream(samples, 1.0, "random_of_these", random.Random(9))
         two = build_duplicated_stream(samples, 1.0, "random_of_these", random.Random(9))
         assert [s.image.pixels for s in one] == [s.image.pixels for s in two]
+
+    def test_random_choice_draws_in_registry_order(self):
+        # the transform order of earlier releases; seeded streams must not move
+        names = ("identity", "rot90", "rot180", "mirror_h", "mirror_v")
+        samples = _samples(30)
+        stream = build_duplicated_stream(samples, 1.0, "random_of_these", random.Random(0))
+        rng = random.Random(0)
+        expected = [TRANSFORMS[rng.choice(names)](s.image) for s in samples]
+        assert [s.image for s in stream[1::2]] == expected
 
     def test_bad_inputs(self):
         samples = _samples(2, with_images=False)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -280,6 +281,20 @@ class TestMemoStore:
         obj = json.loads(path.read_text())
         assert [e["key"] for e in obj["entries"]] == [_fp(1).key, _fp(2).key, _fp(0).key]
         assert obj["entries"][0] == {"key": _fp(1).key, "label": 1}
+
+    def test_save_waits_for_the_lock(self, tmp_path):
+        store = MemoStore()
+        store.insert(_fp(1), 3)
+        path = tmp_path / "store.json"
+        saver = threading.Thread(target=store.save, args=(str(path),))
+        with store._lock:  # stands in for an insert in progress on another thread
+            saver.start()
+            saver.join(timeout=0.2)
+            assert saver.is_alive()
+            assert not path.exists()
+        saver.join(timeout=10)
+        assert not saver.is_alive()
+        assert json.loads(path.read_text())["entries"] == [{"key": _fp(1).key, "label": 3}]
 
     def test_load_round_trip(self, tmp_path):
         store = MemoStore()

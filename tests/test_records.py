@@ -200,6 +200,18 @@ class TestCostProfile:
         with pytest.raises(DataError, match="invalid cost-profile JSON"):
             parse_cost_profile("{")
 
+    @pytest.mark.parametrize("key", ["energy_wh", "latency_ms", "current_mah"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, key, value):
+        obj = _profile_dict()
+        obj["stages"]["model_b"][key] = float(value)  # dumped as NaN, Infinity, -Infinity
+        with pytest.raises(DataError, match=f"model_b {key} must be finite"):
+            parse_cost_profile(json.dumps(obj))
+
+    def test_non_utf8_bytes_rejected(self):
+        with pytest.raises(DataError, match="not valid UTF-8"):
+            parse_cost_profile(b'{"stages": "\xff"}')
+
     def test_shipped_profiles_load(self, costs_dir):
         for name in ("cifar10.json", "cifar10_single_large.json", "imagenet.json"):
             profile = load_cost_profile(str(costs_dir / name))
