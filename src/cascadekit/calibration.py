@@ -9,7 +9,7 @@ Calibration replays this rule over an aligned validation pair for every
 candidate threshold and keeps the accuracy-maximizing one. The candidate set
 (midpoints between consecutive distinct model-A scores, plus the endpoints
 0 and 1) realizes every achievable threshold behavior, so the search is
-exactly optimal without a grid.
+exactly optimal without a grid; it is one sort plus prefix sums, O(N log N).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 
 from .complementarity import predicted_label
 from .confidence import ScoreFunction, better_score, passes_threshold, score, softmax
+from .confidence import score_rows, softmax_rows
 from .errors import DataError
 from .phash import FINGERPRINTS
 from .records import PairedDataset
@@ -119,47 +120,40 @@ def cascade_decide_offline(
     return predicted, True, chosen
 
 
-@dataclass
-class _ReplayTable:
-    """Per-sample quantities that do not depend on the threshold."""
-
-    scores_a: np.ndarray       # float64
-    correct_pass: np.ndarray   # bool: A's prediction correct
-    correct_esc: np.ndarray    # bool: escalated decision correct
-
-    @property
-    def size(self) -> int:
-        return int(self.scores_a.shape[0])
+def _model_columns(rows: Sequence[tuple[float, ...]], labels: np.ndarray) -> tuple[np.ndarray, dict]:
+    """One model's (argmax of the logits == label, {score function: scores})."""
+    try:
+        logits = np.array(rows, dtype=np.float64)
+    except (ValueError, OverflowError):
+        raise DataError("logits must be equal-length rows of finite numbers") from None
+    probs = softmax_rows(logits)
+    return logits.argmax(axis=1) == labels, {fn: score_rows(probs, fn) for fn in ScoreFunction}
 
 
-def _build_table(paired: PairedDataset, score_fn: ScoreFunction, post_check: bool) -> _ReplayTable:
-    n = len(paired)
-    scores_a = np.empty(n, dtype=np.float64)
-    correct_pass = np.empty(n, dtype=bool)
-    correct_esc = np.empty(n, dtype=bool)
-    for i, s in enumerate(paired.samples):
-        probs_a = softmax(s.logits_a)
-        probs_b = softmax(s.logits_b)
-        score_a = score(probs_a, score_fn)
-        scores_a[i] = score_a
-        correct_pass[i] = predicted_label(s.logits_a) == s.label
-        if post_check:
-            chosen = better_score(score_a, score(probs_b, score_fn), score_fn)
-        else:
-            chosen = "b"
-        predicted = predicted_label(s.logits_a if chosen == "a" else s.logits_b)
-        correct_esc[i] = predicted == s.label
-    return _ReplayTable(scores_a, correct_pass, correct_esc)
+def _columns(paired: PairedDataset) -> tuple[tuple[np.ndarray, dict], tuple[np.ndarray, dict]]:
+    if len(paired) == 0:
+        raise DataError("empty dataset")
+    if paired.columns is None:
+        labels = np.array([s.label for s in paired.samples])
+        rows_a, rows_b = zip(*((s.logits_a, s.logits_b) for s in paired.samples))
+        paired.columns = (_model_columns(rows_a, labels), _model_columns(rows_b, labels))
+    return paired.columns
 
 
-def _evaluate(table: _ReplayTable, threshold: float, score_fn: ScoreFunction) -> tuple[float, float]:
-    if score_fn.lower_is_better:
-        passed = table.scores_a <= threshold
-    else:
-        passed = table.scores_a >= threshold
-    correct = int(np.count_nonzero(np.where(passed, table.correct_pass, table.correct_esc)))
-    escalated = table.size - int(np.count_nonzero(passed))
-    return correct / table.size, escalated / table.size
+def _sweep(
+    paired: PairedDataset, score_fn: ScoreFunction, post_check: bool, lambdas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(accuracy, usage) arrays over the thresholds: one stable sort of model
+    A's scores, prefix sums of the outcomes, one binary search per threshold."""
+    (correct_a, scores_a), (correct_b, scores_b) = _columns(paired)
+    sign = -1.0 if score_fn.lower_is_better else 1.0  # so that key >= lambda passes
+    key_a, key_b = sign * scores_a[score_fn], sign * scores_b[score_fn]
+    correct_esc = np.where((key_a >= key_b) & post_check, correct_a, correct_b)  # ties keep A
+    order = np.argsort(key_a, kind="stable")
+    pass_before = np.concatenate(([0], np.cumsum(correct_a[order])))
+    esc_before = np.concatenate(([0], np.cumsum(correct_esc[order])))
+    cut = np.searchsorted(key_a[order], sign * lambdas, side="left")  # the escalated samples
+    return (esc_before[cut] + pass_before[-1] - pass_before[cut]) / len(order), cut / len(order)
 
 
 def accuracy_at(
@@ -169,10 +163,8 @@ def accuracy_at(
     post_check: bool,
 ) -> tuple[float, float]:
     """(accuracy, second-model usage fraction) at a fixed threshold."""
-    if len(paired) == 0:
-        raise DataError("empty dataset")
-    table = _build_table(paired, score_fn, post_check)
-    return _evaluate(table, threshold, score_fn)
+    accuracy, usage = _sweep(paired, score_fn, post_check, np.array([threshold]))
+    return float(accuracy[0]), float(usage[0])
 
 
 def candidate_lambdas(paired: PairedDataset, score_fn: ScoreFunction) -> list[float]:
@@ -182,15 +174,9 @@ def candidate_lambdas(paired: PairedDataset, score_fn: ScoreFunction) -> list[fl
     midpoints outside [0, 1] are dropped because the threshold domain is
     [0, 1] (this only happens for the entropy score with K < 10).
     """
-    if len(paired) == 0:
-        raise DataError("empty dataset")
-    scores_a = sorted({score(softmax(s.logits_a), score_fn) for s in paired.samples})
-    candidates = {0.0, 1.0}
-    for lo, hi in zip(scores_a, scores_a[1:]):
-        mid = (lo + hi) / 2.0
-        if 0.0 <= mid <= 1.0:
-            candidates.add(mid)
-    return sorted(candidates)
+    distinct = np.unique(_columns(paired)[0][1][score_fn])
+    mids = (distinct[:-1] + distinct[1:]) / 2.0
+    return np.unique(np.concatenate(([0.0, 1.0], mids[(0.0 <= mids) & (mids <= 1.0)]))).tolist()
 
 
 @dataclass
@@ -214,22 +200,14 @@ def find_lambda_star(
     second-model usage wins (the smallest threshold for max/diff, the
     largest for entropy).
     """
-    if len(paired) == 0:
-        raise DataError("empty dataset")
-    table = _build_table(paired, score_fn, post_check)
-    candidates = candidate_lambdas(paired, score_fn)
-    curve = []
-    for lam in candidates:
-        acc, usage = _evaluate(table, lam, score_fn)
-        curve.append((lam, acc, usage))
-    # usage grows with the threshold for max/diff and shrinks for entropy;
-    # scanning in the low-usage direction makes strict improvement the only
-    # replacement rule needed.
-    ordered = curve if not score_fn.lower_is_better else list(reversed(curve))
-    best_lam, best_acc, best_usage = ordered[0]
-    for lam, acc, usage in ordered[1:]:
-        if acc > best_acc or (acc == best_acc and usage < best_usage):
-            best_lam, best_acc, best_usage = lam, acc, usage
+    lambdas = candidate_lambdas(paired, score_fn)
+    accuracy, usage = _sweep(paired, score_fn, post_check, np.array(lambdas))
+    curve = list(zip(lambdas, accuracy.tolist(), usage.tolist()))
+    # Usage grows with the threshold for max/diff and shrinks for entropy; of the
+    # most accurate, lowest-usage candidates the one at the low-usage end wins.
+    best = np.flatnonzero(accuracy == accuracy.max())
+    best = best[usage[best] == usage[best].min()]
+    best_lam, best_acc, best_usage = curve[best[-1] if score_fn.lower_is_better else best[0]]
     config = CascadeConfig(
         first_model=paired.name_a,
         second_model=paired.name_b,
@@ -247,8 +225,7 @@ def auto_select(paired: PairedDataset) -> CalibrationResult:
     usage, then to the score-function order diff, max, entropy, then to the
     original model ordering.
     """
-    if len(paired) == 0:
-        raise DataError("empty dataset")
+    _columns(paired)  # built once here; every swapped() copy below reuses them
     best: CalibrationResult | None = None
     order = (ScoreFunction.DIFFERENCE, ScoreFunction.MAX_PROBABILITY, ScoreFunction.ENTROPY_NORMALIZED)
     for score_fn in order:

@@ -12,6 +12,8 @@ import math
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DataError
 
 
@@ -47,6 +49,19 @@ def softmax(logits: Sequence[float]) -> list[float]:
     exps = [math.exp(v - m) for v in logits]
     total = sum(exps)
     return [e / total for e in exps]
+
+
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """``softmax`` of each row of an N x K float64 matrix, bit for bit: one
+    ``math.exp`` per element (numpy's exp can differ in the last bit) and
+    ``sum`` over the columns, which adds them left to right as ``softmax`` does."""
+    if logits.shape[1] < 2:
+        raise DataError("softmax needs at least 2 logits")
+    if not np.isfinite(logits).all():
+        raise DataError("non-finite logit")
+    shifted = (logits - logits.max(axis=1, keepdims=True)).ravel()
+    exps = np.fromiter(map(math.exp, shifted), np.float64, shifted.size).reshape(logits.shape)
+    return exps / sum(exps.T)[:, None]
 
 
 @lru_cache(maxsize=None)
@@ -85,6 +100,18 @@ def score(probs: Sequence[float], kind: ScoreFunction) -> float:
         return first - second
     entropy = -sum(p * math.log(p) for p in probs if p > 0.0)
     return entropy / entropy_denominator(len(probs))
+
+
+def score_rows(probs: np.ndarray, kind: ScoreFunction) -> np.ndarray:
+    """``score`` of each row of an N x K probability matrix, bit for bit."""
+    if kind is ScoreFunction.MAX_PROBABILITY:
+        return probs.max(axis=1)
+    if kind is ScoreFunction.DIFFERENCE:
+        top = np.partition(probs, -2, axis=1)
+        return top[:, -1] - top[:, -2]
+    positive = np.where(probs > 0.0, probs, 1.0).ravel()  # p = 0 takes ln 1: 0 ln 0 = 0
+    logs = np.fromiter(map(math.log, positive), np.float64, positive.size).reshape(probs.shape)
+    return -sum((probs * logs).T) / entropy_denominator(probs.shape[1])
 
 
 def passes_threshold(s: float, threshold: float, kind: ScoreFunction) -> bool:

@@ -44,6 +44,8 @@ class PairedDataset:
     num_classes: int
     name_a: str = "model_a"
     name_b: str = "model_b"
+    # (A, B) per-model arrays that calibration caches; samples must not change after
+    columns: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -53,7 +55,9 @@ class PairedDataset:
         swapped = [
             PairedSample(s.id, s.label, s.logits_b, s.logits_a) for s in self.samples
         ]
-        return PairedDataset(swapped, self.num_classes, self.name_b, self.name_a)
+        result = PairedDataset(swapped, self.num_classes, self.name_b, self.name_a)
+        result.columns = None if self.columns is None else self.columns[::-1]
+        return result
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,10 @@ def _record_from_obj(obj: object, line_no: int, expected_k: int | None) -> Predi
     for v in logits:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise DataError(f"malformed record at line {line_no}: non-numeric logit")
-        f = float(v)
+        try:
+            f = float(v)
+        except OverflowError:  # an integer literal beyond the float range
+            raise DataError(f"logit out of float range at line {line_no}") from None
         if not math.isfinite(f):
             raise DataError(f"non-finite logit at line {line_no}")
         values.append(f)
@@ -216,11 +223,15 @@ def align_records(
 def _stage_value(stage: str, key: str, value: object) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DataError(f"stage {stage} {key} must be a number")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise DataError(f"stage {stage} {key} is out of float range") from None
+    if not math.isfinite(number):
         raise DataError(f"stage {stage} {key} must be finite")
-    if value < 0:
+    if number < 0:
         raise DataError(f"stage {stage} {key} must be >= 0")
-    return float(value)
+    return number
 
 
 def parse_cost_profile(data: bytes | str) -> CostProfile:

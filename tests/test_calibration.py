@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
+from cascadekit import calibration
 from cascadekit.calibration import (
     CascadeConfig,
     accuracy_at,
@@ -15,7 +17,7 @@ from cascadekit.calibration import (
     load_config,
     save_config,
 )
-from cascadekit.confidence import ScoreFunction, better_score, score, softmax
+from cascadekit.confidence import ScoreFunction, better_score, score, softmax, softmax_rows
 from cascadekit.errors import DataError
 from cascadekit.records import PairedDataset, PairedSample, PredictionRecord, align_records
 
@@ -328,6 +330,58 @@ class TestAutoSelect:
             for dataset in (bundled_paired, bundled_paired.swapped()):
                 result = find_lambda_star(dataset, kind)
                 assert best.accuracy >= result.accuracy
+
+
+class TestColumnarKernel:
+    def test_auto_select_computes_each_models_softmax_once(self, monkeypatch):
+        calls = []
+
+        def counting(logits):
+            calls.append(logits.shape)
+            return softmax_rows(logits)
+
+        monkeypatch.setattr(calibration, "softmax_rows", counting)
+        paired = _three_sample_set()
+        auto_select(paired)  # 3 score functions x 2 model orders
+        assert calls == [(3, 3), (3, 3)]
+        candidate_lambdas(paired.swapped(), MAX)
+        accuracy_at(paired, ENTROPY, 0.5, post_check=False)
+        assert len(calls) == 2
+
+    def test_swapped_hands_over_exchanged_columns(self):
+        paired = _three_sample_set()
+        find_lambda_star(paired, DIFF)
+        swapped = paired.swapped()
+        assert swapped.columns == paired.columns[::-1]
+        assert swapped.swapped().columns == paired.columns
+
+
+def _ragged():
+    return _paired([(0, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), (1, (0.0, 1.0), (1.0, 0.0, 0.0))])
+
+
+def _non_finite(value):
+    return _paired([(0, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), (1, (0.0, 1.0, 0.0), (1.0, value, 0.0))])
+
+
+KERNEL_ENTRY_POINTS = {
+    "find_lambda_star": lambda paired: find_lambda_star(paired, DIFF),
+    "accuracy_at": lambda paired: accuracy_at(paired, MAX, 0.5, True),
+    "candidate_lambdas": lambda paired: candidate_lambdas(paired, ENTROPY),
+    "auto_select": auto_select,
+}
+
+
+@pytest.mark.parametrize("entry", KERNEL_ENTRY_POINTS.values(), ids=KERNEL_ENTRY_POINTS.keys())
+class TestKernelRejectsBadLogits:
+    def test_ragged_logits(self, entry):
+        with pytest.raises(DataError, match="equal-length rows"):
+            entry(_ragged())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_logit(self, entry, value):
+        with pytest.raises(DataError, match="non-finite logit"):
+            entry(_non_finite(value))
 
 
 class TestCurveCsv:

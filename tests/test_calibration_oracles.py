@@ -1,0 +1,252 @@
+"""Differential tests: the columnar calibration kernel against the
+per-sample, per-candidate loop it replaced.
+
+The oracles below are that loop, kept unchanged apart from their names. The
+kernel reproduces its arithmetic (``math.exp``/``math.log`` per element,
+sums in ``sum``'s order), so curves, configs, accuracy and usage must be
+equal, and the per-sample scores equal bit for bit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from cascadekit.calibration import (
+    CalibrationResult,
+    CascadeConfig,
+    accuracy_at,
+    auto_select,
+    candidate_lambdas,
+    find_lambda_star,
+)
+from cascadekit.complementarity import predicted_label
+from cascadekit.confidence import ScoreFunction, better_score, score, score_rows, softmax, softmax_rows
+from cascadekit.errors import DataError
+from cascadekit.records import PairedDataset, PairedSample
+
+
+
+
+@dataclass
+class OracleReplayTable:
+    """Per-sample quantities that do not depend on the threshold."""
+
+    scores_a: np.ndarray       # float64
+    correct_pass: np.ndarray   # bool: A's prediction correct
+    correct_esc: np.ndarray    # bool: escalated decision correct
+
+    @property
+    def size(self) -> int:
+        return int(self.scores_a.shape[0])
+
+
+def oracle_build_table(paired: PairedDataset, score_fn: ScoreFunction, post_check: bool) -> OracleReplayTable:
+    n = len(paired)
+    scores_a = np.empty(n, dtype=np.float64)
+    correct_pass = np.empty(n, dtype=bool)
+    correct_esc = np.empty(n, dtype=bool)
+    for i, s in enumerate(paired.samples):
+        probs_a = softmax(s.logits_a)
+        probs_b = softmax(s.logits_b)
+        score_a = score(probs_a, score_fn)
+        scores_a[i] = score_a
+        correct_pass[i] = predicted_label(s.logits_a) == s.label
+        if post_check:
+            chosen = better_score(score_a, score(probs_b, score_fn), score_fn)
+        else:
+            chosen = "b"
+        predicted = predicted_label(s.logits_a if chosen == "a" else s.logits_b)
+        correct_esc[i] = predicted == s.label
+    return OracleReplayTable(scores_a, correct_pass, correct_esc)
+
+
+def oracle_evaluate(table: OracleReplayTable, threshold: float, score_fn: ScoreFunction) -> tuple[float, float]:
+    if score_fn.lower_is_better:
+        passed = table.scores_a <= threshold
+    else:
+        passed = table.scores_a >= threshold
+    correct = int(np.count_nonzero(np.where(passed, table.correct_pass, table.correct_esc)))
+    escalated = table.size - int(np.count_nonzero(passed))
+    return correct / table.size, escalated / table.size
+
+
+def oracle_accuracy_at(
+    paired: PairedDataset,
+    score_fn: ScoreFunction,
+    threshold: float,
+    post_check: bool,
+) -> tuple[float, float]:
+    """(accuracy, second-model usage fraction) at a fixed threshold."""
+    if len(paired) == 0:
+        raise DataError("empty dataset")
+    table = oracle_build_table(paired, score_fn, post_check)
+    return oracle_evaluate(table, threshold, score_fn)
+
+
+def oracle_candidate_lambdas(paired: PairedDataset, score_fn: ScoreFunction) -> list[float]:
+    """Decision-complete threshold candidates within [0, 1].
+
+    Midpoints between consecutive distinct model-A scores, plus 0 and 1;
+    midpoints outside [0, 1] are dropped because the threshold domain is
+    [0, 1] (this only happens for the entropy score with K < 10).
+    """
+    if len(paired) == 0:
+        raise DataError("empty dataset")
+    scores_a = sorted({score(softmax(s.logits_a), score_fn) for s in paired.samples})
+    candidates = {0.0, 1.0}
+    for lo, hi in zip(scores_a, scores_a[1:]):
+        mid = (lo + hi) / 2.0
+        if 0.0 <= mid <= 1.0:
+            candidates.add(mid)
+    return sorted(candidates)
+
+
+def oracle_find_lambda_star(
+    paired: PairedDataset,
+    score_fn: ScoreFunction,
+    post_check: bool = True,
+) -> CalibrationResult:
+    """Exhaustive-optimal threshold search over the candidate set.
+
+    Among accuracy-maximizing candidates the one with the lowest
+    second-model usage wins (the smallest threshold for max/diff, the
+    largest for entropy).
+    """
+    if len(paired) == 0:
+        raise DataError("empty dataset")
+    table = oracle_build_table(paired, score_fn, post_check)
+    candidates = oracle_candidate_lambdas(paired, score_fn)
+    curve = []
+    for lam in candidates:
+        acc, usage = oracle_evaluate(table, lam, score_fn)
+        curve.append((lam, acc, usage))
+    # usage grows with the threshold for max/diff and shrinks for entropy;
+    # scanning in the low-usage direction makes strict improvement the only
+    # replacement rule needed.
+    ordered = curve if not score_fn.lower_is_better else list(reversed(curve))
+    best_lam, best_acc, best_usage = ordered[0]
+    for lam, acc, usage in ordered[1:]:
+        if acc > best_acc or (acc == best_acc and usage < best_usage):
+            best_lam, best_acc, best_usage = lam, acc, usage
+    config = CascadeConfig(
+        first_model=paired.name_a,
+        second_model=paired.name_b,
+        score_fn=score_fn,
+        threshold=best_lam,
+        post_check=post_check,
+    )
+    return CalibrationResult(config, best_acc, best_usage, curve)
+
+
+def oracle_auto_select(paired: PairedDataset) -> CalibrationResult:
+    if len(paired) == 0:
+        raise DataError("empty dataset")
+    best: CalibrationResult | None = None
+    order = (ScoreFunction.DIFFERENCE, ScoreFunction.MAX_PROBABILITY, ScoreFunction.ENTROPY_NORMALIZED)
+    for score_fn in order:
+        for dataset in (paired, paired.swapped()):
+            result = oracle_find_lambda_star(dataset, score_fn, post_check=True)
+            if best is None or result.accuracy > best.accuracy or (
+                result.accuracy == best.accuracy
+                and result.second_model_usage < best.second_model_usage
+            ):
+                best = result
+    assert best is not None
+    return best
+
+
+# A small value set makes score ties and repeated maxima (diff = 0) common;
+# narrow floats give many distinct probabilities, where numpy's exp and log
+# would differ from math's; wide floats push probabilities to 0, where entropy
+# skips the 0 ln 0 term.
+SMALL_LOGITS = st.sampled_from((-3.0, -1.0, 0.0, 0.5, 1.0, 2.0, 4.0))
+NARROW_LOGITS = st.floats(-6.0, 6.0, allow_nan=False)
+WIDE_LOGITS = st.floats(-800.0, 800.0, allow_nan=False)
+
+
+@st.composite
+def logit_rows(draw, n: int, k: int) -> list[tuple[float, ...]]:
+    values = draw(st.sampled_from((SMALL_LOGITS, NARROW_LOGITS, WIDE_LOGITS)))
+    return [tuple(row) for row in draw(arrays(np.float64, (n, k), elements=values)).tolist()]
+
+
+@st.composite
+def pairs(draw, classes=st.integers(2, 12)) -> PairedDataset:
+    n = draw(st.integers(1, 60))
+    k = draw(classes)
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    rows_a = draw(logit_rows(n, k))
+    rows_b = draw(logit_rows(n, k))
+    samples = [
+        PairedSample(f"s{i:03d}", label, la, lb)
+        for i, (label, la, lb) in enumerate(zip(labels, rows_a, rows_b))
+    ]
+    return PairedDataset(samples, k)
+
+
+def _ordered(paired: PairedDataset, order: str) -> PairedDataset:
+    """The pair as given, swapped, or swapped after the kernel cached its columns."""
+    if order == "cached-swap":
+        candidate_lambdas(paired, ScoreFunction.MAX_PROBABILITY)
+    return paired if order == "as-given" else paired.swapped()
+
+
+def _assert_same_result(got: CalibrationResult, want: CalibrationResult) -> None:
+    # repr also tells 0.0 from -0.0 and Python floats from numpy scalars
+    assert repr(got.curve) == repr(want.curve)
+    assert got.curve == want.curve
+    assert got.config.to_dict() == want.config.to_dict()
+    assert repr((got.accuracy, got.second_model_usage)) == repr((want.accuracy, want.second_model_usage))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(2, 12), st.data())
+def test_row_softmax_and_scores_bitwise_equal_per_sample(n, k, data):
+    rows = data.draw(logit_rows(n, k))
+    probs = softmax_rows(np.array(rows))
+    assert probs.tobytes() == np.array([softmax(row) for row in rows]).tobytes()
+    for fn in ScoreFunction:
+        want = np.array([score(softmax(row), fn) for row in rows])
+        assert score_rows(probs, fn).tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs(),
+    st.sampled_from(list(ScoreFunction)),
+    st.booleans(),
+    st.sampled_from(("as-given", "swapped", "cached-swap")),
+)
+def test_sweep_matches_per_candidate_loop(paired, fn, post_check, order):
+    dataset = _ordered(paired, order)
+    _assert_same_result(
+        find_lambda_star(dataset, fn, post_check), oracle_find_lambda_star(dataset, fn, post_check)
+    )
+    candidates = candidate_lambdas(dataset, fn)
+    assert repr(candidates) == repr(oracle_candidate_lambdas(dataset, fn))
+    table = oracle_build_table(dataset, fn, post_check)
+    # every candidate, every model-A score (the >= / <= boundary) and points outside [0, 1]
+    for lam in [*candidates, *set(table.scores_a.tolist()), -0.5, 1.5]:
+        got = accuracy_at(dataset, fn, lam, post_check)
+        assert repr(got) == repr(oracle_evaluate(table, lam, fn))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs(classes=st.sampled_from((2, 3))), st.booleans())
+def test_entropy_above_one_drops_the_same_midpoints(paired, post_check):
+    # for K < 10 normalized entropy can exceed 1, so midpoints above 1 are dropped
+    fn = ScoreFunction.ENTROPY_NORMALIZED
+    _assert_same_result(
+        find_lambda_star(paired, fn, post_check), oracle_find_lambda_star(paired, fn, post_check)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs())
+def test_auto_select_matches_loop(paired):
+    _assert_same_result(auto_select(paired), oracle_auto_select(paired))

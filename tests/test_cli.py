@@ -140,6 +140,21 @@ class TestCalibrate:
         assert line.startswith("score_fn=")
         assert "accuracy=" in line and "usage=" in line
 
+    def test_integer_logit_beyond_float_range_is_a_data_error(self, workspace, tmp_path, capsys):
+        lines = (workspace / "small.jsonl").read_text().splitlines()
+        record = json.loads(lines[0])
+        record["logits"][0] = 10**400
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
+        code = main([
+            "calibrate",
+            "--records-a", str(bad),
+            "--records-b", str(workspace / "big.jsonl"),
+            "--out", str(tmp_path / "config.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: logit out of float range at line 1\n"
+
     def test_auto_rejects_no_post_check(self, workspace, tmp_path):
         with pytest.raises(SystemExit) as err:
             main([
@@ -262,8 +277,9 @@ class TestRun:
         [
             json.dumps({"stages": {**COSTS["stages"], "model_a": {"energy_wh": math.nan, "latency_ms": 1.0}}}).encode(),
             b"\xff\xfe{}",
+            json.dumps({"stages": {**COSTS["stages"], "model_b": {"energy_wh": 10**400, "latency_ms": 1.0}}}).encode(),
         ],
-        ids=["non_finite", "non_utf8"],
+        ids=["non_finite", "non_utf8", "beyond_float_range"],
     )
     def test_bad_cost_profile_is_a_data_error(self, workspace, tmp_path, capsys, content):
         costs = tmp_path / "bad_costs.json"

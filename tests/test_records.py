@@ -81,6 +81,12 @@ class TestParseRecords:
         with pytest.raises(DataError, match="non-finite logit"):
             parse_prediction_records('{"id":"a","label":0,"logits":[1.0,Infinity]}\n')
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_integer_logit_beyond_float_range(self, sign):
+        # a 401-digit JSON integer has no float value
+        with pytest.raises(DataError, match="logit out of float range at line 1"):
+            parse_prediction_records(_line("a", 0, [sign * 10**400, 0.0]))
+
     def test_duplicate_id(self):
         text = _line("a", 0, [1.0, 0.0]) + "\n" + _line("a", 1, [0.0, 1.0]) + "\n"
         with pytest.raises(DataError, match="duplicate id a at line 2"):
@@ -206,6 +212,14 @@ class TestCostProfile:
         obj = _profile_dict()
         obj["stages"]["model_b"][key] = float(value)  # dumped as NaN, Infinity, -Infinity
         with pytest.raises(DataError, match=f"model_b {key} must be finite"):
+            parse_cost_profile(json.dumps(obj))
+
+    @pytest.mark.parametrize("key", ["energy_wh", "latency_ms", "current_mah"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_integer_beyond_float_range_rejected(self, key, sign):
+        obj = _profile_dict()
+        obj["stages"]["model_a"][key] = sign * 10**400
+        with pytest.raises(DataError, match=f"model_a {key} is out of float range"):
             parse_cost_profile(json.dumps(obj))
 
     def test_non_utf8_bytes_rejected(self):
