@@ -1,22 +1,23 @@
-"""Offline replay of the cascade decision rule and threshold calibration.
+"""The cascade decision rule and threshold calibration.
 
-The decision rule for one sample: score model A's softmax output; if the
-score passes the threshold, A's prediction stands and model B is never
-invoked. Otherwise B runs too, and either B wins unconditionally or, with
-post-check enabled, the better-scoring model wins.
+The rule: score model A's softmax output; if the score passes the threshold,
+A's prediction stands and model B is never invoked. Otherwise B runs too, and
+either B wins or, with post-check enabled, the better-scoring model does (A
+on a tie). It lives here only: ``decide`` applies it to one sample and is
+what the runtime engine calls; ``_sweep`` applies it to a whole validation
+pair at every threshold at once.
 
-Calibration replays this rule over an aligned validation pair for every
-candidate threshold and keeps the accuracy-maximizing one. The candidate set
-(midpoints between consecutive distinct model-A scores, plus the endpoints
-0 and 1) realizes every achievable threshold behavior, so the search is
-exactly optimal without a grid; it is one sort plus prefix sums, O(N log N).
+Calibration keeps the most accurate threshold. The candidate set (midpoints
+between consecutive distinct model-A scores, plus the endpoints 0 and 1)
+realizes every achievable threshold behavior, so the search is exactly
+optimal without a grid; it is one sort plus prefix sums, O(N log N).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,11 +67,16 @@ class CascadeConfig:
             raise DataError(f"config must have exactly keys: {', '.join(sorted(expected))}")
         if not isinstance(obj["post_check"], bool):
             raise DataError("post_check must be a boolean")
+        threshold = obj["lambda"]
+        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+            raise DataError("lambda must be a number")
+        if not 0 <= threshold <= 1:  # before float(), which overflows on a huge integer
+            raise DataError(f"threshold {threshold} outside [0, 1]")
         return cls(
             first_model=str(obj["first_model"]),
             second_model=str(obj["second_model"]),
             score_fn=ScoreFunction.parse(obj["score_fn"]),
-            threshold=float(obj["lambda"]),
+            threshold=float(threshold),
             post_check=obj["post_check"],
             memory=str(obj["memory"]),
         )
@@ -93,31 +99,25 @@ def load_config(path: str) -> CascadeConfig:
     return CascadeConfig.from_dict(obj)
 
 
-def cascade_decide_offline(
-    logits_a: Sequence[float],
-    logits_b: Sequence[float],
-    score_fn: ScoreFunction,
-    threshold: float,
-    post_check: bool,
-) -> tuple[int, bool, str]:
-    """Decide one sample from both models' logits.
+def decide(
+    config: CascadeConfig, logits_a: Sequence[float], infer_b: Callable[[], Sequence[float]]
+) -> tuple[int, str, float, float | None]:
+    """Apply the cascade rule to one sample.
 
-    Returns (predicted label, used_second, chosen) with chosen in {"a", "b"}.
-    Model B's score is only consulted when the threshold test fails.
+    Returns (predicted label, chosen, score_a, score_b) with chosen in
+    {"a", "b"}. ``infer_b`` yields model B's logits and is called only when
+    A's score misses the threshold; score_b is None when it was not called.
     """
-    if len(logits_a) != len(logits_b):
+    score_fn = config.score_fn
+    score_a = score(softmax(logits_a), score_fn)
+    if passes_threshold(score_a, config.threshold, score_fn):
+        return predicted_label(logits_a), "a", score_a, None
+    logits_b = infer_b()
+    if len(logits_b) != len(logits_a):
         raise DataError("logits length mismatch between models")
-    probs_a = softmax(logits_a)
-    score_a = score(probs_a, score_fn)
-    if passes_threshold(score_a, threshold, score_fn):
-        return predicted_label(logits_a), False, "a"
-    probs_b = softmax(logits_b)
-    if post_check:
-        chosen = better_score(score_a, score(probs_b, score_fn), score_fn)
-    else:
-        chosen = "b"
-    predicted = predicted_label(logits_a if chosen == "a" else logits_b)
-    return predicted, True, chosen
+    score_b = score(softmax(logits_b), score_fn)
+    chosen = better_score(score_a, score_b, score_fn) if config.post_check else "b"
+    return predicted_label(logits_a if chosen == "a" else logits_b), chosen, score_a, score_b
 
 
 def _model_columns(rows: Sequence[tuple[float, ...]], labels: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -146,13 +146,12 @@ def _sweep(
     """(accuracy, usage) arrays over the thresholds: one stable sort of model
     A's scores, prefix sums of the outcomes, one binary search per threshold."""
     (correct_a, scores_a), (correct_b, scores_b) = _columns(paired)
-    sign = -1.0 if score_fn.lower_is_better else 1.0  # so that key >= lambda passes
-    key_a, key_b = sign * scores_a[score_fn], sign * scores_b[score_fn]
+    key_a, key_b = score_fn.oriented(scores_a[score_fn]), score_fn.oriented(scores_b[score_fn])
     correct_esc = np.where((key_a >= key_b) & post_check, correct_a, correct_b)  # ties keep A
     order = np.argsort(key_a, kind="stable")
     pass_before = np.concatenate(([0], np.cumsum(correct_a[order])))
     esc_before = np.concatenate(([0], np.cumsum(correct_esc[order])))
-    cut = np.searchsorted(key_a[order], sign * lambdas, side="left")  # the escalated samples
+    cut = np.searchsorted(key_a[order], score_fn.oriented(lambdas), side="left")  # escalated count
     return (esc_before[cut] + pass_before[-1] - pass_before[cut]) / len(order), cut / len(order)
 
 
@@ -225,11 +224,12 @@ def auto_select(paired: PairedDataset) -> CalibrationResult:
     usage, then to the score-function order diff, max, entropy, then to the
     original model ordering.
     """
-    _columns(paired)  # built once here; every swapped() copy below reuses them
+    _columns(paired)  # built once here; the swapped copy below reuses them
+    swapped = paired.swapped()
     best: CalibrationResult | None = None
     order = (ScoreFunction.DIFFERENCE, ScoreFunction.MAX_PROBABILITY, ScoreFunction.ENTROPY_NORMALIZED)
     for score_fn in order:
-        for dataset in (paired, paired.swapped()):
+        for dataset in (paired, swapped):
             result = find_lambda_star(dataset, score_fn, post_check=True)
             if best is None or result.accuracy > best.accuracy or (
                 result.accuracy == best.accuracy

@@ -1,8 +1,10 @@
 """Softmax and confidence scoring of probability vectors.
 
 Three score functions are supported; for ``max`` and ``diff`` a higher score
-means higher confidence, for ``entropy`` a lower score does. The threshold
-test and the A-vs-B comparator both respect that direction.
+means higher confidence, for ``entropy`` a lower score does.
+``ScoreFunction.oriented`` is the one place that direction is applied: the
+threshold test, the A-vs-B comparator and the calibration sweep all compare
+oriented scores.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,6 +30,11 @@ class ScoreFunction(enum.Enum):
     def lower_is_better(self) -> bool:
         return self is ScoreFunction.ENTROPY_NORMALIZED
 
+    def oriented(self, x):
+        """A score (float or numpy array) turned so that higher is more
+        confident: ``-x`` for entropy, ``x`` otherwise."""
+        return -x if self.lower_is_better else x
+
     @classmethod
     def parse(cls, name: str) -> "ScoreFunction":
         try:
@@ -35,6 +42,15 @@ class ScoreFunction(enum.Enum):
         except ValueError:
             valid = ", ".join(k.value for k in cls)
             raise DataError(f"unknown score function {name!r} (valid: {valid})") from None
+
+
+def _add(values: Iterable[float]) -> float:
+    """Left-to-right float sum, the order of numpy's row adds in ``softmax_rows``
+    and ``score_rows``; ``sum()`` of floats is compensated from Python 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def softmax(logits: Sequence[float]) -> list[float]:
@@ -47,7 +63,7 @@ def softmax(logits: Sequence[float]) -> list[float]:
             raise DataError("non-finite logit")
     m = max(logits)
     exps = [math.exp(v - m) for v in logits]
-    total = sum(exps)
+    total = _add(exps)
     return [e / total for e in exps]
 
 
@@ -73,7 +89,7 @@ def entropy_denominator(num_classes: int) -> float:
     clamping.
     """
     k = num_classes
-    return -sum((i / k) * math.log(i / k) for i in range(1, k + 1))
+    return -_add((i / k) * math.log(i / k) for i in range(1, k + 1))
 
 
 def _top_two(probs: Sequence[float]) -> tuple[float, float]:
@@ -98,7 +114,7 @@ def score(probs: Sequence[float], kind: ScoreFunction) -> float:
     if kind is ScoreFunction.DIFFERENCE:
         first, second = _top_two(probs)
         return first - second
-    entropy = -sum(p * math.log(p) for p in probs if p > 0.0)
+    entropy = -_add(p * math.log(p) for p in probs if p > 0.0)
     return entropy / entropy_denominator(len(probs))
 
 
@@ -117,13 +133,9 @@ def score_rows(probs: np.ndarray, kind: ScoreFunction) -> np.ndarray:
 def passes_threshold(s: float, threshold: float, kind: ScoreFunction) -> bool:
     """True iff the first model's answer is accepted (second model not
     invoked). Equality accepts, minimizing second-model usage."""
-    if kind.lower_is_better:
-        return s <= threshold
-    return s >= threshold
+    return kind.oriented(s) >= kind.oriented(threshold)
 
 
 def better_score(score_a: float, score_b: float, kind: ScoreFunction) -> str:
     """Post-check comparator: returns "a" or "b"; ties favor "a"."""
-    if kind.lower_is_better:
-        return "a" if score_a <= score_b else "b"
-    return "a" if score_a >= score_b else "b"
+    return "a" if passes_threshold(score_a, score_b, kind) else "b"

@@ -1,7 +1,9 @@
-"""Runtime cascade engine: memory lookup, model A, threshold test, model B.
+"""Runtime cascade engine: memory lookup, then the cascade rule over two classifiers.
 
-Each classified sample produces a StageTrace naming the path taken and the
-exact stages executed, which is what the metering module prices. With
+The rule itself (threshold test, model B on escalation, post-check) is
+``calibration.decide``; the engine adds the memory around it and traces
+every sample. Each StageTrace names the path taken and the exact stages
+executed, which is what the metering module prices. With
 memory enabled the engine fingerprints the (grayscaled) image first and
 skips both models on a hit; the predicted label of every non-hit sample is
 inserted afterwards, so hits replay earlier cascade decisions, mistakes
@@ -14,9 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
-from .calibration import CascadeConfig
-from .complementarity import predicted_label
-from .confidence import better_score, passes_threshold, score, softmax
+from .calibration import CascadeConfig, decide
 from .errors import DataError
 from .images import ImageBuffer, to_grayscale
 from .phash import FINGERPRINTS, Fingerprint, MemoStore
@@ -130,20 +130,12 @@ class CascadeEngine:
 
         stages.append("model_a")
         logits_a = self.classifier_a.infer(sample.id)
-        score_a = score(softmax(logits_a), self.config.score_fn)
-        if passes_threshold(score_a, self.config.threshold, self.config.score_fn):
-            path, chosen, score_b = PATH_MODEL_A_ONLY, "a", None
-            predicted = predicted_label(logits_a)
-        else:
+        predicted, chosen, score_a, score_b = decide(
+            self.config, logits_a, lambda: self.classifier_b.infer(sample.id)
+        )
+        path = PATH_MODEL_A_ONLY if score_b is None else PATH_MODEL_AB
+        if score_b is not None:
             stages.append("model_b")
-            logits_b = self.classifier_b.infer(sample.id)
-            score_b = score(softmax(logits_b), self.config.score_fn)
-            path = PATH_MODEL_AB
-            if self.config.post_check:
-                chosen = better_score(score_a, score_b, self.config.score_fn)
-            else:
-                chosen = "b"
-            predicted = predicted_label(logits_a if chosen == "a" else logits_b)
 
         if fp is not None:
             stages.append("memory_insert")
@@ -211,15 +203,14 @@ class BatchSummary:
     sample_count: int
     path_counts: dict[str, int]
     second_model_usage: float
-    metrics: MacroMetrics | None
 
 
 def run_batch(engine: CascadeEngine, samples: Sequence[SampleRef]) -> tuple[list[StageTrace], BatchSummary]:
     """Classify samples sequentially in input order.
 
     Order matters when memory is enabled: an earlier sample's insert is a
-    later duplicate's hit. Metrics are included when every sample carries
-    a label.
+    later duplicate's hit. Accuracy and macro metrics come from
+    ``metering.aggregate``.
     """
     if not samples:
         raise DataError("empty batch")
@@ -228,10 +219,7 @@ def run_batch(engine: CascadeEngine, samples: Sequence[SampleRef]) -> tuple[list
     for t in traces:
         path_counts[t.path] += 1
     usage = sum(1 for t in traces if "model_b" in t.stages) / len(traces)
-    metrics = None
-    if all(t.label is not None for t in traces):
-        metrics = macro_metrics([t.label for t in traces], [t.predicted for t in traces])
-    return traces, BatchSummary(len(traces), path_counts, usage, metrics)
+    return traces, BatchSummary(len(traces), path_counts, usage)
 
 
 def trace_to_dict(trace: StageTrace) -> dict:

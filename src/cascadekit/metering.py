@@ -273,9 +273,9 @@ def duplication_experiment(
         points = []
         for ratio, stream in zip(ordered_ratios, streams):
             engine = factory()
-            traces, summary = run_batch(engine, stream)
+            traces, _ = run_batch(engine, stream)
             report = aggregate(traces, costs, include_metrics=False)
-            points.append((ratio, report.total_energy_wh, summary.path_counts[PATH_MEMORY_HIT]))
+            points.append((ratio, report.total_energy_wh, report.path_counts[PATH_MEMORY_HIT]))
         curves.append(DuplicationCurve(name, points))
     return curves
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -167,7 +167,7 @@ FINGERPRINTS: dict[str, Callable[[ImageBuffer], Fingerprint]] = {
 
 
 class MemoStore:
-    """LRU map from fingerprint keys to class labels.
+    """LRU map from fingerprints (method and key) to class labels.
 
     Unbounded by default; with a capacity, the least-recently-used entry
     is evicted on overflow and a lookup hit counts as a use. Lookups and
@@ -179,7 +179,7 @@ class MemoStore:
         if capacity is not None and capacity < 1:
             raise DataError("capacity must be >= 1")
         self.capacity = capacity
-        self._entries: OrderedDict[str, int] = OrderedDict()
+        self._entries: OrderedDict[Fingerprint, int] = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -187,15 +187,15 @@ class MemoStore:
 
     def lookup(self, fp: Fingerprint) -> int | None:
         with self._lock:
-            label = self._entries.get(fp.key)
+            label = self._entries.get(fp)
             if label is not None:
-                self._entries.move_to_end(fp.key)
+                self._entries.move_to_end(fp)
             return label
 
     def insert(self, fp: Fingerprint, label: int) -> None:
         with self._lock:
-            self._entries[fp.key] = label
-            self._entries.move_to_end(fp.key)
+            self._entries[fp] = label
+            self._entries.move_to_end(fp)
             if self.capacity is not None:
                 while len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
@@ -203,7 +203,7 @@ class MemoStore:
     def save(self, path: str) -> None:
         """Write entries as JSON, least-recently-used first."""
         with self._lock:
-            entries = [{"key": k, "label": v} for k, v in self._entries.items()]
+            entries = [{**asdict(fp), "label": v} for fp, v in self._entries.items()]
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"entries": entries}, fh, indent=2)
             fh.write("\n")
@@ -223,14 +223,12 @@ class MemoStore:
         for i, entry in enumerate(obj["entries"]):
             if (
                 not isinstance(entry, dict)
+                or not isinstance(entry.get("method"), str)
+                or entry["method"] not in FINGERPRINTS
                 or not isinstance(entry.get("key"), str)
                 or isinstance(entry.get("label"), bool)
                 or not isinstance(entry.get("label"), int)
             ):
                 raise DataError(f"malformed store entry at index {i}")
-            store._entries[entry["key"]] = entry["label"]
-            store._entries.move_to_end(entry["key"])
-            if capacity is not None:
-                while len(store._entries) > capacity:
-                    store._entries.popitem(last=False)
+            store.insert(Fingerprint(entry["method"], entry["key"]), entry["label"])
         return store

@@ -21,7 +21,6 @@ from cascadekit.calibration import (
     CascadeConfig,
     accuracy_at,
     candidate_lambdas,
-    cascade_decide_offline,
     find_lambda_star,
 )
 from cascadekit.complementarity import complementarity_of_vectors, predicted_label
@@ -45,6 +44,7 @@ from cascadekit.metering import aggregate, compare, duplication_experiment, near
 from cascadekit.phash import dhash, dhash_fingerprint, moment_invariants, moments_fingerprint
 from cascadekit.records import PredictionRecord, load_cost_profile
 from cascadekit.synthetic import synthetic_image
+from test_calibration_oracles import oracle_decide
 
 MAX = ScoreFunction.MAX_PROBABILITY
 DIFF = ScoreFunction.DIFFERENCE
@@ -342,7 +342,7 @@ def test_09_memory_flattens_energy_under_duplication(costs_dir):
 
 
 @criterion(10, "engine matches offline calibration")
-def test_10_engine_agrees_with_offline_decisions(bundled_paired):
+def test_10_engine_agrees_with_offline_decisions(bundled_paired, costs_dir):
     result = find_lambda_star(bundled_paired, DIFF)
     records_a = [
         PredictionRecord(s.id, s.label, s.logits_a) for s in bundled_paired.samples
@@ -358,7 +358,7 @@ def test_10_engine_agrees_with_offline_decisions(bundled_paired):
     samples = [SampleRef(s.id, label=s.label) for s in bundled_paired.samples]
     traces, summary = run_batch(engine, samples)
     for trace, s in zip(traces, bundled_paired.samples):
-        predicted, _, chosen = cascade_decide_offline(
+        predicted, _, chosen = oracle_decide(
             s.logits_a,
             s.logits_b,
             result.config.score_fn,
@@ -368,7 +368,8 @@ def test_10_engine_agrees_with_offline_decisions(bundled_paired):
         assert trace.predicted == predicted
         assert trace.chosen == chosen
     assert summary.second_model_usage == result.second_model_usage
-    assert summary.metrics.accuracy == result.accuracy
+    report = aggregate(traces, load_cost_profile(str(costs_dir / "cifar10.json")))
+    assert report.metrics.accuracy == result.accuracy
 
 
 @criterion(11, "nearest-rank percentiles")

@@ -11,7 +11,7 @@ from cascadekit.calibration import (
     accuracy_at,
     auto_select,
     candidate_lambdas,
-    cascade_decide_offline,
+    decide,
     find_lambda_star,
     format_curve_csv,
     load_config,
@@ -96,6 +96,21 @@ class TestCascadeConfig:
         with pytest.raises(DataError, match="post_check must be a boolean"):
             CascadeConfig.from_dict(obj)
 
+    def test_from_dict_lambda_must_be_a_number(self):
+        for bad in ("abc", "0.5", [0.5], None, True, False):
+            obj = self._config().to_dict()
+            obj["lambda"] = bad
+            with pytest.raises(DataError, match="lambda must be a number"):
+                CascadeConfig.from_dict(obj)
+        for out_of_range in (1.5, -1, 10**400, float("nan")):
+            obj = self._config().to_dict()
+            obj["lambda"] = out_of_range
+            with pytest.raises(DataError, match="outside"):
+                CascadeConfig.from_dict(obj)
+        obj = self._config().to_dict()
+        obj["lambda"] = 1
+        assert repr(CascadeConfig.from_dict(obj).threshold) == "1.0"
+
     def test_load_errors(self, tmp_path):
         with pytest.raises(DataError, match="cannot read config"):
             load_config(str(tmp_path / "missing.json"))
@@ -105,18 +120,24 @@ class TestCascadeConfig:
             load_config(str(bad))
 
 
+def _b_never_called():
+    raise AssertionError("model B must not run when model A passes")
+
+
 class TestDecideOffline:
+    """``decide`` on fixed logits, as an offline replay calls it."""
+
     def test_pass_keeps_first_model(self):
-        predicted, used_second, chosen = cascade_decide_offline(
-            (6.0, 0.0, 0.0), (0.0, 5.0, 0.0), DIFF, 0.5, True
-        )
-        assert (predicted, used_second, chosen) == (0, False, "a")
+        config = CascadeConfig("a", "b", DIFF, 0.5, True)
+        predicted, chosen, score_a, score_b = decide(config, (6.0, 0.0, 0.0), _b_never_called)
+        assert (predicted, chosen, score_b) == (0, "a", None)
+        assert score_a == score(softmax((6.0, 0.0, 0.0)), DIFF)
 
     def test_fail_without_post_check_takes_second(self):
-        predicted, used_second, chosen = cascade_decide_offline(
-            (0.5, 0.0, 0.2), (0.0, 5.0, 0.0), DIFF, 0.9, False
-        )
-        assert (predicted, used_second, chosen) == (1, True, "b")
+        config = CascadeConfig("a", "b", DIFF, 0.9, False)
+        predicted, chosen, _, score_b = decide(config, (0.5, 0.0, 0.2), lambda: (0.0, 5.0, 0.0))
+        assert (predicted, chosen) == (1, "b")
+        assert score_b == score(softmax((0.0, 5.0, 0.0)), DIFF)
 
     def test_fail_with_post_check_can_keep_first(self):
         # A misses the threshold but still outscores B
@@ -125,14 +146,13 @@ class TestDecideOffline:
         s_a = score(softmax(logits_a), DIFF)
         s_b = score(softmax(logits_b), DIFF)
         assert s_b < s_a < 0.99
-        predicted, used_second, chosen = cascade_decide_offline(
-            logits_a, logits_b, DIFF, 0.99, True
-        )
-        assert (predicted, used_second, chosen) == (0, True, "a")
+        config = CascadeConfig("a", "b", DIFF, 0.99, True)
+        assert decide(config, logits_a, lambda: logits_b) == (0, "a", s_a, s_b)
 
     def test_length_mismatch(self):
+        config = CascadeConfig("a", "b", DIFF, 0.5, True)
         with pytest.raises(DataError, match="length mismatch"):
-            cascade_decide_offline((1.0, 0.0), (1.0, 0.0, 0.0), DIFF, 0.5, True)
+            decide(config, (1.0, 0.0), lambda: (1.0, 0.0, 0.0))
 
 
 class TestAccuracyAt:
@@ -169,14 +189,13 @@ class TestAccuracyAt:
         for kind in (DIFF, ENTROPY):
             for lam in (0.3, 0.7):
                 accuracy, usage = accuracy_at(bundled_paired, kind, lam, True)
+                config = CascadeConfig("model_a", "model_b", kind, lam, True)
                 correct = 0
                 used = 0
                 for s in bundled_paired.samples:
-                    predicted, used_second, _ = cascade_decide_offline(
-                        s.logits_a, s.logits_b, kind, lam, True
-                    )
+                    predicted, _, _, score_b = decide(config, s.logits_a, lambda: s.logits_b)
                     correct += predicted == s.label
-                    used += used_second
+                    used += score_b is not None
                 n = len(bundled_paired)
                 assert accuracy == correct / n
                 assert usage == used / n

@@ -1,15 +1,18 @@
 """Differential tests: the columnar calibration kernel against the
-per-sample, per-candidate loop it replaced.
+per-sample, per-candidate loop it replaced, and the engine's replay against
+both.
 
-The oracles below are that loop, kept unchanged apart from their names. The
-kernel reproduces its arithmetic (``math.exp``/``math.log`` per element,
-sums in ``sum``'s order), so curves, configs, accuracy and usage must be
-equal, and the per-sample scores equal bit for bit.
+The oracles below are that loop and the per-sample decision function,
+kept unchanged apart from their names. The kernel reproduces their
+arithmetic (``math.exp``/``math.log`` per element, sums left to right), so
+curves, configs, accuracy and usage must be equal, and the per-sample
+scores equal bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from hypothesis import given, settings
@@ -25,11 +28,45 @@ from cascadekit.calibration import (
     find_lambda_star,
 )
 from cascadekit.complementarity import predicted_label
-from cascadekit.confidence import ScoreFunction, better_score, score, score_rows, softmax, softmax_rows
+from cascadekit.confidence import (
+    ScoreFunction,
+    better_score,
+    passes_threshold,
+    score,
+    score_rows,
+    softmax,
+    softmax_rows,
+)
+from cascadekit.engine import PATH_MODEL_AB, CascadeEngine, ReplayClassifier, SampleRef, run_batch
 from cascadekit.errors import DataError
-from cascadekit.records import PairedDataset, PairedSample
+from cascadekit.records import PairedDataset, PairedSample, PredictionRecord
 
 
+def oracle_decide(
+    logits_a: Sequence[float],
+    logits_b: Sequence[float],
+    score_fn: ScoreFunction,
+    threshold: float,
+    post_check: bool,
+) -> tuple[int, bool, str]:
+    """Decide one sample from both models' logits.
+
+    Returns (predicted label, used_second, chosen) with chosen in {"a", "b"}.
+    Model B's score is only consulted when the threshold test fails.
+    """
+    if len(logits_a) != len(logits_b):
+        raise DataError("logits length mismatch between models")
+    probs_a = softmax(logits_a)
+    score_a = score(probs_a, score_fn)
+    if passes_threshold(score_a, threshold, score_fn):
+        return predicted_label(logits_a), False, "a"
+    probs_b = softmax(logits_b)
+    if post_check:
+        chosen = better_score(score_a, score(probs_b, score_fn), score_fn)
+    else:
+        chosen = "b"
+    predicted = predicted_label(logits_a if chosen == "a" else logits_b)
+    return predicted, True, chosen
 
 
 @dataclass
@@ -250,3 +287,36 @@ def test_entropy_above_one_drops_the_same_midpoints(paired, post_check):
 @given(pairs())
 def test_auto_select_matches_loop(paired):
     _assert_same_result(auto_select(paired), oracle_auto_select(paired))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pairs(),
+    st.sampled_from(list(ScoreFunction)),
+    st.booleans(),
+    st.sampled_from(("as-given", "swapped")),
+)
+def test_engine_replay_matches_decide_oracle_and_sweep(paired, fn, post_check, order):
+    dataset = _ordered(paired, order)
+    engine_input = [SampleRef(s.id, label=s.label) for s in dataset.samples]
+    classifier_a = ReplayClassifier(
+        dataset.name_a, [PredictionRecord(s.id, s.label, s.logits_a) for s in dataset.samples]
+    )
+    classifier_b = ReplayClassifier(
+        dataset.name_b, [PredictionRecord(s.id, s.label, s.logits_b) for s in dataset.samples]
+    )
+    scores_a = {score(softmax(s.logits_a), fn) for s in dataset.samples}
+    # every exact model-A score is a >= / <= boundary; the threshold domain is [0, 1]
+    for lam in sorted({0.0, 1.0, *(v for v in scores_a if 0.0 <= v <= 1.0)}):
+        config = CascadeConfig(dataset.name_a, dataset.name_b, fn, lam, post_check)
+        traces, summary = run_batch(CascadeEngine(config, classifier_a, classifier_b), engine_input)
+        for trace, s in zip(traces, dataset.samples):
+            predicted, used_second, chosen = oracle_decide(
+                s.logits_a, s.logits_b, fn, lam, post_check
+            )
+            assert (trace.predicted, trace.chosen) == (predicted, chosen)
+            assert (trace.path == PATH_MODEL_AB) == used_second == (trace.score_b is not None)
+        accuracy = sum(t.predicted == t.label for t in traces) / len(traces)
+        assert repr((accuracy, summary.second_model_usage)) == repr(
+            accuracy_at(dataset, fn, lam, post_check)
+        )

@@ -295,6 +295,23 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {costs}: ")
 
+    @pytest.mark.parametrize("value", ["abc", [0.5], True], ids=["string", "list", "bool"])
+    def test_non_numeric_lambda_is_a_data_error(self, workspace, tmp_path, capsys, value):
+        config = json.loads((workspace / "config_none.json").read_text())
+        config["lambda"] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main([
+            "run",
+            "--config", str(path),
+            "--records-a", str(workspace / "small.jsonl"),
+            "--records-b", str(workspace / "big.jsonl"),
+            "--costs", str(workspace / "costs.json"),
+            "--report", str(tmp_path / "report.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: lambda must be a number\n"
+
     def test_missing_records_file(self, workspace, tmp_path, capsys):
         code = main([
             "run",

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cascadekit.confidence import (
@@ -125,7 +126,50 @@ class TestThresholdAndComparison:
         for kind in ScoreFunction:
             assert better_score(0.5, 0.5, kind) == "a"
 
+    def test_oriented_turns_entropy_around(self):
+        assert ScoreFunction.ENTROPY_NORMALIZED.oriented(0.25) == -0.25
+        assert ScoreFunction.DIFFERENCE.oriented(0.25) == 0.25
+        assert ScoreFunction.MAX_PROBABILITY.oriented(0.25) == 0.25
+        scores = np.array([0.0, 0.25, 1.5])
+        assert ScoreFunction.ENTROPY_NORMALIZED.oriented(scores).tolist() == [-0.0, -0.25, -1.5]
+        assert ScoreFunction.MAX_PROBABILITY.oriented(scores).tolist() == [0.0, 0.25, 1.5]
+
     def test_lower_is_better_flag(self):
         assert ScoreFunction.ENTROPY_NORMALIZED.lower_is_better
         assert not ScoreFunction.DIFFERENCE.lower_is_better
         assert not ScoreFunction.MAX_PROBABILITY.lower_is_better
+
+
+class TestLeftToRightSums:
+    """The per-sample sums add left to right, as the numpy row paths do.
+
+    ``sum()`` of floats is compensated from Python 3.12; on these inputs a
+    compensated (or exact) sum differs from the left-to-right one.
+    """
+
+    @staticmethod
+    def _left_to_right(values):
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+
+    def test_softmax_total(self):
+        # 200 terms of exp(-40) vanish one by one against 1.0 but not all at once
+        logits = [0.0] + [-40.0] * 200
+        exps = [math.exp(v) for v in logits]
+        assert self._left_to_right(exps) == 1.0 != math.fsum(exps)
+        assert softmax(logits)[0] == 1.0
+
+    def test_entropy_sum(self):
+        probs = [0.5] + [0.5 / 400] * 400
+        terms = [p * math.log(p) for p in probs]
+        assert self._left_to_right(terms) != math.fsum(terms)
+        want = -self._left_to_right(terms) / entropy_denominator(len(probs))
+        assert score(probs, ScoreFunction.ENTROPY_NORMALIZED) == want
+
+    def test_entropy_denominator(self):
+        k = 1000
+        terms = [(i / k) * math.log(i / k) for i in range(1, k + 1)]
+        assert self._left_to_right(terms) != math.fsum(terms)
+        assert entropy_denominator(k) == -self._left_to_right(terms)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cascadekit.calibration import CascadeConfig, accuracy_at, cascade_decide_offline
+from cascadekit.calibration import CascadeConfig, accuracy_at
 from cascadekit.confidence import ScoreFunction
 from cascadekit.engine import (
     PATH_MEMORY_HIT,
@@ -21,9 +21,11 @@ from cascadekit.engine import (
 )
 from cascadekit.errors import DataError
 from cascadekit.images import ImageBuffer, rotate90
+from cascadekit.metering import aggregate
 from cascadekit.phash import MemoStore, dhash_fingerprint, moments_fingerprint
-from cascadekit.records import PredictionRecord, align_records
+from cascadekit.records import PredictionRecord, align_records, load_cost_profile
 from cascadekit.synthetic import synthetic_image
+from test_calibration_oracles import oracle_decide
 
 DIFF = ScoreFunction.DIFFERENCE
 
@@ -95,6 +97,24 @@ class TestClassify:
         assert trace.chosen == "b"
         assert trace.predicted == 1
 
+    def test_model_b_runs_only_on_escalation(self):
+        class Unreachable:
+            name = "model_b"
+
+            def infer(self, sample_id):
+                raise AssertionError(f"model B invoked for {sample_id}")
+
+        config = CascadeConfig("model_a", "model_b", DIFF, 0.5, True)
+        a = ReplayClassifier("model_a", [PredictionRecord("x1", 0, (6.0, 0.0, 0.0))])
+        trace = CascadeEngine(config, a, Unreachable()).classify(SampleRef("x1"))
+        assert trace.path == PATH_MODEL_A_ONLY
+        assert trace.stages == ("model_a",)
+
+    def test_model_b_logits_length_mismatch(self):
+        engine = _engine(b_rows=[("x2", 1, (0.0, 5.0))])
+        with pytest.raises(DataError, match="length mismatch"):
+            engine.classify(SampleRef("x2"))
+
     def test_label_is_passed_through(self):
         assert _engine().classify(SampleRef("x1")).label is None
         assert _engine().classify(SampleRef("x1", label=2)).label == 2
@@ -115,7 +135,7 @@ class TestClassify:
         used = 0
         for s in bundled_paired.samples:
             trace = engine.classify(SampleRef(s.id, label=s.label))
-            predicted, used_second, chosen = cascade_decide_offline(
+            predicted, used_second, chosen = oracle_decide(
                 s.logits_a, s.logits_b, DIFF, 0.62, True
             )
             assert trace.predicted == predicted
@@ -222,7 +242,7 @@ class TestMemory:
 
 
 class TestRunBatch:
-    def test_counts_and_usage(self):
+    def test_counts_and_usage(self, costs_dir):
         engine = _engine()
         samples = [SampleRef(i, label=l) for i, l in (("x1", 0), ("x2", 1), ("x3", 2))]
         traces, summary = run_batch(engine, samples)
@@ -232,8 +252,9 @@ class TestRunBatch:
             PATH_MEMORY_HIT: 0, PATH_MODEL_A_ONLY: 1, PATH_MODEL_AB: 2,
         }
         assert summary.second_model_usage == pytest.approx(2 / 3)
-        assert summary.metrics is not None
-        assert summary.metrics.accuracy == 1.0
+        report = aggregate(traces, load_cost_profile(str(costs_dir / "cifar10.json")))
+        assert report.metrics is not None
+        assert report.metrics.accuracy == 1.0
 
     def test_order_matters_for_memory(self):
         img = synthetic_image(16, 16, seed=5)
@@ -245,11 +266,11 @@ class TestRunBatch:
         assert summary.path_counts[PATH_MEMORY_HIT] == 1
         assert summary.path_counts[PATH_MODEL_A_ONLY] == 1
 
-    def test_metrics_need_every_label(self):
+    def test_metrics_need_every_label(self, costs_dir):
         engine = _engine()
         samples = [SampleRef("x1", label=0), SampleRef("x2")]
-        _, summary = run_batch(engine, samples)
-        assert summary.metrics is None
+        traces, summary = run_batch(engine, samples)
+        assert aggregate(traces, load_cost_profile(str(costs_dir / "cifar10.json"))).metrics is None
         assert summary.second_model_usage == 0.5
 
     def test_empty_batch(self):
@@ -342,6 +363,6 @@ class TestArgmaxOnLogits:
                 config, ReplayClassifier("model_a", records), ReplayClassifier("model_b", records)
             )
             assert engine.classify(SampleRef("x")).predicted == 1
-            assert cascade_decide_offline(self.LOGITS, self.LOGITS, DIFF, threshold, True)[0] == 1
+            assert oracle_decide(self.LOGITS, self.LOGITS, DIFF, threshold, True)[0] == 1
             paired = align_records(records, records)
             assert accuracy_at(paired, DIFF, threshold, post_check=True)[0] == 1.0

@@ -280,7 +280,7 @@ class TestMemoStore:
         store.save(str(path))
         obj = json.loads(path.read_text())
         assert [e["key"] for e in obj["entries"]] == [_fp(1).key, _fp(2).key, _fp(0).key]
-        assert obj["entries"][0] == {"key": _fp(1).key, "label": 1}
+        assert obj["entries"][0] == {"method": "dhash", "key": _fp(1).key, "label": 1}
 
     def test_save_waits_for_the_lock(self, tmp_path):
         store = MemoStore()
@@ -294,18 +294,22 @@ class TestMemoStore:
             assert not path.exists()
         saver.join(timeout=10)
         assert not saver.is_alive()
-        assert json.loads(path.read_text())["entries"] == [{"key": _fp(1).key, "label": 3}]
+        assert json.loads(path.read_text())["entries"] == [
+            {"method": "dhash", "key": _fp(1).key, "label": 3}
+        ]
 
     def test_load_round_trip(self, tmp_path):
         store = MemoStore()
         store.insert(_fp(1), 3)
         store.insert(_fp(2), 8)
+        store.insert(Fingerprint("moments", _fp(1).key), 5)
         path = tmp_path / "store.json"
         store.save(str(path))
         loaded = MemoStore.load(str(path))
-        assert len(loaded) == 2
+        assert len(loaded) == 3
         assert loaded.lookup(_fp(1)) == 3
         assert loaded.lookup(_fp(2)) == 8
+        assert loaded.lookup(Fingerprint("moments", _fp(1).key)) == 5
 
     def test_load_applies_capacity(self, tmp_path):
         store = MemoStore()
@@ -321,15 +325,26 @@ class TestMemoStore:
     def test_load_rejects_malformed_entries(self, tmp_path):
         path = tmp_path / "store.json"
         for i, entries in enumerate((
-            [{"label": 1}],
-            [{"key": "aa", "label": "1"}],
-            [{"key": "aa", "label": True}],
-            [{"key": "aa", "label": 1}, ["bb", 2]],
+            [{"method": "dhash", "label": 1}],
+            [{"method": "dhash", "key": "aa", "label": "1"}],
+            [{"method": "dhash", "key": "aa", "label": True}],
+            [{"method": "dhash", "key": "aa", "label": 1}, ["bb", 2]],
+            [{"key": "aa", "label": 1}],
+            [{"method": "md5", "key": "aa", "label": 1}],
+            [{"method": ["dhash"], "key": "aa", "label": 1}],
         )):
             path.write_text(json.dumps({"entries": entries}))
             bad_index = 1 if i == 3 else 0
             with pytest.raises(DataError, match=f"malformed store entry at index {bad_index}"):
                 MemoStore.load(str(path))
+
+    def test_methods_do_not_share_keys(self):
+        store = MemoStore()
+        store.insert(Fingerprint("dhash", "0"), 3)
+        assert store.lookup(Fingerprint("moments", "0")) is None
+        store.insert(Fingerprint("moments", "0"), 5)
+        assert store.lookup(Fingerprint("dhash", "0")) == 3
+        assert len(store) == 2
 
     def test_load_rejects_wrong_shapes(self, tmp_path):
         path = tmp_path / "store.json"
