@@ -24,7 +24,7 @@ import numpy as np
 from .complementarity import predicted_label
 from .confidence import ScoreFunction, better_score, passes_threshold, score, softmax
 from .confidence import score_rows, softmax_rows
-from .errors import DataError
+from .errors import DataError, read_json, write_text
 from .phash import FINGERPRINTS
 from .records import PairedDataset
 
@@ -65,6 +65,9 @@ class CascadeConfig:
         expected = {"first_model", "second_model", "score_fn", "lambda", "post_check", "memory"}
         if not isinstance(obj, dict) or set(obj) != expected:
             raise DataError(f"config must have exactly keys: {', '.join(sorted(expected))}")
+        for key in ("first_model", "second_model", "memory"):
+            if not isinstance(obj[key], str):
+                raise DataError(f"{key} must be a string")
         if not isinstance(obj["post_check"], bool):
             raise DataError("post_check must be a boolean")
         threshold = obj["lambda"]
@@ -73,30 +76,21 @@ class CascadeConfig:
         if not 0 <= threshold <= 1:  # before float(), which overflows on a huge integer
             raise DataError(f"threshold {threshold} outside [0, 1]")
         return cls(
-            first_model=str(obj["first_model"]),
-            second_model=str(obj["second_model"]),
+            first_model=obj["first_model"],
+            second_model=obj["second_model"],
             score_fn=ScoreFunction.parse(obj["score_fn"]),
             threshold=float(threshold),
             post_check=obj["post_check"],
-            memory=str(obj["memory"]),
+            memory=obj["memory"],
         )
 
 
 def save_config(config: CascadeConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(config.to_dict(), indent=2) + "\n")
 
 
 def load_config(path: str) -> CascadeConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid config JSON in {path}: {exc}") from None
-    return CascadeConfig.from_dict(obj)
+    return CascadeConfig.from_dict(read_json(path, "config"))
 
 
 def decide(

@@ -26,7 +26,7 @@ from .calibration import (
 from .complementarity import complementarity_matrix, format_matrix_csv
 from .confidence import ScoreFunction
 from .engine import CascadeEngine, ReplayClassifier, SampleRef, format_traces_jsonl, run_batch
-from .errors import DataError
+from .errors import DataError, read_bytes, write_text
 from .images import TRANSFORMS, load_image_pnm, to_grayscale
 from .metering import (
     RANDOM_TRANSFORM,
@@ -40,14 +40,6 @@ from .metering import (
 )
 from .phash import FINGERPRINTS, moment_invariants
 from .records import load_cost_profile, load_prediction_records, align_records
-
-
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from None
 
 
 def _model_names(path_a: str, path_b: str) -> tuple[str, str]:
@@ -81,11 +73,7 @@ def _load_sample_image(directory: str, sample_id: str):
     for ext in (".pgm", ".ppm"):
         candidate = os.path.join(directory, sample_id + ext)
         if os.path.exists(candidate):
-            try:
-                with open(candidate, "rb") as fh:
-                    data = fh.read()
-            except OSError as exc:
-                raise DataError(f"cannot read image {candidate}: {exc}") from None
+            data = read_bytes(candidate, "image")
             try:
                 return load_image_pnm(data)
             except DataError as exc:
@@ -101,7 +89,7 @@ def cmd_complementarity(args: argparse.Namespace) -> int:
     if len(set(names)) != len(names):
         names = list(args.records)
     matrix = complementarity_matrix(models, names)
-    _write_text(args.out, format_matrix_csv(matrix))
+    write_text(args.out, format_matrix_csv(matrix))
     i, j = matrix.best_pair()
     value = matrix.values[i][j]
     # the CSV keeps raw [0, 1] scores; the summary line uses the tenfold display
@@ -123,7 +111,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         result = find_lambda_star(paired, fn, post_check=not args.no_post_check)
     save_config(result.config, args.out)
     if args.curve:
-        _write_text(args.curve, format_curve_csv(result.curve))
+        write_text(args.curve, format_curve_csv(result.curve))
     cfg = result.config
     print(
         f"score_fn={cfg.score_fn.value} lambda={cfg.threshold!r} "
@@ -145,11 +133,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     traces, _ = run_batch(engine, samples)
     report = aggregate(traces, costs, config=config)
     if args.format == "csv":
-        _write_text(args.report, format_report_csv(report))
+        write_text(args.report, format_report_csv(report))
     else:
-        _write_text(args.report, format_report_json(report))
+        write_text(args.report, format_report_json(report))
     if args.traces:
-        _write_text(args.traces, format_traces_jsonl(traces))
+        write_text(args.traces, format_traces_jsonl(traces))
     accuracy = "n/a" if report.metrics is None else f"{report.metrics.accuracy:.4f}"
     print(
         f"samples={report.sample_count} accuracy={accuracy} "
@@ -160,12 +148,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_hash(args: argparse.Namespace) -> int:
-    try:
-        with open(args.image, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read image {args.image}: {exc}") from None
-    gray = to_grayscale(load_image_pnm(data))
+    gray = to_grayscale(load_image_pnm(read_bytes(args.image, "image")))
     fp = FINGERPRINTS[args.method](gray)
     line = f"{fp.method}: {fp.key}"
     if fp.method == "moments":
@@ -197,7 +180,7 @@ def cmd_duplication(args: argparse.Namespace) -> int:
     curves = duplication_experiment(
         samples, ratios, args.transform, [(config.memory, factory)], costs, seed=args.seed
     )
-    _write_text(args.out, format_curves_csv(curves))
+    write_text(args.out, format_curves_csv(curves))
     for ratio, energy, hits in curves[0].points:
         print(f"ratio={ratio!r} energy_wh={energy!r} hits={hits}")
     return 0

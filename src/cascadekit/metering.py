@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence
 
 from .calibration import CascadeConfig
@@ -28,7 +28,7 @@ from .engine import (
     macro_metrics,
     run_batch,
 )
-from .errors import DataError
+from .errors import DataError, non_negative_number, read_json
 from .images import TRANSFORMS
 from .records import STAGES, CostProfile
 
@@ -43,6 +43,21 @@ def cost_of(trace: StageTrace, costs: CostProfile) -> tuple[float, float]:
         energy += costs.energy(stage)
         latency += costs.latency(stage)
     return energy, latency
+
+
+_REPORT_NUMBERS = ("total_energy_wh", "mean_latency_ms", "p95_latency_ms", "p99_latency_ms")
+
+
+def _count(value: object, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise DataError(f"{what} must be an integer >= 0")
+    return value
+
+
+def _counts(value: object, what: str) -> dict[str, int]:
+    if not isinstance(value, dict):
+        raise DataError(f"{what} must be an object")
+    return {k: _count(v, f"{what} {k}") for k, v in value.items()}
 
 
 @dataclass
@@ -60,14 +75,6 @@ class RunReport:
     config: CascadeConfig | None = None
 
     def to_dict(self) -> dict:
-        metrics = None
-        if self.metrics is not None:
-            metrics = {
-                "accuracy": self.metrics.accuracy,
-                "precision": self.metrics.precision,
-                "recall": self.metrics.recall,
-                "f1": self.metrics.f1,
-            }
         return {
             "sample_count": self.sample_count,
             "path_counts": dict(self.path_counts),
@@ -78,34 +85,32 @@ class RunReport:
             "mean_latency_ms": self.mean_latency_ms,
             "p95_latency_ms": self.p95_latency_ms,
             "p99_latency_ms": self.p99_latency_ms,
-            "metrics": metrics,
+            "metrics": None if self.metrics is None else asdict(self.metrics),
             "config": self.config.to_dict() if self.config is not None else None,
         }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunReport":
+        """Read a report back; any missing or ill-typed field is a DataError."""
         try:
-            metrics = None
-            if obj["metrics"] is not None:
-                m = obj["metrics"]
-                metrics = MacroMetrics(m["accuracy"], m["precision"], m["recall"], m["f1"])
-            config = None
-            if obj["config"] is not None:
-                config = CascadeConfig.from_dict(obj["config"])
+            metrics, current, latencies = obj["metrics"], obj["total_current_mah"], obj["latencies_ms"]
+            if metrics is not None:
+                metrics = MacroMetrics(
+                    *(non_negative_number(metrics[f.name], f.name) for f in fields(MacroMetrics))
+                )
+            if not isinstance(latencies, list):
+                raise DataError("latencies_ms must be an array")
             return cls(
-                sample_count=int(obj["sample_count"]),
-                path_counts={k: int(v) for k, v in obj["path_counts"].items()},
-                stage_counts={k: int(v) for k, v in obj["stage_counts"].items()},
-                total_energy_wh=float(obj["total_energy_wh"]),
+                sample_count=_count(obj["sample_count"], "sample_count"),
+                path_counts=_counts(obj["path_counts"], "path_counts"),
+                stage_counts=_counts(obj["stage_counts"], "stage_counts"),
                 total_current_mah=(
-                    None if obj["total_current_mah"] is None else float(obj["total_current_mah"])
+                    None if current is None else non_negative_number(current, "total_current_mah")
                 ),
-                latencies_ms=[float(v) for v in obj["latencies_ms"]],
-                mean_latency_ms=float(obj["mean_latency_ms"]),
-                p95_latency_ms=float(obj["p95_latency_ms"]),
-                p99_latency_ms=float(obj["p99_latency_ms"]),
+                latencies_ms=[non_negative_number(v, "latencies_ms entry") for v in latencies],
+                **{k: non_negative_number(obj[k], k) for k in _REPORT_NUMBERS},
                 metrics=metrics,
-                config=config,
+                config=None if obj["config"] is None else CascadeConfig.from_dict(obj["config"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed run report: {exc}") from None
@@ -285,14 +290,7 @@ def format_report_json(report: RunReport) -> str:
 
 
 def load_report(path: str) -> RunReport:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read report {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid report JSON in {path}: {exc}") from None
-    return RunReport.from_dict(obj)
+    return RunReport.from_dict(read_json(path, "report"))
 
 
 def format_report_csv(report: RunReport) -> str:

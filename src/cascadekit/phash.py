@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_json, write_text
 from .images import ImageBuffer
 
 DHASH_COLS = 9
@@ -204,19 +204,11 @@ class MemoStore:
         """Write entries as JSON, least-recently-used first."""
         with self._lock:
             entries = [{**asdict(fp), "label": v} for fp, v in self._entries.items()]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"entries": entries}, fh, indent=2)
-            fh.write("\n")
+        write_text(path, json.dumps({"entries": entries}, indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str, capacity: int | None = None) -> "MemoStore":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise DataError(f"cannot read store {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid store JSON in {path}: {exc}") from None
+        obj = read_json(path, "store")
         if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
             raise DataError("store file must be an object with an 'entries' list")
         store = cls(capacity)

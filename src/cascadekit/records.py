@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import DataError
+from .errors import DataError, non_negative_number, parse_json, read_bytes
 
 STAGES = ("memory_lookup", "memory_insert", "model_a", "model_b")
 
@@ -125,22 +125,16 @@ def parse_prediction_records(data: bytes | str) -> list[PredictionRecord]:
     Enforces one record per non-empty line, a consistent logits length
     across the file, labels within range, finite logits, and unique ids.
     """
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"record stream is not valid UTF-8: {exc}") from None
-    else:
-        text = data
     records: list[PredictionRecord] = []
     seen: set[str] = set()
     expected_k: int | None = None
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if line == "":
+    newline = b"\n" if isinstance(data, bytes) else "\n"
+    for line_no, line in enumerate(data.split(newline), start=1):
+        if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
+            obj = parse_json(line, "record")
+        except DataError:
             raise DataError(f"malformed record at line {line_no}: invalid JSON") from None
         record = _record_from_obj(obj, line_no, expected_k)
         if record.id in seen:
@@ -165,11 +159,7 @@ def format_prediction_records(records: list[PredictionRecord]) -> str:
 
 
 def load_prediction_records(path: str) -> list[PredictionRecord]:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read record file {path}: {exc}") from None
+    data = read_bytes(path, "record file")
     try:
         return parse_prediction_records(data)
     except DataError as exc:
@@ -220,20 +210,6 @@ def align_records(
     return PairedDataset(samples, len(a[0].logits), name_a, name_b)
 
 
-def _stage_value(stage: str, key: str, value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataError(f"stage {stage} {key} must be a number")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        raise DataError(f"stage {stage} {key} is out of float range") from None
-    if not math.isfinite(number):
-        raise DataError(f"stage {stage} {key} must be finite")
-    if number < 0:
-        raise DataError(f"stage {stage} {key} must be >= 0")
-    return number
-
-
 def parse_cost_profile(data: bytes | str) -> CostProfile:
     """Parse a cost-profile JSON document.
 
@@ -241,15 +217,7 @@ def parse_cost_profile(data: bytes | str) -> CostProfile:
     all four stages present and finite, non-negative values. A per-stage
     ``current_mah`` and a top-level ``comments`` field are optional.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"cost profile is not valid UTF-8: {exc}") from None
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid cost-profile JSON: {exc}") from None
+    obj = parse_json(data, "cost-profile")
     if not isinstance(obj, dict) or "stages" not in obj:
         raise DataError("cost profile must be an object with a 'stages' key")
     stages_obj = obj["stages"]
@@ -271,19 +239,15 @@ def parse_cost_profile(data: bytes | str) -> CostProfile:
                 raise DataError(f"stage {name} missing {key}")
         current = entry.get("current_mah")
         stages[name] = StageCost(
-            _stage_value(name, "energy_wh", entry["energy_wh"]),
-            _stage_value(name, "latency_ms", entry["latency_ms"]),
-            None if current is None else _stage_value(name, "current_mah", current),
+            non_negative_number(entry["energy_wh"], f"stage {name} energy_wh"),
+            non_negative_number(entry["latency_ms"], f"stage {name} latency_ms"),
+            None if current is None else non_negative_number(current, f"stage {name} current_mah"),
         )
     return CostProfile(stages)
 
 
 def load_cost_profile(path: str) -> CostProfile:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read cost profile {path}: {exc}") from None
+    data = read_bytes(path, "cost profile")
     try:
         return parse_cost_profile(data)
     except DataError as exc:

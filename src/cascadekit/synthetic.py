@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import write_text
 from .images import ImageBuffer
 from .records import PredictionRecord, format_prediction_records
 
@@ -77,7 +78,5 @@ def synthetic_image(width: int, height: int, seed: int, channels: int = 1) -> Im
 
 def write_bundled_pair(path_a: str, path_b: str) -> None:
     records_a, records_b = synthetic_pair(BUNDLED_COUNT, BUNDLED_CLASSES, BUNDLED_SEED)
-    with open(path_a, "w", encoding="utf-8") as fh:
-        fh.write(format_prediction_records(records_a))
-    with open(path_b, "w", encoding="utf-8") as fh:
-        fh.write(format_prediction_records(records_b))
+    write_text(path_a, format_prediction_records(records_a))
+    write_text(path_b, format_prediction_records(records_b))

@@ -111,6 +111,14 @@ class TestCascadeConfig:
         obj["lambda"] = 1
         assert repr(CascadeConfig.from_dict(obj).threshold) == "1.0"
 
+    def test_from_dict_names_must_be_strings(self):
+        for key in ("first_model", "second_model", "memory"):
+            for bad in (None, 1, ["small"], {"name": "small"}, True):
+                obj = self._config().to_dict()
+                obj[key] = bad
+                with pytest.raises(DataError, match=f"^{key} must be a string$"):
+                    CascadeConfig.from_dict(obj)
+
     def test_load_errors(self, tmp_path):
         with pytest.raises(DataError, match="cannot read config"):
             load_config(str(tmp_path / "missing.json"))
@@ -118,6 +126,10 @@ class TestCascadeConfig:
         bad.write_text("{")
         with pytest.raises(DataError, match="invalid config JSON"):
             load_config(str(bad))
+
+    def test_save_into_missing_directory(self, tmp_path):
+        with pytest.raises(DataError, match="cannot write"):
+            save_config(self._config(), str(tmp_path / "missing" / "config.json"))
 
 
 def _b_never_called():

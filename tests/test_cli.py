@@ -13,6 +13,8 @@ from cascadekit.phash import FINGERPRINTS
 from cascadekit.records import format_prediction_records
 from cascadekit.synthetic import synthetic_image, synthetic_pair
 
+from test_errors import BAD_FILES, bad_file
+
 COSTS = {
     "stages": {
         "memory_lookup": {"energy_wh": 0.001, "latency_ms": 1.0},
@@ -21,6 +23,15 @@ COSTS = {
         "model_b": {"energy_wh": 0.2, "latency_ms": 20.0},
     }
 }
+
+
+def assert_one_error_line(capsys, prefix: str) -> None:
+    """Nothing on stdout; stderr is one line starting with ``prefix``, no traceback or nan."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert "Traceback" not in captured.err and "nan" not in captured.err
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +138,17 @@ class TestCalibrate:
         assert config.first_model == "small"
         assert config.post_check is True
         assert curve.read_text().splitlines()[0] == "lambda,accuracy,usage"
+
+    def test_out_in_missing_directory(self, workspace, tmp_path, capsys):
+        out = tmp_path / "missing" / "c.json"
+        code = main([
+            "calibrate",
+            "--records-a", str(workspace / "small.jsonl"),
+            "--records-b", str(workspace / "big.jsonl"),
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert_one_error_line(capsys, f"error: cannot write {out}: ")
 
     def test_auto_reports_its_choice(self, workspace, tmp_path, capsys):
         code = main([
@@ -312,6 +334,23 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err == "error: lambda must be a number\n"
 
+    @pytest.mark.parametrize("key", ["first_model", "second_model", "memory"])
+    def test_non_string_config_name_is_a_data_error(self, workspace, tmp_path, capsys, key):
+        config = json.loads((workspace / "config_none.json").read_text())
+        config[key] = None
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main([
+            "run",
+            "--config", str(path),
+            "--records-a", str(workspace / "small.jsonl"),
+            "--records-b", str(workspace / "big.jsonl"),
+            "--costs", str(workspace / "costs.json"),
+            "--report", str(tmp_path / "report.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {key} must be a string\n"
+
     def test_missing_records_file(self, workspace, tmp_path, capsys):
         code = main([
             "run",
@@ -494,11 +533,67 @@ class TestReport:
         assert main(["report", str(baseline), str(candidate)]) == 1
         assert "sample counts differ" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("path_counts", []),
+            ("total_energy_wh", 10**400),
+            ("total_energy_wh", math.nan),
+            ("sample_count", True),
+        ],
+        ids=["list_path_counts", "huge_energy", "nan_energy", "bool_sample_count"],
+    )
+    def test_ill_typed_report_is_a_data_error(self, workspace, tmp_path, capsys, key, value):
+        baseline = self._write_report(workspace, tmp_path, "base.json")
+        obj = json.loads(baseline.read_text())
+        obj[key] = value
+        candidate = tmp_path / "cand.json"
+        candidate.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["report", str(baseline), str(candidate)]) == 1
+        assert_one_error_line(capsys, f"error: malformed run report: {key} ")
+
     def test_unreadable_report(self, tmp_path, capsys):
         good = tmp_path / "good.json"
         good.write_text("{}")
         assert main(["report", str(tmp_path / "missing.json"), str(good)]) == 1
         assert "cannot read report" in capsys.readouterr().err
+
+
+class TestBadFiles:
+    """Each command that reads a file exits 1 with one error line on a bad one."""
+
+    @staticmethod
+    def _argv(command: str, workspace, tmp_path, bad: str) -> list[str]:
+        run = [
+            "run",
+            "--config", str(workspace / "config_none.json"),
+            "--records-a", str(workspace / "small.jsonl"),
+            "--records-b", str(workspace / "big.jsonl"),
+            "--costs", str(workspace / "costs.json"),
+            "--report", str(tmp_path / "report.json"),
+        ]
+        return {
+            "hash": ["hash", "--method", "dhash", bad],
+            "run_config": [*run, "--config", bad],
+            "run_costs": [*run, "--costs", bad],
+            "calibrate_records": [
+                "calibrate",
+                "--records-a", bad,
+                "--records-b", str(workspace / "big.jsonl"),
+                "--out", str(tmp_path / "config.json"),
+            ],
+            "report": ["report", bad, bad],
+        }[command]
+
+    @pytest.mark.parametrize("kind", sorted(BAD_FILES))
+    @pytest.mark.parametrize(
+        "command", ["hash", "run_config", "run_costs", "calibrate_records", "report"]
+    )
+    def test_bad_file_exits_1(self, workspace, tmp_path, capsys, command, kind):
+        argv = self._argv(command, workspace, tmp_path, bad_file(tmp_path, kind))
+        assert main(argv) == 1
+        assert_one_error_line(capsys, "error: ")
 
 
 class TestParser:

@@ -1,0 +1,123 @@
+"""The file boundary: every reader and writer turns bad files into DataError."""
+
+from __future__ import annotations
+
+import math
+import re
+
+import pytest
+
+from cascadekit.calibration import load_config
+from cascadekit.errors import (
+    DataError,
+    non_negative_number,
+    parse_json,
+    read_bytes,
+    read_json,
+    write_text,
+)
+from cascadekit.metering import load_report
+from cascadekit.phash import MemoStore
+from cascadekit.records import load_cost_profile, load_prediction_records
+
+READERS = {
+    "config": load_config,
+    "report": load_report,
+    "store": MemoStore.load,
+    "records": load_prediction_records,
+    "cost_profile": load_cost_profile,
+}
+
+# file contents that no reader accepts; None means the path does not exist
+BAD_FILES = {
+    "missing": None,
+    "directory": "dir",
+    "non_utf8": b'{"x": "\xff\xfe"}\n',
+    "invalid_json": b"{]\n",
+    "huge_integer": b"[" + b"1" * 4400 + b"]\n",  # past CPython's int-string limit
+}
+
+
+def bad_file(tmp_path, kind: str) -> str:
+    """A path to the bad input ``kind`` of BAD_FILES."""
+    path = tmp_path / "input.json"
+    content = BAD_FILES[kind]
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_FILES))
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_every_reader_rejects_bad_files(tmp_path, reader, kind):
+    with pytest.raises(DataError):
+        READERS[reader](bad_file(tmp_path, kind))
+
+
+def test_read_bytes_names_what_and_path(tmp_path):
+    path = str(tmp_path / "missing.bin")
+    with pytest.raises(DataError, match=f"^cannot read image {re.escape(path)}: "):
+        read_bytes(path, "image")
+    with pytest.raises(DataError, match=f"^cannot read image {re.escape(str(tmp_path))}: "):
+        read_bytes(str(tmp_path), "image")
+
+
+def test_write_text_into_missing_directory(tmp_path):
+    path = str(tmp_path / "missing" / "out.txt")
+    with pytest.raises(DataError, match=f"^cannot write {re.escape(path)}: "):
+        write_text(path, "x")
+
+
+def test_write_text_round_trips_utf8(tmp_path):
+    path = tmp_path / "out.txt"
+    write_text(str(path), "λ=0.5\n")
+    assert path.read_bytes() == "λ=0.5\n".encode()
+    assert read_bytes(str(path), "text") == "λ=0.5\n".encode()
+
+
+def test_parse_json_accepts_bytes_and_str():
+    assert parse_json(b'{"a": [1, 2.5]}', "test") == {"a": [1, 2.5]}
+    assert parse_json('{"a": null}', "test") == {"a": None}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b'"\xff"', "^test JSON is not valid UTF-8: "),
+        ("{", "^invalid test JSON: "),
+        (b"\xef\xbb\xbf{}", "^invalid test JSON: "),  # a UTF-8 byte-order mark
+        ("1" * 4400, "^invalid test JSON: .*limit"),
+    ],
+    ids=["non_utf8", "invalid", "bom", "huge_integer"],
+)
+def test_parse_json_errors(data, message):
+    with pytest.raises(DataError, match=message):
+        parse_json(data, "test")
+
+
+def test_read_json_prefixes_parse_errors_with_the_path(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"{")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: invalid test JSON: "):
+        read_json(str(path), "test")
+    path.write_text('{"ok": true}')
+    assert read_json(str(path), "test") == {"ok": True}
+
+
+def test_non_negative_number():
+    assert non_negative_number(0, "x") == 0.0
+    assert repr(non_negative_number(3, "x")) == "3.0"
+    assert non_negative_number(2.5, "x") == 2.5
+    for bad in (True, "1", None, [1]):
+        with pytest.raises(DataError, match="^x must be a number$"):
+            non_negative_number(bad, "x")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DataError, match="^x must be finite$"):
+            non_negative_number(bad, "x")
+    for bad in (10**400, -(10**400)):
+        with pytest.raises(DataError, match="^x is out of float range$"):
+            non_negative_number(bad, "x")
+    with pytest.raises(DataError, match="^x must be >= 0$"):
+        non_negative_number(-1e-9, "x")

@@ -452,6 +452,60 @@ class TestReportSerialization:
         with pytest.raises(DataError, match="malformed run report"):
             RunReport.from_dict(obj)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("sample_count", True, "sample_count must be an integer >= 0"),
+            ("sample_count", 2.0, "sample_count must be an integer >= 0"),
+            ("sample_count", -1, "sample_count must be an integer >= 0"),
+            ("path_counts", [], "path_counts must be an object"),
+            ("stage_counts", "model_a", "stage_counts must be an object"),
+            ("path_counts", {"model_a_only": 1.5}, "path_counts model_a_only must be an integer"),
+            ("stage_counts", {"model_b": None}, "stage_counts model_b must be an integer"),
+            ("total_energy_wh", 10**400, "total_energy_wh is out of float range"),
+            ("total_energy_wh", math.nan, "total_energy_wh must be finite"),
+            ("total_energy_wh", "0.5", "total_energy_wh must be a number"),
+            ("mean_latency_ms", math.inf, "mean_latency_ms must be finite"),
+            ("p95_latency_ms", -1.0, "p95_latency_ms must be >= 0"),
+            ("p99_latency_ms", True, "p99_latency_ms must be a number"),
+            ("total_current_mah", "1", "total_current_mah must be a number"),
+            ("latencies_ms", {"s0": 1.0}, "latencies_ms must be an array"),
+            ("latencies_ms", [1.0, math.nan], "latencies_ms entry must be finite"),
+            ("metrics", [], "list indices"),
+            ("metrics", {"accuracy": math.nan, "precision": 0, "recall": 0, "f1": 0}, "accuracy"),
+        ],
+        ids=[
+            "bool_count", "float_count", "negative_count", "list_path_counts", "str_stage_counts",
+            "float_path_count", "null_stage_count", "huge_energy", "nan_energy", "str_energy",
+            "inf_latency", "negative_p95", "bool_p99", "str_current", "object_latencies",
+            "nan_latency", "list_metrics", "nan_accuracy",
+        ],
+    )
+    def test_from_dict_rejects_ill_typed_fields(self, key, value, message):
+        obj = self._report().to_dict()
+        obj[key] = value
+        with pytest.raises(DataError, match=f"^malformed run report: .*{message}"):
+            RunReport.from_dict(obj)
+
+    def test_from_dict_checks_the_config(self):
+        obj = self._report().to_dict()
+        obj["config"]["first_model"] = None
+        with pytest.raises(DataError, match="^malformed run report: first_model must be a string$"):
+            RunReport.from_dict(obj)
+
+    def test_from_dict_reads_counts_and_numbers_exactly(self):
+        obj = self._report().to_dict()
+        obj["total_energy_wh"] = 1
+        report = RunReport.from_dict(obj)
+        assert repr(report.total_energy_wh) == "1.0"
+        assert report.sample_count == 2 and type(report.sample_count) is int
+        assert RunReport.from_dict(self._report().to_dict()) == self._report()
+
+    def test_from_dict_rejects_non_objects(self):
+        for bad in ([], None, "report", 3):
+            with pytest.raises(DataError, match="malformed run report"):
+                RunReport.from_dict(bad)
+
     def test_load_errors(self, tmp_path):
         with pytest.raises(DataError, match="cannot read report"):
             load_report(str(tmp_path / "missing.json"))

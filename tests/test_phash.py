@@ -357,6 +357,12 @@ class TestMemoStore:
         with pytest.raises(DataError, match="cannot read store"):
             MemoStore.load(str(tmp_path / "missing.json"))
 
+    def test_save_into_missing_directory(self, tmp_path):
+        store = MemoStore()
+        store.insert(_fp(1), 3)
+        with pytest.raises(DataError, match="cannot write"):
+            store.save(str(tmp_path / "missing" / "store.json"))
+
     def test_concurrent_use_keeps_capacity(self):
         store = MemoStore(capacity=64)
 
