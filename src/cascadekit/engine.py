@@ -47,9 +47,6 @@ class ReplayClassifier:
         except KeyError:
             raise DataError(f"{self.name}: unknown sample id {sample_id!r}") from None
 
-    def __len__(self) -> int:
-        return len(self._logits)
-
 
 @dataclass(frozen=True)
 class SampleRef:
@@ -74,22 +71,13 @@ class StageTrace:
 
 
 class CascadeEngine:
-    """Wires a CascadeConfig to two classifiers and an optional memo store."""
+    """Wires a CascadeConfig to two classifiers; with memory on, to a fresh memo store."""
 
-    def __init__(
-        self,
-        config: CascadeConfig,
-        classifier_a: Classifier,
-        classifier_b: Classifier,
-        store: MemoStore | None = None,
-    ):
+    def __init__(self, config: CascadeConfig, classifier_a: Classifier, classifier_b: Classifier):
         self.config = config
         self.classifier_a = classifier_a
         self.classifier_b = classifier_b
-        if config.memory == "none":
-            self.store = None
-        else:
-            self.store = store if store is not None else MemoStore()
+        self.store = None if config.memory == "none" else MemoStore()
 
     def _fingerprint(self, image: ImageBuffer) -> Fingerprint:
         return FINGERPRINTS[self.config.memory](to_grayscale(image))

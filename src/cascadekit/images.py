@@ -28,11 +28,6 @@ class ImageBuffer:
         if len(self.pixels) != self.width * self.height * self.channels:
             raise DataError("pixel count does not match dimensions")
 
-    def at(self, x: int, y: int) -> tuple[int, ...]:
-        """Pixel at column x, row y as a channel tuple."""
-        base = (y * self.width + x) * self.channels
-        return tuple(self.pixels[base : base + self.channels])
-
 
 def _read_header_token(data: bytes, pos: int) -> tuple[int, int]:
     """Next ASCII integer token at or after pos, skipping whitespace and

@@ -33,18 +33,6 @@ from .images import TRANSFORMS
 from .records import STAGES, CostProfile
 
 
-def cost_of(trace: StageTrace, costs: CostProfile) -> tuple[float, float]:
-    """(energy, latency) of one trace: the sum over its executed stages."""
-    energy = 0.0
-    latency = 0.0
-    for stage in trace.stages:
-        if stage not in costs.stages:
-            raise DataError(f"unknown stage {stage!r} in trace {trace.sample_id!r}")
-        energy += costs.energy(stage)
-        latency += costs.latency(stage)
-    return energy, latency
-
-
 _REPORT_NUMBERS = ("total_energy_wh", "mean_latency_ms", "p95_latency_ms", "p99_latency_ms")
 
 
@@ -89,9 +77,22 @@ class RunReport:
             "config": self.config.to_dict() if self.config is not None else None,
         }
 
+    def _check_consistent(self) -> None:
+        """The fields agree the way ``aggregate`` writes them."""
+        n = self.sample_count
+        if len(self.latencies_ms) != n:
+            raise DataError(f"latencies_ms has {len(self.latencies_ms)} entries, sample_count is {n}")
+        if set(self.path_counts) != set(PATHS) or sum(self.path_counts.values()) != n:
+            raise DataError(f"path_counts must count each of {', '.join(PATHS)} and sum to {n}")
+        if set(self.stage_counts) != set(STAGES):
+            raise DataError(f"stage_counts must count each of {', '.join(STAGES)}")
+        for name, percentile in (("p95_latency_ms", 95), ("p99_latency_ms", 99)):
+            if getattr(self, name) != nearest_rank(self.latencies_ms, percentile):
+                raise DataError(f"{name} is not the nearest-rank p{percentile} of latencies_ms")
+
     @classmethod
     def from_dict(cls, obj: dict) -> "RunReport":
-        """Read a report back; any missing or ill-typed field is a DataError."""
+        """Read a report back; a missing, ill-typed or inconsistent field is a DataError."""
         try:
             metrics, current, latencies = obj["metrics"], obj["total_current_mah"], obj["latencies_ms"]
             if metrics is not None:
@@ -100,7 +101,7 @@ class RunReport:
                 )
             if not isinstance(latencies, list):
                 raise DataError("latencies_ms must be an array")
-            return cls(
+            report = cls(
                 sample_count=_count(obj["sample_count"], "sample_count"),
                 path_counts=_counts(obj["path_counts"], "path_counts"),
                 stage_counts=_counts(obj["stage_counts"], "stage_counts"),
@@ -112,6 +113,8 @@ class RunReport:
                 metrics=metrics,
                 config=None if obj["config"] is None else CascadeConfig.from_dict(obj["config"]),
             )
+            report._check_consistent()
+            return report
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed run report: {exc}") from None
 
@@ -141,20 +144,23 @@ def aggregate(
             raise DataError(f"cost profile missing stage {stage!r}")
     path_counts = {p: 0 for p in PATHS}
     stage_counts = {s: 0 for s in STAGES}
+    latencies = []
     for t in traces:
         if t.path not in path_counts:
             raise DataError(f"unknown path {t.path!r} in trace {t.sample_id!r}")
         path_counts[t.path] += 1
+        latency = 0.0
         for stage in t.stages:
             if stage not in stage_counts:
                 raise DataError(f"unknown stage {stage!r} in trace {t.sample_id!r}")
             stage_counts[stage] += 1
+            latency += costs.latency(stage)
+        latencies.append(latency)
     total_energy = sum(count * costs.energy(s) for s, count in stage_counts.items())
     currents = [costs.stages[s].current_mah for s in STAGES]
     total_current = None
     if all(c is not None for c in currents):
         total_current = sum(count * costs.stages[s].current_mah for s, count in stage_counts.items())
-    latencies = [cost_of(t, costs)[1] for t in traces]
     metrics = None
     if include_metrics and all(t.label is not None for t in traces):
         metrics = macro_metrics([t.label for t in traces], [t.predicted for t in traces])
@@ -193,7 +199,10 @@ def compare(baseline: RunReport, candidate: RunReport) -> Reduction:
     def pct(base: float, cand: float, what: str) -> float:
         if base == 0:
             raise DataError(f"baseline {what} is zero")
-        return 100.0 * (base - cand) / base
+        reduction = 100.0 * (base - cand) / base
+        if not math.isfinite(reduction):
+            raise DataError(f"{what} reduction is not finite (baseline {base!r}, candidate {cand!r})")
+        return reduction
 
     return Reduction(
         energy_pct=pct(baseline.total_energy_wh, candidate.total_energy_wh, "energy"),
@@ -201,11 +210,6 @@ def compare(baseline: RunReport, candidate: RunReport) -> Reduction:
         p95_latency_pct=pct(baseline.p95_latency_ms, candidate.p95_latency_ms, "p95 latency"),
         p99_latency_pct=pct(baseline.p99_latency_ms, candidate.p99_latency_ms, "p99 latency"),
     )
-
-
-def memory_overhead(plain: RunReport, memory_run: RunReport) -> float:
-    """Energy overhead (%) of a memory-enabled run over the same plain run."""
-    return -compare(plain, memory_run).energy_pct
 
 
 # draws one of TRANSFORMS per duplicate from the seeded rng

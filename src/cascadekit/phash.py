@@ -10,22 +10,20 @@ Two fingerprint methods over grayscale images:
   9-significant-digit key. Survives rotations by multiples of 90 degrees
   and both mirror axes, which are exact pixel permutations.
 
-The MemoStore maps fingerprint keys to class labels with optional LRU
-eviction, so a cascade can skip both models when an image (or an invariant
-transform of it) has been classified before.
+The MemoStore maps fingerprints to class labels for one run, so a cascade
+can skip both models when an image (or an invariant transform of it) has
+been classified before.
 """
 
 from __future__ import annotations
 
-import json
 import threading
-from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, read_json, write_text
+from .errors import DataError
 from .images import ImageBuffer
 
 DHASH_COLS = 9
@@ -167,19 +165,14 @@ FINGERPRINTS: dict[str, Callable[[ImageBuffer], Fingerprint]] = {
 
 
 class MemoStore:
-    """LRU map from fingerprints (method and key) to class labels.
+    """Unbounded map from fingerprints (method and key) to class labels.
 
-    Unbounded by default; with a capacity, the least-recently-used entry
-    is evicted on overflow and a lookup hit counts as a use. Lookups and
-    inserts are serialized by a lock so concurrent readers never see a
-    torn entry.
+    One store lives for one run and is never saved. Lookups and inserts
+    are serialized by a lock so concurrent readers never see a torn entry.
     """
 
-    def __init__(self, capacity: int | None = None):
-        if capacity is not None and capacity < 1:
-            raise DataError("capacity must be >= 1")
-        self.capacity = capacity
-        self._entries: OrderedDict[Fingerprint, int] = OrderedDict()
+    def __init__(self) -> None:
+        self._entries: dict[Fingerprint, int] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -187,40 +180,8 @@ class MemoStore:
 
     def lookup(self, fp: Fingerprint) -> int | None:
         with self._lock:
-            label = self._entries.get(fp)
-            if label is not None:
-                self._entries.move_to_end(fp)
-            return label
+            return self._entries.get(fp)
 
     def insert(self, fp: Fingerprint, label: int) -> None:
         with self._lock:
             self._entries[fp] = label
-            self._entries.move_to_end(fp)
-            if self.capacity is not None:
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-
-    def save(self, path: str) -> None:
-        """Write entries as JSON, least-recently-used first."""
-        with self._lock:
-            entries = [{**asdict(fp), "label": v} for fp, v in self._entries.items()]
-        write_text(path, json.dumps({"entries": entries}, indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path: str, capacity: int | None = None) -> "MemoStore":
-        obj = read_json(path, "store")
-        if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
-            raise DataError("store file must be an object with an 'entries' list")
-        store = cls(capacity)
-        for i, entry in enumerate(obj["entries"]):
-            if (
-                not isinstance(entry, dict)
-                or not isinstance(entry.get("method"), str)
-                or entry["method"] not in FINGERPRINTS
-                or not isinstance(entry.get("key"), str)
-                or isinstance(entry.get("label"), bool)
-                or not isinstance(entry.get("label"), int)
-            ):
-                raise DataError(f"malformed store entry at index {i}")
-            store.insert(Fingerprint(entry["method"], entry["key"]), entry["label"])
-        return store

@@ -55,21 +55,6 @@ def synthetic_pair(
     return records_a, records_b
 
 
-def synthetic_model(
-    ids: list[str],
-    labels: list[int],
-    num_classes: int,
-    accuracy: float,
-    seed: int,
-) -> list[PredictionRecord]:
-    """Records for one extra model over an existing id/label assignment."""
-    rng = random.Random(seed)
-    return [
-        _record(rng, sample_id, label, num_classes, rng.random() < accuracy)
-        for sample_id, label in zip(ids, labels)
-    ]
-
-
 def synthetic_image(width: int, height: int, seed: int, channels: int = 1) -> ImageBuffer:
     rng = random.Random(seed)
     pixels = bytes(rng.randrange(256) for _ in range(width * height * channels))

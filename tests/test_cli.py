@@ -487,11 +487,11 @@ class TestDuplication:
 
 
 class TestReport:
-    def _write_report(self, workspace, tmp_path, name, *extra):
+    def _write_report(self, workspace, tmp_path, name, *extra, memory="none"):
         path = tmp_path / name
         code = main([
             "run",
-            "--config", str(workspace / "config_none.json"),
+            "--config", str(workspace / f"config_{memory}.json"),
             "--records-a", str(workspace / "small.jsonl"),
             "--records-b", str(workspace / "big.jsonl"),
             "--costs", str(workspace / "costs.json"),
@@ -552,6 +552,26 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", str(baseline), str(candidate)]) == 1
         assert_one_error_line(capsys, f"error: malformed run report: {key} ")
+
+    def test_non_finite_reduction_is_a_data_error(self, workspace, tmp_path, capsys):
+        obj = json.loads(self._write_report(workspace, tmp_path, "run.json").read_text())
+        baseline = tmp_path / "base.json"
+        baseline.write_text(json.dumps({**obj, "total_energy_wh": 5e-324}))
+        candidate = tmp_path / "cand.json"
+        candidate.write_text(json.dumps({**obj, "total_energy_wh": 1.0}))
+        capsys.readouterr()
+        assert main(["report", str(baseline), str(candidate)]) == 1
+        assert_one_error_line(capsys, "error: energy reduction is not finite")
+
+    @pytest.mark.parametrize("memory", ["none", "dhash", "moments"])
+    def test_reports_written_by_run_load(self, workspace, tmp_path, capsys, memory):
+        path = self._write_report(
+            workspace, tmp_path, f"{memory}.json",
+            "--images", str(workspace / "images"), "--labels", memory=memory,
+        )
+        capsys.readouterr()
+        assert main(["report", str(path), str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith("0.00%")
 
     def test_unreadable_report(self, tmp_path, capsys):
         good = tmp_path / "good.json"

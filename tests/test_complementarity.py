@@ -15,7 +15,8 @@ from cascadekit.complementarity import (
 )
 from cascadekit.errors import DataError
 from cascadekit.records import PredictionRecord, align_records
-from cascadekit.synthetic import synthetic_model, synthetic_pair
+from cascadekit.synthetic import synthetic_pair
+from test_synthetic import synthetic_model
 
 
 def _oracle(correct_a, correct_b) -> float:

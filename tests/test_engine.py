@@ -22,7 +22,7 @@ from cascadekit.engine import (
 from cascadekit.errors import DataError
 from cascadekit.images import ImageBuffer, rotate90
 from cascadekit.metering import aggregate
-from cascadekit.phash import MemoStore, dhash_fingerprint, moments_fingerprint
+from cascadekit.phash import dhash_fingerprint
 from cascadekit.records import PredictionRecord, align_records, load_cost_profile
 from cascadekit.synthetic import synthetic_image
 from test_calibration_oracles import oracle_decide
@@ -31,7 +31,7 @@ DIFF = ScoreFunction.DIFFERENCE
 
 
 def _engine(
-    threshold=0.5, post_check=True, memory="none", a_rows=None, b_rows=None, store=None
+    threshold=0.5, post_check=True, memory="none", a_rows=None, b_rows=None
 ) -> CascadeEngine:
     # default fixture: A confident and right on x1, hesitant and wrong on
     # x2 where B answers confidently, hesitant and right on x3 where B is
@@ -51,7 +51,6 @@ def _engine(
         config,
         ReplayClassifier("model_a", [PredictionRecord(*r) for r in a_rows]),
         ReplayClassifier("model_b", [PredictionRecord(*r) for r in b_rows]),
-        store=store,
     )
 
 
@@ -59,7 +58,6 @@ class TestReplayClassifier:
     def test_replays_logits(self):
         clf = ReplayClassifier("m", [PredictionRecord("a", 0, (1.0, 2.0))])
         assert clf.infer("a") == (1.0, 2.0)
-        assert len(clf) == 1
 
     def test_unknown_id(self):
         clf = ReplayClassifier("small", [PredictionRecord("a", 0, (1.0, 2.0))])
@@ -225,16 +223,6 @@ class TestMemory:
         assert "memory_lookup" not in trace.stages
         assert "memory_insert" not in trace.stages
         assert len(engine.store) == 0
-
-    def test_external_store_is_shared(self):
-        store = MemoStore()
-        img = synthetic_image(10, 10, seed=2)
-        first = _engine(memory="moments", store=store)
-        first.classify(SampleRef("x1", image=img, label=0))
-        second = _engine(memory="moments", store=store)
-        trace = second.classify(SampleRef("x1", image=img, label=0))
-        assert trace.path == PATH_MEMORY_HIT
-        assert store.lookup(moments_fingerprint(img)) == 0
 
     def test_no_store_when_memory_disabled(self):
         assert _engine().store is None

@@ -17,13 +17,11 @@ from cascadekit.errors import (
     write_text,
 )
 from cascadekit.metering import load_report
-from cascadekit.phash import MemoStore
 from cascadekit.records import load_cost_profile, load_prediction_records
 
 READERS = {
     "config": load_config,
     "report": load_report,
-    "store": MemoStore.load,
     "records": load_prediction_records,
     "cost_profile": load_cost_profile,
 }

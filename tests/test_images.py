@@ -31,11 +31,6 @@ class TestImageBuffer:
         with pytest.raises(DataError, match="dimensions"):
             ImageBuffer(0, 1, 1, b"")
 
-    def test_at_accessor(self):
-        img = ImageBuffer(2, 2, 3, bytes(range(12)))
-        assert img.at(0, 0) == (0, 1, 2)
-        assert img.at(1, 1) == (9, 10, 11)
-
 
 class TestPnm:
     def test_p5_round_trip(self):

@@ -26,13 +26,11 @@ from cascadekit.metering import (
     aggregate,
     build_duplicated_stream,
     compare,
-    cost_of,
     duplication_experiment,
     format_curves_csv,
     format_report_csv,
     format_report_json,
     load_report,
-    memory_overhead,
     nearest_rank,
 )
 from cascadekit.phash import dhash_fingerprint
@@ -93,26 +91,31 @@ def _engine_factory(count: int, memory: str):
 
 
 class TestCostOf:
+    """The cost of one trace: aggregate adds its stage latencies left to right."""
+
     def test_single_stage(self):
-        assert cost_of(_trace(["model_a"]), _costs()) == (0.1, 10.0)
+        report = aggregate([_trace(["model_a"])], _costs())
+        assert report.latencies_ms == [10.0]
+        assert report.total_energy_wh == 0.1
 
     def test_memory_hit(self):
         trace = _trace(["memory_lookup"], path=PATH_MEMORY_HIT)
-        assert cost_of(trace, _costs()) == (0.001, 1.0)
+        report = aggregate([trace], _costs())
+        assert report.latencies_ms == [1.0]
+        assert report.total_energy_wh == 0.001
 
     def test_full_path(self):
         trace = _trace(
             ["memory_lookup", "model_a", "model_b", "memory_insert"],
             path=PATH_MODEL_AB,
         )
-        energy, latency = cost_of(trace, _costs())
-        assert energy == pytest.approx(0.302)
-        assert latency == 32.0
+        report = aggregate([trace], _costs())
+        assert report.total_energy_wh == pytest.approx(0.302)
+        assert report.latencies_ms == [32.0]
 
     def test_unknown_stage(self):
-        costs = CostProfile({"model_a": StageCost(0.1, 1.0)})
-        with pytest.raises(DataError, match="unknown stage 'model_b' in trace 's0'"):
-            cost_of(_trace(["model_a", "model_b"]), costs)
+        with pytest.raises(DataError, match="unknown stage 'model_c' in trace 's0'"):
+            aggregate([_trace(["model_a", "model_c"])], _costs())
 
 
 class TestNearestRank:
@@ -255,6 +258,11 @@ class TestCompare:
         with pytest.raises(DataError, match="sample counts differ: 10 vs 3"):
             compare(self._report(1.0, 10.0), self._report(1.0, 10.0, count=3))
 
+    @pytest.mark.parametrize("base", [5e-324, 1e-308], ids=["subnormal", "tiny_normal"])
+    def test_non_finite_reduction(self, base):
+        with pytest.raises(DataError, match="^energy reduction is not finite"):
+            compare(self._report(base, 10.0), self._report(1e10, 10.0))
+
 
 class TestMemoryOverhead:
     def _run(self, memory: str, costs: CostProfile) -> RunReport:
@@ -266,14 +274,14 @@ class TestMemoryOverhead:
         costs = _costs(lookup=0.0, insert=0.0)
         plain = self._run("none", costs)
         mem = self._run("dhash", costs)
-        assert memory_overhead(plain, mem) == 0.0
+        assert -compare(plain, mem).energy_pct == 0.0
 
     def test_priced_memory_stages_show_up(self):
         costs = _costs(lookup=0.001, insert=0.001)
         plain = self._run("none", costs)
         mem = self._run("dhash", costs)
         # 4 lookups + 4 inserts on top of 4 model_a calls
-        assert memory_overhead(plain, mem) == pytest.approx(100 * 0.008 / 0.4)
+        assert -compare(plain, mem).energy_pct == pytest.approx(100 * 0.008 / 0.4)
 
     def test_hits_can_pay_for_the_overhead(self):
         costs = _costs()
@@ -283,7 +291,7 @@ class TestMemoryOverhead:
         mem = aggregate(traces, costs)
         plain_traces, _ = run_batch(_engine_factory(4, "none")(), stream)
         plain = aggregate(plain_traces, costs)
-        assert memory_overhead(plain, mem) < 0
+        assert -compare(plain, mem).energy_pct < 0
 
 
 class TestDuplicatedStream:
@@ -500,6 +508,52 @@ class TestReportSerialization:
         assert repr(report.total_energy_wh) == "1.0"
         assert report.sample_count == 2 and type(report.sample_count) is int
         assert RunReport.from_dict(self._report().to_dict()) == self._report()
+
+    def test_from_dict_rejects_figures_no_run_produces(self):
+        obj = self._report().to_dict()
+        obj.update(
+            sample_count=5, latencies_ms=[], mean_latency_ms=3.0, p99_latency_ms=0.5,
+            path_counts={"bogus": 9},
+        )
+        with pytest.raises(DataError, match="^malformed run report: latencies_ms has 0 entries"):
+            RunReport.from_dict(obj)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("sample_count", 3, "latencies_ms has 2 entries, sample_count is 3"),
+            ("latencies_ms", [10.0], "latencies_ms has 1 entries, sample_count is 2"),
+            ("path_counts", {"memory_hit": 0, "model_a_only": 1, "model_ab": 1, "bogus": 0},
+             "path_counts must count each of"),
+            ("path_counts", {"model_a_only": 1, "model_ab": 1}, "path_counts must count each of"),
+            ("path_counts", {"memory_hit": 0, "model_a_only": 2, "model_ab": 1},
+             "path_counts .* and sum to 2"),
+            ("stage_counts", {"model_a": 2, "model_b": 1}, "stage_counts must count each of"),
+            ("stage_counts", {"memory_lookup": 0, "memory_insert": 0, "model_a": 2, "model_b": 1,
+                              "model_c": 0}, "stage_counts must count each of"),
+            ("p95_latency_ms", 10.0, "p95_latency_ms is not the nearest-rank p95 of latencies_ms"),
+            ("p99_latency_ms", 31.0, "p99_latency_ms is not the nearest-rank p99 of latencies_ms"),
+        ],
+        ids=[
+            "more_samples", "fewer_latencies", "extra_path", "missing_path", "path_sum",
+            "missing_stages", "extra_stage", "p95", "p99",
+        ],
+    )
+    def test_from_dict_rejects_inconsistent_fields(self, key, value, message):
+        obj = self._report().to_dict()
+        obj[key] = value
+        with pytest.raises(DataError, match=f"^malformed run report: {message}"):
+            RunReport.from_dict(obj)
+
+    def test_from_dict_does_not_bound_the_mean_by_the_latencies(self):
+        # a float mean can round above equal latencies
+        traces = [_trace(["memory_lookup"], f"s{i}", PATH_MEMORY_HIT) for i in range(3)]
+        report = aggregate(traces, _costs(), include_metrics=False)
+        obj = report.to_dict()
+        obj["latencies_ms"] = [0.1] * 3
+        obj.update(mean_latency_ms=sum(obj["latencies_ms"]) / 3, p95_latency_ms=0.1, p99_latency_ms=0.1)
+        assert obj["mean_latency_ms"] > 0.1
+        assert RunReport.from_dict(obj).mean_latency_ms == obj["mean_latency_ms"]
 
     def test_from_dict_rejects_non_objects(self):
         for bad in ([], None, "report", 3):

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import cascadekit
 
 SOURCE = Path(cascadekit.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_every_exported_name_resolves():
@@ -46,3 +49,56 @@ def test_files_are_opened_and_parsed_only_in_errors_py():
 def test_guard_sees_every_form():
     source = "open(p)\nio.open(p)\nPath(p).open()\njson.load(f)\njson.loads(s)\njson.dumps(x)\n"
     assert len(_file_calls(ast.parse(source))) == 5
+
+
+def _unresolved_cascadekit_names(tree: ast.AST) -> list[str]:
+    """Names imported from cascadekit, or read off an imported cascadekit module, that do not exist."""
+    modules = {}  # local name -> imported cascadekit module
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cascadekit":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                try:
+                    value = getattr(module, alias.name)
+                except AttributeError:
+                    try:
+                        value = importlib.import_module(name)
+                    except ImportError:
+                        missing.append(name)
+                        continue
+                if isinstance(value, types.ModuleType):
+                    modules[alias.asname or alias.name] = value
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and not hasattr(modules[node.value.id], node.attr)
+        ):
+            missing.append(f"{modules[node.value.id].__name__}.{node.attr}")
+    return missing
+
+
+def test_benchmark_imports_resolve():
+    files = sorted(BENCH.glob("*.py"))
+    assert files
+    missing = {
+        path.name: names
+        for path in files
+        if (names := _unresolved_cascadekit_names(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert missing == {}
+
+
+def test_benchmark_import_guard_sees_missing_names():
+    source = (
+        "from cascadekit.phash import MemoStore, no_such_name\n"
+        "from cascadekit import metering\n"
+        "metering.aggregate, metering.no_such_function\n"
+    )
+    assert _unresolved_cascadekit_names(ast.parse(source)) == [
+        "cascadekit.phash.no_such_name",
+        "cascadekit.metering.no_such_function",
+    ]

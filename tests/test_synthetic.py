@@ -1,15 +1,32 @@
 from __future__ import annotations
 
+import random
+
 from cascadekit.complementarity import complementarity
-from cascadekit.records import align_records, parse_prediction_records
+from cascadekit.records import PredictionRecord, align_records, parse_prediction_records
 from cascadekit.synthetic import (
     BUNDLED_CLASSES,
     BUNDLED_COUNT,
+    _record,
     synthetic_image,
-    synthetic_model,
     synthetic_pair,
     write_bundled_pair,
 )
+
+
+def synthetic_model(
+    ids: list[str],
+    labels: list[int],
+    num_classes: int,
+    accuracy: float,
+    seed: int,
+) -> list[PredictionRecord]:
+    """Records for one extra model over an existing id/label assignment."""
+    rng = random.Random(seed)
+    return [
+        _record(rng, sample_id, label, num_classes, rng.random() < accuracy)
+        for sample_id, label in zip(ids, labels)
+    ]
 
 
 def _accuracy(records) -> float:
