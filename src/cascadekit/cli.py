@@ -198,7 +198,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     ]
     print(f"{'metric':<12}{'baseline':>16}{'candidate':>16}{'reduction':>12}")
     for name, base, cand, pct in rows:
-        print(f"{name:<12}{base:>16.6g}{cand:>16.6g}{pct:>11.2f}%")
+        shown = "n/a" if pct is None else f"{pct:.2f}%"
+        print(f"{name:<12}{base:>16.6g}{cand:>16.6g}{shown:>12}")
     return 0
 
 

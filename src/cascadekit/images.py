@@ -92,15 +92,17 @@ def _from_array(pixels: np.ndarray) -> ImageBuffer:
     return ImageBuffer(width, height, channels, pixels.tobytes())
 
 
-_BT601 = np.array([299, 587, 114], dtype=np.int64)
-
-
 def to_grayscale(img: ImageBuffer) -> ImageBuffer:
     """BT.601 luma with half-up integer rounding; identity for 1-channel input."""
     if img.channels == 1:
         return img
-    # the weights sum to 1000, so the rounded luma never exceeds 255
-    luma = (_array(img).astype(np.int64) @ _BT601 + 500) // 1000
+    # int32 in place (numpy's int64 matmul skips BLAS); weights sum to 1000, so luma <= 255
+    px = _array(img)
+    luma = np.multiply(px[:, :, 0], 299, dtype=np.int32)
+    luma += np.multiply(px[:, :, 1], 587, dtype=np.int32)
+    luma += np.multiply(px[:, :, 2], 114, dtype=np.int32)
+    luma += 500
+    luma //= 1000
     return _from_array(luma.astype(np.uint8)[:, :, np.newaxis])
 
 

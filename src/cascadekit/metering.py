@@ -181,12 +181,12 @@ def aggregate(
 
 @dataclass(frozen=True)
 class Reduction:
-    """Percentage reductions of a candidate run against a baseline."""
+    """Percentage reductions of a candidate run against a baseline; None for a zero latency baseline."""
 
     energy_pct: float
-    mean_latency_pct: float
-    p95_latency_pct: float
-    p99_latency_pct: float
+    mean_latency_pct: float | None
+    p95_latency_pct: float | None
+    p99_latency_pct: float | None
 
 
 def compare(baseline: RunReport, candidate: RunReport) -> Reduction:
@@ -195,10 +195,12 @@ def compare(baseline: RunReport, candidate: RunReport) -> Reduction:
         raise DataError(
             f"sample counts differ: {baseline.sample_count} vs {candidate.sample_count}"
         )
+    if baseline.total_energy_wh == 0:
+        raise DataError("baseline energy is zero")
 
-    def pct(base: float, cand: float, what: str) -> float:
-        if base == 0:
-            raise DataError(f"baseline {what} is zero")
+    def pct(base: float, cand: float, what: str) -> float | None:
+        if base == 0:  # an energy-only cost profile prices every latency at 0
+            return None
         reduction = 100.0 * (base - cand) / base
         if not math.isfinite(reduction):
             raise DataError(f"{what} reduction is not finite (baseline {base!r}, candidate {cand!r})")

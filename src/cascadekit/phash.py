@@ -7,8 +7,10 @@ Two fingerprint methods over grayscale images:
   mirror changes the bits.
 * moment fingerprint: the sum of four rotation-and-mirror-invariant
   features built from centroid-centered complex moments, quantized to a
-  9-significant-digit key. Survives rotations by multiples of 90 degrees
-  and both mirror axes, which are exact pixel permutations.
+  9-significant-digit key. The key is computed exactly from integer raw
+  moments and rounded to a float once, so its invariance under rotations
+  by 90, 180 and 270 degrees and both mirror axes (exact pixel
+  permutations) is exact, not approximate.
 
 The MemoStore maps fingerprints to class labels for one run, so a cascade
 can skip both models when an image (or an invariant transform of it) has
@@ -68,45 +70,53 @@ def dhash_fingerprint(gray: ImageBuffer) -> Fingerprint:
     return Fingerprint("dhash", format(dhash(gray), "016x"))
 
 
-def _intensity(gray: ImageBuffer) -> np.ndarray:
+def _power_sums(n: int) -> list[int]:
+    """Sums of k**p over k in range(n), for p = 0..3."""
+    s1 = n * (n - 1) // 2
+    return [n, s1, s1 * (2 * n - 1) // 3, s1 * s1]
+
+
+def _raw_moments(gray: ImageBuffer) -> list[list[int]]:
+    """m[q][p] = sum over pixels of y**q * x**p * f(x, y), exact for p + q <= 3."""
     if gray.channels != 1:
         raise DataError("moments require a 1-channel image")
-    arr = np.frombuffer(gray.pixels, dtype=np.uint8)
-    return arr.astype(np.float64).reshape(gray.height, gray.width)
+    h, w = gray.height, gray.width
+    sx, sy = _power_sums(w), _power_sums(h)
+    # int64 is exact while no used moment of an all-255 image reaches 2**63; past that
+    # (thin or huge images) the same product runs on Python ints. p + q > 3 may wrap.
+    fits = all(255 * sx[p] * sy[q] < 2**63 for p in range(4) for q in range(4 - p))
+    dtype = np.int64 if fits else object
+    f = np.frombuffer(gray.pixels, dtype=np.uint8).reshape(h, w).astype(dtype)
+    ys = np.vander(np.arange(h).astype(dtype), 4, increasing=True)
+    xs = np.vander(np.arange(w).astype(dtype), 4, increasing=True)
+    return (ys.T @ (f @ xs)).tolist()
 
 
-def _centered_plane(f: np.ndarray) -> tuple[np.ndarray, float]:
-    """Complex coordinate grid centered on the intensity centroid."""
-    m00 = float(f.sum())
-    if m00 == 0.0:
+def _gmul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """Product of two Gaussian integers given as (real, imaginary)."""
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def _invariant_numerators(gray: ImageBuffer) -> tuple[int, int, int, tuple[int, int], tuple[int, int]]:
+    """m00 and the integer numerators of c11, c21*c12, c20*c12**2 and c30*c12**3.
+
+    With n = m00 their denominators are n**3, n**9, n**12 and n**18: c_pq sums
+    z**p * conj(z)**q * f over n**((p+q)/2 + 1), z centered on the centroid, and
+    central moments u are kept scaled by n (order 2) or n**2 (order 3)."""
+    (n, a, m20, m30), (b, m11, m21, _), (m02, m12, _, _), (m03, _, _, _) = _raw_moments(gray)
+    if n == 0:
         raise DataError("zero total intensity")
-    ys, xs = np.indices(f.shape, dtype=np.float64)
-    xbar = float((xs * f).sum()) / m00
-    ybar = float((ys * f).sum()) / m00
-    return (xs - xbar) + 1j * (ys - ybar), m00
-
-
-def _moments(gray: ImageBuffer) -> Callable[[int, int], complex]:
-    """The moment function c(p, q) of one image (see complex_moment)."""
-    f = _intensity(gray)
-    z, m00 = _centered_plane(f)
-    zc = np.conj(z)
-
-    def c(p: int, q: int) -> complex:
-        return complex((z**p * zc**q * f).sum() / m00 ** ((p + q) / 2 + 1))
-
-    return c
-
-
-def complex_moment(gray: ImageBuffer, p: int, q: int) -> complex:
-    """Centroid-centered, scale-normalized complex moment c_pq.
-
-    c_pq = sum over pixels of z^p * conj(z)^q * f(x, y), divided by
-    m00^((p+q)/2 + 1), with z the centroid-centered coordinate.
-    """
-    if p < 0 or q < 0 or p + q > 3:
-        raise DataError(f"moment order ({p}, {q}) outside supported range")
-    return _moments(gray)(p, q)
+    u20, u11, u02 = n * m20 - a * a, n * m11 - a * b, n * m02 - b * b
+    u30 = n * n * m30 - 3 * n * a * m20 + 2 * a**3
+    u03 = n * n * m03 - 3 * n * b * m02 + 2 * b**3
+    u21 = n * n * m21 - n * (2 * a * m11 + b * m20) + 2 * a * a * b
+    u12 = n * n * m12 - n * (2 * b * m11 + a * m02) + 2 * a * b * b
+    c20 = (u20 - u02, 2 * u11)
+    c12 = (u30 + u12, -(u21 + u03))
+    c30 = (u30 - 3 * u12, 3 * u21 - u03)
+    c12_sq = _gmul(c12, c12)
+    norm = c12[0] ** 2 + c12[1] ** 2
+    return n, u20 + u02, norm, _gmul(c20, c12_sq), _gmul(c30, _gmul(c12_sq, c12))
 
 
 @dataclass(frozen=True)
@@ -125,22 +135,9 @@ class MomentInvariants:
 
 
 def moment_invariants(gray: ImageBuffer) -> MomentInvariants:
-    c = _moments(gray)
-    c11 = c(1, 1)
-    c21 = c(2, 1)
-    c12 = c(1, 2)
-    c20 = c(2, 0)
-    c30 = c(3, 0)
-    pair3 = c20 * c12 * c12
-    pair5 = c30 * c12 * c12 * c12
-    return MomentInvariants(
-        phi1=c11.real,
-        phi2=(c21 * c12).real,
-        phi3=pair3.real,
-        phi4=pair3.imag,
-        phi5=pair5.real,
-        phi6=pair5.imag,
-    )
+    """Each feature is one correctly rounded division of exact integers."""
+    n, c11, norm, (re3, im3), (re5, im5) = _invariant_numerators(gray)
+    return MomentInvariants(c11 / n**3, norm / n**9, re3 / n**12, im3 / n**12, re5 / n**18, im5 / n**18)
 
 
 def quantize_key(value: float) -> str:
@@ -151,9 +148,9 @@ def quantize_key(value: float) -> str:
 
 
 def moments_fingerprint(gray: ImageBuffer) -> Fingerprint:
-    """Key from the sum of the four mirror-safe invariants (phi1+phi2+phi3+phi5)."""
-    inv = moment_invariants(gray)
-    scalar = inv.phi1 + inv.phi2 + inv.phi3 + inv.phi5
+    """Key from the mirror-safe phi1+phi2+phi3+phi5, summed exactly over m00**18, rounded once."""
+    n, c11, norm, pair3, pair5 = _invariant_numerators(gray)
+    scalar = (c11 * n**15 + norm * n**9 + pair3[0] * n**6 + pair5[0]) / n**18
     return Fingerprint("moments", quantize_key(scalar))
 
 

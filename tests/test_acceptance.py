@@ -187,12 +187,12 @@ def test_05_moment_invariants_survive_rotations_and_mirrors():
             assert moments_fingerprint(turned).key == key
             inv = moment_invariants(turned)
             flip = -1.0 if transform in mirrors else 1.0
-            assert inv.phi1 == pytest.approx(base.phi1, rel=1e-9, abs=1e-15)
-            assert inv.phi2 == pytest.approx(base.phi2, rel=1e-9, abs=1e-15)
-            assert inv.phi3 == pytest.approx(base.phi3, rel=1e-9, abs=1e-15)
-            assert inv.phi5 == pytest.approx(base.phi5, rel=1e-9, abs=1e-15)
-            assert inv.phi4 == pytest.approx(flip * base.phi4, rel=1e-9, abs=1e-15)
-            assert inv.phi6 == pytest.approx(flip * base.phi6, rel=1e-9, abs=1e-15)
+            assert inv.phi1 == base.phi1
+            assert inv.phi2 == base.phi2
+            assert inv.phi3 == base.phi3
+            assert inv.phi5 == base.phi5
+            assert inv.phi4 == flip * base.phi4
+            assert inv.phi6 == flip * base.phi6
     assert time.perf_counter() - started < 10.0
 
 

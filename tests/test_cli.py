@@ -512,6 +512,27 @@ class TestReport:
         assert lines[1].startswith("energy_wh")
         assert lines[1].endswith("0.00%")
 
+    def test_energy_only_costs_have_no_latency_reduction(self, data_dir, tmp_path, capsys):
+        costs = {"stages": {
+            stage: {"energy_wh": entry["energy_wh"], "latency_ms": 0.0}
+            for stage, entry in COSTS["stages"].items()
+        }}
+        (tmp_path / "energy.json").write_text(json.dumps(costs))
+        records = ["--records-a", str(data_dir / "model_a.jsonl"), "--records-b", str(data_dir / "model_b.jsonl")]
+        assert main(["calibrate", *records, "--out", str(tmp_path / "config.json")]) == 0
+        assert main([
+            "run", "--config", str(tmp_path / "config.json"), *records,
+            "--costs", str(tmp_path / "energy.json"), "--report", str(tmp_path / "r.json"),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "r.json"), str(tmp_path / "r.json")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [line.split() for line in captured.out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["energy_wh", "mean_ms", "p95_ms", "p99_ms"]
+        assert [row[-1] for row in rows] == ["0.00%", "n/a", "n/a", "n/a"]
+        assert [row[1:3] for row in rows[1:]] == [["0", "0"]] * 3
+
     def test_mismatched_reports(self, workspace, tmp_path, capsys):
         baseline = self._write_report(workspace, tmp_path, "base.json")
         short = tmp_path / "short.jsonl"

@@ -254,6 +254,13 @@ class TestCompare:
         with pytest.raises(DataError, match="baseline energy is zero"):
             compare(self._report(0.0, 10.0), self._report(1.0, 10.0))
 
+    def test_zero_latency_baseline_has_no_latency_reduction(self):
+        red = compare(self._report(2.0, 0.0), self._report(1.0, 5.0))
+        assert red.energy_pct == 50.0
+        assert (red.mean_latency_pct, red.p95_latency_pct, red.p99_latency_pct) == (None, None, None)
+        with pytest.raises(DataError, match="baseline energy is zero"):
+            compare(self._report(0.0, 0.0), self._report(1.0, 0.0))
+
     def test_sample_count_mismatch(self):
         with pytest.raises(DataError, match="sample counts differ: 10 vs 3"):
             compare(self._report(1.0, 10.0), self._report(1.0, 10.0, count=3))

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import ast
 import importlib
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -15,6 +17,16 @@ def test_every_exported_name_resolves():
     missing = [name for name in cascadekit.__all__ if not hasattr(cascadekit, name)]
     assert missing == []
     assert len(set(cascadekit.__all__)) == len(cascadekit.__all__)
+
+
+def test_cli_import_leaves_out_exact_arithmetic_modules():
+    # every command starts cold, so exact moment arithmetic stays in plain ints
+    code = "import cascadekit.cli, sys; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, cwd=SOURCE.parent,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def _file_calls(tree: ast.AST) -> list[str]:

@@ -5,9 +5,11 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from cascadekit.errors import DataError
 from cascadekit.images import (
+    TRANSFORMS,
     ImageBuffer,
     load_image_pnm,
     mirror_horizontal,
@@ -15,12 +17,12 @@ from cascadekit.images import (
     rotate90,
     rotate180,
     rotate270,
+    to_grayscale,
     write_image_pnm,
 )
 from cascadekit.phash import (
     Fingerprint,
     MemoStore,
-    complex_moment,
     dhash,
     dhash_fingerprint,
     moment_invariants,
@@ -28,6 +30,8 @@ from cascadekit.phash import (
     quantize_key,
 )
 from cascadekit.synthetic import synthetic_image
+
+from test_pixel_oracles import images, oracle_complex_moment, oracle_exact_key
 
 
 def _gray(width: int, height: int, values) -> ImageBuffer:
@@ -106,37 +110,39 @@ class TestDhash:
 
 
 class TestComplexMoment:
+    """The float complex-moment oracle the exact moment path is checked against."""
+
     def test_order_limits(self):
         img = synthetic_image(8, 8, seed=1)
         for p, q in ((-1, 0), (0, -1), (2, 2), (4, 0)):
             with pytest.raises(DataError, match="order"):
-                complex_moment(img, p, q)
+                oracle_complex_moment(img, p, q)
 
     def test_single_pixel(self):
         img = _gray(1, 1, [7])
-        assert complex_moment(img, 0, 0) == 1.0
-        assert complex_moment(img, 1, 0) == 0.0
-        assert complex_moment(img, 1, 1) == 0.0
-        assert complex_moment(img, 3, 0) == 0.0
+        assert oracle_complex_moment(img, 0, 0) == 1.0
+        assert oracle_complex_moment(img, 1, 0) == 0.0
+        assert oracle_complex_moment(img, 1, 1) == 0.0
+        assert oracle_complex_moment(img, 3, 0) == 0.0
 
     def test_first_moments_vanish_at_centroid(self):
         img = synthetic_image(24, 17, seed=9)
-        assert abs(complex_moment(img, 1, 0)) < 1e-9
-        assert abs(complex_moment(img, 0, 1)) < 1e-9
+        assert abs(oracle_complex_moment(img, 1, 0)) < 1e-9
+        assert abs(oracle_complex_moment(img, 0, 1)) < 1e-9
 
     def test_conjugate_symmetry(self):
         img = synthetic_image(19, 23, seed=4)
         for p, q in ((1, 0), (2, 0), (2, 1), (3, 0)):
-            assert complex_moment(img, q, p) == complex_moment(img, p, q).conjugate()
+            assert oracle_complex_moment(img, q, p) == oracle_complex_moment(img, p, q).conjugate()
 
     def test_zero_intensity(self):
         with pytest.raises(DataError, match="zero total intensity"):
-            complex_moment(_gray(4, 4, [0] * 16), 1, 1)
+            oracle_complex_moment(_gray(4, 4, [0] * 16), 1, 1)
 
     def test_requires_grayscale(self):
         rgb = ImageBuffer(4, 4, 3, bytes(48))
         with pytest.raises(DataError, match="1-channel"):
-            complex_moment(rgb, 1, 1)
+            oracle_complex_moment(rgb, 1, 1)
 
 
 class TestMomentInvariants:
@@ -151,20 +157,36 @@ class TestMomentInvariants:
             img = synthetic_image(16 + seed, 20 - seed, seed=seed)
             base = moment_invariants(img).vector()
             for rotate in (rotate90, rotate180, rotate270):
-                turned = moment_invariants(rotate(img)).vector()
-                assert turned == pytest.approx(base, rel=1e-9, abs=1e-12)
+                assert moment_invariants(rotate(img)).vector() == base
 
     def test_mirrors_flip_the_odd_features(self):
         img = synthetic_image(18, 14, seed=8)
         base = moment_invariants(img)
         for mirror in (mirror_horizontal, mirror_vertical):
             inv = moment_invariants(mirror(img))
-            assert inv.phi1 == pytest.approx(base.phi1, rel=1e-9)
-            assert inv.phi2 == pytest.approx(base.phi2, rel=1e-9)
-            assert inv.phi3 == pytest.approx(base.phi3, rel=1e-9, abs=1e-12)
-            assert inv.phi5 == pytest.approx(base.phi5, rel=1e-9, abs=1e-12)
-            assert inv.phi4 == pytest.approx(-base.phi4, rel=1e-9, abs=1e-12)
-            assert inv.phi6 == pytest.approx(-base.phi6, rel=1e-9, abs=1e-12)
+            assert (inv.phi1, inv.phi2, inv.phi3, inv.phi5) == (
+                base.phi1, base.phi2, base.phi3, base.phi5
+            )
+            assert (inv.phi4, inv.phi6) == (-base.phi4, -base.phi6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(images(side=64))
+    def test_exact_invariance_under_every_transform(self, img):
+        gray = to_grayscale(img)
+        if not any(gray.pixels):
+            return
+        base = moment_invariants(gray)
+        key = moments_fingerprint(gray).key
+        mirrors = (TRANSFORMS["mirror_h"], TRANSFORMS["mirror_v"])
+        for transform in (*TRANSFORMS.values(), rotate270):
+            turned = transform(gray)
+            assert moments_fingerprint(turned).key == key
+            inv = moment_invariants(turned)
+            assert (inv.phi1, inv.phi2, inv.phi3, inv.phi5) == (
+                base.phi1, base.phi2, base.phi3, base.phi5
+            )
+            sign = -1.0 if transform in mirrors else 1.0
+            assert (inv.phi4, inv.phi6) == (sign * base.phi4, sign * base.phi6)
 
     def test_nonnegative_quadratics(self):
         for seed in range(10):
@@ -220,6 +242,22 @@ class TestMomentsFingerprint:
     def test_zero_intensity(self):
         with pytest.raises(DataError, match="zero total intensity"):
             moments_fingerprint(_gray(5, 5, [0] * 25))
+
+    @pytest.mark.parametrize("width, height", [(224, 224), (40000, 2)])
+    def test_blank_frame(self, width, height):
+        blank = to_grayscale(ImageBuffer(width, height, 3, bytes(width * height * 3)))
+        for fn in (moments_fingerprint, moment_invariants):
+            with pytest.raises(DataError, match="^zero total intensity$"):
+                fn(blank)
+
+    @pytest.mark.parametrize("width, height", [(40000, 2), (2, 40000)])
+    def test_thin_image_past_the_int64_bound(self, width, height):
+        # an all-white 40000x2 image has m30 = 3.26e20; int64 would wrap it
+        rng = random.Random(width)
+        img = _gray(width, height, [rng.choice((0, 255, rng.randrange(256))) for _ in range(width * height)])
+        assert moments_fingerprint(img).key == oracle_exact_key(img)
+        white = _gray(width, height, [255] * (width * height))
+        assert moments_fingerprint(white).key == oracle_exact_key(white)
 
 
 def _fp(i: int) -> Fingerprint:

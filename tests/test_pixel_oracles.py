@@ -3,10 +3,21 @@
 The oracles below are the pure-Python implementations the numpy code
 replaced, kept unchanged. Both sides use exact integer arithmetic, so every
 output must match byte for byte.
+
+The moment fingerprint has two oracles: the float64 complex-moment path the
+exact integer path replaced (its keys agree except at a 9-digit rounding
+boundary, its features to about 1e-11 relative), and an exact rational
+evaluation of the same definition from per-pixel Python-int sums, which
+every feature must match exactly.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import comb
+from typing import Callable
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +32,14 @@ from cascadekit.images import (
     rotate270,
     to_grayscale,
 )
-from cascadekit.phash import DHASH_COLS, DHASH_ROWS, dhash
+from cascadekit.phash import (
+    DHASH_COLS,
+    DHASH_ROWS,
+    dhash,
+    moment_invariants,
+    moments_fingerprint,
+    quantize_key,
+)
 
 
 def oracle_to_grayscale(img: ImageBuffer) -> ImageBuffer:
@@ -109,11 +127,134 @@ def oracle_dhash(gray: ImageBuffer) -> int:
     return word
 
 
+def _intensity(gray: ImageBuffer) -> np.ndarray:
+    if gray.channels != 1:
+        raise DataError("moments require a 1-channel image")
+    arr = np.frombuffer(gray.pixels, dtype=np.uint8)
+    return arr.astype(np.float64).reshape(gray.height, gray.width)
+
+
+def _centered_plane(f: np.ndarray) -> tuple[np.ndarray, float]:
+    """Complex coordinate grid centered on the intensity centroid."""
+    m00 = float(f.sum())
+    if m00 == 0.0:
+        raise DataError("zero total intensity")
+    ys, xs = np.indices(f.shape, dtype=np.float64)
+    xbar = float((xs * f).sum()) / m00
+    ybar = float((ys * f).sum()) / m00
+    return (xs - xbar) + 1j * (ys - ybar), m00
+
+
+def _moments(gray: ImageBuffer) -> Callable[[int, int], complex]:
+    """The moment function c(p, q) of one image (see oracle_complex_moment)."""
+    f = _intensity(gray)
+    z, m00 = _centered_plane(f)
+    zc = np.conj(z)
+
+    def c(p: int, q: int) -> complex:
+        return complex((z**p * zc**q * f).sum() / m00 ** ((p + q) / 2 + 1))
+
+    return c
+
+
+def oracle_complex_moment(gray: ImageBuffer, p: int, q: int) -> complex:
+    """Centroid-centered, scale-normalized complex moment c_pq.
+
+    c_pq = sum over pixels of z^p * conj(z)^q * f(x, y), divided by
+    m00^((p+q)/2 + 1), with z the centroid-centered coordinate.
+    """
+    if p < 0 or q < 0 or p + q > 3:
+        raise DataError(f"moment order ({p}, {q}) outside supported range")
+    return _moments(gray)(p, q)
+
+
+def oracle_float_invariants(gray: ImageBuffer) -> tuple[float, ...]:
+    """phi1..phi6 from float64 complex moments."""
+    c = _moments(gray)
+    c11 = c(1, 1)
+    c21 = c(2, 1)
+    c12 = c(1, 2)
+    c20 = c(2, 0)
+    c30 = c(3, 0)
+    pair3 = c20 * c12 * c12
+    pair5 = c30 * c12 * c12 * c12
+    return (c11.real, (c21 * c12).real, pair3.real, pair3.imag, pair5.real, pair5.imag)
+
+
+def oracle_float_key(gray: ImageBuffer) -> str:
+    phi1, phi2, phi3, _, phi5, _ = oracle_float_invariants(gray)
+    return quantize_key(phi1 + phi2 + phi3 + phi5)
+
+
+def _gaussian_moment(mu: dict[tuple[int, int], Fraction], p: int, q: int) -> tuple[Fraction, Fraction]:
+    """sum of z^p conj(z)^q f as (real, imag), expanding z = X + iY term by term."""
+    re = im = Fraction(0)
+    for i in range(p + 1):  # X^(p-i) (iY)^i from z^p
+        for j in range(q + 1):  # X^(q-j) (-iY)^j from conj(z)^q
+            power = i + 3 * j  # i^i * (-i)^j = i^(i + 3j)
+            coef = comb(p, i) * comb(q, j) * mu[(p - i + q - j, i + j)]
+            if power % 4 == 0:
+                re += coef
+            elif power % 4 == 1:
+                im += coef
+            elif power % 4 == 2:
+                re -= coef
+            else:
+                im -= coef
+    return re, im
+
+
+def oracle_exact_invariants(gray: ImageBuffer) -> tuple[Fraction, ...]:
+    """phi1..phi6 as exact rationals from per-pixel Python-int sums."""
+    if gray.channels != 1:
+        raise DataError("moments require a 1-channel image")
+    raw = {(p, q): 0 for p in range(4) for q in range(4 - p)}
+    for i, v in enumerate(gray.pixels):
+        y, x = divmod(i, gray.width)
+        for p, q in raw:
+            raw[(p, q)] += x**p * y**q * v
+    n = raw[(0, 0)]
+    if n == 0:
+        raise DataError("zero total intensity")
+    xbar, ybar = Fraction(raw[(1, 0)], n), Fraction(raw[(0, 1)], n)
+    mu = {
+        (p, q): sum(
+            comb(p, i) * comb(q, j) * (-xbar) ** (p - i) * (-ybar) ** (q - j) * raw[(i, j)]
+            for i in range(p + 1)
+            for j in range(q + 1)
+        )
+        for p, q in raw
+    }
+    # c_pq is normalized by n^((p+q)/2 + 1); each product below has an integer total power
+    orders = ((1, 1), (2, 1), (1, 2), (2, 0), (3, 0))
+    c11, c21, c12, c20, c30 = (_gaussian_moment(mu, p, q) for p, q in orders)
+
+    def mul(u, v):
+        return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+    pair2 = mul(c21, c12)
+    pair3 = mul(c20, mul(c12, c12))
+    pair5 = mul(c30, mul(c12, mul(c12, c12)))
+    return (
+        c11[0] / n**2,
+        pair2[0] / n**5,
+        pair3[0] / n**7,
+        pair3[1] / n**7,
+        pair5[0] / n**10,
+        pair5[1] / n**10,
+    )
+
+
+def oracle_exact_key(gray: ImageBuffer) -> str:
+    phi1, phi2, phi3, _, phi5, _ = oracle_exact_invariants(gray)
+    return quantize_key(float(phi1 + phi2 + phi3 + phi5))
+
+
 @st.composite
-def images(draw, channels=(1, 3)) -> ImageBuffer:
-    """Random images of 1 to 40 pixels a side, a third of them flat 0 or 255."""
-    width = draw(st.integers(1, 40))
-    height = draw(st.integers(1, 40))
+def images(draw, channels=(1, 3), side=40) -> ImageBuffer:
+    """Random images of 1 to ``side`` pixels a side, a third of them flat 0 or 255."""
+    width = draw(st.integers(1, side))
+    height = draw(st.integers(1, side))
     c = draw(st.sampled_from(channels))
     size = width * height * c
     fill = draw(st.sampled_from((None, 0, 255)))
@@ -161,3 +302,30 @@ def test_dhash_matches_oracle(img):
         for fn in (dhash, oracle_dhash):
             with pytest.raises(DataError, match="smaller than"):
                 fn(img)
+
+
+@examples
+@given(images(side=64))
+def test_moments_key_matches_float_oracle(img):
+    gray = to_grayscale(img)
+    try:
+        expected = oracle_float_key(gray)
+    except DataError as exc:
+        with pytest.raises(DataError, match=str(exc)):
+            moments_fingerprint(gray)
+    else:
+        assert moments_fingerprint(gray).key == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(images(side=64))
+def test_moments_match_exact_rational_oracle(img):
+    gray = to_grayscale(img)
+    try:
+        exact = oracle_exact_invariants(gray)
+    except DataError as exc:
+        with pytest.raises(DataError, match=str(exc)):
+            moment_invariants(gray)
+    else:
+        assert moment_invariants(gray).vector() == tuple(float(v) for v in exact)
+        assert moments_fingerprint(gray).key == oracle_exact_key(gray)
