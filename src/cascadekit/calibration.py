@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .complementarity import predicted_label
+from .complementarity import correct_rows, predicted_label
 from .confidence import ScoreFunction, better_score, passes_threshold, score, softmax
 from .confidence import score_rows, softmax_rows
 from .errors import DataError, read_json, write_text
@@ -114,23 +114,19 @@ def decide(
     return predicted_label(logits_a if chosen == "a" else logits_b), chosen, score_a, score_b
 
 
-def _model_columns(rows: Sequence[tuple[float, ...]], labels: np.ndarray) -> tuple[np.ndarray, dict]:
+def _model_columns(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, dict]:
     """One model's (argmax of the logits == label, {score function: scores})."""
-    try:
-        logits = np.array(rows, dtype=np.float64)
-    except (ValueError, OverflowError):
-        raise DataError("logits must be equal-length rows of finite numbers") from None
     probs = softmax_rows(logits)
-    return logits.argmax(axis=1) == labels, {fn: score_rows(probs, fn) for fn in ScoreFunction}
+    return correct_rows(logits, labels), {fn: score_rows(probs, fn) for fn in ScoreFunction}
 
 
 def _columns(paired: PairedDataset) -> tuple[tuple[np.ndarray, dict], tuple[np.ndarray, dict]]:
     if len(paired) == 0:
         raise DataError("empty dataset")
     if paired.columns is None:
-        labels = np.array([s.label for s in paired.samples])
-        rows_a, rows_b = zip(*((s.logits_a, s.logits_b) for s in paired.samples))
-        paired.columns = (_model_columns(rows_a, labels), _model_columns(rows_b, labels))
+        paired.columns = tuple(
+            _model_columns(logits, paired.labels) for logits in (paired.logits_a, paired.logits_b)
+        )
     return paired.columns
 
 

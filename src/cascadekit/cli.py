@@ -60,12 +60,11 @@ def _load_samples(
     paired = align_records(records_a, records_b, config.first_model, config.second_model)
     classifier_a = ReplayClassifier(config.first_model, records_a)
     classifier_b = ReplayClassifier(config.second_model, records_b)
-    samples = []
-    for s in paired.samples:
-        image = None
-        if with_images:
-            image = _load_sample_image(args.images, s.id)
-        samples.append(SampleRef(s.id, image, s.label if with_labels else None))
+    labels = paired.labels.tolist() if with_labels else [None] * len(paired)
+    samples = [
+        SampleRef(sid, _load_sample_image(args.images, sid) if with_images else None, label)
+        for sid, label in zip(paired.ids, labels)
+    ]
     return classifier_a, classifier_b, samples
 
 

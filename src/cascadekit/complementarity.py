@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DataError
-from .records import PairedDataset, PredictionRecord, align_records
+from .records import PairedDataset, RecordTable, align_records
 
 
 def predicted_label(logits: Sequence[float]) -> int:
@@ -23,14 +25,15 @@ def predicted_label(logits: Sequence[float]) -> int:
     return best
 
 
-def correctness_vectors(paired: PairedDataset) -> tuple[list[bool], list[bool]]:
+def correct_rows(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Whether each row's predicted label (``predicted_label``: argmax, lowest
+    index on ties) equals its label."""
+    return logits.argmax(axis=1) == labels
+
+
+def correctness_vectors(paired: PairedDataset) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample correctness of models A and B, in dataset order."""
-    correct_a = []
-    correct_b = []
-    for s in paired.samples:
-        correct_a.append(predicted_label(s.logits_a) == s.label)
-        correct_b.append(predicted_label(s.logits_b) == s.label)
-    return correct_a, correct_b
+    return correct_rows(paired.logits_a, paired.labels), correct_rows(paired.logits_b, paired.labels)
 
 
 def complementarity_of_vectors(correct_a: Sequence[bool], correct_b: Sequence[bool]) -> float:
@@ -44,19 +47,9 @@ def complementarity_of_vectors(correct_a: Sequence[bool], correct_b: Sequence[bo
     n = len(correct_a)
     if n == 0:
         raise DataError("complementarity of an empty dataset is undefined")
-    n_union = 0
-    n_inter = 0
-    n_a = 0
-    n_b = 0
-    for ca, cb in zip(correct_a, correct_b):
-        if ca or cb:
-            n_union += 1
-        if ca and cb:
-            n_inter += 1
-        if ca:
-            n_a += 1
-        if cb:
-            n_b += 1
+    a, b = np.asarray(correct_a, dtype=bool), np.asarray(correct_b, dtype=bool)
+    n_a, n_b, n_inter = (int(np.count_nonzero(v)) for v in (a, b, a & b))
+    n_union = n_a + n_b - n_inter
     return (n_union - n_inter - abs(n_a - n_b)) / n
 
 
@@ -96,9 +89,9 @@ class ComplementarityMatrix:
 
 
 def complementarity_matrix(
-    models: list[list[PredictionRecord]], names: list[str] | None = None
+    models: list[RecordTable], names: list[str] | None = None
 ) -> ComplementarityMatrix:
-    """All-pairs complementarity over >= 2 models' record lists.
+    """All-pairs complementarity over >= 2 models' record tables.
 
     Alignment failures are reported with the offending pair's names.
     """

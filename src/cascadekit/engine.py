@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .calibration import CascadeConfig, decide
 from .errors import DataError
 from .images import ImageBuffer, to_grayscale
 from .phash import FINGERPRINTS, Fingerprint, MemoStore
-from .records import PredictionRecord
+from .records import RecordTable
 
 PATH_MEMORY_HIT = "memory_hit"
 PATH_MODEL_A_ONLY = "model_a_only"
@@ -37,11 +37,11 @@ class Classifier(Protocol):
 class ReplayClassifier:
     """Classifier backed by precomputed logits, keyed by sample id."""
 
-    def __init__(self, name: str, records: Iterable[PredictionRecord]):
+    def __init__(self, name: str, records: RecordTable):
         self.name = name
-        self._logits = {r.id: r.logits for r in records}
+        self._logits = dict(zip(records.ids, records.logits.tolist()))
 
-    def infer(self, sample_id: str) -> tuple[float, ...]:
+    def infer(self, sample_id: str) -> list[float]:
         try:
             return self._logits[sample_id]
         except KeyError:

@@ -1,8 +1,11 @@
 """Prediction-record ingestion, pairwise alignment, and cost-profile loading.
 
 Record files are JSON Lines: one object per line with exactly the keys
-``id`` (string), ``label`` (0-based class index), and ``logits`` (array of
-finite numbers). All records in one file must share the same logits length.
+``id`` (string without lone surrogates), ``label`` (0-based class index),
+and ``logits`` (array of finite numbers). All records in one file must
+share the same logits length. A file parses into one columnar
+``RecordTable``; ``align_records`` joins two tables on id into a
+``PairedDataset`` with one logits matrix per model.
 """
 
 from __future__ import annotations
@@ -10,54 +13,71 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import SimpleNamespace
+
+import numpy as np
 
 from .errors import DataError, non_negative_number, parse_json, read_bytes
 
 STAGES = ("memory_lookup", "memory_insert", "model_a", "model_b")
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One sample's id, true label, and a model's raw logits."""
+@dataclass(frozen=True, eq=False)
+class RecordTable:
+    """One model's records, one column each: ids (tuple of str), labels
+    (int64, N) and logits (float64, N x K). The arrays are read-only copies."""
 
-    id: str
-    label: int
-    logits: tuple[float, ...]
+    ids: tuple[str, ...]
+    labels: np.ndarray
+    logits: np.ndarray
 
-
-@dataclass(frozen=True)
-class PairedSample:
-    id: str
-    label: int
-    logits_a: tuple[float, ...]
-    logits_b: tuple[float, ...]
-
-
-@dataclass
-class PairedDataset:
-    """Id-aligned records of two models over the same samples.
-
-    Samples are ordered by ascending id (byte-lexicographic on UTF-8).
-    """
-
-    samples: list[PairedSample]
-    num_classes: int
-    name_a: str = "model_a"
-    name_b: str = "model_b"
-    # (A, B) per-model arrays that calibration caches; samples must not change after
-    columns: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    def __post_init__(self) -> None:
+        labels = np.array(self.labels, dtype=np.int64)
+        logits = np.array(self.logits, dtype=np.float64)
+        if logits.ndim != 2:  # no rows
+            logits = logits.reshape(len(self.ids), 0)
+        for column in (labels, logits):
+            column.setflags(write=False)
+        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "logits", logits)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
+
+
+@dataclass(eq=False)
+class PairedDataset:
+    """Two models' logits over the same samples, ordered by ascending id (code-point
+    order, which is UTF-8 byte order). The arrays must not change after
+    construction: calibration caches the scores it derives from them in ``columns``."""
+
+    ids: tuple[str, ...]
+    labels: np.ndarray    # int64, N
+    logits_a: np.ndarray  # float64, N x K
+    logits_b: np.ndarray  # float64, N x K
+    name_a: str = "model_a"
+    name_b: str = "model_b"
+    columns: tuple | None = field(default=None, init=False, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
     def swapped(self) -> "PairedDataset":
-        """Same samples with the A/B columns (and names) exchanged."""
-        swapped = [
-            PairedSample(s.id, s.label, s.logits_b, s.logits_a) for s in self.samples
-        ]
-        result = PairedDataset(swapped, self.num_classes, self.name_b, self.name_a)
+        """The same arrays with the A/B roles (and names) exchanged."""
+        result = PairedDataset(
+            self.ids, self.labels, self.logits_b, self.logits_a, self.name_b, self.name_a
+        )
         result.columns = None if self.columns is None else self.columns[::-1]
         return result
+
+    @cached_property
+    def samples(self) -> list[SimpleNamespace]:
+        """Rows of Python values (``id``, ``label``, ``logits_a``, ``logits_b``)
+        for code that walks samples one at a time; cascadekit reads the arrays."""
+        rows = zip(self.ids, self.labels.tolist(), self.logits_a.tolist(), self.logits_b.tolist())
+        return [SimpleNamespace(id=i, label=y, logits_a=a, logits_b=b) for i, y, a, b in rows]
 
 
 @dataclass(frozen=True)
@@ -80,7 +100,7 @@ class CostProfile:
         return self.stages[stage].latency_ms
 
 
-def _record_from_obj(obj: object, line_no: int, expected_k: int | None) -> PredictionRecord:
+def _record_from_obj(obj: object, line_no: int, expected_k: int | None) -> tuple[str, int, list]:
     if not isinstance(obj, dict):
         raise DataError(f"malformed record at line {line_no}: expected a JSON object")
     extra = set(obj) - {"id", "label", "logits"}
@@ -95,6 +115,10 @@ def _record_from_obj(obj: object, line_no: int, expected_k: int | None) -> Predi
     logits = obj["logits"]
     if not isinstance(rid, str):
         raise DataError(f"malformed record at line {line_no}: id must be a string")
+    try:
+        rid.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate escape such as "\ud800"
+        raise DataError(f"malformed record at line {line_no}: id is not valid Unicode") from None
     if isinstance(label, bool) or not isinstance(label, int):
         raise DataError(f"malformed record at line {line_no}: label must be an integer")
     if not isinstance(logits, list) or len(logits) < 2:
@@ -116,17 +140,18 @@ def _record_from_obj(obj: object, line_no: int, expected_k: int | None) -> Predi
         raise DataError(f"inconsistent logits length at line {line_no}")
     if not 0 <= label < len(values):
         raise DataError(f"label out of range at line {line_no}")
-    return PredictionRecord(rid, label, tuple(values))
+    return rid, label, values
 
 
-def parse_prediction_records(data: bytes | str) -> list[PredictionRecord]:
-    """Parse a UTF-8 JSON Lines stream into validated records.
+def parse_prediction_records(data: bytes | str) -> RecordTable:
+    """Parse a UTF-8 JSON Lines stream into a validated record table.
 
     Enforces one record per non-empty line, a consistent logits length
     across the file, labels within range, finite logits, and unique ids.
     """
-    records: list[PredictionRecord] = []
-    seen: set[str] = set()
+    seen: dict[str, None] = {}  # the ids, in file order
+    labels: list[int] = []
+    rows: list[list[float]] = []
     expected_k: int | None = None
     newline = b"\n" if isinstance(data, bytes) else "\n"
     for line_no, line in enumerate(data.split(newline), start=1):
@@ -136,29 +161,26 @@ def parse_prediction_records(data: bytes | str) -> list[PredictionRecord]:
             obj = parse_json(line, "record")
         except DataError:
             raise DataError(f"malformed record at line {line_no}: invalid JSON") from None
-        record = _record_from_obj(obj, line_no, expected_k)
-        if record.id in seen:
-            raise DataError(f"duplicate id {record.id} at line {line_no}")
-        seen.add(record.id)
-        expected_k = len(record.logits)
-        records.append(record)
-    return records
+        rid, label, values = _record_from_obj(obj, line_no, expected_k)
+        if rid in seen:
+            raise DataError(f"duplicate id {rid} at line {line_no}")
+        seen[rid] = None
+        expected_k = len(values)
+        labels.append(label)
+        rows.append(values)
+    return RecordTable(seen, labels, rows)
 
 
-def format_prediction_records(records: list[PredictionRecord]) -> str:
-    """Render records back to JSON Lines; re-parsing yields an identical list."""
-    lines = []
-    for r in records:
-        lines.append(
-            json.dumps(
-                {"id": r.id, "label": r.label, "logits": list(r.logits)},
-                separators=(",", ":"),
-            )
-        )
+def format_prediction_records(table: RecordTable) -> str:
+    """Render a table back to JSON Lines; re-parsing yields an identical table."""
+    lines = [
+        json.dumps({"id": rid, "label": label, "logits": row}, separators=(",", ":"))
+        for rid, label, row in zip(table.ids, table.labels.tolist(), table.logits.tolist())
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def load_prediction_records(path: str) -> list[PredictionRecord]:
+def load_prediction_records(path: str) -> RecordTable:
     data = read_bytes(path, "record file")
     try:
         return parse_prediction_records(data)
@@ -166,48 +188,44 @@ def load_prediction_records(path: str) -> list[PredictionRecord]:
         raise DataError(f"{path}: {exc}") from None
 
 
+def _row_index(ids: tuple[str, ...]) -> dict[str, int]:
+    index: dict[str, int] = {}
+    for row, rid in enumerate(ids):
+        if index.setdefault(rid, row) != row:
+            raise DataError(f"duplicate id {rid}")
+    return index
+
+
 def align_records(
-    a: list[PredictionRecord],
-    b: list[PredictionRecord],
+    a: RecordTable,
+    b: RecordTable,
     name_a: str = "model_a",
     name_b: str = "model_b",
 ) -> PairedDataset:
-    """Join two models' record lists on sample id.
+    """Join two models' record tables on sample id.
 
-    Every id must appear in both lists with the same label and logits
-    length; the output is sorted by ascending id (byte-lexicographic).
+    Every id must appear in both tables with the same label and logits
+    length; the output is sorted by ascending id (code-point order, which
+    is byte-lexicographic on UTF-8).
     """
-    if not a or not b:
+    if not len(a) or not len(b):
         raise DataError("cannot align empty record lists")
-    if len(a[0].logits) != len(b[0].logits):
-        raise DataError(
-            f"logits length mismatch between files: "
-            f"{len(a[0].logits)} vs {len(b[0].logits)}"
-        )
-    by_id_a: dict[str, PredictionRecord] = {}
-    for r in a:
-        if r.id in by_id_a:
-            raise DataError(f"duplicate id {r.id}")
-        by_id_a[r.id] = r
-    by_id_b: dict[str, PredictionRecord] = {}
-    for r in b:
-        if r.id in by_id_b:
-            raise DataError(f"duplicate id {r.id}")
-        by_id_b[r.id] = r
-    for rid in by_id_a:
-        if rid not in by_id_b:
-            raise DataError(f"unmatched id {rid}")
-    for rid in by_id_b:
-        if rid not in by_id_a:
-            raise DataError(f"unmatched id {rid}")
-    samples: list[PairedSample] = []
-    for rid in sorted(by_id_a, key=lambda s: s.encode("utf-8")):
-        ra = by_id_a[rid]
-        rb = by_id_b[rid]
-        if ra.label != rb.label:
-            raise DataError(f"label disagreement for {rid}")
-        samples.append(PairedSample(rid, ra.label, ra.logits, rb.logits))
-    return PairedDataset(samples, len(a[0].logits), name_a, name_b)
+    k_a, k_b = a.logits.shape[1], b.logits.shape[1]
+    if k_a != k_b:
+        raise DataError(f"logits length mismatch between files: {k_a} vs {k_b}")
+    index_a, index_b = _row_index(a.ids), _row_index(b.ids)
+    if index_a.keys() != index_b.keys():
+        for rid in (*index_a, *index_b):
+            if rid not in index_a or rid not in index_b:
+                raise DataError(f"unmatched id {rid}")
+    ids = tuple(sorted(index_a))
+    rows_a = np.fromiter(map(index_a.__getitem__, ids), np.intp, len(ids))
+    rows_b = np.fromiter(map(index_b.__getitem__, ids), np.intp, len(ids))
+    labels = a.labels[rows_a]
+    disagree = np.flatnonzero(labels != b.labels[rows_b])
+    if disagree.size:
+        raise DataError(f"label disagreement for {ids[disagree[0]]}")
+    return PairedDataset(ids, labels, a.logits[rows_a], b.logits[rows_b], name_a, name_b)
 
 
 def parse_cost_profile(data: bytes | str) -> CostProfile:

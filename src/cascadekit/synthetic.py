@@ -14,45 +14,37 @@ import random
 
 from .errors import write_text
 from .images import ImageBuffer
-from .records import PredictionRecord, format_prediction_records
+from .records import RecordTable, format_prediction_records
 
 BUNDLED_SEED = 7
 BUNDLED_COUNT = 500
 BUNDLED_CLASSES = 10
 
 
-def _record(
-    rng: random.Random,
-    sample_id: str,
-    label: int,
-    num_classes: int,
-    correct: bool,
-) -> PredictionRecord:
+def _logits(rng: random.Random, label: int, num_classes: int, correct: bool) -> list[float]:
     pred = label if correct else (label + rng.randrange(1, num_classes)) % num_classes
     logits = [rng.gauss(0.0, 1.0) for _ in range(num_classes)]
     gap = rng.uniform(0.3, 8.0) if correct else rng.uniform(0.05, 3.0)
     logits[pred] = max(logits) + gap
-    return PredictionRecord(sample_id, label, tuple(logits))
+    return logits
 
 
-def synthetic_pair(
-    count: int,
-    num_classes: int,
-    seed: int,
-) -> tuple[list[PredictionRecord], list[PredictionRecord]]:
-    """Two aligned record lists with complementary error patterns."""
+def synthetic_pair(count: int, num_classes: int, seed: int) -> tuple[RecordTable, RecordTable]:
+    """Two record tables over the same ids with complementary error patterns."""
     rng = random.Random(seed)
     width = len(str(count - 1)) if count > 1 else 1
-    records_a = []
-    records_b = []
-    for i in range(count):
-        sample_id = f"s{i:0{width}d}"
+    ids = [f"s{i:0{width}d}" for i in range(count)]
+    labels: list[int] = []
+    rows_a: list[list[float]] = []
+    rows_b: list[list[float]] = []
+    for _ in ids:
         label = rng.randrange(num_classes)
         a_ok = rng.random() < 0.78
         b_ok = rng.random() < (0.85 if not a_ok else 0.72)
-        records_a.append(_record(rng, sample_id, label, num_classes, a_ok))
-        records_b.append(_record(rng, sample_id, label, num_classes, b_ok))
-    return records_a, records_b
+        labels.append(label)
+        rows_a.append(_logits(rng, label, num_classes, a_ok))
+        rows_b.append(_logits(rng, label, num_classes, b_ok))
+    return RecordTable(ids, labels, rows_a), RecordTable(ids, labels, rows_b)
 
 
 def synthetic_image(width: int, height: int, seed: int, channels: int = 1) -> ImageBuffer:

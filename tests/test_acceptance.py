@@ -42,7 +42,7 @@ from cascadekit.images import (
 )
 from cascadekit.metering import aggregate, compare, duplication_experiment, nearest_rank
 from cascadekit.phash import dhash, dhash_fingerprint, moment_invariants, moments_fingerprint
-from cascadekit.records import PredictionRecord, load_cost_profile
+from cascadekit.records import RecordTable, load_cost_profile
 from cascadekit.synthetic import synthetic_image
 from test_calibration_oracles import oracle_decide
 
@@ -215,12 +215,10 @@ def test_06_dhash_determinism_and_rotation_sensitivity():
     assert dhash(ImageBuffer(32, 24, 1, bytes([77]) * 768)) == 0
 
 
-def _passing_records(count: int, prefix: str) -> list[PredictionRecord]:
+def _passing_records(count: int, prefix: str) -> RecordTable:
     width = len(str(count - 1))
-    return [
-        PredictionRecord(f"{prefix}{i:0{width}d}", 0, (8.0, 0.0, 0.0))
-        for i in range(count)
-    ]
+    ids = [f"{prefix}{i:0{width}d}" for i in range(count)]
+    return RecordTable(ids, [0] * count, [(8.0, 0.0, 0.0)] * count)
 
 
 def _single_model_report(count: int, costs):
@@ -231,7 +229,7 @@ def _single_model_report(count: int, costs):
         ReplayClassifier("model_a", records),
         ReplayClassifier("model_b", records),
     )
-    samples = [SampleRef(r.id, label=r.label) for r in records]
+    samples = [SampleRef(rid, label=0) for rid in records.ids]
     traces, _ = run_batch(engine, samples)
     report = aggregate(traces, costs)
     assert report.stage_counts["model_a"] == count
@@ -253,12 +251,10 @@ def test_07_single_model_energy_matches_published_totals(costs_dir):
 def _escalation_pair(count: int, escalators: set[int], prefix: str):
     """Records where the chosen indices escalate at lambda 0.5 (diff)."""
     width = len(str(count - 1))
-    records_a, records_b = [], []
-    for i in range(count):
-        sample_id = f"{prefix}{i:0{width}d}"
-        logits_a = (0.1, 0.0, 0.0) if i in escalators else (8.0, 0.0, 0.0)
-        records_a.append(PredictionRecord(sample_id, 0, logits_a))
-        records_b.append(PredictionRecord(sample_id, 0, (0.0, 6.0, 0.0)))
+    ids = [f"{prefix}{i:0{width}d}" for i in range(count)]
+    logits_a = [(0.1, 0.0, 0.0) if i in escalators else (8.0, 0.0, 0.0) for i in range(count)]
+    records_a = RecordTable(ids, [0] * count, logits_a)
+    records_b = RecordTable(ids, [0] * count, [(0.0, 6.0, 0.0)] * count)
     return records_a, records_b
 
 
@@ -274,7 +270,7 @@ def test_08_cascade_cuts_energy_against_single_large_model(costs_dir):
         ReplayClassifier("model_a", records_a),
         ReplayClassifier("model_b", records_b),
     )
-    traces, summary = run_batch(engine, [SampleRef(r.id) for r in records_a])
+    traces, summary = run_batch(engine, [SampleRef(rid) for rid in records_a.ids])
     assert summary.second_model_usage == 0.066
 
     cascade = aggregate(traces, load_cost_profile(str(costs_dir / "cifar10.json")))
@@ -296,7 +292,7 @@ def test_09_memory_flattens_energy_under_duplication(costs_dir):
     images = [synthetic_image(12, 12, seed=7000 + i) for i in range(count)]
     assert len({dhash_fingerprint(img).key for img in images}) == count
     samples = [
-        SampleRef(r.id, image=img, label=0) for r, img in zip(records_a, images)
+        SampleRef(rid, image=img, label=0) for rid, img in zip(records_a.ids, images)
     ]
 
     def factory(memory: str):
@@ -344,12 +340,8 @@ def test_09_memory_flattens_energy_under_duplication(costs_dir):
 @criterion(10, "engine matches offline calibration")
 def test_10_engine_agrees_with_offline_decisions(bundled_paired, costs_dir):
     result = find_lambda_star(bundled_paired, DIFF)
-    records_a = [
-        PredictionRecord(s.id, s.label, s.logits_a) for s in bundled_paired.samples
-    ]
-    records_b = [
-        PredictionRecord(s.id, s.label, s.logits_b) for s in bundled_paired.samples
-    ]
+    records_a = RecordTable(bundled_paired.ids, bundled_paired.labels, bundled_paired.logits_a)
+    records_b = RecordTable(bundled_paired.ids, bundled_paired.labels, bundled_paired.logits_b)
     engine = CascadeEngine(
         result.config,
         ReplayClassifier(result.config.first_model, records_a),

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cascadekit import calibration
@@ -19,19 +20,24 @@ from cascadekit.calibration import (
 )
 from cascadekit.confidence import ScoreFunction, better_score, score, softmax, softmax_rows
 from cascadekit.errors import DataError
-from cascadekit.records import PairedDataset, PairedSample, PredictionRecord, align_records
+from cascadekit.records import PairedDataset, RecordTable, align_records
 
 DIFF = ScoreFunction.DIFFERENCE
 MAX = ScoreFunction.MAX_PROBABILITY
 ENTROPY = ScoreFunction.ENTROPY_NORMALIZED
 
 
-def _paired(rows, num_classes=3, name_a="model_a", name_b="model_b") -> PairedDataset:
-    samples = [
-        PairedSample(f"s{i:03d}", label, tuple(la), tuple(lb))
-        for i, (label, la, lb) in enumerate(rows)
-    ]
-    return PairedDataset(samples, num_classes, name_a, name_b)
+def _paired(rows, name_a="model_a", name_b="model_b") -> PairedDataset:
+    """(label, logits_a, logits_b) rows as a dataset with ids s000, s001, ..."""
+    labels, logits_a, logits_b = zip(*rows)
+    return PairedDataset(
+        tuple(f"s{i:03d}" for i in range(len(rows))),
+        np.array(labels, dtype=np.int64),
+        np.array(logits_a, dtype=np.float64),
+        np.array(logits_b, dtype=np.float64),
+        name_a,
+        name_b,
+    )
 
 
 def _three_sample_set() -> PairedDataset:
@@ -195,7 +201,8 @@ class TestAccuracyAt:
 
     def test_empty_dataset(self):
         with pytest.raises(DataError, match="empty"):
-            accuracy_at(PairedDataset([], 3), DIFF, 0.5, True)
+            empty = np.zeros((0, 3))
+            accuracy_at(PairedDataset((), np.zeros(0, np.int64), empty, empty), DIFF, 0.5, True)
 
     def test_matches_per_sample_decisions(self, bundled_paired):
         for kind in (DIFF, ENTROPY):
@@ -238,10 +245,7 @@ class TestCandidateLambdas:
     def test_entropy_candidates_clamped_to_unit_interval(self):
         # for K=2 near-uniform vectors the entropy score exceeds 1, so the
         # midpoints between such scores fall outside the threshold domain
-        paired = _paired(
-            [(0, (0.02, 0.0), (1.0, 0.0)), (0, (0.05, 0.0), (1.0, 0.0))],
-            num_classes=2,
-        )
+        paired = _paired([(0, (0.02, 0.0), (1.0, 0.0)), (0, (0.05, 0.0), (1.0, 0.0))])
         high = [score(softmax(s.logits_a), ENTROPY) for s in paired.samples]
         assert all(v > 1.0 for v in high)
         assert candidate_lambdas(paired, ENTROPY) == [0.0, 1.0]
@@ -299,7 +303,8 @@ class TestFindLambdaStar:
 
     def test_dense_grid_cannot_beat_candidates(self, bundled_paired):
         # coarse oracle here; the acceptance suite runs the 1e-4 grid
-        small = PairedDataset(bundled_paired.samples[:80], 10)
+        p = bundled_paired
+        small = PairedDataset(p.ids[:80], p.labels[:80], p.logits_a[:80], p.logits_b[:80])
         for kind in (MAX, DIFF, ENTROPY):
             result = find_lambda_star(small, kind)
             grid_best = max(
@@ -327,12 +332,11 @@ class TestFindLambdaStar:
 
 class TestAutoSelect:
     def test_symmetric_pair_keeps_standalone_accuracy(self):
-        records = [
-            PredictionRecord("a", 0, (5.0, 0.0, 0.0)),
-            PredictionRecord("b", 1, (0.0, 5.0, 0.0)),
-            PredictionRecord("c", 2, (0.0, 0.0, 5.0)),
-            PredictionRecord("d", 0, (0.0, 4.0, 0.0)),
-        ]
+        records = RecordTable(
+            ["a", "b", "c", "d"],
+            [0, 1, 2, 0],
+            [(5.0, 0.0, 0.0), (0.0, 5.0, 0.0), (0.0, 0.0, 5.0), (0.0, 4.0, 0.0)],
+        )
         paired = align_records(records, records)
         result = auto_select(paired)
         assert result.accuracy == 0.75
@@ -385,10 +389,7 @@ class TestColumnarKernel:
         swapped = paired.swapped()
         assert swapped.columns == paired.columns[::-1]
         assert swapped.swapped().columns == paired.columns
-
-
-def _ragged():
-    return _paired([(0, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), (1, (0.0, 1.0), (1.0, 0.0, 0.0))])
+        assert swapped.logits_a is paired.logits_b and swapped.logits_b is paired.logits_a
 
 
 def _non_finite(value):
@@ -405,10 +406,6 @@ KERNEL_ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", KERNEL_ENTRY_POINTS.values(), ids=KERNEL_ENTRY_POINTS.keys())
 class TestKernelRejectsBadLogits:
-    def test_ragged_logits(self, entry):
-        with pytest.raises(DataError, match="equal-length rows"):
-            entry(_ragged())
-
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_logit(self, entry, value):
         with pytest.raises(DataError, match="non-finite logit"):

@@ -39,7 +39,7 @@ from cascadekit.confidence import (
 )
 from cascadekit.engine import PATH_MODEL_AB, CascadeEngine, ReplayClassifier, SampleRef, run_batch
 from cascadekit.errors import DataError
-from cascadekit.records import PairedDataset, PairedSample, PredictionRecord
+from cascadekit.records import PairedDataset, RecordTable
 
 
 def oracle_decide(
@@ -219,11 +219,8 @@ def pairs(draw, classes=st.integers(2, 12)) -> PairedDataset:
     labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     rows_a = draw(logit_rows(n, k))
     rows_b = draw(logit_rows(n, k))
-    samples = [
-        PairedSample(f"s{i:03d}", label, la, lb)
-        for i, (label, la, lb) in enumerate(zip(labels, rows_a, rows_b))
-    ]
-    return PairedDataset(samples, k)
+    ids = tuple(f"s{i:03d}" for i in range(n))
+    return PairedDataset(ids, np.array(labels, dtype=np.int64), np.array(rows_a), np.array(rows_b))
 
 
 def _ordered(paired: PairedDataset, order: str) -> PairedDataset:
@@ -300,10 +297,10 @@ def test_engine_replay_matches_decide_oracle_and_sweep(paired, fn, post_check, o
     dataset = _ordered(paired, order)
     engine_input = [SampleRef(s.id, label=s.label) for s in dataset.samples]
     classifier_a = ReplayClassifier(
-        dataset.name_a, [PredictionRecord(s.id, s.label, s.logits_a) for s in dataset.samples]
+        dataset.name_a, RecordTable(dataset.ids, dataset.labels, dataset.logits_a)
     )
     classifier_b = ReplayClassifier(
-        dataset.name_b, [PredictionRecord(s.id, s.label, s.logits_b) for s in dataset.samples]
+        dataset.name_b, RecordTable(dataset.ids, dataset.labels, dataset.logits_b)
     )
     scores_a = {score(softmax(s.logits_a), fn) for s in dataset.samples}
     # every exact model-A score is a >= / <= boundary; the threshold domain is [0, 1]

@@ -44,13 +44,13 @@ def workspace(tmp_path_factory):
 
     images = root / "images"
     images.mkdir()
-    for i, record in enumerate(records_a):
+    for i, sample_id in enumerate(records_a.ids):
         if i % 4 == 3:
             img = synthetic_image(16, 16, seed=300 + i, channels=3)
-            (images / f"{record.id}.ppm").write_bytes(write_image_pnm(img))
+            (images / f"{sample_id}.ppm").write_bytes(write_image_pnm(img))
         else:
             img = synthetic_image(16, 16, seed=300 + i)
-            (images / f"{record.id}.pgm").write_bytes(write_image_pnm(img))
+            (images / f"{sample_id}.pgm").write_bytes(write_image_pnm(img))
 
     (root / "costs.json").write_text(json.dumps(COSTS))
     for memory in ("none", "dhash", "moments"):
@@ -176,6 +176,25 @@ class TestCalibrate:
         ])
         assert code == 1
         assert capsys.readouterr().err == f"error: {bad}: logit out of float range at line 1\n"
+
+    @pytest.mark.parametrize("command", ["calibrate", "complementarity"])
+    def test_lone_surrogate_id_is_a_data_error(self, tmp_path, capsys, command):
+        # two copies of one file whose first id is the escape of a lone surrogate
+        text = (
+            '{"id": "\\ud800", "label": 0, "logits": [1.0, 0.0]}\n'
+            '{"id": "b", "label": 1, "logits": [0.0, 1.0]}\n'
+        )
+        paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for path in paths:
+            path.write_text(text)
+        if command == "calibrate":
+            argv = ["calibrate", "--records-a", str(paths[0]), "--records-b", str(paths[1])]
+        else:
+            argv = ["complementarity", str(paths[0]), str(paths[1])]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert_one_error_line(
+            capsys, f"error: {paths[0]}: malformed record at line 1: id is not valid Unicode"
+        )
 
     def test_auto_rejects_no_post_check(self, workspace, tmp_path):
         with pytest.raises(SystemExit) as err:

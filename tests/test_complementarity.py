@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from cascadekit.complementarity import (
@@ -14,7 +15,7 @@ from cascadekit.complementarity import (
     predicted_label,
 )
 from cascadekit.errors import DataError
-from cascadekit.records import PredictionRecord, align_records
+from cascadekit.records import RecordTable, align_records
 from cascadekit.synthetic import synthetic_pair
 from test_synthetic import synthetic_model
 
@@ -70,23 +71,29 @@ class TestComplementarityValue:
             assert got == complementarity_of_vectors(b, a)
             assert 0.0 <= got <= 1.0
             assert complementarity_of_vectors(a, a) == 0.0
+            from_arrays = complementarity_of_vectors(np.array(a), np.array(b))
+            assert type(from_arrays) is float and from_arrays == got
 
 
 class TestCorrectnessVectors:
     def test_from_aligned_records(self):
-        a = [
-            PredictionRecord("x", 0, (5.0, 0.0)),   # right
-            PredictionRecord("y", 1, (5.0, 0.0)),   # wrong
-        ]
-        b = [
-            PredictionRecord("x", 0, (0.0, 5.0)),   # wrong
-            PredictionRecord("y", 1, (0.0, 5.0)),   # right
-        ]
+        a = RecordTable(["x", "y"], [0, 1], [(5.0, 0.0), (5.0, 0.0)])  # right, wrong
+        b = RecordTable(["x", "y"], [0, 1], [(0.0, 5.0), (0.0, 5.0)])  # wrong, right
         paired = align_records(a, b)
         correct_a, correct_b = correctness_vectors(paired)
-        assert correct_a == [True, False]
-        assert correct_b == [False, True]
+        assert correct_a.tolist() == [True, False]
+        assert correct_b.tolist() == [False, True]
         assert complementarity(paired) == 1.0
+
+    def test_ties_resolve_like_predicted_label(self, bundled_paired):
+        logits = np.array([(1.0, 1.0, 0.0), (0.0, 2.0, 2.0), (3.0, 3.0, 3.0)])
+        table = RecordTable(["t0", "t1", "t2"], [0, 1, 1], logits)
+        correct_a, _ = correctness_vectors(align_records(table, table))
+        assert correct_a.tolist() == [True, True, False]
+        expected_a = [predicted_label(s.logits_a) == s.label for s in bundled_paired.samples]
+        expected_b = [predicted_label(s.logits_b) == s.label for s in bundled_paired.samples]
+        correct_a, correct_b = correctness_vectors(bundled_paired)
+        assert correct_a.tolist() == expected_a and correct_b.tolist() == expected_b
 
 
 class TestMatrix:
@@ -128,11 +135,11 @@ class TestMatrix:
 
     def test_fewer_than_two_models_rejected(self):
         with pytest.raises(DataError, match="at least 2"):
-            complementarity_matrix([[PredictionRecord("a", 0, (1.0, 0.0))]])
+            complementarity_matrix([RecordTable(["a"], [0], [(1.0, 0.0)])])
 
     def test_alignment_error_names_pair(self):
-        a = [PredictionRecord("a", 0, (1.0, 0.0))]
-        b = [PredictionRecord("b", 0, (1.0, 0.0))]
+        a = RecordTable(["a"], [0], [(1.0, 0.0)])
+        b = RecordTable(["b"], [0], [(1.0, 0.0)])
         with pytest.raises(DataError, match=r"pair \(m1, m2\): unmatched id"):
             complementarity_matrix([a, b], ["m1", "m2"])
 

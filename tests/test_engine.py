@@ -23,7 +23,7 @@ from cascadekit.errors import DataError
 from cascadekit.images import ImageBuffer, rotate90
 from cascadekit.metering import aggregate
 from cascadekit.phash import dhash_fingerprint
-from cascadekit.records import PredictionRecord, align_records, load_cost_profile
+from cascadekit.records import RecordTable, align_records, load_cost_profile
 from cascadekit.synthetic import synthetic_image
 from test_calibration_oracles import oracle_decide
 
@@ -49,18 +49,26 @@ def _engine(
     config = CascadeConfig("model_a", "model_b", DIFF, threshold, post_check, memory)
     return CascadeEngine(
         config,
-        ReplayClassifier("model_a", [PredictionRecord(*r) for r in a_rows]),
-        ReplayClassifier("model_b", [PredictionRecord(*r) for r in b_rows]),
+        ReplayClassifier("model_a", _table(a_rows)),
+        ReplayClassifier("model_b", _table(b_rows)),
     )
+
+
+def _table(rows) -> RecordTable:
+    """(id, label, logits) rows as one record table."""
+    ids, labels, logits = zip(*rows)
+    return RecordTable(ids, labels, logits)
 
 
 class TestReplayClassifier:
     def test_replays_logits(self):
-        clf = ReplayClassifier("m", [PredictionRecord("a", 0, (1.0, 2.0))])
-        assert clf.infer("a") == (1.0, 2.0)
+        clf = ReplayClassifier("m", _table([("a", 0, (1.0, 2.0)), ("b", 1, (3.0, 4.0))]))
+        assert clf.infer("a") == [1.0, 2.0]
+        assert clf.infer("b") == [3.0, 4.0]
+        assert all(type(v) is float for v in clf.infer("b"))
 
     def test_unknown_id(self):
-        clf = ReplayClassifier("small", [PredictionRecord("a", 0, (1.0, 2.0))])
+        clf = ReplayClassifier("small", _table([("a", 0, (1.0, 2.0))]))
         with pytest.raises(DataError, match="small: unknown sample id 'b'"):
             clf.infer("b")
 
@@ -103,7 +111,7 @@ class TestClassify:
                 raise AssertionError(f"model B invoked for {sample_id}")
 
         config = CascadeConfig("model_a", "model_b", DIFF, 0.5, True)
-        a = ReplayClassifier("model_a", [PredictionRecord("x1", 0, (6.0, 0.0, 0.0))])
+        a = ReplayClassifier("model_a", _table([("x1", 0, (6.0, 0.0, 0.0))]))
         trace = CascadeEngine(config, a, Unreachable()).classify(SampleRef("x1"))
         assert trace.path == PATH_MODEL_A_ONLY
         assert trace.stages == ("model_a",)
@@ -118,12 +126,8 @@ class TestClassify:
         assert _engine().classify(SampleRef("x1", label=2)).label == 2
 
     def test_matches_offline_decisions(self, bundled_paired):
-        records_a = [
-            PredictionRecord(s.id, s.label, s.logits_a) for s in bundled_paired.samples
-        ]
-        records_b = [
-            PredictionRecord(s.id, s.label, s.logits_b) for s in bundled_paired.samples
-        ]
+        records_a = RecordTable(bundled_paired.ids, bundled_paired.labels, bundled_paired.logits_a)
+        records_b = RecordTable(bundled_paired.ids, bundled_paired.labels, bundled_paired.logits_b)
         config = CascadeConfig("model_a", "model_b", DIFF, 0.62, True, "none")
         engine = CascadeEngine(
             config,
@@ -344,7 +348,7 @@ class TestArgmaxOnLogits:
     LOGITS = (0.0, 1e-20)
 
     def test_engine_offline_rule_and_calibration_agree(self):
-        records = [PredictionRecord("x", 1, self.LOGITS)]
+        records = _table([("x", 1, self.LOGITS)])
         for threshold in (0.0, 1.0):  # model A alone, then escalation to B
             config = CascadeConfig("model_a", "model_b", DIFF, threshold, True)
             engine = CascadeEngine(

@@ -34,7 +34,7 @@ from cascadekit.metering import (
     nearest_rank,
 )
 from cascadekit.phash import dhash_fingerprint
-from cascadekit.records import CostProfile, PredictionRecord, StageCost
+from cascadekit.records import CostProfile, RecordTable, StageCost
 from cascadekit.synthetic import synthetic_image
 
 DIFF = ScoreFunction.DIFFERENCE
@@ -77,7 +77,7 @@ def _samples(count: int, with_images=True) -> list[SampleRef]:
 
 
 def _engine_factory(count: int, memory: str):
-    records = [PredictionRecord(f"d{i}", 0, (5.0, 0.0, 0.0)) for i in range(count)]
+    records = RecordTable([f"d{i}" for i in range(count)], [0] * count, [(5.0, 0.0, 0.0)] * count)
 
     def factory() -> CascadeEngine:
         config = CascadeConfig("model_a", "model_b", DIFF, 0.0, True, memory)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
 import subprocess
 import sys
 import types
@@ -27,6 +28,19 @@ def test_cli_import_leaves_out_exact_arithmetic_modules():
         capture_output=True, text=True, check=True, cwd=SOURCE.parent,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_readme_library_snippet_runs():
+    readme = (SOURCE.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = code.rsplit("# ", 1)[1].strip()  # the comment on the last line
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, cwd=SOURCE.parent.parent,
+        env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
+    ).stdout
+    assert out == expected + "\n"
 
 
 def _file_calls(tree: ast.AST) -> list[str]:

@@ -1,0 +1,253 @@
+"""Reference object path for record parsing and alignment, checked against
+the columnar path.
+
+``oracle_parse`` and ``oracle_align`` are the per-record implementation the
+columnar ``RecordTable`` / ``PairedDataset`` replaced: one ``PredictionRecord``
+per line, and a dict join sorted on the UTF-8 bytes of each id. Hypothesis
+feeds both paths random record files (empty lines, duplicate ids,
+inconsistent logits lengths, ids missing on either side, label
+disagreements, non-ASCII, astral-plane and lone-surrogate ids) and asserts
+the same id order, the same labels, bit-identical logits and the same first
+``DataError`` message.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cascadekit import cli
+from cascadekit.calibration import CascadeConfig
+from cascadekit.confidence import ScoreFunction
+from cascadekit.engine import CascadeEngine, ReplayClassifier, run_batch
+from cascadekit.errors import DataError, parse_json
+from cascadekit.records import RecordTable, align_records, parse_prediction_records
+
+
+@dataclass(frozen=True)
+class PredictionRecord:
+    """One sample's id, true label, and a model's raw logits."""
+
+    id: str
+    label: int
+    logits: tuple[float, ...]
+
+
+def _oracle_record(obj: object, line_no: int, expected_k: int | None) -> PredictionRecord:
+    if not isinstance(obj, dict):
+        raise DataError(f"malformed record at line {line_no}: expected a JSON object")
+    if set(obj) != {"id", "label", "logits"}:
+        raise DataError(
+            f"malformed record at line {line_no}: expected exactly keys id, label, logits"
+        )
+    rid, label, logits = obj["id"], obj["label"], obj["logits"]
+    if not isinstance(rid, str):
+        raise DataError(f"malformed record at line {line_no}: id must be a string")
+    if any(0xD800 <= ord(c) <= 0xDFFF for c in rid):
+        raise DataError(f"malformed record at line {line_no}: id is not valid Unicode")
+    if isinstance(label, bool) or not isinstance(label, int):
+        raise DataError(f"malformed record at line {line_no}: label must be an integer")
+    if not isinstance(logits, list) or len(logits) < 2:
+        raise DataError(
+            f"malformed record at line {line_no}: logits must be an array of length >= 2"
+        )
+    values = []
+    for v in logits:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise DataError(f"malformed record at line {line_no}: non-numeric logit")
+        try:
+            f = float(v)
+        except OverflowError:
+            raise DataError(f"logit out of float range at line {line_no}") from None
+        if not math.isfinite(f):
+            raise DataError(f"non-finite logit at line {line_no}")
+        values.append(f)
+    if expected_k is not None and len(values) != expected_k:
+        raise DataError(f"inconsistent logits length at line {line_no}")
+    if not 0 <= label < len(values):
+        raise DataError(f"label out of range at line {line_no}")
+    return PredictionRecord(rid, label, tuple(values))
+
+
+def oracle_parse(data: bytes | str) -> list[PredictionRecord]:
+    records: list[PredictionRecord] = []
+    seen: set[str] = set()
+    newline = b"\n" if isinstance(data, bytes) else "\n"
+    for line_no, line in enumerate(data.split(newline), start=1):
+        if not line:
+            continue
+        try:
+            obj = parse_json(line, "record")
+        except DataError:
+            raise DataError(f"malformed record at line {line_no}: invalid JSON") from None
+        record = _oracle_record(obj, line_no, len(records[-1].logits) if records else None)
+        if record.id in seen:
+            raise DataError(f"duplicate id {record.id} at line {line_no}")
+        seen.add(record.id)
+        records.append(record)
+    return records
+
+
+def oracle_align(
+    a: list[PredictionRecord], b: list[PredictionRecord]
+) -> list[tuple[str, int, tuple[float, ...], tuple[float, ...]]]:
+    """(id, label, logits_a, logits_b) per sample, sorted on UTF-8 bytes."""
+    if not a or not b:
+        raise DataError("cannot align empty record lists")
+    if len(a[0].logits) != len(b[0].logits):
+        raise DataError(
+            f"logits length mismatch between files: {len(a[0].logits)} vs {len(b[0].logits)}"
+        )
+    by_id_a: dict[str, PredictionRecord] = {}
+    by_id_b: dict[str, PredictionRecord] = {}
+    for records, by_id in ((a, by_id_a), (b, by_id_b)):
+        for r in records:
+            if r.id in by_id:
+                raise DataError(f"duplicate id {r.id}")
+            by_id[r.id] = r
+    for rid in [*by_id_a, *by_id_b]:
+        if rid not in by_id_a or rid not in by_id_b:
+            raise DataError(f"unmatched id {rid}")
+    rows = []
+    for rid in sorted(by_id_a, key=lambda s: s.encode("utf-8")):
+        ra, rb = by_id_a[rid], by_id_b[rid]
+        if ra.label != rb.label:
+            raise DataError(f"label disagreement for {rid}")
+        rows.append((rid, ra.label, ra.logits, rb.logits))
+    return rows
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DataError as exc:
+        return DataError, str(exc)
+
+
+def _bits(rows) -> bytes:
+    return np.array(rows, dtype=np.float64).tobytes()
+
+
+def assert_table_matches(table: RecordTable, records: list[PredictionRecord]) -> None:
+    assert table.ids == tuple(r.id for r in records)
+    assert table.labels.dtype == np.int64 and table.logits.dtype == np.float64
+    assert table.labels.tolist() == [r.label for r in records]
+    assert table.logits.shape[0] == len(records)
+    if records:
+        assert table.logits.tobytes() == _bits([r.logits for r in records])
+
+
+# Ids from a small pool so that files share, repeat and miss ids; the pool
+# mixes ASCII, Latin-1, BMP and astral-plane characters whose UTF-16 and
+# UTF-8 orders differ, and now and then a lone surrogate.
+ID_CHARS = ["a", "b", "Z", "é", "ÿ", "中", "\uffff", "😀", "\U0010fffd"]
+ids_st = st.text(alphabet=st.sampled_from(ID_CHARS), min_size=1, max_size=3).map(
+    lambda rid: rid + "\ud800" if rid == "Z" else rid
+)
+logit_st = st.one_of(
+    st.floats(-50, 50, allow_nan=False),
+    st.integers(-5, 5),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e300]),
+)
+
+
+@st.composite
+def record_line(draw, rid: str, label: int, k: int) -> str:
+    if draw(st.integers(0, 9)) == 0:
+        label = draw(st.integers(-1, k))  # a disagreement, or out of range
+    if draw(st.integers(0, 19)) == 0:
+        k = draw(st.sampled_from([k - 1, k + 1]))  # inconsistent length (or < 2)
+    logits = draw(st.lists(logit_st, min_size=k, max_size=k))
+    record = {"id": rid, "label": label, "logits": logits}
+    return json.dumps(record, ensure_ascii=draw(st.booleans()))
+
+
+@st.composite
+def record_file(draw, chosen: list[str], labels: dict[str, int], k: int) -> str:
+    lines = []
+    for rid in chosen:
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+        lines.append(draw(record_line(rid, labels[rid], k)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@st.composite
+def record_file_pair(draw) -> tuple[str, str]:
+    pool = draw(st.lists(ids_st, min_size=1, max_size=6, unique=True))
+    k = draw(st.integers(2, 4))
+    labels = {rid: draw(st.integers(0, k - 1)) for rid in pool}
+    ids = st.lists(
+        st.sampled_from(pool),
+        min_size=0 if draw(st.integers(0, 9)) == 0 else 1,
+        max_size=8,
+        unique=draw(st.integers(0, 9)) > 0,
+    )
+    chosen_a = draw(ids)
+    # mostly the same ids in another order; else an independent draw
+    chosen_b = draw(st.permutations(chosen_a) if draw(st.integers(0, 3)) else ids)
+    k_b = k if draw(st.integers(0, 9)) else k + 1
+    return draw(record_file(chosen_a, labels, k)), draw(record_file(chosen_b, labels, k_b))
+
+
+@given(record_file_pair(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_columnar_parse_and_align_match_object_oracle(texts, as_bytes):
+    # a raw lone surrogate encodes to bytes that are not UTF-8
+    data = [t.encode("utf-8", "surrogatepass") if as_bytes else t for t in texts]
+    parsed = [_outcome(parse_prediction_records, d) for d in data]
+    expected = [_outcome(oracle_parse, d) for d in data]
+    for got, want in zip(parsed, expected):
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_table_matches(got, want)
+    if any(isinstance(want, tuple) for want in expected):
+        return
+    table_a, table_b = parsed
+    paired = _outcome(align_records, table_a, table_b)
+    rows = _outcome(oracle_align, *expected)
+    if isinstance(rows, tuple):
+        assert paired == rows
+        return
+    assert paired.ids == tuple(r[0] for r in rows)
+    assert paired.labels.dtype == np.int64
+    assert paired.labels.tolist() == [r[1] for r in rows]
+    assert paired.logits_a.tobytes() == _bits([r[2] for r in rows])
+    assert paired.logits_b.tobytes() == _bits([r[3] for r in rows])
+    replay = ReplayClassifier("m", table_a)
+    for r in expected[0]:
+        assert replay.infer(r.id) == list(r.logits)
+
+
+def test_sorted_ids_follow_utf8_byte_order():
+    # UTF-16 order would put the astral character before U+FFFF
+    ids = ["￿", "😀", "é", "a", "\U0010fffd", "中"]
+    table = RecordTable(ids, [0] * len(ids), [[1.0, 0.0]] * len(ids))
+    paired = align_records(table, table)
+    assert list(paired.ids) == sorted(ids, key=lambda s: s.encode("utf-8"))
+
+
+def test_trace_and_sample_labels_are_python_ints(data_dir):
+    config = CascadeConfig("model_a", "model_b", ScoreFunction.DIFFERENCE, 0.5, True)
+    args = argparse.Namespace(
+        records_a=str(data_dir / "model_a.jsonl"),
+        records_b=str(data_dir / "model_b.jsonl"),
+        images=None,
+    )
+    classifier_a, classifier_b, samples = cli._load_samples(
+        args, config, with_images=False, with_labels=True
+    )
+    traces, _ = run_batch(CascadeEngine(config, classifier_a, classifier_b), samples)
+    assert all(type(t.label) is int and type(t.predicted) is int for t in traces)
+    paired = align_records(
+        parse_prediction_records((data_dir / "model_a.jsonl").read_bytes()),
+        parse_prediction_records((data_dir / "model_b.jsonl").read_bytes()),
+    )
+    assert all(type(s.label) is int and type(s.logits_a[0]) is float for s in paired.samples)

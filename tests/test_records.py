@@ -3,11 +3,12 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
 
 from cascadekit.errors import DataError
 from cascadekit.records import (
-    PredictionRecord,
+    RecordTable,
     align_records,
     format_prediction_records,
     load_cost_profile,
@@ -23,21 +24,31 @@ def _line(sample_id: str, label: int, logits: list[float]) -> str:
 class TestParseRecords:
     def test_happy_path(self):
         text = _line("a", 0, [1.5, -0.5]) + "\n" + _line("b", 1, [0.0, 2.0]) + "\n"
-        records = parse_prediction_records(text)
-        assert len(records) == 2
-        assert records[0] == PredictionRecord("a", 0, (1.5, -0.5))
-        assert records[1].logits == (0.0, 2.0)
+        table = parse_prediction_records(text)
+        assert len(table) == 2
+        assert table.ids == ("a", "b")
+        assert table.labels.dtype == np.int64 and table.labels.tolist() == [0, 1]
+        assert table.logits.dtype == np.float64
+        assert table.logits.tolist() == [[1.5, -0.5], [0.0, 2.0]]
+
+    def test_columns_are_read_only(self):
+        table = parse_prediction_records(_line("a", 1, [0.0, 1.0]))
+        with pytest.raises(ValueError):
+            table.logits[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            table.labels[0] = 0
 
     def test_accepts_bytes(self):
-        records = parse_prediction_records(_line("a", 1, [0.0, 1.0]).encode())
-        assert records[0].label == 1
+        table = parse_prediction_records(_line("a", 1, [0.0, 1.0]).encode())
+        assert table.labels.tolist() == [1]
 
     def test_skips_empty_lines(self):
         text = "\n" + _line("a", 0, [1.0, 0.0]) + "\n\n" + _line("b", 0, [1.0, 0.0]) + "\n\n"
         assert len(parse_prediction_records(text)) == 2
 
     def test_empty_input(self):
-        assert parse_prediction_records("") == []
+        table = parse_prediction_records("")
+        assert len(table) == 0 and table.logits.shape == (0, 0)
 
     def test_invalid_json_names_line(self):
         text = _line("a", 0, [1.0, 0.0]) + "\n{oops\n"
@@ -92,61 +103,94 @@ class TestParseRecords:
         with pytest.raises(DataError, match="duplicate id a at line 2"):
             parse_prediction_records(text)
 
+    def test_lone_surrogate_id_rejected(self):
+        text = _line("a", 0, [1.0, 0.0]) + "\n" + _line("\ud800", 0, [1.0, 0.0]) + "\n"
+        with pytest.raises(DataError, match="line 2: id is not valid Unicode"):
+            parse_prediction_records(text)
+
 
 class TestFormatRecords:
     def test_round_trip_exact(self):
         rng = random.Random(3)
-        records = [
-            PredictionRecord(f"id{i}", i % 4, tuple(rng.uniform(-9, 9) for _ in range(4)))
-            for i in range(25)
-        ]
-        again = parse_prediction_records(format_prediction_records(records))
-        assert again == records
+        table = RecordTable(
+            [f"id{i}" for i in range(25)],
+            [i % 4 for i in range(25)],
+            [[rng.uniform(-9, 9) for _ in range(4)] for _ in range(25)],
+        )
+        again = parse_prediction_records(format_prediction_records(table))
+        assert again.ids == table.ids
+        assert again.labels.tolist() == table.labels.tolist()
+        assert again.logits.tobytes() == table.logits.tobytes()
 
     def test_trailing_newline(self):
-        out = format_prediction_records([PredictionRecord("a", 0, (1.0, 2.0))])
-        assert out.endswith("\n")
-        assert out.count("\n") == 1
+        out = format_prediction_records(RecordTable(["a"], [0], [[1.0, 2.0]]))
+        assert out == '{"id":"a","label":0,"logits":[1.0,2.0]}\n'
 
     def test_empty_list(self):
-        assert format_prediction_records([]) == ""
+        assert format_prediction_records(RecordTable([], [], [])) == ""
 
 
 class TestAlignRecords:
     def _recs(self, ids, label=0):
-        return [PredictionRecord(i, label, (1.0, 0.0)) for i in ids]
+        return RecordTable(ids, [label] * len(ids), [[1.0, 0.0]] * len(ids))
 
     def test_sorted_by_utf8_bytes(self):
         a = self._recs(["s2", "s10", "a"])
         b = self._recs(["s10", "a", "s2"])
         paired = align_records(a, b)
-        assert [s.id for s in paired.samples] == ["a", "s10", "s2"]
-        assert paired.num_classes == 2
+        assert paired.ids == ("a", "s10", "s2")
+        assert paired.logits_a.shape == paired.logits_b.shape == (3, 2)
+
+    def test_rows_follow_their_ids(self):
+        a = RecordTable(["y", "x"], [1, 0], [[0.0, 2.0], [3.0, 0.0]])
+        b = RecordTable(["x", "y"], [0, 1], [[4.0, 0.0], [0.0, 5.0]])
+        paired = align_records(a, b)
+        assert paired.ids == ("x", "y")
+        assert paired.labels.tolist() == [0, 1]
+        assert paired.logits_a.tolist() == [[3.0, 0.0], [0.0, 2.0]]
+        assert paired.logits_b.tolist() == [[4.0, 0.0], [0.0, 5.0]]
 
     def test_unmatched_id(self):
         with pytest.raises(DataError, match="unmatched id b"):
             align_records(self._recs(["a", "b"]), self._recs(["a", "c"]))
+        with pytest.raises(DataError, match="unmatched id c"):
+            align_records(self._recs(["a"]), self._recs(["c", "a"]))
+
+    def test_duplicate_id_in_a_hand_built_table(self):
+        with pytest.raises(DataError, match="duplicate id b"):
+            align_records(self._recs(["a"]), self._recs(["b", "a", "b"]))
+
+    def test_empty_table(self):
+        with pytest.raises(DataError, match="cannot align empty record lists"):
+            align_records(self._recs([]), self._recs(["a"]))
 
     def test_label_disagreement(self):
-        a = [PredictionRecord("a", 0, (1.0, 0.0))]
-        b = [PredictionRecord("a", 1, (1.0, 0.0))]
-        with pytest.raises(DataError, match="label disagreement for a"):
+        a = RecordTable(["a", "b", "c"], [0, 1, 0], [[1.0, 0.0]] * 3)
+        b = RecordTable(["c", "b", "a"], [1, 0, 0], [[1.0, 0.0]] * 3)
+        with pytest.raises(DataError, match="label disagreement for b"):
             align_records(a, b)
 
     def test_logits_length_mismatch(self):
-        a = [PredictionRecord("a", 0, (1.0, 0.0))]
-        b = [PredictionRecord("a", 0, (1.0, 0.0, 0.0))]
-        with pytest.raises(DataError, match="logits length mismatch"):
+        a = RecordTable(["a"], [0], [[1.0, 0.0]])
+        b = RecordTable(["a"], [0], [[1.0, 0.0, 0.0]])
+        with pytest.raises(DataError, match="logits length mismatch between files: 2 vs 3"):
             align_records(a, b)
 
     def test_swapped_flips_columns_and_names(self):
-        a = [PredictionRecord("a", 0, (5.0, 0.0))]
-        b = [PredictionRecord("a", 0, (0.0, 5.0))]
+        a = RecordTable(["a"], [0], [[5.0, 0.0]])
+        b = RecordTable(["a"], [0], [[0.0, 5.0]])
         paired = align_records(a, b, "small", "big")
         flipped = paired.swapped()
         assert flipped.name_a == "big" and flipped.name_b == "small"
-        assert flipped.samples[0].logits_a == (0.0, 5.0)
-        assert flipped.samples[0].logits_b == (5.0, 0.0)
+        assert flipped.samples[0].logits_a == [0.0, 5.0]
+        assert flipped.samples[0].logits_b == [5.0, 0.0]
+
+    def test_swapped_exchanges_references(self, bundled_paired):
+        flipped = bundled_paired.swapped()
+        assert flipped.logits_a is bundled_paired.logits_b
+        assert flipped.logits_b is bundled_paired.logits_a
+        assert flipped.ids is bundled_paired.ids and flipped.labels is bundled_paired.labels
+        assert flipped.swapped().logits_a is bundled_paired.logits_a
 
 
 def _profile_dict():

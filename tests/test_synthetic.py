@@ -3,11 +3,16 @@ from __future__ import annotations
 import random
 
 from cascadekit.complementarity import complementarity
-from cascadekit.records import PredictionRecord, align_records, parse_prediction_records
+from cascadekit.records import (
+    RecordTable,
+    align_records,
+    format_prediction_records,
+    parse_prediction_records,
+)
 from cascadekit.synthetic import (
     BUNDLED_CLASSES,
     BUNDLED_COUNT,
-    _record,
+    _logits,
     synthetic_image,
     synthetic_pair,
     write_bundled_pair,
@@ -20,43 +25,40 @@ def synthetic_model(
     num_classes: int,
     accuracy: float,
     seed: int,
-) -> list[PredictionRecord]:
+) -> RecordTable:
     """Records for one extra model over an existing id/label assignment."""
     rng = random.Random(seed)
-    return [
-        _record(rng, sample_id, label, num_classes, rng.random() < accuracy)
-        for sample_id, label in zip(ids, labels)
-    ]
+    rows = [_logits(rng, label, num_classes, rng.random() < accuracy) for label in labels]
+    return RecordTable(ids, labels, rows)
 
 
-def _accuracy(records) -> float:
-    right = sum(
-        1
-        for r in records
-        if max(range(len(r.logits)), key=lambda i: r.logits[i]) == r.label
-    )
+def _accuracy(records: RecordTable) -> float:
+    rows, labels = records.logits.tolist(), records.labels.tolist()
+    right = sum(1 for row, label in zip(rows, labels) if row.index(max(row)) == label)
     return right / len(records)
+
+
+def _text(pair: tuple[RecordTable, RecordTable]) -> tuple[str, str]:
+    return format_prediction_records(pair[0]), format_prediction_records(pair[1])
 
 
 class TestSyntheticPair:
     def test_deterministic(self):
-        one = synthetic_pair(50, 10, seed=3)
-        two = synthetic_pair(50, 10, seed=3)
-        assert one == two
-        assert synthetic_pair(50, 10, seed=4) != one
+        one = _text(synthetic_pair(50, 10, seed=3))
+        assert _text(synthetic_pair(50, 10, seed=3)) == one
+        assert _text(synthetic_pair(50, 10, seed=4)) != one
 
     def test_shape(self):
         records_a, records_b = synthetic_pair(12, 5, seed=1)
-        assert [r.id for r in records_a] == [f"s{i:02d}" for i in range(12)]
-        assert [r.id for r in records_a] == [r.id for r in records_b]
-        assert all(r.label == b.label for r, b in zip(records_a, records_b))
-        assert all(len(r.logits) == 5 for r in records_a + records_b)
-        assert all(0 <= r.label < 5 for r in records_a)
+        assert records_a.ids == tuple(f"s{i:02d}" for i in range(12))
+        assert records_a.ids == records_b.ids
+        assert records_a.labels.tolist() == records_b.labels.tolist()
+        assert records_a.logits.shape == records_b.logits.shape == (12, 5)
+        assert all(0 <= label < 5 for label in records_a.labels.tolist())
 
     def test_ids_sort_like_integers(self):
         records_a, _ = synthetic_pair(120, 4, seed=2)
-        ids = [r.id for r in records_a]
-        assert ids == sorted(ids)
+        assert list(records_a.ids) == sorted(records_a.ids)
 
     def test_models_are_decent_but_imperfect(self):
         records_a, records_b = synthetic_pair(400, 10, seed=5)
@@ -82,8 +84,8 @@ class TestSyntheticModel:
         ids = ["x", "y", "z"]
         labels = [2, 0, 1]
         records = synthetic_model(ids, labels, 3, accuracy=0.5, seed=1)
-        assert [r.id for r in records] == ids
-        assert [r.label for r in records] == labels
+        assert list(records.ids) == ids
+        assert records.labels.tolist() == labels
 
 
 class TestSyntheticImage:
@@ -111,4 +113,4 @@ class TestBundledData:
         records_b = parse_prediction_records((data_dir / "model_b.jsonl").read_bytes())
         assert len(records_a) == BUNDLED_COUNT
         paired = align_records(records_a, records_b)
-        assert paired.num_classes == BUNDLED_CLASSES
+        assert paired.logits_a.shape == paired.logits_b.shape == (BUNDLED_COUNT, BUNDLED_CLASSES)
