@@ -18,9 +18,8 @@ from .complementarity import (
     complementarity,
     complementarity_matrix,
     correctness_vectors,
-    predicted_label,
 )
-from .confidence import ScoreFunction, better_score, passes_threshold, score, softmax
+from .confidence import ScoreFunction, score, softmax
 from .engine import (
     CascadeEngine,
     Classifier,
@@ -89,7 +88,6 @@ __all__ = [
     "aggregate",
     "align_records",
     "auto_select",
-    "better_score",
     "candidate_lambdas",
     "compare",
     "complementarity",
@@ -109,8 +107,6 @@ __all__ = [
     "moments_fingerprint",
     "nearest_rank",
     "parse_prediction_records",
-    "passes_threshold",
-    "predicted_label",
     "run_batch",
     "save_config",
     "score",

@@ -3,9 +3,9 @@
 The rule: score model A's softmax output; if the score passes the threshold,
 A's prediction stands and model B is never invoked. Otherwise B runs too, and
 either B wins or, with post-check enabled, the better-scoring model does (A
-on a tie). It lives here only: ``decide`` applies it to one sample and is
-what the runtime engine calls; ``_sweep`` applies it to a whole validation
-pair at every threshold at once.
+on a tie). It lives here only, in two forms over the same row kernels:
+``decide`` applies it to a batch at one threshold for the runtime engine, and
+``_sweep`` to a whole validation pair at every threshold at once.
 
 Calibration keeps the most accurate threshold. The candidate set (midpoints
 between consecutive distinct model-A scores, plus the endpoints 0 and 1)
@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .complementarity import correct_rows, predicted_label
-from .confidence import ScoreFunction, better_score, passes_threshold, score, softmax
-from .confidence import score_rows, softmax_rows
+from .complementarity import correct_rows
+from .confidence import ScoreFunction, score_rows, softmax_rows
 from .errors import DataError, read_json, write_text
 from .phash import FINGERPRINTS
 from .records import PairedDataset
@@ -94,24 +93,35 @@ def load_config(path: str) -> CascadeConfig:
 
 
 def decide(
-    config: CascadeConfig, logits_a: Sequence[float], infer_b: Callable[[], Sequence[float]]
-) -> tuple[int, str, float, float | None]:
-    """Apply the cascade rule to one sample.
+    config: CascadeConfig, logits_a: np.ndarray, infer_b: Callable[[np.ndarray], Iterable[Sequence[float]]]
+) -> tuple[list[int], list[bool], list[float], list[float | None]]:
+    """Apply the cascade rule to each row of an N x K matrix of model-A logits.
 
-    Returns (predicted label, chosen, score_a, score_b) with chosen in
-    {"a", "b"}. ``infer_b`` yields model B's logits and is called only when
-    A's score misses the threshold; score_b is None when it was not called.
+    Returns per-row lists (predicted label, A chosen, score_a, score_b), with
+    score_b None where A passed. ``infer_b`` is called once, only if some rows
+    miss the threshold, with their indices; it yields model B's logits for
+    each in turn, and each is length-checked before the next is asked for.
     """
     score_fn = config.score_fn
-    score_a = score(softmax(logits_a), score_fn)
-    if passes_threshold(score_a, config.threshold, score_fn):
-        return predicted_label(logits_a), "a", score_a, None
-    logits_b = infer_b()
-    if len(logits_b) != len(logits_a):
-        raise DataError("logits length mismatch between models")
-    score_b = score(softmax(logits_b), score_fn)
-    chosen = better_score(score_a, score_b, score_fn) if config.post_check else "b"
-    return predicted_label(logits_a if chosen == "a" else logits_b), chosen, score_a, score_b
+    scores_a = score_rows(softmax_rows(logits_a), score_fn)
+    key_a = score_fn.oriented(scores_a)
+    escalated = np.flatnonzero(key_a < score_fn.oriented(config.threshold))  # equality passes
+    predicted = logits_a.argmax(axis=1)  # lowest index on ties
+    chosen_a = np.ones(len(logits_a), dtype=bool)
+    scores_b = np.full(len(logits_a), None)  # stays None where A passes
+    if escalated.size:
+        rows_b = []
+        for row in infer_b(escalated):
+            if len(row) != logits_a.shape[1]:
+                raise DataError("logits length mismatch between models")
+            rows_b.append(row)
+        logits_b = np.array(rows_b, dtype=np.float64)
+        escalated_b = score_rows(softmax_rows(logits_b), score_fn)
+        keep_a = (key_a[escalated] >= score_fn.oriented(escalated_b)) & config.post_check  # ties keep A
+        chosen_a[escalated] = keep_a
+        predicted[escalated] = np.where(keep_a, predicted[escalated], logits_b.argmax(axis=1))
+        scores_b[escalated] = escalated_b
+    return predicted.tolist(), chosen_a.tolist(), scores_a.tolist(), scores_b.tolist()
 
 
 def _model_columns(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, dict]:

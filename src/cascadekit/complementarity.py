@@ -16,18 +16,9 @@ from .errors import DataError
 from .records import PairedDataset, RecordTable, align_records
 
 
-def predicted_label(logits: Sequence[float]) -> int:
-    """Index of the maximum logit; ties resolve to the lowest index."""
-    best = 0
-    for i in range(1, len(logits)):
-        if logits[i] > logits[best]:
-            best = i
-    return best
-
-
 def correct_rows(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Whether each row's predicted label (``predicted_label``: argmax, lowest
-    index on ties) equals its label."""
+    """Whether each row's predicted label (the argmax of the logits, lowest
+    index on ties, as ``calibration.decide`` picks it) equals its label."""
     return logits.argmax(axis=1) == labels
 
 

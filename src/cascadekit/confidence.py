@@ -3,8 +3,8 @@
 Three score functions are supported; for ``max`` and ``diff`` a higher score
 means higher confidence, for ``entropy`` a lower score does.
 ``ScoreFunction.oriented`` is the one place that direction is applied: the
-threshold test, the A-vs-B comparator and the calibration sweep all compare
-oriented scores.
+cascade rule in ``calibration`` compares oriented scores of the row kernels
+``softmax_rows`` / ``score_rows``, which match ``softmax`` / ``score`` bit for bit.
 """
 
 from __future__ import annotations
@@ -69,14 +69,15 @@ def softmax(logits: Sequence[float]) -> list[float]:
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """``softmax`` of each row of an N x K float64 matrix, bit for bit: one
-    ``math.exp`` per element (numpy's exp can differ in the last bit) and
-    ``sum`` over the columns, which adds them left to right as ``softmax`` does."""
+    ``math.exp`` per element (numpy's exp can differ in the last bit; Python
+    floats map faster than numpy scalars) and ``sum`` over the columns, which
+    adds them left to right as ``softmax`` does."""
     if logits.shape[1] < 2:
         raise DataError("softmax needs at least 2 logits")
     if not np.isfinite(logits).all():
         raise DataError("non-finite logit")
     shifted = (logits - logits.max(axis=1, keepdims=True)).ravel()
-    exps = np.fromiter(map(math.exp, shifted), np.float64, shifted.size).reshape(logits.shape)
+    exps = np.fromiter(map(math.exp, shifted.tolist()), np.float64, shifted.size).reshape(logits.shape)
     return exps / sum(exps.T)[:, None]
 
 
@@ -126,16 +127,5 @@ def score_rows(probs: np.ndarray, kind: ScoreFunction) -> np.ndarray:
         top = np.partition(probs, -2, axis=1)
         return top[:, -1] - top[:, -2]
     positive = np.where(probs > 0.0, probs, 1.0).ravel()  # p = 0 takes ln 1: 0 ln 0 = 0
-    logs = np.fromiter(map(math.log, positive), np.float64, positive.size).reshape(probs.shape)
+    logs = np.fromiter(map(math.log, positive.tolist()), np.float64, positive.size).reshape(probs.shape)
     return -sum((probs * logs).T) / entropy_denominator(probs.shape[1])
-
-
-def passes_threshold(s: float, threshold: float, kind: ScoreFunction) -> bool:
-    """True iff the first model's answer is accepted (second model not
-    invoked). Equality accepts, minimizing second-model usage."""
-    return kind.oriented(s) >= kind.oriented(threshold)
-
-
-def better_score(score_a: float, score_b: float, kind: ScoreFunction) -> str:
-    """Post-check comparator: returns "a" or "b"; ties favor "a"."""
-    return "a" if passes_threshold(score_a, score_b, kind) else "b"

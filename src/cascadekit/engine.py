@@ -1,13 +1,13 @@
 """Runtime cascade engine: memory lookup, then the cascade rule over two classifiers.
 
 The rule itself (threshold test, model B on escalation, post-check) is
-``calibration.decide``; the engine adds the memory around it and traces
-every sample. Each StageTrace names the path taken and the exact stages
-executed, which is what the metering module prices. With
-memory enabled the engine fingerprints the (grayscaled) image first and
-skips both models on a hit; the predicted label of every non-hit sample is
-inserted afterwards, so hits replay earlier cascade decisions, mistakes
-included.
+``calibration.decide``, the batch form of the rule calibration sweeps; the
+engine adds the memory around it and traces every sample. Each StageTrace
+names the path taken and the exact stages executed, which is what the
+metering module prices. With memory enabled the engine fingerprints the
+(grayscaled) image first and skips both models on a hit; the predicted
+label of every non-hit sample is inserted afterwards, so hits replay
+earlier cascade decisions, mistakes included.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Protocol, Sequence
+
+import numpy as np
 
 from .calibration import CascadeConfig, decide
 from .errors import DataError
@@ -82,64 +84,69 @@ class CascadeEngine:
     def _fingerprint(self, image: ImageBuffer) -> Fingerprint:
         return FINGERPRINTS[self.config.memory](to_grayscale(image))
 
-    def classify(self, sample: SampleRef) -> StageTrace:
-        """Run one sample through the pipeline and trace every stage.
+    def run(self, samples: Sequence[SampleRef]) -> list[StageTrace]:
+        """Classify samples in stream order and trace every stage.
 
-        A hash failure (for instance an all-black image under the moments
-        method) does not abort the sample: it degrades to the no-memory
-        path and is recorded on the trace.
+        Pass 1 asks model A for every memory miss; a sample hits if its
+        fingerprint is in the store or is an earlier miss's, so no hit waits
+        on a decision. One ``decide`` over the misses then asks model B for
+        the escalated ones. A hash failure (say, an all-black image under
+        moments) degrades the sample to the no-memory path and is recorded on
+        the trace. The first bad sample in stream order raises, after the
+        samples before it are decided.
         """
-        stages: list[str] = []
-        fp: Fingerprint | None = None
-        hash_error: str | None = None
-        if self.store is not None:
-            if sample.image is None:
-                raise DataError(
-                    f"sample {sample.id!r}: image required when memory={self.config.memory}"
-                )
-            try:
-                fp = self._fingerprint(sample.image)
-            except DataError as exc:
-                hash_error = str(exc)
+        plan = []  # (sample, fingerprint, hash error, hit) per sample
+        fresh: set[Fingerprint] = set()  # fingerprints of this batch's misses
+        rows_a: list[Sequence[float]] = []
+        error: DataError | None = None
+        try:
+            for sample in samples:
+                fp = hash_error = None
+                if self.store is not None:
+                    if sample.image is None:
+                        raise DataError(f"sample {sample.id!r}: image required when memory={self.config.memory}")
+                    try:
+                        fp = self._fingerprint(sample.image)
+                    except DataError as exc:
+                        hash_error = str(exc)
+                hit = fp is not None and (fp in fresh or self.store.lookup(fp) is not None)
+                if not hit:
+                    row = self.classifier_a.infer(sample.id)
+                    if rows_a and len(row) != len(rows_a[0]):
+                        raise DataError("logits length mismatch between samples")
+                    rows_a.append(row)
+                    if fp is not None:
+                        fresh.add(fp)
+                plan.append((sample, fp, hash_error, hit))
+        except DataError as exc:
+            error = exc
+        decisions = iter(())
+        if rows_a:
+            miss_ids = [sample.id for sample, _, _, hit in plan if not hit]
+            decisions = zip(*decide(self.config, np.array(rows_a, dtype=np.float64), lambda rows: (
+                self.classifier_b.infer(miss_ids[r]) for r in rows.tolist()
+            )))
+        traces = []
+        for sample, fp, hash_error, hit in plan:
+            if hit:  # first seen before this batch or earlier in this loop
+                traces.append(StageTrace(sample.id, PATH_MEMORY_HIT, "memory", self.store.lookup(fp),
+                                         sample.label, None, None, ("memory_lookup",)))
+                continue
+            predicted, chosen_a, score_a, score_b = next(decisions)
+            stages = ("model_a",) if score_b is None else ("model_a", "model_b")
             if fp is not None:
-                stages.append("memory_lookup")
-                hit = self.store.lookup(fp)
-                if hit is not None:
-                    return StageTrace(
-                        sample_id=sample.id,
-                        path=PATH_MEMORY_HIT,
-                        chosen="memory",
-                        predicted=hit,
-                        label=sample.label,
-                        score_a=None,
-                        score_b=None,
-                        stages=tuple(stages),
-                    )
+                stages = ("memory_lookup", *stages, "memory_insert")
+                self.store.insert(fp, predicted)
+            path = PATH_MODEL_A_ONLY if score_b is None else PATH_MODEL_AB
+            traces.append(StageTrace(sample.id, path, "a" if chosen_a else "b", predicted, sample.label,
+                                     score_a, score_b, stages, hash_error))
+        if error is not None:
+            raise error
+        return traces
 
-        stages.append("model_a")
-        logits_a = self.classifier_a.infer(sample.id)
-        predicted, chosen, score_a, score_b = decide(
-            self.config, logits_a, lambda: self.classifier_b.infer(sample.id)
-        )
-        path = PATH_MODEL_A_ONLY if score_b is None else PATH_MODEL_AB
-        if score_b is not None:
-            stages.append("model_b")
-
-        if fp is not None:
-            stages.append("memory_insert")
-            assert self.store is not None
-            self.store.insert(fp, predicted)
-        return StageTrace(
-            sample_id=sample.id,
-            path=path,
-            chosen=chosen,
-            predicted=predicted,
-            label=sample.label,
-            score_a=score_a,
-            score_b=score_b,
-            stages=tuple(stages),
-            hash_error=hash_error,
-        )
+    def classify(self, sample: SampleRef) -> StageTrace:
+        """``run`` on a batch of one; the memo store persists across calls."""
+        return self.run([sample])[0]
 
 
 @dataclass(frozen=True)
@@ -194,7 +201,7 @@ class BatchSummary:
 
 
 def run_batch(engine: CascadeEngine, samples: Sequence[SampleRef]) -> tuple[list[StageTrace], BatchSummary]:
-    """Classify samples sequentially in input order.
+    """Classify samples in input order with ``CascadeEngine.run``.
 
     Order matters when memory is enabled: an earlier sample's insert is a
     later duplicate's hit. Accuracy and macro metrics come from
@@ -202,7 +209,7 @@ def run_batch(engine: CascadeEngine, samples: Sequence[SampleRef]) -> tuple[list
     """
     if not samples:
         raise DataError("empty batch")
-    traces = [engine.classify(s) for s in samples]
+    traces = engine.run(samples)
     path_counts = {p: 0 for p in PATHS}
     for t in traces:
         path_counts[t.path] += 1

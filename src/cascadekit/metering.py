@@ -134,7 +134,6 @@ def aggregate(
     traces: Sequence[StageTrace],
     costs: CostProfile,
     config: CascadeConfig | None = None,
-    include_metrics: bool = True,
 ) -> RunReport:
     """Sum a trace list into a RunReport against one cost profile."""
     if not traces:
@@ -162,7 +161,7 @@ def aggregate(
     if all(c is not None for c in currents):
         total_current = sum(count * costs.stages[s].current_mah for s, count in stage_counts.items())
     metrics = None
-    if include_metrics and all(t.label is not None for t in traces):
+    if all(t.label is not None for t in traces):
         metrics = macro_metrics([t.label for t in traces], [t.predicted for t in traces])
     return RunReport(
         sample_count=len(traces),
@@ -285,7 +284,7 @@ def duplication_experiment(
         for ratio, stream in zip(ordered_ratios, streams):
             engine = factory()
             traces, _ = run_batch(engine, stream)
-            report = aggregate(traces, costs, include_metrics=False)
+            report = aggregate(traces, costs)
             points.append((ratio, report.total_energy_wh, report.path_counts[PATH_MEMORY_HIT]))
         curves.append(DuplicationCurve(name, points))
     return curves

@@ -100,6 +100,11 @@ class CostProfile:
         return self.stages[stage].latency_ms
 
 
+def _shown(rid: str) -> str:
+    """An id as messages show it: its repr unless printable, so no id can split an error line."""
+    return rid if rid.isprintable() else repr(rid)
+
+
 def _record_from_obj(obj: object, line_no: int, expected_k: int | None) -> tuple[str, int, list]:
     if not isinstance(obj, dict):
         raise DataError(f"malformed record at line {line_no}: expected a JSON object")
@@ -163,7 +168,7 @@ def parse_prediction_records(data: bytes | str) -> RecordTable:
             raise DataError(f"malformed record at line {line_no}: invalid JSON") from None
         rid, label, values = _record_from_obj(obj, line_no, expected_k)
         if rid in seen:
-            raise DataError(f"duplicate id {rid} at line {line_no}")
+            raise DataError(f"duplicate id {_shown(rid)} at line {line_no}")
         seen[rid] = None
         expected_k = len(values)
         labels.append(label)
@@ -192,7 +197,7 @@ def _row_index(ids: tuple[str, ...]) -> dict[str, int]:
     index: dict[str, int] = {}
     for row, rid in enumerate(ids):
         if index.setdefault(rid, row) != row:
-            raise DataError(f"duplicate id {rid}")
+            raise DataError(f"duplicate id {_shown(rid)}")
     return index
 
 
@@ -217,14 +222,14 @@ def align_records(
     if index_a.keys() != index_b.keys():
         for rid in (*index_a, *index_b):
             if rid not in index_a or rid not in index_b:
-                raise DataError(f"unmatched id {rid}")
+                raise DataError(f"unmatched id {_shown(rid)}")
     ids = tuple(sorted(index_a))
     rows_a = np.fromiter(map(index_a.__getitem__, ids), np.intp, len(ids))
     rows_b = np.fromiter(map(index_b.__getitem__, ids), np.intp, len(ids))
     labels = a.labels[rows_a]
     disagree = np.flatnonzero(labels != b.labels[rows_b])
     if disagree.size:
-        raise DataError(f"label disagreement for {ids[disagree[0]]}")
+        raise DataError(f"label disagreement for {_shown(ids[disagree[0]])}")
     return PairedDataset(ids, labels, a.logits[rows_a], b.logits[rows_b], name_a, name_b)
 
 

@@ -23,14 +23,8 @@ from cascadekit.calibration import (
     candidate_lambdas,
     find_lambda_star,
 )
-from cascadekit.complementarity import complementarity_of_vectors, predicted_label
-from cascadekit.confidence import (
-    ScoreFunction,
-    better_score,
-    entropy_denominator,
-    score,
-    softmax,
-)
+from cascadekit.complementarity import complementarity_of_vectors
+from cascadekit.confidence import ScoreFunction, entropy_denominator, score, softmax
 from cascadekit.engine import CascadeEngine, ReplayClassifier, SampleRef, run_batch
 from cascadekit.images import (
     ImageBuffer,
@@ -44,7 +38,7 @@ from cascadekit.metering import aggregate, compare, duplication_experiment, near
 from cascadekit.phash import dhash, dhash_fingerprint, moment_invariants, moments_fingerprint
 from cascadekit.records import RecordTable, load_cost_profile
 from cascadekit.synthetic import synthetic_image
-from test_calibration_oracles import oracle_decide
+from test_calibration_oracles import better_score, oracle_decide, predicted_label
 
 MAX = ScoreFunction.MAX_PROBABILITY
 DIFF = ScoreFunction.DIFFERENCE

@@ -18,9 +18,10 @@ from cascadekit.calibration import (
     load_config,
     save_config,
 )
-from cascadekit.confidence import ScoreFunction, better_score, score, softmax, softmax_rows
+from cascadekit.confidence import ScoreFunction, score, softmax, softmax_rows
 from cascadekit.errors import DataError
 from cascadekit.records import PairedDataset, RecordTable, align_records
+from test_calibration_oracles import better_score
 
 DIFF = ScoreFunction.DIFFERENCE
 MAX = ScoreFunction.MAX_PROBABILITY
@@ -138,8 +139,12 @@ class TestCascadeConfig:
             save_config(self._config(), str(tmp_path / "missing" / "config.json"))
 
 
-def _b_never_called():
+def _b_never_called(rows):
     raise AssertionError("model B must not run when model A passes")
+
+
+def _rows(*logits) -> np.ndarray:
+    return np.array(logits, dtype=np.float64)
 
 
 class TestDecideOffline:
@@ -147,15 +152,24 @@ class TestDecideOffline:
 
     def test_pass_keeps_first_model(self):
         config = CascadeConfig("a", "b", DIFF, 0.5, True)
-        predicted, chosen, score_a, score_b = decide(config, (6.0, 0.0, 0.0), _b_never_called)
-        assert (predicted, chosen, score_b) == (0, "a", None)
-        assert score_a == score(softmax((6.0, 0.0, 0.0)), DIFF)
+        predicted, chosen_a, score_a, score_b = decide(config, _rows((6.0, 0.0, 0.0)), _b_never_called)
+        assert (predicted, chosen_a, score_b) == ([0], [True], [None])
+        assert score_a == [score(softmax((6.0, 0.0, 0.0)), DIFF)]
 
     def test_fail_without_post_check_takes_second(self):
         config = CascadeConfig("a", "b", DIFF, 0.9, False)
-        predicted, chosen, _, score_b = decide(config, (0.5, 0.0, 0.2), lambda: (0.0, 5.0, 0.0))
-        assert (predicted, chosen) == (1, "b")
-        assert score_b == score(softmax((0.0, 5.0, 0.0)), DIFF)
+        asked = []
+
+        def infer_b(rows):
+            asked.append(rows.tolist())
+            return [(0.0, 5.0, 0.0)]
+
+        predicted, chosen_a, _, score_b = decide(
+            config, _rows((9.0, 0.0, 0.0), (0.5, 0.0, 0.2)), infer_b
+        )
+        assert asked == [[1]]  # once, for the escalated row only
+        assert (predicted, chosen_a) == ([0, 1], [True, False])
+        assert score_b == [None, score(softmax((0.0, 5.0, 0.0)), DIFF)]
 
     def test_fail_with_post_check_can_keep_first(self):
         # A misses the threshold but still outscores B
@@ -165,12 +179,14 @@ class TestDecideOffline:
         s_b = score(softmax(logits_b), DIFF)
         assert s_b < s_a < 0.99
         config = CascadeConfig("a", "b", DIFF, 0.99, True)
-        assert decide(config, logits_a, lambda: logits_b) == (0, "a", s_a, s_b)
+        got = decide(config, _rows(logits_a), lambda rows: [logits_b])
+        assert got == ([0], [True], [s_a], [s_b])
+        assert type(got[0][0]) is int and type(got[2][0]) is float
 
     def test_length_mismatch(self):
         config = CascadeConfig("a", "b", DIFF, 0.5, True)
         with pytest.raises(DataError, match="length mismatch"):
-            decide(config, (1.0, 0.0), lambda: (1.0, 0.0, 0.0))
+            decide(config, _rows((1.0, 0.0)), lambda rows: [(1.0, 0.0, 0.0)])
 
 
 class TestAccuracyAt:
@@ -205,16 +221,16 @@ class TestAccuracyAt:
             accuracy_at(PairedDataset((), np.zeros(0, np.int64), empty, empty), DIFF, 0.5, True)
 
     def test_matches_per_sample_decisions(self, bundled_paired):
+        # decide and the sweep are the rule's two forms; both must count alike
         for kind in (DIFF, ENTROPY):
             for lam in (0.3, 0.7):
                 accuracy, usage = accuracy_at(bundled_paired, kind, lam, True)
                 config = CascadeConfig("model_a", "model_b", kind, lam, True)
-                correct = 0
-                used = 0
-                for s in bundled_paired.samples:
-                    predicted, _, _, score_b = decide(config, s.logits_a, lambda: s.logits_b)
-                    correct += predicted == s.label
-                    used += score_b is not None
+                predicted, _, _, score_b = decide(
+                    config, bundled_paired.logits_a, lambda rows: bundled_paired.logits_b[rows]
+                )
+                correct = sum(p == y for p, y in zip(predicted, bundled_paired.labels.tolist()))
+                used = sum(s is not None for s in score_b)
                 n = len(bundled_paired)
                 assert accuracy == correct / n
                 assert usage == used / n

@@ -2,11 +2,12 @@
 per-sample, per-candidate loop it replaced, and the engine's replay against
 both.
 
-The oracles below are that loop and the per-sample decision function,
-kept unchanged apart from their names. The kernel reproduces their
-arithmetic (``math.exp``/``math.log`` per element, sums left to right), so
-curves, configs, accuracy and usage must be equal, and the per-sample
-scores equal bit for bit.
+The oracles below are that loop and the per-sample decision function with
+its scalar helpers (the threshold test, the post-check comparator and the
+argmax of the logits), kept unchanged apart from their names. The kernel
+reproduces their arithmetic (``math.exp``/``math.log`` per element, sums
+left to right), so curves, configs, accuracy and usage must be equal, and
+the per-sample scores equal bit for bit.
 """
 
 from __future__ import annotations
@@ -27,19 +28,30 @@ from cascadekit.calibration import (
     candidate_lambdas,
     find_lambda_star,
 )
-from cascadekit.complementarity import predicted_label
-from cascadekit.confidence import (
-    ScoreFunction,
-    better_score,
-    passes_threshold,
-    score,
-    score_rows,
-    softmax,
-    softmax_rows,
-)
+from cascadekit.confidence import ScoreFunction, score, score_rows, softmax, softmax_rows
 from cascadekit.engine import PATH_MODEL_AB, CascadeEngine, ReplayClassifier, SampleRef, run_batch
 from cascadekit.errors import DataError
 from cascadekit.records import PairedDataset, RecordTable
+
+
+def predicted_label(logits: Sequence[float]) -> int:
+    """Index of the maximum logit; ties resolve to the lowest index."""
+    best = 0
+    for i in range(1, len(logits)):
+        if logits[i] > logits[best]:
+            best = i
+    return best
+
+
+def passes_threshold(s: float, threshold: float, kind: ScoreFunction) -> bool:
+    """True iff the first model's answer is accepted (second model not
+    invoked). Equality accepts, minimizing second-model usage."""
+    return kind.oriented(s) >= kind.oriented(threshold)
+
+
+def better_score(score_a: float, score_b: float, kind: ScoreFunction) -> str:
+    """Post-check comparator: returns "a" or "b"; ties favor "a"."""
+    return "a" if passes_threshold(score_a, score_b, kind) else "b"
 
 
 def oracle_decide(

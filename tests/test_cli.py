@@ -196,6 +196,29 @@ class TestCalibrate:
             capsys, f"error: {paths[0]}: malformed record at line 1: id is not valid Unicode"
         )
 
+    @pytest.mark.parametrize("command", ["calibrate", "complementarity"])
+    @pytest.mark.parametrize(
+        "repeat, message",
+        [(False, "unmatched id 'a\\nb'"), (True, "duplicate id 'a\\nb' at line 3")],
+        ids=["unmatched", "duplicate"],
+    )
+    def test_line_break_id_stays_on_one_error_line(self, tmp_path, capsys, command, repeat, message):
+        # only x.jsonl holds the id "a\nb" (a JSON escape), on line 1 and maybe again on line 3
+        odd = '{"id": "a\\nb", "label": 0, "logits": [1.0, 0.0]}\n'
+        shared = '{"id": "b", "label": 1, "logits": [0.0, 1.0]}\n'
+        paths = [tmp_path / "x.jsonl", tmp_path / "y.jsonl"]
+        paths[0].write_text(odd + shared + (odd if repeat else ""))
+        paths[1].write_text(shared)
+        if command == "calibrate":
+            argv = ["calibrate", "--records-a", str(paths[0]), "--records-b", str(paths[1])]
+        else:
+            argv = ["complementarity", str(paths[0]), str(paths[1])]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.endswith(f" {message}\n")
+        assert captured.err.count("\n") == 1
+
     def test_auto_rejects_no_post_check(self, workspace, tmp_path):
         with pytest.raises(SystemExit) as err:
             main([

@@ -12,11 +12,11 @@ from cascadekit.complementarity import (
     complementarity_of_vectors,
     correctness_vectors,
     format_matrix_csv,
-    predicted_label,
 )
 from cascadekit.errors import DataError
 from cascadekit.records import RecordTable, align_records
 from cascadekit.synthetic import synthetic_pair
+from test_calibration_oracles import predicted_label
 from test_synthetic import synthetic_model
 
 

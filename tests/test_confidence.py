@@ -6,15 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from cascadekit.confidence import (
-    ScoreFunction,
-    better_score,
-    entropy_denominator,
-    passes_threshold,
-    score,
-    softmax,
-)
+from cascadekit.confidence import ScoreFunction, entropy_denominator, score, softmax
 from cascadekit.errors import DataError
+from test_calibration_oracles import better_score, passes_threshold
 
 
 def _random_probs(rng: random.Random, k: int) -> list[float]:

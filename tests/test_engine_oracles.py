@@ -1,0 +1,259 @@
+"""Differential tests: the batch engine against the per-sample engine it replaced.
+
+``oracle_classify`` is the former ``CascadeEngine.classify`` body and
+``oracle_decide_one`` the former scalar ``calibration.decide`` it called,
+kept unchanged apart from their names (``self`` became the ``engine``
+argument). Driven one sample at a time on a fresh engine, they must give the
+traces ``run_batch`` gives, field for field and type for type, leave the same
+memo store, ask each classifier for the same ids in the same order, and raise
+the same first ``DataError``.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cascadekit.calibration import CascadeConfig
+from cascadekit.confidence import ScoreFunction, score, softmax
+from cascadekit.engine import (
+    PATH_MEMORY_HIT,
+    PATH_MODEL_A_ONLY,
+    PATH_MODEL_AB,
+    CascadeEngine,
+    SampleRef,
+    StageTrace,
+    run_batch,
+)
+from cascadekit.errors import DataError
+from cascadekit.images import TRANSFORMS, ImageBuffer
+from cascadekit.phash import Fingerprint
+from cascadekit.synthetic import synthetic_image
+from test_calibration_oracles import better_score, logit_rows, passes_threshold, predicted_label
+
+
+def oracle_decide_one(
+    config: CascadeConfig, logits_a: Sequence[float], infer_b: Callable[[], Sequence[float]]
+) -> tuple[int, str, float, float | None]:
+    """Apply the cascade rule to one sample.
+
+    Returns (predicted label, chosen, score_a, score_b) with chosen in
+    {"a", "b"}. ``infer_b`` yields model B's logits and is called only when
+    A's score misses the threshold; score_b is None when it was not called.
+    """
+    score_fn = config.score_fn
+    score_a = score(softmax(logits_a), score_fn)
+    if passes_threshold(score_a, config.threshold, score_fn):
+        return predicted_label(logits_a), "a", score_a, None
+    logits_b = infer_b()
+    if len(logits_b) != len(logits_a):
+        raise DataError("logits length mismatch between models")
+    score_b = score(softmax(logits_b), score_fn)
+    chosen = better_score(score_a, score_b, score_fn) if config.post_check else "b"
+    return predicted_label(logits_a if chosen == "a" else logits_b), chosen, score_a, score_b
+
+
+def oracle_classify(engine: CascadeEngine, sample: SampleRef) -> StageTrace:
+    """Run one sample through the pipeline and trace every stage.
+
+    A hash failure (for instance an all-black image under the moments
+    method) does not abort the sample: it degrades to the no-memory
+    path and is recorded on the trace.
+    """
+    stages: list[str] = []
+    fp: Fingerprint | None = None
+    hash_error: str | None = None
+    if engine.store is not None:
+        if sample.image is None:
+            raise DataError(
+                f"sample {sample.id!r}: image required when memory={engine.config.memory}"
+            )
+        try:
+            fp = engine._fingerprint(sample.image)
+        except DataError as exc:
+            hash_error = str(exc)
+        if fp is not None:
+            stages.append("memory_lookup")
+            hit = engine.store.lookup(fp)
+            if hit is not None:
+                return StageTrace(
+                    sample_id=sample.id,
+                    path=PATH_MEMORY_HIT,
+                    chosen="memory",
+                    predicted=hit,
+                    label=sample.label,
+                    score_a=None,
+                    score_b=None,
+                    stages=tuple(stages),
+                )
+
+    stages.append("model_a")
+    logits_a = engine.classifier_a.infer(sample.id)
+    predicted, chosen, score_a, score_b = oracle_decide_one(
+        engine.config, logits_a, lambda: engine.classifier_b.infer(sample.id)
+    )
+    path = PATH_MODEL_A_ONLY if score_b is None else PATH_MODEL_AB
+    if score_b is not None:
+        stages.append("model_b")
+
+    if fp is not None:
+        stages.append("memory_insert")
+        assert engine.store is not None
+        engine.store.insert(fp, predicted)
+    return StageTrace(
+        sample_id=sample.id,
+        path=path,
+        chosen=chosen,
+        predicted=predicted,
+        label=sample.label,
+        score_a=score_a,
+        score_b=score_b,
+        stages=tuple(stages),
+        hash_error=hash_error,
+    )
+
+
+class LoggedClassifier:
+    """Replays logits from a dict, whose rows may differ in length, and logs each id asked for."""
+
+    def __init__(self, name: str, rows: dict[str, Sequence[float]]):
+        self.name = name
+        self.rows = rows
+        self.asked: list[str] = []
+
+    def infer(self, sample_id: str) -> Sequence[float]:
+        self.asked.append(sample_id)
+        try:
+            return self.rows[sample_id]
+        except KeyError:
+            raise DataError(f"{self.name}: unknown sample id {sample_id!r}") from None
+
+
+def _engines(config: CascadeConfig, rows_a: dict, rows_b: dict) -> tuple[CascadeEngine, CascadeEngine]:
+    """Two engines over separate logs of the same logits: one for the batch path, one for the oracle."""
+    return tuple(
+        CascadeEngine(config, LoggedClassifier("model_a", rows_a), LoggedClassifier("model_b", rows_b))
+        for _ in range(2)
+    )
+
+
+def _first_error(steps) -> str | None:
+    try:
+        for step in steps:
+            step()
+    except DataError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def streams(draw, ids: list[str]) -> list[SampleRef]:
+    """Samples over a few distinct images: exact repeats, rotated and mirrored
+    copies, and blank frames (a hash error under moments, a repeat under dhash)."""
+    pool = [
+        synthetic_image(draw(st.integers(8, 14)), draw(st.integers(8, 14)), seed, draw(st.sampled_from((1, 3))))
+        for seed in range(draw(st.integers(1, 4)))
+    ]
+    pool.append(ImageBuffer(9, 7, 1, bytes(63)))
+    stream = []
+    for _ in range(draw(st.integers(1, 24))):
+        image = TRANSFORMS[draw(st.sampled_from(sorted(TRANSFORMS)))](draw(st.sampled_from(pool)))
+        label = draw(st.none() | st.integers(0, 1))
+        stream.append(SampleRef(draw(st.sampled_from(ids)), image, label))
+    return stream
+
+
+@st.composite
+def configs(draw, scores: Sequence[float]) -> CascadeConfig:
+    fn = draw(st.sampled_from(list(ScoreFunction)))
+    # every exact model-A score is a >= / <= boundary; the threshold domain is [0, 1]
+    boundaries = sorted({0.0, 1.0, *(s for s in scores if 0.0 <= s <= 1.0)})
+    threshold = draw(st.sampled_from(boundaries) | st.floats(0.0, 1.0))
+    memory = draw(st.sampled_from(("none", "dhash", "moments")))
+    return CascadeConfig("model_a", "model_b", fn, threshold, draw(st.booleans()), memory)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(2, 6), st.data())
+def test_batches_match_per_sample_oracle(n, k, data):
+    ids = [f"s{i}" for i in range(n)]
+    rows_a = dict(zip(ids, data.draw(logit_rows(n, k))))
+    rows_b = dict(zip(ids, data.draw(logit_rows(n, k))))
+    config = data.draw(configs([score(softmax(row), fn) for row in rows_a.values() for fn in ScoreFunction]))
+    stream = data.draw(streams(ids))
+    cuts = sorted(data.draw(st.lists(st.integers(1, len(stream)), max_size=2)))
+    engine, oracle = _engines(config, rows_a, rows_b)
+
+    got = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(stream)]):  # repeats may span batches
+        if lo < hi:
+            got += run_batch(engine, stream[lo:hi])[0]
+    want = [oracle_classify(oracle, s) for s in stream]
+
+    assert got == want
+    assert repr(got) == repr(want)  # also tells 0.0 from -0.0 and numpy scalars from floats
+    for trace in got:
+        assert type(trace.predicted) is int
+        assert trace.score_a is None or type(trace.score_a) is float
+        assert trace.score_b is None or type(trace.score_b) is float
+    assert engine.classifier_a.asked == oracle.classifier_a.asked
+    assert engine.classifier_b.asked == oracle.classifier_b.asked
+    if config.memory != "none":
+        assert list(engine.store._entries.items()) == list(oracle.store._entries.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 5), st.data())
+def test_first_error_is_the_oracles(n, k, data):
+    ids = [f"s{i}" for i in range(n)]
+    rows_a = dict(zip(ids, data.draw(logit_rows(n, k))))
+    rows_b = dict(zip(ids, data.draw(logit_rows(n, k))))
+    # a flat row scores diff 0, so these two always escalate to model B
+    rows_a["ghost-b"] = rows_a["short-b"] = [0.0] * k
+    rows_b["short-b"] = [0.0] * (k + 1)
+    threshold = data.draw(st.floats(0.05, 1.0))
+    memory = data.draw(st.sampled_from(("none", "dhash", "moments")))
+    config = CascadeConfig("model_a", "model_b", ScoreFunction.DIFFERENCE, threshold, True, memory)
+    stream = data.draw(streams(ids))
+    faults = [
+        SampleRef(ids[0], None),                                    # missing image
+        SampleRef("ghost-a", synthetic_image(8, 8, 90)),            # unknown to model A
+        SampleRef("ghost-b", synthetic_image(8, 8, 91)),            # escalated, unknown to model B
+        SampleRef("short-b", synthetic_image(8, 8, 92)),            # escalated, B logits too long
+    ]
+    for fault in data.draw(st.lists(st.sampled_from(faults), min_size=1, max_size=4)):
+        stream.insert(data.draw(st.integers(0, len(stream))), fault)
+    engine, oracle = _engines(config, rows_a, rows_b)
+
+    want = _first_error(lambda s=s: oracle_classify(oracle, s) for s in stream)
+    assert _first_error([lambda: run_batch(engine, stream)]) == want
+    assert want is not None or memory == "none"  # the missing image is harmless only without memory
+
+
+def test_classifiers_are_asked_only_for_misses_and_escalations():
+    flat, sure = [0.0, 0.0, 0.0], [9.0, 0.0, 0.0]
+    rows_a = {"x": sure, "y": flat, "z": flat}
+    rows_b = {"x": sure, "y": sure, "z": sure}
+    config = CascadeConfig("model_a", "model_b", ScoreFunction.DIFFERENCE, 0.5, True, "dhash")
+    engine, _ = _engines(config, rows_a, rows_b)
+    img_x, img_y, img_z = (synthetic_image(12, 12, seed) for seed in (1, 2, 3))
+    first = [SampleRef("x", img_x), SampleRef("y", img_y), SampleRef("x", img_x), SampleRef("y", img_y)]
+    second = [SampleRef("y", img_y), SampleRef("z", img_z), SampleRef("x", img_x)]
+    paths = [t.path for t in run_batch(engine, first)[0] + run_batch(engine, second)[0]]
+    assert paths == [
+        PATH_MODEL_A_ONLY, PATH_MODEL_AB, PATH_MEMORY_HIT, PATH_MEMORY_HIT,
+        PATH_MEMORY_HIT, PATH_MODEL_AB, PATH_MEMORY_HIT,
+    ]
+    assert engine.classifier_a.asked == ["x", "y", "z"]
+    assert engine.classifier_b.asked == ["y", "z"]
+
+
+def test_model_a_rows_of_unequal_length_are_a_data_error():
+    rows = {"x": [1.0, 0.0], "y": [1.0, 0.0, 0.0]}
+    config = CascadeConfig("model_a", "model_b", ScoreFunction.DIFFERENCE, 0.5, True)
+    engine, _ = _engines(config, rows, rows)
+    with pytest.raises(DataError, match="^logits length mismatch between samples$"):
+        run_batch(engine, [SampleRef("x"), SampleRef("y")])

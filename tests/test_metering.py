@@ -198,7 +198,6 @@ class TestAggregate:
     def test_metrics_gating(self):
         labeled = [_trace(["model_a"], "s0", predicted=0, label=0)]
         assert aggregate(labeled, _costs()).metrics is not None
-        assert aggregate(labeled, _costs(), include_metrics=False).metrics is None
         unlabeled = [
             StageTrace("s0", PATH_MODEL_A_ONLY, "a", 0, None, 0.5, None, ("model_a",))
         ]
@@ -555,7 +554,7 @@ class TestReportSerialization:
     def test_from_dict_does_not_bound_the_mean_by_the_latencies(self):
         # a float mean can round above equal latencies
         traces = [_trace(["memory_lookup"], f"s{i}", PATH_MEMORY_HIT) for i in range(3)]
-        report = aggregate(traces, _costs(), include_metrics=False)
+        report = aggregate(traces, _costs())
         obj = report.to_dict()
         obj["latencies_ms"] = [0.1] * 3
         obj.update(mean_latency_ms=sum(obj["latencies_ms"]) / 3, p95_latency_ms=0.1, p99_latency_ms=0.1)
@@ -589,7 +588,7 @@ class TestReportSerialization:
         assert cells[6:] == ["0", "1", "1"]
 
     def test_csv_blank_accuracy_without_metrics(self):
-        report = aggregate([_trace(["model_a"])], _costs(), include_metrics=False)
+        report = aggregate([_trace(["model_a"], label=None)], _costs())
         cells = format_report_csv(report).splitlines()[1].split(",")
         assert cells[5] == ""
 

@@ -6,9 +6,10 @@ columnar ``RecordTable`` / ``PairedDataset`` replaced: one ``PredictionRecord``
 per line, and a dict join sorted on the UTF-8 bytes of each id. Hypothesis
 feeds both paths random record files (empty lines, duplicate ids,
 inconsistent logits lengths, ids missing on either side, label
-disagreements, non-ASCII, astral-plane and lone-surrogate ids) and asserts
-the same id order, the same labels, bit-identical logits and the same first
-``DataError`` message.
+disagreements, non-ASCII, astral-plane, lone-surrogate and line-break ids)
+and asserts the same id order, the same labels, bit-identical logits and the
+same first ``DataError`` message; an id that is not printable appears in that
+message as its ``repr``, so the message stays on one line.
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ def _oracle_record(obj: object, line_no: int, expected_k: int | None) -> Predict
     return PredictionRecord(rid, label, tuple(values))
 
 
+def _as_shown(rid: str) -> str:
+    return rid if rid.isprintable() else repr(rid)
+
+
 def oracle_parse(data: bytes | str) -> list[PredictionRecord]:
     records: list[PredictionRecord] = []
     seen: set[str] = set()
@@ -88,7 +93,7 @@ def oracle_parse(data: bytes | str) -> list[PredictionRecord]:
             raise DataError(f"malformed record at line {line_no}: invalid JSON") from None
         record = _oracle_record(obj, line_no, len(records[-1].logits) if records else None)
         if record.id in seen:
-            raise DataError(f"duplicate id {record.id} at line {line_no}")
+            raise DataError(f"duplicate id {_as_shown(record.id)} at line {line_no}")
         seen.add(record.id)
         records.append(record)
     return records
@@ -109,16 +114,16 @@ def oracle_align(
     for records, by_id in ((a, by_id_a), (b, by_id_b)):
         for r in records:
             if r.id in by_id:
-                raise DataError(f"duplicate id {r.id}")
+                raise DataError(f"duplicate id {_as_shown(r.id)}")
             by_id[r.id] = r
     for rid in [*by_id_a, *by_id_b]:
         if rid not in by_id_a or rid not in by_id_b:
-            raise DataError(f"unmatched id {rid}")
+            raise DataError(f"unmatched id {_as_shown(rid)}")
     rows = []
     for rid in sorted(by_id_a, key=lambda s: s.encode("utf-8")):
         ra, rb = by_id_a[rid], by_id_b[rid]
         if ra.label != rb.label:
-            raise DataError(f"label disagreement for {rid}")
+            raise DataError(f"label disagreement for {_as_shown(rid)}")
         rows.append((rid, ra.label, ra.logits, rb.logits))
     return rows
 
@@ -146,7 +151,7 @@ def assert_table_matches(table: RecordTable, records: list[PredictionRecord]) ->
 # Ids from a small pool so that files share, repeat and miss ids; the pool
 # mixes ASCII, Latin-1, BMP and astral-plane characters whose UTF-16 and
 # UTF-8 orders differ, and now and then a lone surrogate.
-ID_CHARS = ["a", "b", "Z", "é", "ÿ", "中", "\uffff", "😀", "\U0010fffd"]
+ID_CHARS = ["a", "b", "Z", "é", "ÿ", "中", "\uffff", "😀", "\U0010fffd", "\n"]
 ids_st = st.text(alphabet=st.sampled_from(ID_CHARS), min_size=1, max_size=3).map(
     lambda rid: rid + "\ud800" if rid == "Z" else rid
 )
