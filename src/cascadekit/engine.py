@@ -234,6 +234,10 @@ def trace_to_dict(trace: StageTrace) -> dict:
     }
 
 
+# json.dumps with non-default separators builds a new encoder on every call
+_TRACE_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def format_traces_jsonl(traces: Sequence[StageTrace]) -> str:
-    lines = [json.dumps(trace_to_dict(t), separators=(",", ":")) for t in traces]
+    lines = [_TRACE_ENCODER.encode(trace_to_dict(t)) for t in traces]
     return "\n".join(lines) + "\n"

@@ -1,17 +1,19 @@
 """Error types shared across the package, and its one file boundary.
 
 Files are opened here only: every read, write and JSON parse of outside
-input goes through ``read_bytes``, ``write_text``, ``parse_json`` and
-``read_json``, so an unreadable or unwritable path, non-UTF-8 bytes,
-malformed JSON and an integer literal past CPython's int-string limit each
-become a DataError in one place. ``non_negative_number`` is the one check
-that a parsed JSON value is a finite, non-negative number.
+input goes through ``read_bytes``, ``write_text``, ``parse_json``,
+``parse_json_lines`` and ``read_json``, so an unreadable or unwritable path,
+non-UTF-8 bytes, malformed JSON and an integer literal past CPython's
+int-string limit each become a DataError in one place.
+``non_negative_number`` is the one check that a parsed JSON value is a
+finite, non-negative number.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 
 
 class DataError(ValueError):
@@ -49,6 +51,31 @@ def parse_json(data: bytes | str, what: str) -> object:
         raise DataError(f"{what} JSON is not valid UTF-8: {exc}") from None
     except ValueError as exc:
         raise DataError(f"invalid {what} JSON: {exc}") from None
+
+
+_DECODER = json.JSONDecoder()
+
+
+def parse_json_lines(lines: Iterable[str], what: str) -> list[object]:
+    """Parse each line as one JSON document, accepting exactly what ``json.loads``
+    accepts for that line.
+
+    Only JSON's whitespace (space, tab, CR, LF) may surround a document;
+    ``str.strip()`` would also drop Unicode spaces that JSON rejects. The first
+    line that is not one document raises a DataError.
+    """
+    decode = _DECODER.raw_decode
+    docs = []
+    for line in lines:
+        doc = line.strip(" \t\n\r")
+        try:
+            obj, end = decode(doc)
+        except ValueError as exc:  # JSONDecodeError, or the int-string limit
+            raise DataError(f"invalid {what} JSON: {exc}") from None
+        if end != len(doc):
+            raise DataError(f"invalid {what} JSON: extra data after the document")
+        docs.append(obj)
+    return docs
 
 
 def read_json(path: str, what: str) -> object:

@@ -6,6 +6,12 @@ and ``logits`` (array of finite numbers). All records in one file must
 share the same logits length. A file parses into one columnar
 ``RecordTable``; ``align_records`` joins two tables on id into a
 ``PairedDataset`` with one logits matrix per model.
+
+A file is checked as whole columns: one JSON parse per line, then type,
+width, finiteness, range and uniqueness checks over all records at once.
+If any check fails, the file is read again line by line, which raises the
+same line-numbered message for the first bad line that a line-by-line
+parse always gave.
 """
 
 from __future__ import annotations
@@ -14,11 +20,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DataError, non_negative_number, parse_json, read_bytes
+from .errors import DataError, non_negative_number, parse_json, parse_json_lines, read_bytes
 
 STAGES = ("memory_lookup", "memory_insert", "model_a", "model_b")
 
@@ -148,11 +156,55 @@ def _record_from_obj(obj: object, line_no: int, expected_k: int | None) -> tuple
     return rid, label, values
 
 
-def parse_prediction_records(data: bytes | str) -> RecordTable:
-    """Parse a UTF-8 JSON Lines stream into a validated record table.
+def _columns(data: bytes | str) -> RecordTable | None:
+    """The table when the whole file passes column-wide checks, else None.
 
-    Enforces one record per non-empty line, a consistent logits length
-    across the file, labels within range, finite logits, and unique ids.
+    Each check is at least as strict as the line loop's, so an accepted file
+    is one the loop would accept with the same table. Int and bool logits are
+    left to the loop: ``np.array`` would turn ``true`` into 1.0 and a 400-digit
+    integer into an OverflowError.
+    """
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        objs = parse_json_lines([line for line in text.split("\n") if line], "record")
+    except (UnicodeDecodeError, DataError):
+        return None
+    if not objs or set(map(type, objs)) != {dict} or set(map(len, objs)) != {3}:
+        return None
+    try:  # three keys, and all three found: exactly the record's keys
+        ids, labels, rows = zip(*map(itemgetter("id", "label", "logits"), objs))
+    except KeyError:
+        return None
+    if (
+        set(map(type, ids)) != {str}
+        or set(map(type, labels)) != {int}
+        or set(map(type, rows)) != {list}
+    ):
+        return None
+    widths = set(map(len, rows))
+    k = widths.pop()
+    if widths or k < 2 or set(map(type, chain.from_iterable(rows))) != {float}:
+        return None
+    try:
+        "".join(ids).encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate escape such as "\ud800"
+        return None
+    logits = np.array(rows, dtype=np.float64)
+    if not np.isfinite(logits).all():
+        return None
+    # Python ints, so a label past int64 fails here instead of overflowing
+    if min(labels) < 0 or max(labels) >= k or len(dict.fromkeys(ids)) != len(ids):
+        return None
+    return RecordTable(ids, labels, logits)
+
+
+def _parse_lines(data: bytes | str) -> RecordTable:
+    """Parse one record per line, raising the first bad line's DataError.
+
+    This loop is kept to report errors: only a file that fails a check in
+    ``_columns`` comes here, and the loop names its first bad line and the
+    fault. A file the column checks reject only for being stricter than a
+    record needs (an integer logit) parses here into the same table.
     """
     seen: dict[str, None] = {}  # the ids, in file order
     labels: list[int] = []
@@ -174,6 +226,18 @@ def parse_prediction_records(data: bytes | str) -> RecordTable:
         labels.append(label)
         rows.append(values)
     return RecordTable(seen, labels, rows)
+
+
+def parse_prediction_records(data: bytes | str) -> RecordTable:
+    """Parse a UTF-8 JSON Lines stream into a validated record table.
+
+    Enforces one record per non-empty line, a consistent logits length
+    across the file, labels within range, finite logits, and unique ids.
+    The file is checked as whole columns first; if any check fails it is
+    read again line by line, which raises the first bad line's error.
+    """
+    table = _columns(data)
+    return table if table is not None else _parse_lines(data)
 
 
 def format_prediction_records(table: RecordTable) -> str:

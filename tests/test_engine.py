@@ -340,6 +340,7 @@ class TestTraceSerialization:
         assert first["id"] == "x1"
         assert first["path"] == PATH_MODEL_A_ONLY
         assert ": " not in lines[0]
+        assert lines == [json.dumps(trace_to_dict(t), separators=(",", ":")) for t in traces]
 
 
 class TestArgmaxOnLogits:

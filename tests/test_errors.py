@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import re
 
@@ -12,6 +13,7 @@ from cascadekit.errors import (
     DataError,
     non_negative_number,
     parse_json,
+    parse_json_lines,
     read_bytes,
     read_json,
     write_text,
@@ -93,6 +95,31 @@ def test_parse_json_accepts_bytes_and_str():
 def test_parse_json_errors(data, message):
     with pytest.raises(DataError, match=message):
         parse_json(data, "test")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"a": [1, 2.5]}', ' \t{"a":1}\r', "[]", '"x" ', "NaN", "-Infinity", "1e400",
+        "", "   ", "\r", "\u00a0{}", "{}\u00a0", "{}\x0b", "\x0c{}", "{}\u2028",
+        "\ufeff{}", "{} {}", "{}}", '{"a":1', "1" * 4400, "[" + "9" * 400 + "]",
+    ],
+)
+def test_parse_json_lines_accepts_what_json_loads_accepts(line):
+    try:
+        want = json.loads(line)
+    except ValueError:
+        with pytest.raises(DataError, match="^invalid test JSON: "):
+            parse_json_lines([line], "test")
+    else:
+        got = parse_json_lines([line], "test")
+        assert repr(got) == repr([want])  # repr: NaN != NaN
+
+
+def test_parse_json_lines_keeps_order_and_stops_at_a_bad_line():
+    assert parse_json_lines(["1", '{"b": 2}', "[3.0]"], "test") == [1, {"b": 2}, [3.0]]
+    with pytest.raises(DataError, match="^invalid test JSON: "):
+        parse_json_lines(["1", "{", "2"], "test")
 
 
 def test_read_json_prefixes_parse_errors_with_the_path(tmp_path):

@@ -43,21 +43,33 @@ def test_readme_library_snippet_runs():
     assert out == expected + "\n"
 
 
+JSON_READERS = {"load", "loads", "JSONDecoder"}
+
+
 def _file_calls(tree: ast.AST) -> list[str]:
-    """Calls of open (bare or as any attribute) and of json.load / json.loads."""
+    """Calls of open (bare or as any attribute), and any use of json.load,
+    json.loads, json.JSONDecoder or a decoder's raw_decode / scan_once, called
+    or not (``map(json.loads, lines)`` parses too)."""
     found = []
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Name) and func.id == "open":
-            found.append(f"open at line {node.lineno}")
-        elif isinstance(func, ast.Attribute) and (
-            func.attr == "open"
-            or (func.attr in ("load", "loads") and isinstance(func.value, ast.Name)
-                and func.value.id == "json")
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                found.append(f"open at line {node.lineno}")
+            elif isinstance(func, ast.Attribute) and func.attr == "open":
+                found.append(f"{ast.unparse(func)} at line {node.lineno}")
+        elif isinstance(node, ast.Attribute) and (
+            node.attr in ("raw_decode", "scan_once")
+            or (node.attr in JSON_READERS and isinstance(node.value, ast.Name)
+                and node.value.id == "json")
         ):
-            found.append(f"{ast.unparse(func)} at line {node.lineno}")
+            found.append(f"{ast.unparse(node)} at line {node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.extend(
+                f"from json import {alias.name} at line {node.lineno}"
+                for alias in node.names
+                if alias.name in JSON_READERS
+            )
     return found
 
 
@@ -75,6 +87,25 @@ def test_files_are_opened_and_parsed_only_in_errors_py():
 def test_guard_sees_every_form():
     source = "open(p)\nio.open(p)\nPath(p).open()\njson.load(f)\njson.loads(s)\njson.dumps(x)\n"
     assert len(_file_calls(ast.parse(source))) == 5
+
+
+def test_guard_sees_decoders_and_bare_references():
+    source = (
+        "lines = map(json.loads, text)\n"
+        "decoder = json.JSONDecoder()\n"
+        "obj, end = decoder.raw_decode(s)\n"
+        "obj, end = decoder.scan_once(s, 0)\n"
+        "from json import loads, dumps\n"
+        "text = json.dumps(x, separators=sep)\n"
+        "encoder = json.JSONEncoder()\n"
+    )
+    assert sorted(_file_calls(ast.parse(source))) == [
+        "decoder.raw_decode at line 3",
+        "decoder.scan_once at line 4",
+        "from json import loads at line 5",
+        "json.JSONDecoder at line 2",
+        "json.loads at line 1",
+    ]
 
 
 def _unresolved_cascadekit_names(tree: ast.AST) -> list[str]:

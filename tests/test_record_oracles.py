@@ -9,7 +9,12 @@ inconsistent logits lengths, ids missing on either side, label
 disagreements, non-ASCII, astral-plane, lone-surrogate and line-break ids)
 and asserts the same id order, the same labels, bit-identical logits and the
 same first ``DataError`` message; an id that is not printable appears in that
-message as its ``repr``, so the message stays on one line.
+message as its ``repr``, so the message stays on one line. Half the files hold
+only float logits, the files the column checks of ``records._columns`` accept.
+
+The column checks are also tested alone, on files broken in the ways record
+files break: whenever they accept a file, their table must equal the
+oracle's bit for bit, and whenever the oracle rejects a file, so must they.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadekit import cli
+from cascadekit import cli, records
 from cascadekit.calibration import CascadeConfig
 from cascadekit.confidence import ScoreFunction
 from cascadekit.engine import CascadeEngine, ReplayClassifier, run_batch
@@ -155,15 +160,15 @@ ID_CHARS = ["a", "b", "Z", "é", "ÿ", "中", "\uffff", "😀", "\U0010fffd", "\
 ids_st = st.text(alphabet=st.sampled_from(ID_CHARS), min_size=1, max_size=3).map(
     lambda rid: rid + "\ud800" if rid == "Z" else rid
 )
-logit_st = st.one_of(
+float_logit_st = st.one_of(
     st.floats(-50, 50, allow_nan=False),
-    st.integers(-5, 5),
     st.sampled_from([0.0, -0.0, 5e-324, 1e300]),
 )
+mixed_logit_st = st.one_of(float_logit_st, st.integers(-5, 5))
 
 
 @st.composite
-def record_line(draw, rid: str, label: int, k: int) -> str:
+def record_line(draw, rid: str, label: int, k: int, logit_st) -> str:
     if draw(st.integers(0, 9)) == 0:
         label = draw(st.integers(-1, k))  # a disagreement, or out of range
     if draw(st.integers(0, 19)) == 0:
@@ -175,11 +180,13 @@ def record_line(draw, rid: str, label: int, k: int) -> str:
 
 @st.composite
 def record_file(draw, chosen: list[str], labels: dict[str, int], k: int) -> str:
+    # half the files hold only float logits, as every writer emits them
+    logit_st = draw(st.sampled_from([float_logit_st, mixed_logit_st]))
     lines = []
     for rid in chosen:
         if draw(st.integers(0, 4)) == 0:
             lines.append("")
-        lines.append(draw(record_line(rid, labels[rid], k)))
+        lines.append(draw(record_line(rid, labels[rid], k, logit_st)))
     return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
 
 
@@ -229,6 +236,98 @@ def test_columnar_parse_and_align_match_object_oracle(texts, as_bytes):
     replay = ReplayClassifier("m", table_a)
     for r in expected[0]:
         assert replay.infer(r.id) == list(r.logits)
+
+
+# Values that JSON parses but a record rejects, or that only the line loop
+# may accept (an int logit); each is spliced into a line as raw JSON text.
+ODD_LOGITS = ["true", "false", "null", '"1.5"', "[1.0]", "NaN", "Infinity", "-Infinity",
+              "1e400", "3", "-0", "9" * 400, "-" + "9" * 400]
+ODD_LABELS = ["true", "null", "1.0", "-1", "7", str(10**30), str(-(10**30)), "9" * 400, '"0"']
+NOT_RECORDS = ["[1.0,2.0]", "3", '"s"', "null", "{}", "{", "}", "", " ", "\ufeff{}", "\r"]
+# JSON whitespace, and spaces str.strip() would drop but JSON rejects
+PADDING = st.text(st.sampled_from([" ", "\t", "\r", "\x0b", "\x0c", "\u00a0", "\u2028"]))
+
+
+FAULTS = 10
+
+
+@st.composite
+def odd_record_lines(draw, rid: str, label: int, k: int, logit_st, fault: int | None) -> list[str]:
+    """One record as JSON text; a fault (0 to FAULTS - 1) breaks, reorders,
+    pads or splits it."""
+    fields = {
+        "id": json.dumps(rid, ensure_ascii=draw(st.booleans())),
+        "label": str(label),
+        "logits": [json.dumps(v) for v in draw(st.lists(logit_st, min_size=k, max_size=k))],
+    }
+    if fault == 0:
+        fields["logits"][draw(st.integers(0, k - 1))] = draw(st.sampled_from(ODD_LOGITS))
+    elif fault == 1:
+        fields["label"] = draw(st.sampled_from(ODD_LABELS))
+    elif fault == 2:
+        del fields[draw(st.sampled_from(sorted(fields)))]
+    elif fault == 3:
+        fields["extra"] = "1"
+    elif fault == 4:  # too short for a record, or unlike the other lines
+        fields["logits"] = (fields["logits"] + ["0.5"])[: draw(st.sampled_from([0, 1, k - 1, k + 1]))]
+    keys = draw(st.permutations(list(fields))) if fault == 5 else list(fields)
+    line = "{" + ",".join(
+        f'"{key}":' + (f"[{','.join(fields[key])}]" if key == "logits" else fields[key])
+        for key in keys
+    ) + "}"
+    if fault == 6:
+        return [draw(st.sampled_from(NOT_RECORDS))]
+    if fault == 7:  # a record split across two lines
+        cut = draw(st.integers(1, len(line) - 1))
+        return [line[:cut], line[cut:]]
+    if fault == 8:
+        return [draw(PADDING) + line + draw(PADDING)]
+    if fault == 9:
+        return [line + "\r"]
+    return [line]
+
+
+@st.composite
+def odd_record_file(draw) -> str:
+    """A record file that is valid, or valid but for one fault, or faulty on
+    many lines. Faults: wrong types and values, missing or extra keys,
+    non-object lines, split records, CRLF and padded lines; the ids may
+    repeat."""
+    pool = draw(st.lists(ids_st, min_size=1, max_size=6, unique=True))
+    k = draw(st.integers(2, 4))
+    unique = draw(st.integers(0, 3)) > 0
+    chosen = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=unique))
+    logit_st = draw(st.sampled_from([float_logit_st, float_logit_st, mixed_logit_st]))
+    mode = draw(st.sampled_from(["clean", "one fault", "one fault", "many faults"]))
+    faulty = draw(st.integers(0, max(len(chosen) - 1, 0)))
+    lines = []
+    for i, rid in enumerate(chosen):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+        if mode == "many faults" and draw(st.booleans()) or mode == "one fault" and i == faulty:
+            fault = draw(st.integers(0, FAULTS - 1))
+        else:
+            fault = None
+        label = draw(st.integers(0, k - 1))
+        lines.extend(draw(odd_record_lines(rid, label, k, logit_st, fault)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n", "\n\n"]))
+
+
+@given(odd_record_file(), st.booleans())
+@settings(max_examples=1000, deadline=None)
+def test_column_stage_accepts_only_what_the_oracle_accepts(text, as_bytes):
+    data = text.encode("utf-8", "surrogatepass") if as_bytes else text
+    fast = records._columns(data)
+    want = _outcome(oracle_parse, data)
+    if isinstance(want, tuple):
+        assert fast is None
+    elif fast is not None:
+        assert_table_matches(fast, want)
+    got = _outcome(parse_prediction_records, data)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_table_matches(got, want)
 
 
 def test_sorted_ids_follow_utf8_byte_order():

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from cascadekit import records
 from cascadekit.errors import DataError
 from cascadekit.records import (
     RecordTable,
@@ -59,13 +60,16 @@ class TestParseRecords:
         with pytest.raises(DataError, match="line 1.*exactly keys"):
             parse_prediction_records('{"id":"a","label":0}\n')
 
+    # float logits reach the column checks; integer logits go straight to the line loop
     def test_extra_key(self):
-        with pytest.raises(DataError, match="exactly keys id, label, logits"):
-            parse_prediction_records('{"id":"a","label":0,"logits":[1,0],"x":1}\n')
+        for logits in ("[1,0]", "[1.0,0.0]"):
+            with pytest.raises(DataError, match="exactly keys id, label, logits"):
+                parse_prediction_records('{"id":"a","label":0,"logits":%s,"x":1}\n' % logits)
 
     def test_bool_label_rejected(self):
-        with pytest.raises(DataError, match="label must be an integer"):
-            parse_prediction_records('{"id":"a","label":true,"logits":[1,0]}\n')
+        for logits in ("[1,0]", "[1.0,0.0]"):
+            with pytest.raises(DataError, match="label must be an integer"):
+                parse_prediction_records('{"id":"a","label":true,"logits":%s}\n' % logits)
 
     def test_bool_logit_rejected(self):
         with pytest.raises(DataError, match="non-numeric logit"):
@@ -107,6 +111,80 @@ class TestParseRecords:
         text = _line("a", 0, [1.0, 0.0]) + "\n" + _line("\ud800", 0, [1.0, 0.0]) + "\n"
         with pytest.raises(DataError, match="line 2: id is not valid Unicode"):
             parse_prediction_records(text)
+
+    @pytest.mark.parametrize("label", [10**30, -(10**30), 10**399])
+    def test_label_past_int64_out_of_range(self, label):
+        text = _line("a", 0, [1.0, 0.0]) + "\n" + _line("b", label, [1.0, 0.0]) + "\n"
+        with pytest.raises(DataError, match="^label out of range at line 2$"):
+            parse_prediction_records(text)
+
+    def test_bool_logit_in_float_file_rejected(self):
+        text = _line("a", 0, [1.0, 0.0]) + "\n" + '{"id":"b","label":0,"logits":[0.5,true]}\n'
+        with pytest.raises(DataError, match="line 2: non-numeric logit"):
+            parse_prediction_records(text)
+
+    def test_crlf_and_padded_lines_parse_like_lf(self):
+        lines = [_line("a", 0, [1.5, -0.5]), _line("b", 1, [0.0, 2.0])]
+        want = parse_prediction_records("\n".join(lines) + "\n")
+        for text in (
+            "\r\n".join(lines) + "\r\n",
+            "\n".join(f" \t{line}  \r" for line in lines),
+        ):
+            for data in (text, text.encode()):
+                got = parse_prediction_records(data)
+                assert got.ids == want.ids
+                assert got.labels.tolist() == want.labels.tolist()
+                assert got.logits.tobytes() == want.logits.tobytes()
+
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_byte_order_mark_is_invalid_json(self, as_bytes):
+        text = "\ufeff" + _line("a", 0, [1.0, 0.0]) + "\n"
+        with pytest.raises(DataError, match="^malformed record at line 1: invalid JSON$"):
+            parse_prediction_records(text.encode() if as_bytes else text)
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            # joined with "," these two lines form two valid records
+            ['{"id":"x","label":0,"logits":[1.0,2.0]},{"id":"y"',
+             '"label":0,"logits":[1.0,2.0]}'],
+            # wrapped as [[L1],[L2]] the string in line 1 swallows the separator
+            ['{"id":"a',
+             '","label":0,"logits":[1.0,2.0]}],[{"id":"b","label":0,"logits":[1.0,2.0]}'],
+        ],
+    )
+    def test_record_split_across_lines_is_invalid_json(self, lines):
+        with pytest.raises(DataError, match="^malformed record at line 1: invalid JSON$"):
+            parse_prediction_records("\n".join(lines) + "\n")
+
+    # only JSON's whitespace (space, tab, CR) may pad a record, and a line of it is no record
+    @pytest.mark.parametrize(
+        "line",
+        ["   ", " \t \r", "\u00a0", "\x0c", "\u00a0" + _line("b", 0, [1.0, 0.0]),
+         _line("b", 0, [1.0, 0.0]) + "\u00a0", _line("b", 0, [1.0, 0.0]) + " {}"],
+    )
+    def test_blank_or_oddly_padded_line_is_invalid_json(self, line):
+        text = _line("a", 0, [1.0, 0.0]) + "\n" + line + "\n" + _line("c", 0, [1.0, 0.0])
+        with pytest.raises(DataError, match="^malformed record at line 2: invalid JSON$"):
+            parse_prediction_records(text)
+
+    def test_float_files_take_the_column_path(self, data_dir, monkeypatch):
+        def no_line_loop(*args):
+            raise AssertionError("the column checks sent a valid float file to the line loop")
+
+        monkeypatch.setattr(records, "_record_from_obj", no_line_loop)
+        bundled = parse_prediction_records((data_dir / "model_a.jsonl").read_bytes())
+        assert len(bundled) == 500 and bundled.logits.shape == (500, 10)
+        rng = random.Random(5)
+        table = RecordTable(
+            [f"id{i}" for i in range(2000)],
+            [rng.randrange(4) for _ in range(2000)],
+            [[rng.uniform(-9, 9) for _ in range(4)] for _ in range(2000)],
+        )
+        again = parse_prediction_records(format_prediction_records(table).encode())
+        assert again.ids == table.ids
+        assert again.labels.tolist() == table.labels.tolist()
+        assert again.logits.tobytes() == table.logits.tobytes()
 
 
 class TestFormatRecords:
