@@ -7,14 +7,17 @@ names the path taken and the exact stages executed, which is what the
 metering module prices. With memory enabled the engine fingerprints the
 (grayscaled) image first and skips both models on a hit; the predicted
 label of every non-hit sample is inserted afterwards, so hits replay
-earlier cascade decisions, mistakes included.
+earlier cascade decisions, mistakes included. A replayed row is the record
+table's own read-only float64 row, not a copy; SampleRef and StageTrace are
+immutable NamedTuples.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -37,21 +40,21 @@ class Classifier(Protocol):
 
 
 class ReplayClassifier:
-    """Classifier backed by precomputed logits, keyed by sample id."""
+    """Classifier backed by a record table; ``infer`` returns the table's row, not a copy."""
 
     def __init__(self, name: str, records: RecordTable):
         self.name = name
-        self._logits = dict(zip(records.ids, records.logits.tolist()))
+        self._logits = records.logits
+        self._rows = dict(zip(records.ids, range(len(records.ids))))
 
-    def infer(self, sample_id: str) -> list[float]:
+    def infer(self, sample_id: str) -> np.ndarray:
         try:
-            return self._logits[sample_id]
+            return self._logits[self._rows[sample_id]]
         except KeyError:
             raise DataError(f"{self.name}: unknown sample id {sample_id!r}") from None
 
 
-@dataclass(frozen=True)
-class SampleRef:
+class SampleRef(NamedTuple):
     """One input sample: id for the classifiers, optional image and label."""
 
     id: str
@@ -59,8 +62,7 @@ class SampleRef:
     label: int | None = None
 
 
-@dataclass(frozen=True)
-class StageTrace:
+class StageTrace(NamedTuple):
     sample_id: str
     path: str                 # one of PATHS
     chosen: str               # "memory", "a" or "b"
@@ -169,24 +171,20 @@ def macro_metrics(labels: Sequence[int], predictions: Sequence[int]) -> MacroMet
         raise DataError("labels and predictions differ in length")
     if not labels:
         raise DataError("no labeled samples")
-    observed = sorted(set(labels))
-    correct = sum(1 for y, p in zip(labels, predictions) if y == p)
-    precisions = []
-    recalls = []
-    f1s = []
-    for cls in observed:
-        tp = sum(1 for y, p in zip(labels, predictions) if y == cls and p == cls)
-        fp = sum(1 for y, p in zip(labels, predictions) if y != cls and p == cls)
-        fn = sum(1 for y, p in zip(labels, predictions) if y == cls and p != cls)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn)
+    label_counts = Counter(labels)  # tp + fn per class
+    predicted_counts = Counter(predictions)  # tp + fp per class
+    hits = Counter(y for y, p in zip(labels, predictions) if y == p)  # tp per class
+    per_class = []
+    for cls in sorted(label_counts):
+        tp = hits[cls]
+        precision = tp / predicted_counts[cls] if predicted_counts[cls] else 0.0
+        recall = tp / label_counts[cls]
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        precisions.append(precision)
-        recalls.append(recall)
-        f1s.append(f1)
-    k = len(observed)
+        per_class.append((precision, recall, f1))
+    precisions, recalls, f1s = zip(*per_class)
+    k = len(per_class)
     return MacroMetrics(
-        accuracy=correct / len(labels),
+        accuracy=sum(hits.values()) / len(labels),
         precision=sum(precisions) / k,
         recall=sum(recalls) / k,
         f1=sum(f1s) / k,
@@ -210,34 +208,31 @@ def run_batch(engine: CascadeEngine, samples: Sequence[SampleRef]) -> tuple[list
     if not samples:
         raise DataError("empty batch")
     traces = engine.run(samples)
-    path_counts = {p: 0 for p in PATHS}
-    for t in traces:
-        path_counts[t.path] += 1
-    usage = sum(1 for t in traces if "model_b" in t.stages) / len(traces)
-    return traces, BatchSummary(len(traces), path_counts, usage)
+    paths = Counter(t.path for t in traces)  # model B runs exactly on the model_ab path
+    return traces, BatchSummary(len(traces), {p: paths[p] for p in PATHS}, paths[PATH_MODEL_AB] / len(traces))
 
 
-def trace_to_dict(trace: StageTrace) -> dict:
-    if trace.score_a is None and trace.score_b is None:
-        scores = None
-    else:
-        scores = {"a": trace.score_a, "b": trace.score_b}
-    return {
-        "id": trace.sample_id,
-        "path": trace.path,
-        "chosen": trace.chosen,
-        "predicted": trace.predicted,
-        "label": trace.label,
-        "stages": list(trace.stages),
-        "scores": scores,
-        "hash_error": trace.hash_error,
-    }
-
-
-# json.dumps with non-default separators builds a new encoder on every call
+# encode() writes a str with the C string encoder directly; ints and finite
+# floats (scores always are) are written as their repr, as the encoder does
 _TRACE_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def format_traces_jsonl(traces: Sequence[StageTrace]) -> str:
-    lines = [_TRACE_ENCODER.encode(trace_to_dict(t)) for t in traces]
+    """One compact JSON object per trace: id, path, chosen, predicted, label,
+    stages, scores ({"a", "b"} or null on a memory hit) and hash_error."""
+    enc = _TRACE_ENCODER.encode
+    stage_lists: dict[tuple[str, ...], str] = {}  # JSON text per distinct stages tuple
+    lines = []
+    for sample_id, path, chosen, predicted, label, score_a, score_b, stages, hash_error in traces:
+        if stages not in stage_lists:
+            stage_lists[stages] = enc(list(stages))
+        scores = "null" if score_a is None and score_b is None else (
+            f'{{"a":{"null" if score_a is None else float.__repr__(score_a)},'
+            f'"b":{"null" if score_b is None else float.__repr__(score_b)}}}')
+        lines.append(
+            f'{{"id":{enc(sample_id)},"path":{enc(path)},"chosen":{enc(chosen)},'
+            f'"predicted":{int.__repr__(predicted)},"label":{"null" if label is None else int.__repr__(label)},'
+            f'"stages":{stage_lists[stages]},"scores":{scores},'
+            f'"hash_error":{"null" if hash_error is None else enc(hash_error)}}}'
+        )
     return "\n".join(lines) + "\n"

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence
 
@@ -143,18 +144,22 @@ def aggregate(
             raise DataError(f"cost profile missing stage {stage!r}")
     path_counts = {p: 0 for p in PATHS}
     stage_counts = {s: 0 for s in STAGES}
-    latencies = []
+    stage_latency: dict[tuple[str, ...], float] = {}  # per distinct stages tuple, checked once
     for t in traces:
         if t.path not in path_counts:
             raise DataError(f"unknown path {t.path!r} in trace {t.sample_id!r}")
         path_counts[t.path] += 1
-        latency = 0.0
-        for stage in t.stages:
-            if stage not in stage_counts:
-                raise DataError(f"unknown stage {stage!r} in trace {t.sample_id!r}")
-            stage_counts[stage] += 1
-            latency += costs.latency(stage)
-        latencies.append(latency)
+        if t.stages not in stage_latency:
+            latency = 0.0
+            for stage in t.stages:
+                if stage not in stage_counts:
+                    raise DataError(f"unknown stage {stage!r} in trace {t.sample_id!r}")
+                latency += costs.latency(stage)
+            stage_latency[t.stages] = latency
+    latencies = [stage_latency[t.stages] for t in traces]
+    for stages, count in Counter(t.stages for t in traces).items():
+        for stage in stages:
+            stage_counts[stage] += count
     total_energy = sum(count * costs.energy(s) for s, count in stage_counts.items())
     currents = [costs.stages[s].current_mah for s in STAGES]
     total_current = None

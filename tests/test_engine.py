@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from cascadekit.calibration import CascadeConfig, accuracy_at
@@ -17,7 +18,6 @@ from cascadekit.engine import (
     format_traces_jsonl,
     macro_metrics,
     run_batch,
-    trace_to_dict,
 )
 from cascadekit.errors import DataError
 from cascadekit.images import ImageBuffer, rotate90
@@ -26,6 +26,7 @@ from cascadekit.phash import dhash_fingerprint
 from cascadekit.records import RecordTable, align_records, load_cost_profile
 from cascadekit.synthetic import synthetic_image
 from test_calibration_oracles import oracle_decide
+from test_metering_oracles import oracle_trace_to_dict as trace_to_dict
 
 DIFF = ScoreFunction.DIFFERENCE
 
@@ -62,10 +63,14 @@ def _table(rows) -> RecordTable:
 
 class TestReplayClassifier:
     def test_replays_logits(self):
-        clf = ReplayClassifier("m", _table([("a", 0, (1.0, 2.0)), ("b", 1, (3.0, 4.0))]))
-        assert clf.infer("a") == [1.0, 2.0]
-        assert clf.infer("b") == [3.0, 4.0]
-        assert all(type(v) is float for v in clf.infer("b"))
+        table = _table([("a", 0, (1.0, 2.0)), ("b", 1, (3.0, 4.0))])
+        clf = ReplayClassifier("m", table)
+        assert clf.infer("a").tolist() == [1.0, 2.0]
+        assert clf.infer("b").tolist() == [3.0, 4.0]
+        row = clf.infer("b")
+        assert row.dtype == np.float64
+        assert not row.flags.writeable
+        assert np.shares_memory(row, table.logits)  # the table's own row, not a copy
 
     def test_unknown_id(self):
         clf = ReplayClassifier("small", _table([("a", 0, (1.0, 2.0))]))
@@ -302,6 +307,35 @@ class TestMacroMetrics:
             macro_metrics([0], [0, 1])
         with pytest.raises(DataError, match="no labeled samples"):
             macro_metrics([], [])
+
+
+class TestRecordTypes:
+    """SampleRef and StageTrace keep their fields, order and defaults, and stay immutable."""
+
+    def test_sample_ref(self):
+        img = synthetic_image(2, 2, 0)
+        assert SampleRef._fields == ("id", "image", "label")
+        assert SampleRef("x") == SampleRef(id="x") == SampleRef("x", None, None)
+        ref = SampleRef("x", img, 3)
+        assert ref == SampleRef(id="x", image=img, label=3)
+        assert (ref.id, ref.image, ref.label) == ("x", img, 3)
+        with pytest.raises(AttributeError):
+            ref.label = 4
+
+    def test_stage_trace(self):
+        assert StageTrace._fields == (
+            "sample_id", "path", "chosen", "predicted", "label", "score_a", "score_b", "stages", "hash_error",
+        )
+        args = ("x", PATH_MODEL_AB, "b", 1, 2, 0.25, 0.5, ("model_a", "model_b"))
+        trace = StageTrace(*args)
+        assert trace.hash_error is None
+        assert trace == StageTrace(
+            sample_id="x", path=PATH_MODEL_AB, chosen="b", predicted=1, label=2,
+            score_a=0.25, score_b=0.5, stages=("model_a", "model_b"), hash_error=None,
+        )
+        assert StageTrace(*args, "blank").hash_error == "blank"
+        with pytest.raises(AttributeError):
+            trace.predicted = 0
 
 
 class TestTraceSerialization:

@@ -235,7 +235,10 @@ def test_columnar_parse_and_align_match_object_oracle(texts, as_bytes):
     assert paired.logits_b.tobytes() == _bits([r[3] for r in rows])
     replay = ReplayClassifier("m", table_a)
     for r in expected[0]:
-        assert replay.infer(r.id) == list(r.logits)
+        row = replay.infer(r.id)
+        assert row.tolist() == list(r.logits)
+        assert row.dtype == np.float64 and not row.flags.writeable
+        assert np.shares_memory(row, table_a.logits)
 
 
 # Values that JSON parses but a record rejects, or that only the line loop
