@@ -7,9 +7,12 @@ names the path taken and the exact stages executed, which is what the
 metering module prices. With memory enabled the engine fingerprints the
 (grayscaled) image first and skips both models on a hit; the predicted
 label of every non-hit sample is inserted afterwards, so hits replay
-earlier cascade decisions, mistakes included. A replayed row is the record
-table's own read-only float64 row, not a copy; SampleRef and StageTrace are
-immutable NamedTuples.
+earlier cascade decisions, mistakes included. A fingerprint is a function
+of the pixels alone, so an engine grayscales and hashes each distinct
+image once and keeps the result (or the hash error's message) for its
+life; ``clear_memory`` empties the label memory but keeps those. A
+replayed row is the record table's own read-only float64 row, not a copy;
+SampleRef and StageTrace are immutable NamedTuples.
 """
 
 from __future__ import annotations
@@ -81,10 +84,24 @@ class CascadeEngine:
         self.config = config
         self.classifier_a = classifier_a
         self.classifier_b = classifier_b
-        self.store = None if config.memory == "none" else MemoStore()
+        # per distinct image: its fingerprint, or the message of the DataError hashing it raised
+        self._fingerprints: dict[ImageBuffer, Fingerprint | str] = {}
+        self.clear_memory()
 
-    def _fingerprint(self, image: ImageBuffer) -> Fingerprint:
-        return FINGERPRINTS[self.config.memory](to_grayscale(image))
+    def clear_memory(self) -> None:
+        """Start the label memory cold; the fingerprints already computed are kept."""
+        self.store = None if self.config.memory == "none" else MemoStore()
+
+    def _fingerprint(self, image: ImageBuffer) -> Fingerprint | str:
+        """The image's fingerprint, or its hash error's message; each distinct image is hashed once."""
+        result = self._fingerprints.get(image)
+        if result is None:
+            try:
+                result = FINGERPRINTS[self.config.memory](to_grayscale(image))
+            except DataError as exc:
+                result = str(exc)
+            self._fingerprints[image] = result
+        return result
 
     def run(self, samples: Sequence[SampleRef]) -> list[StageTrace]:
         """Classify samples in stream order and trace every stage.
@@ -107,10 +124,9 @@ class CascadeEngine:
                 if self.store is not None:
                     if sample.image is None:
                         raise DataError(f"sample {sample.id!r}: image required when memory={self.config.memory}")
-                    try:
-                        fp = self._fingerprint(sample.image)
-                    except DataError as exc:
-                        hash_error = str(exc)
+                    fp = self._fingerprint(sample.image)
+                    if isinstance(fp, str):
+                        fp, hash_error = None, fp
                 hit = fp is not None and (fp in fresh or self.store.lookup(fp) is not None)
                 if not hit:
                     row = self.classifier_a.infer(sample.id)

@@ -13,7 +13,9 @@ _WHITESPACE = b" \t\n\r\x0b\x0c"
 
 @dataclass(frozen=True)
 class ImageBuffer:
-    """Row-major 8-bit image; channels is 1 (grayscale) or 3 (RGB)."""
+    """Row-major 8-bit image; channels is 1 (grayscale) or 3 (RGB).
+
+    Images compare and hash by value; any bytes-like ``pixels`` are stored as ``bytes``."""
 
     width: int
     height: int
@@ -21,6 +23,8 @@ class ImageBuffer:
     pixels: bytes
 
     def __post_init__(self) -> None:
+        if type(self.pixels) is not bytes:  # a bytearray or memoryview is unhashable
+            object.__setattr__(self, "pixels", bytes(memoryview(self.pixels)))
         if self.width < 1 or self.height < 1:
             raise DataError("image dimensions must be positive")
         if self.channels not in (1, 3):

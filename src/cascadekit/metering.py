@@ -272,9 +272,11 @@ def duplication_experiment(
 ) -> list[DuplicationCurve]:
     """Run every engine over the same duplicated streams, one per ratio.
 
-    Each engine instance is built fresh per ratio so its memory starts
-    cold. Streams are built once per ratio and shared across engines for a
-    fair comparison; the seed only matters for transform "random_of_these".
+    Each factory is called once. Its engine's label memory is emptied before
+    every ratio, so each ratio starts cold, while the fingerprints it has
+    computed carry over: each distinct image is hashed once per engine.
+    Streams are built once per ratio and shared across engines for a fair
+    comparison; the seed only matters for transform "random_of_these".
     """
     if not samples:
         raise DataError("no samples")
@@ -285,9 +287,10 @@ def duplication_experiment(
     streams = [build_duplicated_stream(samples, r, transform_name, rng) for r in ordered_ratios]
     curves = []
     for name, factory in engines:
+        engine = factory()
         points = []
         for ratio, stream in zip(ordered_ratios, streams):
-            engine = factory()
+            engine.clear_memory()
             traces, _ = run_batch(engine, stream)
             report = aggregate(traces, costs)
             points.append((ratio, report.total_energy_wh, report.path_counts[PATH_MEMORY_HIT]))

@@ -3,10 +3,12 @@
 ``oracle_classify`` is the former ``CascadeEngine.classify`` body and
 ``oracle_decide_one`` the former scalar ``calibration.decide`` it called,
 kept unchanged apart from their names (``self`` became the ``engine``
-argument). Driven one sample at a time on a fresh engine, they must give the
-traces ``run_batch`` gives, field for field and type for type, leave the same
-memo store, ask each classifier for the same ids in the same order, and raise
-the same first ``DataError``.
+argument) and the fingerprint: ``oracle_classify`` computes it from the
+pixels itself, so the engine's per-image fingerprint memo is checked, not
+reused. Driven one sample at a time on a fresh engine, they must give the
+traces ``run_batch`` gives, field for field and type for type, leave the
+same memo store, ask each classifier for the same ids in the same order,
+and raise the same first ``DataError``.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from cascadekit.engine import (
     run_batch,
 )
 from cascadekit.errors import DataError
-from cascadekit.images import TRANSFORMS, ImageBuffer
-from cascadekit.phash import Fingerprint
+from cascadekit.images import TRANSFORMS, ImageBuffer, to_grayscale
+from cascadekit.phash import FINGERPRINTS, Fingerprint
 from cascadekit.synthetic import synthetic_image
 from test_calibration_oracles import better_score, logit_rows, passes_threshold, predicted_label
 
@@ -72,7 +74,7 @@ def oracle_classify(engine: CascadeEngine, sample: SampleRef) -> StageTrace:
                 f"sample {sample.id!r}: image required when memory={engine.config.memory}"
             )
         try:
-            fp = engine._fingerprint(sample.image)
+            fp = FINGERPRINTS[engine.config.memory](to_grayscale(sample.image))
         except DataError as exc:
             hash_error = str(exc)
         if fp is not None:

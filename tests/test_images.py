@@ -31,6 +31,19 @@ class TestImageBuffer:
         with pytest.raises(DataError, match="dimensions"):
             ImageBuffer(0, 1, 1, b"")
 
+    def test_bytes_like_pixels_are_stored_as_bytes(self):
+        img = synthetic_image(4, 3, seed=3, channels=3)
+        for pixels in (bytearray(img.pixels), memoryview(img.pixels)):
+            copy = ImageBuffer(4, 3, 3, pixels)
+            assert type(copy.pixels) is bytes
+            assert copy == img and hash(copy) == hash(img)
+            assert to_grayscale(copy) == to_grayscale(img)
+        assert ImageBuffer(4, 3, 3, img.pixels).pixels is img.pixels  # bytes are kept, not copied
+
+    def test_non_buffer_pixels_still_rejected(self):
+        with pytest.raises(TypeError):
+            ImageBuffer(2, 2, 1, 4)
+
 
 class TestPnm:
     def test_p5_round_trip(self):

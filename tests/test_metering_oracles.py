@@ -1,35 +1,58 @@
 """Differential tests: the run tail (trace writer, aggregation, macro metrics)
-against the per-trace and per-class code it replaced.
+and the duplication experiment against the code they replaced.
 
 ``oracle_trace_to_dict`` is the former ``engine.trace_to_dict``, which
 ``format_traces_jsonl`` fed one dict per trace to ``json``;
 ``oracle_macro_metrics`` is the former ``macro_metrics`` body (three
 counting passes per class) and ``oracle_aggregate`` the former ``aggregate``
-(every stage of every trace checked and priced in turn). They are kept
-unchanged apart from their names. The new code must write the same bytes,
-give the same floats, and raise the same first error.
+(every stage of every trace checked and priced in turn).
+``oracle_duplication_experiment`` is the former ``duplication_experiment``,
+which built a fresh engine, and so hashed every image again, at every
+ratio. They are kept unchanged apart from their names. The new code must
+write the same bytes, give the same floats, and raise the same first error.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from typing import Sequence
+from collections import Counter
+from dataclasses import replace
+from typing import Callable, Sequence
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascadekit import engine as engine_module
 from cascadekit.calibration import CascadeConfig
+from cascadekit.confidence import ScoreFunction
 from cascadekit.engine import (
+    PATH_MEMORY_HIT,
     PATHS,
+    CascadeEngine,
     MacroMetrics,
+    ReplayClassifier,
+    SampleRef,
     StageTrace,
     format_traces_jsonl,
     macro_metrics,
+    run_batch,
 )
 from cascadekit.errors import DataError
-from cascadekit.metering import RunReport, aggregate, format_report_json, nearest_rank
-from cascadekit.records import STAGES, CostProfile, StageCost
+from cascadekit.images import ImageBuffer
+from cascadekit.metering import (
+    RANDOM_TRANSFORM,
+    DuplicationCurve,
+    RunReport,
+    aggregate,
+    build_duplicated_stream,
+    duplication_experiment,
+    format_report_json,
+    nearest_rank,
+)
+from cascadekit.phash import FINGERPRINTS
+from cascadekit.records import STAGES, CostProfile, RecordTable, StageCost
+from cascadekit.synthetic import synthetic_image
 
 
 def oracle_trace_to_dict(trace: StageTrace) -> dict:
@@ -129,6 +152,39 @@ def oracle_aggregate(
         metrics=metrics,
         config=config,
     )
+
+
+def oracle_duplication_experiment(
+    samples: Sequence[SampleRef],
+    ratios: Sequence[float],
+    transform_name: str,
+    engines: Sequence[tuple[str, Callable[[], CascadeEngine]]],
+    costs: CostProfile,
+    seed: int = 0,
+) -> list[DuplicationCurve]:
+    """Run every engine over the same duplicated streams, one per ratio.
+
+    Each engine instance is built fresh per ratio so its memory starts
+    cold. Streams are built once per ratio and shared across engines for a
+    fair comparison; the seed only matters for transform "random_of_these".
+    """
+    if not samples:
+        raise DataError("no samples")
+    if not ratios:
+        raise DataError("no ratios")
+    ordered_ratios = sorted(ratios)
+    rng = random.Random(seed)
+    streams = [build_duplicated_stream(samples, r, transform_name, rng) for r in ordered_ratios]
+    curves = []
+    for name, factory in engines:
+        points = []
+        for ratio, stream in zip(ordered_ratios, streams):
+            engine = factory()
+            traces, _ = run_batch(engine, stream)
+            report = aggregate(traces, costs)
+            points.append((ratio, report.total_energy_wh, report.path_counts[PATH_MEMORY_HIT]))
+        curves.append(DuplicationCurve(name, points))
+    return curves
 
 
 def _outcome(fn, *args):
@@ -276,3 +332,104 @@ def test_aggregate_bad_trace_after_cached_tuple_raises_oracle_error():
         want = _outcome(oracle_aggregate, traces, costs)
         assert isinstance(want, tuple)
         assert _outcome(aggregate, traces, costs) == want
+
+
+
+DUP_COSTS = CostProfile({
+    "memory_lookup": StageCost(0.001, 1.0),
+    "memory_insert": StageCost(0.002, 1.0),
+    "model_a": StageCost(0.1, 10.0),
+    "model_b": StageCost(0.3, 20.0),
+})
+
+
+def _entries(config: CascadeConfig, records_a: RecordTable, records_b: RecordTable, memories: Sequence[str]):
+    """One (name, engine factory) entry per memory method, over one config and one pair of tables."""
+    def factory(memory: str) -> Callable[[], CascadeEngine]:
+        return lambda: CascadeEngine(replace(config, memory=memory), ReplayClassifier("model_a", records_a),
+                                     ReplayClassifier("model_b", records_b))
+    return [(f"{i}:{memory}", factory(memory)) for i, memory in enumerate(memories)]
+
+
+@st.composite
+def duplication_cases(draw):
+    """Samples over a small image pool (a blank frame, repeats, 1 and 3
+    channels), logits that put some samples on each path, and ratios in any
+    order, repeats included."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(2, 4))
+    w, h = draw(st.integers(9, 14)), draw(st.integers(8, 14))
+    pool = [synthetic_image(w, h, seed, draw(st.sampled_from((1, 3)))) for seed in range(draw(st.integers(1, 4)))]
+    pool.append(ImageBuffer(w, h, 1, bytes(w * h)))  # hash error under moments, a repeat under dhash
+    ids = [f"s{i}" for i in range(n)]
+    labels = [draw(st.integers(0, k - 1)) for _ in ids]
+    logit_st = st.lists(st.lists(st.floats(-4, 4), min_size=k, max_size=k), min_size=n, max_size=n)
+    records_a = RecordTable(ids, labels, draw(logit_st))
+    records_b = RecordTable(ids, labels, draw(logit_st))
+    samples = [SampleRef(rid, draw(st.sampled_from(pool)), label) for rid, label in zip(ids, labels)]
+    ratios = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=4))
+    config = CascadeConfig("model_a", "model_b", draw(st.sampled_from(list(ScoreFunction))),
+                           draw(st.floats(0.0, 1.0)), draw(st.booleans()))
+    memories = draw(st.sampled_from([["none"], ["dhash"], ["moments"], ["dhash", "moments"],
+                                     ["none", "dhash", "moments", "moments"]]))
+    transform = draw(st.sampled_from(["identity", "rot90", RANDOM_TRANSFORM]))
+    return samples, ratios, transform, _entries(config, records_a, records_b, memories), draw(st.integers(0, 9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(duplication_cases())
+def test_duplication_experiment_matches_fresh_engine_oracle(case):
+    samples, ratios, transform, entries, seed = case
+    got = duplication_experiment(samples, ratios, transform, entries, DUP_COSTS, seed=seed)
+    want = oracle_duplication_experiment(samples, ratios, transform, entries, DUP_COSTS, seed=seed)
+    assert got == want
+    assert repr(got) == repr(want)  # bit for bit, -0.0 and int types included
+
+
+def test_each_distinct_image_is_fingerprinted_once_per_engine(monkeypatch):
+    """The calib-10k duplication slice: 512 distinct 32x32 RGB images and
+    identity duplicates at ratios 0, 0.5 and 1 are 2304 samples, which the
+    engines grayscale and fingerprint 512 times each; one blank frame is
+    tried once under moments and degrades every sample it appears in."""
+    count = 512
+    ids = [f"s{i:03d}" for i in range(count)]
+    images = [synthetic_image(32, 32, seed, 3) for seed in range(count - 1)]
+    images.append(ImageBuffer(32, 32, 3, bytes(32 * 32 * 3)))
+    samples = [SampleRef(rid, image) for rid, image in zip(ids, images)]
+    records = RecordTable(ids, [0] * count, [[1.0, 0.0, 0.5]] * count)
+    config = CascadeConfig("model_a", "model_b", ScoreFunction.DIFFERENCE, 0.5, True)
+    grayscaled = Counter()
+    fingerprinted = {method: Counter() for method in FINGERPRINTS}
+
+    def counted(counter, fn):
+        def wrapper(image):
+            counter[image] += 1
+            return fn(image)
+        return wrapper
+
+    monkeypatch.setattr(engine_module, "to_grayscale", counted(grayscaled, engine_module.to_grayscale))
+    for method, fingerprint in list(FINGERPRINTS.items()):
+        monkeypatch.setitem(FINGERPRINTS, method, counted(fingerprinted[method], fingerprint))
+    curves = duplication_experiment(samples, [0, 0.5, 1], "identity",
+                                    _entries(config, records, records, ["dhash", "moments"]), DUP_COSTS)
+
+    assert sum(len(build_duplicated_stream(samples, r, "identity", random.Random(0))) for r in (0, 0.5, 1)) == 2304
+    assert sorted(grayscaled.values()) == [2] * count  # once per engine entry
+    for method in FINGERPRINTS:
+        assert len(fingerprinted[method]) == count
+        assert set(fingerprinted[method].values()) == {1}
+    dhash_curve, moments_curve = curves
+    assert [hits for _, _, hits in dhash_curve.points] == [0, 256, 512]
+    assert [hits for _, _, hits in moments_curve.points] == [0, 256, 511]  # the blank never hits
+
+
+def test_hash_error_message_is_reused_not_reraised():
+    blank = ImageBuffer(9, 8, 1, bytes(72))
+    records = RecordTable(["x", "y"], [0, 0], [[1.0, 0.0], [1.0, 0.0]])
+    config = CascadeConfig("model_a", "model_b", ScoreFunction.DIFFERENCE, 0.5, True, "moments")
+    engine = CascadeEngine(config, ReplayClassifier("model_a", records), ReplayClassifier("model_b", records))
+    first = run_batch(engine, [SampleRef("x", blank), SampleRef("y", ImageBuffer(9, 8, 1, bytearray(72)))])[0]
+    engine.clear_memory()
+    again = run_batch(engine, [SampleRef("x", blank)])[0]
+    assert [t.hash_error for t in first + again] == ["zero total intensity"] * 3
+    assert len(engine._fingerprints) == 1 and len(engine.store) == 0
