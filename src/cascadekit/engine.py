@@ -9,15 +9,17 @@ metering module prices. With memory enabled the engine fingerprints the
 label of every non-hit sample is inserted afterwards, so hits replay
 earlier cascade decisions, mistakes included. A fingerprint is a function
 of the pixels alone, so an engine grayscales and hashes each distinct
-image once and keeps the result (or the hash error's message) for its
-life; ``clear_memory`` empties the label memory but keeps those. A
-replayed row is the record table's own read-only float64 row, not a copy;
-SampleRef and StageTrace are immutable NamedTuples.
+image once and keeps the result (or the hash error's message) while the
+caller keeps that image alive; ``clear_memory`` empties the label memory
+but keeps those. A replayed row is the record table's own read-only
+float64 row, not a copy; SampleRef and StageTrace are immutable
+NamedTuples.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Protocol, Sequence
@@ -84,8 +86,9 @@ class CascadeEngine:
         self.config = config
         self.classifier_a = classifier_a
         self.classifier_b = classifier_b
-        # per distinct image: its fingerprint, or the message of the DataError hashing it raised
-        self._fingerprints: dict[ImageBuffer, Fingerprint | str] = {}
+        # per distinct image: its fingerprint, or the message of the DataError hashing it raised;
+        # weak keys, so an entry goes when the caller frees its image
+        self._fingerprints: weakref.WeakKeyDictionary[ImageBuffer, Fingerprint | str] = weakref.WeakKeyDictionary()
         self.clear_memory()
 
     def clear_memory(self) -> None:

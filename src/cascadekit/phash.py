@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -56,26 +55,15 @@ def dhash(gray: ImageBuffer) -> int:
     if w < DHASH_COLS or h < DHASH_ROWS:
         raise DataError(f"image {w}x{h} smaller than {DHASH_COLS}x{DHASH_ROWS} grid")
     f = np.frombuffer(gray.pixels, dtype=np.uint8).reshape(h, w).astype(np.int64)
-    row_starts, col_starts, counts_left, counts_right = _dhash_grid(w, h)
-    # the int64 cross products stay exact for cells of up to 1.9e8 pixels
-    sums = np.add.reduceat(np.add.reduceat(f, row_starts, axis=0), col_starts, axis=1)
-    bits = sums[:, :-1] * counts_right > sums[:, 1:] * counts_left
-    return int.from_bytes(np.packbits(bits).tobytes(), "big")
-
-
-@lru_cache
-def _dhash_grid(w: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Row and column cell starts, then the pixel counts of the left and right
-    cells of each compared pair, for a w x h image (read-only arrays)."""
     col_edges = np.arange(DHASH_COLS + 1) * w // DHASH_COLS
     row_edges = np.arange(DHASH_ROWS + 1) * h // DHASH_ROWS
     # reduceat needs strictly increasing edges (an empty cell would yield one
-    # pixel, not 0), which w >= 9 and h >= 8 guarantee
+    # pixel, not 0), which w >= 9 and h >= 8 guarantee; the int64 cross
+    # products stay exact for cells of up to 1.9e8 pixels
+    sums = np.add.reduceat(np.add.reduceat(f, row_edges[:-1], axis=0), col_edges[:-1], axis=1)
     counts = np.outer(np.diff(row_edges), np.diff(col_edges))
-    grid = row_edges[:-1], col_edges[:-1], counts[:, :-1], counts[:, 1:]
-    for array in grid:
-        array.setflags(write=False)
-    return grid
+    bits = sums[:, :-1] * counts[:, 1:] > sums[:, 1:] * counts[:, :-1]
+    return int.from_bytes(np.packbits(bits).tobytes(), "big")
 
 
 def dhash_fingerprint(gray: ImageBuffer) -> Fingerprint:

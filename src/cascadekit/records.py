@@ -29,7 +29,6 @@ import numpy as np
 from .errors import DataError, non_negative_number, parse_json, parse_json_lines, read_bytes
 
 STAGES = ("memory_lookup", "memory_insert", "model_a", "model_b")
-_EXACT_INT = 2**53  # every int up to this size is a float64 exactly
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,11 +160,9 @@ def _columns(data: bytes | str) -> RecordTable | None:
     """The table when the whole file passes column-wide checks, else None.
 
     Each check is at least as strict as the line loop's, so an accepted file
-    is one the loop would accept with the same table. Int logits are taken
-    when every one is within 2**53 of zero, where ``float`` and ``np.array``
-    both convert them exactly; a larger one, and any bool, is left to the
-    loop (``np.array`` would turn ``true`` into 1.0 and a 400-digit integer
-    into an OverflowError).
+    is one the loop would accept with the same table. Int and bool logits are
+    left to the loop: ``np.array`` would turn ``true`` into 1.0 and a 400-digit
+    integer into an OverflowError.
     """
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
@@ -186,12 +183,7 @@ def _columns(data: bytes | str) -> RecordTable | None:
         return None
     widths = set(map(len, rows))
     k = widths.pop()
-    if widths or k < 2:
-        return None
-    kinds = set(map(type, chain.from_iterable(rows)))
-    if not kinds <= {float, int} or int in kinds and any(
-        abs(v) > _EXACT_INT for v in chain.from_iterable(rows) if type(v) is int
-    ):
+    if widths or k < 2 or set(map(type, chain.from_iterable(rows))) != {float}:
         return None
     try:
         "".join(ids).encode("utf-8")
@@ -212,7 +204,7 @@ def _parse_lines(data: bytes | str) -> RecordTable:
     This loop is kept to report errors: only a file that fails a check in
     ``_columns`` comes here, and the loop names its first bad line and the
     fault. A file the column checks reject only for being stricter than a
-    record needs (an integer logit past 2**53) parses here into the same table.
+    record needs (an integer logit) parses here into the same table.
     """
     seen: dict[str, None] = {}  # the ids, in file order
     labels: list[int] = []

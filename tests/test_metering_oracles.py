@@ -14,6 +14,7 @@ write the same bytes, give the same floats, and raise the same first error.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from collections import Counter
@@ -433,3 +434,18 @@ def test_hash_error_message_is_reused_not_reraised():
     again = run_batch(engine, [SampleRef("x", blank)])[0]
     assert [t.hash_error for t in first + again] == ["zero total intensity"] * 3
     assert len(engine._fingerprints) == 1 and len(engine.store) == 0
+
+
+def test_a_freed_image_leaves_the_fingerprint_memo():
+    """The memo holds its images weakly: a long-lived engine keeps no pixels the caller has let go."""
+    records = RecordTable(["x", "y"], [0, 0], [[1.0, 0.0], [1.0, 0.0]])
+    config = CascadeConfig("model_a", "model_b", ScoreFunction.DIFFERENCE, 0.5, True, "dhash")
+    engine = CascadeEngine(config, ReplayClassifier("model_a", records), ReplayClassifier("model_b", records))
+    kept, freed = synthetic_image(9, 8, 1, 1), synthetic_image(9, 8, 2, 1)
+    traces, _ = run_batch(engine, [SampleRef("x", kept), SampleRef("y", freed)])
+    assert len(engine._fingerprints) == 2
+    del freed
+    gc.collect()
+    assert list(engine._fingerprints.keys()) == [kept]
+    again, _ = run_batch(engine, [SampleRef("y", kept)])  # an image still alive is not hashed again
+    assert len(engine._fingerprints) == 1 and again[0].path == "memory_hit"

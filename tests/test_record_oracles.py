@@ -10,8 +10,7 @@ disagreements, non-ASCII, astral-plane, lone-surrogate and line-break ids)
 and asserts the same id order, the same labels, bit-identical logits and the
 same first ``DataError`` message; an id that is not printable appears in that
 message as its ``repr``, so the message stays on one line. Half the files hold
-only float logits, as every writer emits them; the rest mix in small ints,
-which the column checks of ``records._columns`` also accept.
+only float logits, the files the column checks of ``records._columns`` accept.
 
 The column checks are also tested alone, on files broken in the ways record
 files break: whenever they accept a file, their table must equal the
@@ -359,60 +358,3 @@ def test_trace_and_sample_labels_are_python_ints(data_dir):
         parse_prediction_records((data_dir / "model_b.jsonl").read_bytes()),
     )
     assert all(type(s.label) is int and type(s.logits_a[0]) is float for s in paired.samples)
-
-
-
-# ints a float64 holds exactly (within 2**53 of zero), the first ones past that,
-# and ints past the float range, which the line loop reports
-EXACT_INTS = [0, 1, -1, 2**53, -(2**53), 2**53 - 1]
-INEXACT_INTS = [2**53 + 1, -(2**53 + 1), 2**63, 2**64 + 1, 10**308, -(10**308)]
-HUGE_INTS = [10**309, -(10**309), 2**1024, 10**400]
-int_logit_st = st.one_of(
-    st.sampled_from(EXACT_INTS + INEXACT_INTS + HUGE_INTS),
-    st.integers(-(2**53), 2**53),
-    st.integers(-(2**60), 2**60),
-)
-
-
-def _int_record(rid: str, label: int, logits) -> str:
-    return f'{{"id":"{rid}","label":{label},"logits":[{",".join(map(repr, logits))}]}}'
-
-
-@st.composite
-def int_logit_rows(draw) -> list[list]:
-    k = draw(st.integers(2, 4))
-    row_st = st.lists(st.one_of(float_logit_st, int_logit_st), min_size=k, max_size=k)
-    return draw(st.lists(row_st, min_size=1, max_size=6))
-
-
-def _same_table(got: RecordTable, want: RecordTable) -> None:
-    assert got.ids == want.ids
-    assert got.labels.dtype == want.labels.dtype == np.int64
-    assert got.labels.tolist() == want.labels.tolist()
-    assert got.logits.dtype == want.logits.dtype == np.float64
-    assert got.logits.tobytes() == want.logits.tobytes()
-
-
-@given(int_logit_rows(), st.booleans())
-@settings(max_examples=500, deadline=None)
-def test_int_logits_parse_in_the_column_stage_as_in_the_line_loop(rows, as_bytes):
-    text = "".join(_int_record(f"r{i}", 0, row) + "\n" for i, row in enumerate(rows))
-    data = text.encode("utf-8") if as_bytes else text
-    fast = records._columns(data)
-    values = [v for row in rows for v in row]
-    if any(type(v) is int and abs(v) > 2**53 for v in values):
-        assert fast is None  # left to the line loop, which rounds or reports it
-        return
-    assert fast is not None
-    _same_table(fast, records._parse_lines(data))
-    _same_table(parse_prediction_records(data), fast)
-    assert fast.logits.tolist() == [[float(v) for v in row] for row in rows]
-
-
-def test_int_logits_at_the_exact_bound():
-    exact, rounded, huge = (_int_record(f"r{i}", 0, [v, -v, 0.5]) for i, v in enumerate([2**53, 2**53 + 1, 10**400]))
-    assert records._columns(exact).logits.tolist() == [[2.0**53, -(2.0**53), 0.5]]
-    assert records._columns(f"{exact}\n{rounded}") is None
-    assert parse_prediction_records(f"{exact}\n{rounded}").logits.tolist() == [[2.0**53, -(2.0**53), 0.5]] * 2
-    assert records._columns(f"{exact}\n{huge}") is None
-    assert _outcome(parse_prediction_records, f"{exact}\n{huge}") == (DataError, "logit out of float range at line 2")

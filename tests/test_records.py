@@ -60,7 +60,7 @@ class TestParseRecords:
         with pytest.raises(DataError, match="line 1.*exactly keys"):
             parse_prediction_records('{"id":"a","label":0}\n')
 
-    # float and small integer logits both reach the column checks before the line loop
+    # float logits reach the column checks; integer logits go straight to the line loop
     def test_extra_key(self):
         for logits in ("[1,0]", "[1.0,0.0]"):
             with pytest.raises(DataError, match="exactly keys id, label, logits"):
