@@ -2,9 +2,10 @@
 
 Files are opened here only: every read, write and JSON parse of outside
 input goes through ``read_bytes``, ``write_text``, ``parse_json``,
-``parse_json_lines`` and ``read_json``, so an unreadable or unwritable path,
-non-UTF-8 bytes, malformed JSON and an integer literal past CPython's
-int-string limit each become a DataError in one place.
+``parse_json_lines`` (a JSON Lines stream, one line-numbered document at a
+time) and ``read_json``, so an unreadable or unwritable path, non-UTF-8
+bytes, malformed JSON and an integer literal past CPython's int-string
+limit each become a DataError in one place.
 ``non_negative_number`` is the one check that a parsed JSON value is a
 finite, non-negative number.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable
+from collections.abc import Iterator
 
 
 class DataError(ValueError):
@@ -56,26 +57,29 @@ def parse_json(data: bytes | str, what: str) -> object:
 _DECODER = json.JSONDecoder()
 
 
-def parse_json_lines(lines: Iterable[str], what: str) -> list[object]:
-    """Parse each line as one JSON document, accepting exactly what ``json.loads``
-    accepts for that line.
+def parse_json_lines(data: bytes | str, what: str) -> Iterator[tuple[int, object]]:
+    """Yield ``(line number, document)`` for each non-empty line of a JSON Lines
+    stream, accepting exactly what ``json.loads`` accepts for that line.
 
-    Only JSON's whitespace (space, tab, CR, LF) may surround a document;
-    ``str.strip()`` would also drop Unicode spaces that JSON rejects. The first
-    line that is not one document raises a DataError.
+    Lines are split on ``"\n"`` and numbered from 1, empty ones included. A
+    bytes line is decoded as UTF-8. Only JSON's whitespace (space, tab, CR,
+    LF) may surround a document; ``str.strip()`` would also drop Unicode
+    spaces that JSON rejects. The first line that is not one document raises
+    ``DataError("malformed <what> at line N: invalid JSON")``.
     """
     decode = _DECODER.raw_decode
-    docs = []
-    for line in lines:
-        doc = line.strip(" \t\n\r")
+    newline = b"\n" if isinstance(data, bytes) else "\n"
+    for line_no, line in enumerate(data.split(newline), start=1):
+        if not line:
+            continue
         try:
+            doc = (line.decode("utf-8") if isinstance(line, bytes) else line).strip(" \t\n\r")
             obj, end = decode(doc)
-        except ValueError as exc:  # JSONDecodeError, or the int-string limit
-            raise DataError(f"invalid {what} JSON: {exc}") from None
-        if end != len(doc):
-            raise DataError(f"invalid {what} JSON: extra data after the document")
-        docs.append(obj)
-    return docs
+            if end != len(doc):
+                raise ValueError("extra data after the document")
+        except ValueError:  # also UnicodeDecodeError, JSONDecodeError and the int-string limit
+            raise DataError(f"malformed {what} at line {line_no}: invalid JSON") from None
+        yield line_no, obj
 
 
 def read_json(path: str, what: str) -> object:

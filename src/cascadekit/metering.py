@@ -4,9 +4,10 @@ The cost model is linear: each executed stage contributes a fixed energy
 and latency taken from a CostProfile. Totals are computed by summing raw
 stage counts first and multiplying once per stage, so the grand total is
 immune to per-sample rounding. Percentiles use the nearest-rank order
-statistic. The duplication experiment rebuilds the input stream at each
-ratio and runs a fresh engine, which is how the memory component's
-flat-energy behavior shows up against a linear baseline.
+statistic. The duplication experiment builds each engine once and empties
+its label memory before every ratio, so each ratio's stream starts cold;
+that is how the memory component's flat-energy behavior shows up against
+a linear baseline.
 """
 
 from __future__ import annotations

@@ -7,11 +7,9 @@ share the same logits length. A file parses into one columnar
 ``RecordTable``; ``align_records`` joins two tables on id into a
 ``PairedDataset`` with one logits matrix per model.
 
-A file is checked as whole columns: one JSON parse per line, then type,
-width, finiteness, range and uniqueness checks over all records at once.
-If any check fails, the file is read again line by line, which raises the
-same line-numbered message for the first bad line that a line-by-line
-parse always gave.
+A file is parsed in one pass: each non-empty line is JSON-parsed once and
+checked as one record, and the first bad line raises a line-numbered
+``DataError``.
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -116,9 +112,7 @@ def _shown(rid: str) -> str:
 def _record_from_obj(obj: object, line_no: int, expected_k: int | None) -> tuple[str, int, list]:
     if not isinstance(obj, dict):
         raise DataError(f"malformed record at line {line_no}: expected a JSON object")
-    extra = set(obj) - {"id", "label", "logits"}
-    missing = {"id", "label", "logits"} - set(obj)
-    if extra or missing:
+    if obj.keys() != {"id", "label", "logits"}:
         raise DataError(
             f"malformed record at line {line_no}: "
             f"expected exactly keys id, label, logits"
@@ -138,17 +132,19 @@ def _record_from_obj(obj: object, line_no: int, expected_k: int | None) -> tuple
         raise DataError(
             f"malformed record at line {line_no}: logits must be an array of length >= 2"
         )
-    values: list[float] = []
-    for v in logits:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise DataError(f"malformed record at line {line_no}: non-numeric logit")
-        try:
-            f = float(v)
-        except OverflowError:  # an integer literal beyond the float range
-            raise DataError(f"logit out of float range at line {line_no}") from None
-        if not math.isfinite(f):
-            raise DataError(f"non-finite logit at line {line_no}")
-        values.append(f)
+    values = logits  # all floats, and a finite sum means every one is finite
+    if set(map(type, logits)) != {float} or not math.isfinite(sum(logits)):
+        values = []
+        for v in logits:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise DataError(f"malformed record at line {line_no}: non-numeric logit")
+            try:
+                f = float(v)
+            except OverflowError:  # an integer literal beyond the float range
+                raise DataError(f"logit out of float range at line {line_no}") from None
+            if not math.isfinite(f):
+                raise DataError(f"non-finite logit at line {line_no}")
+            values.append(f)
     if expected_k is not None and len(values) != expected_k:
         raise DataError(f"inconsistent logits length at line {line_no}")
     if not 0 <= label < len(values):
@@ -156,68 +152,18 @@ def _record_from_obj(obj: object, line_no: int, expected_k: int | None) -> tuple
     return rid, label, values
 
 
-def _columns(data: bytes | str) -> RecordTable | None:
-    """The table when the whole file passes column-wide checks, else None.
+def parse_prediction_records(data: bytes | str) -> RecordTable:
+    """Parse a UTF-8 JSON Lines stream into a validated record table.
 
-    Each check is at least as strict as the line loop's, so an accepted file
-    is one the loop would accept with the same table. Int and bool logits are
-    left to the loop: ``np.array`` would turn ``true`` into 1.0 and a 400-digit
-    integer into an OverflowError.
-    """
-    try:
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-        objs = parse_json_lines([line for line in text.split("\n") if line], "record")
-    except (UnicodeDecodeError, DataError):
-        return None
-    if not objs or set(map(type, objs)) != {dict} or set(map(len, objs)) != {3}:
-        return None
-    try:  # three keys, and all three found: exactly the record's keys
-        ids, labels, rows = zip(*map(itemgetter("id", "label", "logits"), objs))
-    except KeyError:
-        return None
-    if (
-        set(map(type, ids)) != {str}
-        or set(map(type, labels)) != {int}
-        or set(map(type, rows)) != {list}
-    ):
-        return None
-    widths = set(map(len, rows))
-    k = widths.pop()
-    if widths or k < 2 or set(map(type, chain.from_iterable(rows))) != {float}:
-        return None
-    try:
-        "".join(ids).encode("utf-8")
-    except UnicodeEncodeError:  # a lone surrogate escape such as "\ud800"
-        return None
-    logits = np.array(rows, dtype=np.float64)
-    if not np.isfinite(logits).all():
-        return None
-    # Python ints, so a label past int64 fails here instead of overflowing
-    if min(labels) < 0 or max(labels) >= k or len(dict.fromkeys(ids)) != len(ids):
-        return None
-    return RecordTable(ids, labels, logits)
-
-
-def _parse_lines(data: bytes | str) -> RecordTable:
-    """Parse one record per line, raising the first bad line's DataError.
-
-    This loop is kept to report errors: only a file that fails a check in
-    ``_columns`` comes here, and the loop names its first bad line and the
-    fault. A file the column checks reject only for being stricter than a
-    record needs (an integer logit) parses here into the same table.
+    Enforces one record per non-empty line, a consistent logits length
+    across the file, labels within range, finite logits, and unique ids;
+    the first bad line raises its line-numbered DataError.
     """
     seen: dict[str, None] = {}  # the ids, in file order
     labels: list[int] = []
     rows: list[list[float]] = []
     expected_k: int | None = None
-    newline = b"\n" if isinstance(data, bytes) else "\n"
-    for line_no, line in enumerate(data.split(newline), start=1):
-        if not line:
-            continue
-        try:
-            obj = parse_json(line, "record")
-        except DataError:
-            raise DataError(f"malformed record at line {line_no}: invalid JSON") from None
+    for line_no, obj in parse_json_lines(data, "record"):
         rid, label, values = _record_from_obj(obj, line_no, expected_k)
         if rid in seen:
             raise DataError(f"duplicate id {_shown(rid)} at line {line_no}")
@@ -226,18 +172,6 @@ def _parse_lines(data: bytes | str) -> RecordTable:
         labels.append(label)
         rows.append(values)
     return RecordTable(seen, labels, rows)
-
-
-def parse_prediction_records(data: bytes | str) -> RecordTable:
-    """Parse a UTF-8 JSON Lines stream into a validated record table.
-
-    Enforces one record per non-empty line, a consistent logits length
-    across the file, labels within range, finite logits, and unique ids.
-    The file is checked as whole columns first; if any check fails it is
-    read again line by line, which raises the first bad line's error.
-    """
-    table = _columns(data)
-    return table if table is not None else _parse_lines(data)
 
 
 def format_prediction_records(table: RecordTable) -> str:

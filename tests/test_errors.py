@@ -106,20 +106,40 @@ def test_parse_json_errors(data, message):
     ],
 )
 def test_parse_json_lines_accepts_what_json_loads_accepts(line):
-    try:
-        want = json.loads(line)
-    except ValueError:
-        with pytest.raises(DataError, match="^invalid test JSON: "):
-            parse_json_lines([line], "test")
-    else:
-        got = parse_json_lines([line], "test")
-        assert repr(got) == repr([want])  # repr: NaN != NaN
+    for data in (line, line.encode("utf-8")):
+        if not line:  # an empty line is skipped, not parsed
+            assert list(parse_json_lines(data, "test")) == []
+            continue
+        try:
+            want = json.loads(line)
+        except ValueError:
+            with pytest.raises(DataError, match="^malformed test at line 1: invalid JSON$"):
+                list(parse_json_lines(data, "test"))
+        else:
+            got = list(parse_json_lines(data, "test"))
+            assert repr(got) == repr([(1, want)])  # repr: NaN != NaN
 
 
 def test_parse_json_lines_keeps_order_and_stops_at_a_bad_line():
-    assert parse_json_lines(["1", '{"b": 2}', "[3.0]"], "test") == [1, {"b": 2}, [3.0]]
-    with pytest.raises(DataError, match="^invalid test JSON: "):
-        parse_json_lines(["1", "{", "2"], "test")
+    docs = list(parse_json_lines('1\n{"b": 2}\n[3.0]', "test"))
+    assert docs == [(1, 1), (2, {"b": 2}), (3, [3.0])]
+    docs = parse_json_lines("1\n{\n2", "test")
+    assert next(docs) == (1, 1)
+    with pytest.raises(DataError, match="^malformed test at line 2: invalid JSON$"):
+        next(docs)
+
+
+@pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+def test_parse_json_lines_numbers_lines_across_empty_lines_and_crlf(as_bytes):
+    def parse(text: str) -> list:
+        return list(parse_json_lines(text.encode() if as_bytes else text, "test"))
+
+    assert parse("\n1\n\n[2.0]\n\n") == [(2, 1), (4, [2.0])]
+    assert parse("1\r\n\n[2.0]\r\n") == [(1, 1), (3, [2.0])]
+    # a CRLF blank line is "\r", a line that is not empty and holds no document
+    for text, line_no in [("1\n\n{\n2\n", 3), ("1\r\n\n{\r\n2\r\n", 3), ("1\r\n\r\n2\r\n", 2)]:
+        with pytest.raises(DataError, match=f"^malformed test at line {line_no}: invalid JSON$"):
+            parse(text)
 
 
 def test_read_json_prefixes_parse_errors_with_the_path(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cascadekit import records
-from cascadekit.errors import DataError
+from cascadekit.errors import DataError, parse_json_lines
 from cascadekit.records import (
     RecordTable,
     align_records,
@@ -60,7 +60,6 @@ class TestParseRecords:
         with pytest.raises(DataError, match="line 1.*exactly keys"):
             parse_prediction_records('{"id":"a","label":0}\n')
 
-    # float logits reach the column checks; integer logits go straight to the line loop
     def test_extra_key(self):
         for logits in ("[1,0]", "[1.0,0.0]"):
             with pytest.raises(DataError, match="exactly keys id, label, logits"):
@@ -168,11 +167,7 @@ class TestParseRecords:
         with pytest.raises(DataError, match="^malformed record at line 2: invalid JSON$"):
             parse_prediction_records(text)
 
-    def test_float_files_take_the_column_path(self, data_dir, monkeypatch):
-        def no_line_loop(*args):
-            raise AssertionError("the column checks sent a valid float file to the line loop")
-
-        monkeypatch.setattr(records, "_record_from_obj", no_line_loop)
+    def test_float_files_parse_bit_exact(self, data_dir):
         bundled = parse_prediction_records((data_dir / "model_a.jsonl").read_bytes())
         assert len(bundled) == 500 and bundled.logits.shape == (500, 10)
         rng = random.Random(5)
@@ -185,6 +180,33 @@ class TestParseRecords:
         assert again.ids == table.ids
         assert again.labels.tolist() == table.labels.tolist()
         assert again.logits.tobytes() == table.logits.tobytes()
+
+    @pytest.mark.parametrize(
+        "last, error",
+        [('{"id":"c","label":1,"logits":[3,4]}', None),
+         ('{"id":"c","label":9,"logits":[3.0,4.0]}', "^label out of range at line 4$")],
+        ids=["int_logits", "bad_last_line"],
+    )
+    def test_each_line_is_json_parsed_once(self, monkeypatch, last, error):
+        yielded = []
+
+        def counted(data, what):
+            for line_no, obj in parse_json_lines(data, what):
+                yielded.append(line_no)
+                yield line_no, obj
+
+        def no_second_parser(*args):
+            raise AssertionError("a record line was parsed outside parse_json_lines")
+
+        monkeypatch.setattr(records, "parse_json_lines", counted)
+        monkeypatch.setattr(records, "parse_json", no_second_parser)
+        text = "\n".join([_line("a", 0, [1, 2]), "", _line("b", 1, [2.5, 0]), last]) + "\n"
+        if error is None:
+            assert parse_prediction_records(text).logits.tolist() == [[1, 2], [2.5, 0], [3, 4]]
+        else:
+            with pytest.raises(DataError, match=error):
+                parse_prediction_records(text)
+        assert yielded == [1, 3, 4]
 
 
 class TestFormatRecords:
