@@ -8,7 +8,9 @@ import pytest
 
 from cascadekit.calibration import MEMORY_METHODS, load_config
 from cascadekit.cli import build_parser, main
+from cascadekit.confidence import ScoreFunction
 from cascadekit.images import TRANSFORMS, ImageBuffer, write_image_pnm
+from cascadekit.metering import RANDOM_TRANSFORM
 from cascadekit.phash import FINGERPRINTS
 from cascadekit.records import format_prediction_records
 from cascadekit.synthetic import synthetic_image, synthetic_pair
@@ -687,8 +689,10 @@ class TestParser:
         return tuple(next(a for a in sub.choices[command]._actions if a.dest == dest).choices)
 
     def test_choices_come_from_the_registries(self):
-        assert self._choices("duplication", "transform") == (*TRANSFORMS, "random_of_these")
+        # the parser spells its choices out so that it imports nothing; these pin them
+        assert self._choices("duplication", "transform") == (*TRANSFORMS, RANDOM_TRANSFORM)
         assert self._choices("hash", "method") == tuple(FINGERPRINTS)
+        assert self._choices("calibrate", "score") == (*(fn.value for fn in ScoreFunction), "auto")
         assert MEMORY_METHODS == ("none", *FINGERPRINTS)
 
     def test_unknown_subcommand(self):

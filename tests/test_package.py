@@ -2,16 +2,22 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import cascadekit
+from cascadekit.images import write_image_pnm
+from cascadekit.synthetic import synthetic_image
 
 SOURCE = Path(cascadekit.__file__).resolve().parent
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def test_every_exported_name_resolves():
@@ -20,14 +26,96 @@ def test_every_exported_name_resolves():
     assert len(set(cascadekit.__all__)) == len(cascadekit.__all__)
 
 
+NAMESPACE_CHECK = """
+import importlib, json
+import cascadekit.calibration  # imports the complementarity submodule first
+from cascadekit import complementarity
+import cascadekit
+
+listed = set(dir(cascadekit))
+exports = {name: getattr(cascadekit, name) for name in cascadekit.__all__}
+try:
+    cascadekit.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({
+    "complementarity": type(complementarity).__name__,
+    "unlisted": sorted(set(cascadekit.__all__) - listed),
+    "elsewhere": sorted(
+        name for name, value in exports.items()
+        if getattr(importlib.import_module(value.__module__), name) is not value
+    ),
+    "modules": sorted({value.__module__ for value in exports.values()}),
+    "unknown": unknown,
+}))
+"""
+
+
+def test_package_binds_each_name_to_its_defining_module():
+    out = subprocess.run(
+        [sys.executable, "-c", NAMESPACE_CHECK],
+        capture_output=True, text=True, check=True, cwd=SOURCE.parent,
+    ).stdout
+    result = json.loads(out)
+    assert result["complementarity"] == "function"
+    assert result["unlisted"] == []
+    assert result["elsewhere"] == []
+    assert "cascadekit" not in result["modules"]
+    assert result["unknown"] == "module 'cascadekit' has no attribute 'no_such_name'"
+
+
+def _modules_loaded(argv: list[str]) -> set[str]:
+    """The cascadekit submodules ``python -m cascadekit.cli argv`` imports."""
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cascadekit.cli", *argv],
+        capture_output=True, text=True, check=True, cwd=SOURCE.parent,
+    )
+    names = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines() if "|" in line}
+    return {name.split(".", 1)[1] for name in names if name.startswith("cascadekit.")}
+
+
+STARTUP = {"complementarity", "errors", "records"}  # what import cascadekit loads
+
+
+@pytest.mark.parametrize(
+    "command, loads",
+    [
+        ("help", STARTUP),
+        ("complementarity", STARTUP),
+        ("calibrate", STARTUP | {"calibration", "confidence", "phash", "images"}),
+        ("hash", STARTUP | {"phash", "images"}),
+    ],
+)
+def test_each_command_loads_only_its_modules(tmp_path, command, loads):
+    model_a, model_b = str(DATA / "model_a.jsonl"), str(DATA / "model_b.jsonl")
+    image = tmp_path / "image.pgm"
+    image.write_bytes(write_image_pnm(synthetic_image(16, 16, seed=1)))
+    argv = {
+        "help": ["--help"],
+        "complementarity": ["complementarity", model_a, model_b, "--out", str(tmp_path / "m.csv")],
+        "calibrate": [
+            "calibrate", "--records-a", model_a, "--records-b", model_b,
+            "--out", str(tmp_path / "config.json"),
+        ],
+        "hash": ["hash", "--method", "moments", str(image)],
+    }[command]
+    assert _modules_loaded(argv) == loads
+
+
 def test_cli_import_leaves_out_exact_arithmetic_modules():
     # every command starts cold, so exact moment arithmetic stays in plain ints
-    code = "import cascadekit.cli, sys; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    code = (
+        "import importlib, pkgutil, sys, cascadekit\n"
+        "names = [m.name for m in pkgutil.iter_modules(cascadekit.__path__)]\n"
+        "for name in names: importlib.import_module('cascadekit.' + name)\n"
+        "print(len(names), sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True, cwd=SOURCE.parent,
     ).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == f"{len(list(SOURCE.glob('*.py'))) - 1} []"
 
 
 def test_readme_library_snippet_runs():
