@@ -11,6 +11,8 @@ Calibration keeps the most accurate threshold. The candidate set (midpoints
 between consecutive distinct model-A scores, plus the endpoints 0 and 1)
 realizes every achievable threshold behavior, so the search is exactly
 optimal without a grid; it is one sort plus prefix sums, O(N log N).
+``auto_select`` compares its six searches on their accuracy and usage arrays
+and builds the (lambda, accuracy, usage) curve of the winner only.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ import numpy as np
 from .complementarity import correct_rows
 from .confidence import ScoreFunction, score_rows, softmax_rows
 from .errors import DataError, read_json, write_text
-from .phash import FINGERPRINTS
 from .records import PairedDataset
 
-MEMORY_METHODS = ("none", *FINGERPRINTS)
+# "none" plus phash.FINGERPRINTS, spelled out so that calibrating loads no image module
+MEMORY_METHODS = ("none", "dhash", "moments")
 
 
 @dataclass
@@ -166,6 +168,12 @@ def accuracy_at(
     return float(accuracy[0]), float(usage[0])
 
 
+def _candidates(paired: PairedDataset, score_fn: ScoreFunction) -> np.ndarray:
+    distinct = np.unique(_columns(paired)[0][1][score_fn])
+    mids = (distinct[:-1] + distinct[1:]) / 2.0
+    return np.unique(np.concatenate(([0.0, 1.0], mids[(0.0 <= mids) & (mids <= 1.0)])))
+
+
 def candidate_lambdas(paired: PairedDataset, score_fn: ScoreFunction) -> list[float]:
     """Decision-complete threshold candidates within [0, 1].
 
@@ -173,9 +181,7 @@ def candidate_lambdas(paired: PairedDataset, score_fn: ScoreFunction) -> list[fl
     midpoints outside [0, 1] are dropped because the threshold domain is
     [0, 1] (this only happens for the entropy score with K < 10).
     """
-    distinct = np.unique(_columns(paired)[0][1][score_fn])
-    mids = (distinct[:-1] + distinct[1:]) / 2.0
-    return np.unique(np.concatenate(([0.0, 1.0], mids[(0.0 <= mids) & (mids <= 1.0)]))).tolist()
+    return _candidates(paired, score_fn).tolist()
 
 
 @dataclass
@@ -186,6 +192,27 @@ class CalibrationResult:
     accuracy: float
     second_model_usage: float
     curve: list[tuple[float, float, float]] = field(default_factory=list)  # (lambda, acc, usage)
+
+
+def _search(paired: PairedDataset, score_fn: ScoreFunction, post_check: bool) -> tuple:
+    """The candidate array, its accuracy and usage arrays, and the winner's index."""
+    lambdas = _candidates(paired, score_fn)
+    accuracy, usage = _sweep(paired, score_fn, post_check, lambdas)
+    # Usage grows with the threshold for max/diff and shrinks for entropy; of the
+    # most accurate, lowest-usage candidates the one at the low-usage end wins.
+    best = np.flatnonzero(accuracy == accuracy.max())
+    best = best[usage[best] == usage[best].min()]
+    return lambdas, accuracy, usage, best[-1] if score_fn.lower_is_better else best[0]
+
+
+def _result(
+    paired: PairedDataset, score_fn: ScoreFunction, post_check: bool, search: tuple
+) -> CalibrationResult:
+    """A ``_search``'s winner as a config, with the whole sweep as its curve."""
+    lambdas, accuracy, usage, best = search
+    curve = list(zip(lambdas.tolist(), accuracy.tolist(), usage.tolist()))
+    config = CascadeConfig(paired.name_a, paired.name_b, score_fn, curve[best][0], post_check)
+    return CalibrationResult(config, *curve[best][1:], curve)
 
 
 def find_lambda_star(
@@ -199,22 +226,7 @@ def find_lambda_star(
     second-model usage wins (the smallest threshold for max/diff, the
     largest for entropy).
     """
-    lambdas = candidate_lambdas(paired, score_fn)
-    accuracy, usage = _sweep(paired, score_fn, post_check, np.array(lambdas))
-    curve = list(zip(lambdas, accuracy.tolist(), usage.tolist()))
-    # Usage grows with the threshold for max/diff and shrinks for entropy; of the
-    # most accurate, lowest-usage candidates the one at the low-usage end wins.
-    best = np.flatnonzero(accuracy == accuracy.max())
-    best = best[usage[best] == usage[best].min()]
-    best_lam, best_acc, best_usage = curve[best[-1] if score_fn.lower_is_better else best[0]]
-    config = CascadeConfig(
-        first_model=paired.name_a,
-        second_model=paired.name_b,
-        score_fn=score_fn,
-        threshold=best_lam,
-        post_check=post_check,
-    )
-    return CalibrationResult(config, best_acc, best_usage, curve)
+    return _result(paired, score_fn, post_check, _search(paired, score_fn, post_check))
 
 
 def auto_select(paired: PairedDataset) -> CalibrationResult:
@@ -222,22 +234,20 @@ def auto_select(paired: PairedDataset) -> CalibrationResult:
 
     Always calibrates with post-check on. Ties break to lower second-model
     usage, then to the score-function order diff, max, entropy, then to the
-    original model ordering.
+    original model ordering. The six sweeps are compared on their arrays;
+    only the winner's becomes a curve.
     """
     _columns(paired)  # built once here; the swapped copy below reuses them
     swapped = paired.swapped()
-    best: CalibrationResult | None = None
+    best = None
     order = (ScoreFunction.DIFFERENCE, ScoreFunction.MAX_PROBABILITY, ScoreFunction.ENTROPY_NORMALIZED)
     for score_fn in order:
         for dataset in (paired, swapped):
-            result = find_lambda_star(dataset, score_fn, post_check=True)
-            if best is None or result.accuracy > best.accuracy or (
-                result.accuracy == best.accuracy
-                and result.second_model_usage < best.second_model_usage
-            ):
-                best = result
-    assert best is not None
-    return best
+            _, accuracy, usage, i = search = _search(dataset, score_fn, True)
+            if best is None or accuracy[i] > best_acc or (accuracy[i] == best_acc and usage[i] < best_usage):
+                best, best_acc, best_usage = (dataset, score_fn, search), accuracy[i], usage[i]
+    dataset, score_fn, search = best
+    return _result(dataset, score_fn, True, search)
 
 
 def format_curve_csv(curve: list[tuple[float, float, float]]) -> str:

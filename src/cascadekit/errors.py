@@ -12,8 +12,10 @@ finite, non-negative number.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import re
 from collections.abc import Iterator
 
 
@@ -55,13 +57,15 @@ def parse_json(data: bytes | str, what: str) -> object:
 
 
 _DECODER = json.JSONDecoder()
+_STR_LINE = re.compile(".*\n|.+")  # a line and its "\n"; "." matches all but "\n"
 
 
 def parse_json_lines(data: bytes | str, what: str) -> Iterator[tuple[int, object]]:
     """Yield ``(line number, document)`` for each non-empty line of a JSON Lines
     stream, accepting exactly what ``json.loads`` accepts for that line.
 
-    Lines are split on ``"\n"`` and numbered from 1, empty ones included. A
+    Lines end at ``"\n"`` only and are numbered from 1, empty ones included;
+    they are read one at a time, so the stream is never copied whole. A
     bytes line is decoded as UTF-8. Only JSON's whitespace (space, tab, CR,
     LF) may surround a document; ``str.strip()`` would also drop Unicode
     spaces that JSON rejects. The first line that is not one document raises
@@ -69,8 +73,10 @@ def parse_json_lines(data: bytes | str, what: str) -> Iterator[tuple[int, object
     """
     decode = _DECODER.raw_decode
     newline = b"\n" if isinstance(data, bytes) else "\n"
-    for line_no, line in enumerate(data.split(newline), start=1):
-        if not line:
+    # io.StringIO would hold a str as 4-byte code points while it is read
+    lines = io.BytesIO(data) if isinstance(data, bytes) else map(re.Match.group, _STR_LINE.finditer(data))
+    for line_no, line in enumerate(lines, start=1):
+        if line == newline:  # an empty line
             continue
         try:
             doc = (line.decode("utf-8") if isinstance(line, bytes) else line).strip(" \t\n\r")

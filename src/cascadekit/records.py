@@ -9,13 +9,15 @@ share the same logits length. A file parses into one columnar
 
 A file is parsed in one pass: each non-empty line is JSON-parsed once and
 checked as one record, and the first bad line raises a line-numbered
-``DataError``.
+``DataError``. Each row's floats are appended to one float64 buffer, so no
+per-line list outlives its line.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
@@ -161,7 +163,7 @@ def parse_prediction_records(data: bytes | str) -> RecordTable:
     """
     seen: dict[str, None] = {}  # the ids, in file order
     labels: list[int] = []
-    rows: list[list[float]] = []
+    logits = array("d")  # every row's floats, row after row
     expected_k: int | None = None
     for line_no, obj in parse_json_lines(data, "record"):
         rid, label, values = _record_from_obj(obj, line_no, expected_k)
@@ -170,8 +172,8 @@ def parse_prediction_records(data: bytes | str) -> RecordTable:
         seen[rid] = None
         expected_k = len(values)
         labels.append(label)
-        rows.append(values)
-    return RecordTable(seen, labels, rows)
+        logits.extend(values)
+    return RecordTable(seen, labels, np.frombuffer(logits).reshape(len(seen), expected_k or 0))
 
 
 def format_prediction_records(table: RecordTable) -> str:

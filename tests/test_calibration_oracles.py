@@ -292,10 +292,50 @@ def test_entropy_above_one_drops_the_same_midpoints(paired, post_check):
     )
 
 
-@settings(max_examples=100, deadline=None)
-@given(pairs())
+def loop_auto_select(paired: PairedDataset) -> CalibrationResult:
+    """``auto_select`` as six whole ``find_lambda_star`` results, each with its
+    curve, the best kept by strict improvement: the loop it replaced."""
+    best: CalibrationResult | None = None
+    order = (ScoreFunction.DIFFERENCE, ScoreFunction.MAX_PROBABILITY, ScoreFunction.ENTROPY_NORMALIZED)
+    for score_fn in order:
+        for dataset in (paired, paired.swapped()):
+            result = find_lambda_star(dataset, score_fn, post_check=True)
+            if best is None or result.accuracy > best.accuracy or (
+                result.accuracy == best.accuracy
+                and result.second_model_usage < best.second_model_usage
+            ):
+                best = result
+    assert best is not None
+    return best
+
+
+@st.composite
+def tied_pairs(draw) -> PairedDataset:
+    """Pairs on which searches tie exactly: at K = 2 diff and max rank the
+    samples alike, and with B's logits equal to A's both orderings agree."""
+    paired = draw(pairs(classes=st.sampled_from((2, 2, 3))))
+    if draw(st.booleans()):
+        paired = PairedDataset(paired.ids, paired.labels, paired.logits_a, paired.logits_a.copy())
+    return paired
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(pairs(), tied_pairs()))
 def test_auto_select_matches_loop(paired):
-    _assert_same_result(auto_select(paired), oracle_auto_select(paired))
+    got = auto_select(paired)
+    _assert_same_result(got, loop_auto_select(paired))
+    _assert_same_result(got, oracle_auto_select(paired))
+
+
+def test_auto_select_breaks_exact_ties_in_order():
+    # K = 2 and identical logits: the diff and max searches tie in both orderings at
+    # (0.6, 0.0), so diff in the original ordering wins
+    rows = np.array([[2.0, 0.0], [0.0, 1.0], [0.5, 0.0], [1.0, 4.0], [0.0, 0.0]])
+    paired = PairedDataset(tuple("abcde"), np.array([0, 0, 1, 1, 0]), rows, rows.copy(), "m1", "m2")
+    got = auto_select(paired)
+    assert (got.config.score_fn, got.config.first_model) == (ScoreFunction.DIFFERENCE, "m1")
+    _assert_same_result(got, loop_auto_select(paired))
+    _assert_same_result(got, oracle_auto_select(paired))
 
 
 @settings(max_examples=100, deadline=None)

@@ -689,7 +689,8 @@ class TestParser:
         return tuple(next(a for a in sub.choices[command]._actions if a.dest == dest).choices)
 
     def test_choices_come_from_the_registries(self):
-        # the parser spells its choices out so that it imports nothing; these pin them
+        # the parser and calibration's MEMORY_METHODS spell these out so that neither
+        # imports the modules that define them; these pin them
         assert self._choices("duplication", "transform") == (*TRANSFORMS, RANDOM_TRANSFORM)
         assert self._choices("hash", "method") == tuple(FINGERPRINTS)
         assert self._choices("calibrate", "score") == (*(fn.value for fn in ScoreFunction), "auto")

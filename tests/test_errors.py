@@ -7,6 +7,8 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascadekit.calibration import load_config
 from cascadekit.errors import (
@@ -140,6 +142,71 @@ def test_parse_json_lines_numbers_lines_across_empty_lines_and_crlf(as_bytes):
     for text, line_no in [("1\n\n{\n2\n", 3), ("1\r\n\n{\r\n2\r\n", 3), ("1\r\n\r\n2\r\n", 2)]:
         with pytest.raises(DataError, match=f"^malformed test at line {line_no}: invalid JSON$"):
             parse(text)
+
+
+def split_parse_json_lines(data: bytes | str, what: str) -> list[tuple[int, object]]:
+    """The line loop that split the whole stream on "\n" before reading it: the
+    reference for the streaming reader, which must match it line for line."""
+    decode = json.JSONDecoder().raw_decode
+    newline = b"\n" if isinstance(data, bytes) else "\n"
+    docs = []
+    for line_no, line in enumerate(data.split(newline), start=1):
+        if not line:
+            continue
+        try:
+            doc = (line.decode("utf-8") if isinstance(line, bytes) else line).strip(" \t\n\r")
+            obj, end = decode(doc)
+            if end != len(doc):
+                raise ValueError("extra data after the document")
+        except ValueError:
+            raise DataError(f"malformed {what} at line {line_no}: invalid JSON") from None
+        docs.append((line_no, obj))
+    return docs
+
+
+def _lines_outcome(fn, data):
+    try:
+        return repr(list(fn(data, "test")))  # repr: NaN != NaN, and -0.0 shows
+    except DataError as exc:
+        return str(exc)
+
+
+# line endings (a lone "\r" ends no line), JSON and non-JSON whitespace, a
+# Unicode line separator (only "\n" ends a line), non-ASCII and documents
+LINE_PIECES = [
+    "\n", "\n", "\r\n", "\r", " ", "\t", "\u2028", "\x85", "\u00a0",
+    "1", "[2.0, -0.0]", '{"a": "\u00e9"}', '"\u4e2d"', "NaN", "{", "}",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(LINE_PIECES), max_size=12).map("".join))
+def test_streamed_lines_match_the_split_reference(text):
+    want = _lines_outcome(split_parse_json_lines, text)
+    assert _lines_outcome(parse_json_lines, text) == want
+    assert _lines_outcome(parse_json_lines, text.encode("utf-8")) == want
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("\r", "malformed test at line 1: invalid JSON"),  # a lone "\r" is a line, not an end
+        ("1\r2\n", "malformed test at line 1: invalid JSON"),
+        ("[1, 2]\n{ }\n", "[(1, [1, 2]), (2, {})]"),  # " " inside a line
+        ("1\r\n2\r\n", "[(1, 1), (2, 2)]"),  # CRLF
+        ("1\n \n2\n", "malformed test at line 2: invalid JSON"),  # whitespace-only lines
+        ("1\n\t\r\n", "malformed test at line 2: invalid JSON"),
+        ("1\n\n2", "[(1, 1), (3, 2)]"),  # a last line without "\n"
+        ("1\n2 3", "malformed test at line 2: invalid JSON"),
+        ("", "[]"),
+        ("\n\n", "[]"),
+    ],
+)
+@pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+def test_streamed_lines_edge_cases(text, want, as_bytes):
+    data = text.encode("utf-8") if as_bytes else text
+    assert _lines_outcome(parse_json_lines, data) == want
+    assert _lines_outcome(split_parse_json_lines, data) == want
 
 
 def test_read_json_prefixes_parse_errors_with_the_path(tmp_path):

@@ -83,7 +83,7 @@ STARTUP = {"complementarity", "errors", "records"}  # what import cascadekit loa
     [
         ("help", STARTUP),
         ("complementarity", STARTUP),
-        ("calibrate", STARTUP | {"calibration", "confidence", "phash", "images"}),
+        ("calibrate", STARTUP | {"calibration", "confidence"}),
         ("hash", STARTUP | {"phash", "images"}),
     ],
 )

@@ -22,9 +22,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -332,6 +334,34 @@ def test_parse_matches_oracle_on_odd_files(text, as_bytes):
         assert got == want
     else:
         assert_table_matches(got, want)
+
+
+def _wide_logit(rng: random.Random, kind: str, extreme: bool) -> float | int:
+    if kind == "mixed":
+        kind = rng.choice(["float", "int"])
+    if kind == "int":  # past 2**53 an int rounds in float()
+        return rng.choice([0, -3, 2**53 + 1, -(2**60), rng.randrange(-(10**6), 10**6)])
+    if extreme:  # two of 1.7e308 overflow the row sum, which sends the row down the per-value loop
+        return rng.choice([0.0, -0.0, 5e-324, 1.7e308, -1.7e308, rng.gauss(0.0, 10.0)])
+    return rng.gauss(0.0, 10.0)
+
+
+@pytest.mark.parametrize("k", [2, 1000])
+@pytest.mark.parametrize("kind", ["float", "int", "mixed", "empty"])
+@pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+def test_buffered_logits_match_oracle_bit_for_bit(k, kind, as_bytes):
+    # every row's floats go through one float64 buffer; at K = 1000 each row is one long run
+    rng = random.Random(f"{k}-{kind}")
+    n = 0 if kind == "empty" else 12
+    lines = [
+        json.dumps({"id": f"s{i}", "label": i % k, "logits": [_wide_logit(rng, kind, i % 2 == 0) for _ in range(k)]})
+        for i in range(n)
+    ]
+    text = "\n".join(lines) + ("\n" if lines else "")
+    data = text.encode("utf-8") if as_bytes else text
+    table = parse_prediction_records(data)
+    assert table.logits.shape == ((n, k) if n else (0, 0))
+    assert_table_matches(table, oracle_parse(data))
 
 
 def test_sorted_ids_follow_utf8_byte_order():

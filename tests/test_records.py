@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 
@@ -208,6 +209,27 @@ class TestParseRecords:
                 parse_prediction_records(text)
         assert yielded == [1, 3, 4]
 
+
+    def test_no_per_row_object_outlives_its_line(self):
+        # 5000 rows each kept as a Python list until the parse ends would be 5000
+        # live GC-tracked objects, enough to set off generation-0 collections (the
+        # control shows this interpreter does); a parse that frees each line's
+        # objects before the next sets off none
+        def gen0_collections(fn):
+            gc.collect()  # resets the allocation counts
+            before = gc.get_stats()[0]["collections"]
+            result = fn()
+            return gc.get_stats()[0]["collections"] - before, result
+
+        data = "".join(
+            _line(f"s{i}", i % 10, [(i * 7 + j) % 13 / 4 for j in range(10)]) + "\n" for i in range(5000)
+        ).encode("utf-8")
+        assert gc.isenabled()
+        kept, _ = gen0_collections(lambda: [[0.5, 1.5] for _ in range(5000)])
+        assert kept > 0
+        collections, table = gen0_collections(lambda: parse_prediction_records(data))
+        assert table.logits.shape == (5000, 10)
+        assert collections == 0
 
 class TestFormatRecords:
     def test_round_trip_exact(self):
