@@ -2,15 +2,12 @@
 perceptual-hash memoization, and linear energy/latency metering over replayed
 prediction records.
 
-Public names are bound on first use (PEP 562), so a command imports only the
-modules it runs."""
+Public names are bound on first use (PEP 562), so ``import cascadekit`` loads
+no submodule and no numpy, and a command imports only the modules it runs."""
 
+import sys
 from importlib import import_module
-
-# Bound eagerly: the function shares its submodule's name, and the first import
-# of a submodule sets the package attribute of that name to the module. Loading
-# the submodule here, before any other module can, keeps the function in place.
-from .complementarity import complementarity
+from types import ModuleType
 
 __version__ = "0.1.0"
 
@@ -44,6 +41,20 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+class _Package(ModuleType):
+    """The package module. The import system sets a package attribute to each
+    submodule it loads; a public name keeps its value instead (the function
+    ``complementarity`` shares its submodule's name), whatever loads first."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in _MODULE_OF and isinstance(value, ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 __all__ = sorted(_MODULE_OF)
 

@@ -44,6 +44,15 @@ def _load_samples(
 
     records_a = load_prediction_records(args.records_a)
     records_b = load_prediction_records(args.records_b)
+    # each file is named as calibrate names it, so a swapped config replays its own order
+    names = _model_names(args.records_a, args.records_b)
+    if names == (config.second_model, config.first_model):
+        records_a, records_b = records_b, records_a
+    elif names != (config.first_model, config.second_model):
+        raise DataError(
+            f"record files name models {names[0]!r} and {names[1]!r}, "
+            f"but the config names {config.first_model!r} and {config.second_model!r}"
+        )
     paired = align_records(records_a, records_b, config.first_model, config.second_model)
     classifier_a = ReplayClassifier(config.first_model, records_a)
     classifier_b = ReplayClassifier(config.second_model, records_b)

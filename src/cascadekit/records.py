@@ -10,7 +10,8 @@ share the same logits length. A file parses into one columnar
 A file is parsed in one pass: each non-empty line is JSON-parsed once and
 checked as one record, and the first bad line raises a line-numbered
 ``DataError``. Each row's floats are appended to one float64 buffer, so no
-per-line list outlives its line.
+per-line list outlives its line, and the table's logits are that buffer, not a
+copy of it.
 """
 
 from __future__ import annotations
@@ -32,20 +33,30 @@ STAGES = ("memory_lookup", "memory_insert", "model_a", "model_b")
 @dataclass(frozen=True, eq=False)
 class RecordTable:
     """One model's records, one column each: ids (tuple of str), labels
-    (int64, N) and logits (float64, N x K). The arrays are read-only copies."""
+    (int64, N) and logits (float64, N x K). The arrays are read-only copies;
+    a parsed table's logits are the parse's own buffer, which nothing else holds."""
 
     ids: tuple[str, ...]
     labels: np.ndarray
     logits: np.ndarray
 
     def __post_init__(self) -> None:
-        labels = np.array(self.labels, dtype=np.int64)
-        logits = np.array(self.logits, dtype=np.float64)
+        self._set_columns(self.ids, self.labels, np.array(self.logits, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, ids, labels, logits: np.ndarray) -> RecordTable:
+        """A table over ``logits`` itself (float64, N x K), not a copy of it."""
+        table = object.__new__(cls)
+        table._set_columns(ids, labels, logits)
+        return table
+
+    def _set_columns(self, ids, labels, logits: np.ndarray) -> None:
+        labels = np.array(labels, dtype=np.int64)
         if logits.ndim != 2:  # no rows
-            logits = logits.reshape(len(self.ids), 0)
+            logits = logits.reshape(len(ids), 0)
         for column in (labels, logits):
             column.setflags(write=False)
-        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "ids", tuple(ids))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "logits", logits)
 
@@ -173,7 +184,7 @@ def parse_prediction_records(data: bytes | str) -> RecordTable:
         expected_k = len(values)
         labels.append(label)
         logits.extend(values)
-    return RecordTable(seen, labels, np.frombuffer(logits).reshape(len(seen), expected_k or 0))
+    return RecordTable._adopt(seen, labels, np.frombuffer(logits).reshape(len(seen), expected_k or 0))
 
 
 def format_prediction_records(table: RecordTable) -> str:

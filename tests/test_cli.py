@@ -408,6 +408,78 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
 
 
+class TestModelOrder:
+    """run and duplication wire each record file to the model the config names it as."""
+
+    @pytest.fixture
+    def swapped(self, tmp_path, capsys):
+        # on this pair auto_select puts --records-b's model first
+        records_a, records_b = synthetic_pair(12, 3, seed=6)
+        (tmp_path / "small.jsonl").write_text(format_prediction_records(records_a))
+        (tmp_path / "big.jsonl").write_text(format_prediction_records(records_b))
+        (tmp_path / "costs.json").write_text(json.dumps(COSTS))
+        assert main([
+            "calibrate",
+            "--records-a", str(tmp_path / "small.jsonl"),
+            "--records-b", str(tmp_path / "big.jsonl"),
+            "--out", str(tmp_path / "config.json"),
+        ]) == 0
+        line = capsys.readouterr().out
+        assert " first=big second=small " in line
+        return tmp_path, line
+
+    @pytest.mark.parametrize("files", [("small", "big"), ("big", "small")], ids=["as_calibrated", "reversed"])
+    def test_run_replays_the_calibrated_order(self, swapped, capsys, files):
+        root, calibrated = swapped
+        assert main([
+            "run",
+            "--config", str(root / "config.json"),
+            "--records-a", str(root / f"{files[0]}.jsonl"),
+            "--records-b", str(root / f"{files[1]}.jsonl"),
+            "--costs", str(root / "costs.json"),
+            "--labels",
+            "--report", str(root / "report.json"),
+        ]) == 0
+        accuracy = capsys.readouterr().out.split("accuracy=", 1)[1].split()[0]
+        report = json.loads((root / "report.json").read_text())
+        usage = report["stage_counts"]["model_b"] / report["sample_count"]
+        assert f"accuracy={accuracy} usage={usage:.4f}" in calibrated
+        assert report["config"]["first_model"] == "big"
+
+    def test_duplication_replays_the_calibrated_order(self, swapped, capsys):
+        root, _ = swapped
+        energies = []
+        for files in (("small", "big"), ("big", "small")):
+            assert main([
+                "duplication",
+                "--config", str(root / "config.json"),
+                "--records-a", str(root / f"{files[0]}.jsonl"),
+                "--records-b", str(root / f"{files[1]}.jsonl"),
+                "--costs", str(root / "costs.json"),
+                "--ratios", "0,1",
+                "--out", str(root / "dup.csv"),
+            ]) == 0
+            energies.append(capsys.readouterr().out)
+        assert energies[0] == energies[1]
+
+    def test_unknown_file_names_are_a_data_error(self, swapped, capsys):
+        root, _ = swapped
+        (root / "other.jsonl").write_text((root / "big.jsonl").read_text())
+        assert main([
+            "run",
+            "--config", str(root / "config.json"),
+            "--records-a", str(root / "small.jsonl"),
+            "--records-b", str(root / "other.jsonl"),
+            "--costs", str(root / "costs.json"),
+            "--report", str(root / "report.json"),
+        ]) == 1
+        assert_one_error_line(
+            capsys,
+            "error: record files name models 'small' and 'other', "
+            "but the config names 'big' and 'small'\n",
+        )
+
+
 class TestHash:
     def test_dhash_of_constant_image(self, tmp_path, capsys):
         img = ImageBuffer(9, 8, 1, bytes([128]) * 72)
@@ -579,10 +651,12 @@ class TestReport:
 
     def test_mismatched_reports(self, workspace, tmp_path, capsys):
         baseline = self._write_report(workspace, tmp_path, "base.json")
-        short = tmp_path / "short.jsonl"
+        # the first six samples, in files named after the config's models
+        (tmp_path / "short").mkdir()
+        short = tmp_path / "short" / "small.jsonl"
         lines = (workspace / "small.jsonl").read_text().splitlines()[:6]
         short.write_text("\n".join(lines) + "\n")
-        short_b = tmp_path / "short_b.jsonl"
+        short_b = tmp_path / "short" / "big.jsonl"
         lines_b = (workspace / "big.jsonl").read_text().splitlines()[:6]
         short_b.write_text("\n".join(lines_b) + "\n")
         candidate = tmp_path / "cand.json"

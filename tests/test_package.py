@@ -27,8 +27,7 @@ def test_every_exported_name_resolves():
 
 
 NAMESPACE_CHECK = """
-import importlib, json
-import cascadekit.calibration  # imports the complementarity submodule first
+import importlib, json, sys
 from cascadekit import complementarity
 import cascadekit
 
@@ -41,6 +40,8 @@ except AttributeError as exc:
     unknown = str(exc)
 print(json.dumps({
     "complementarity": type(complementarity).__name__,
+    "attribute": type(cascadekit.complementarity).__name__,
+    "submodule": type(sys.modules["cascadekit.complementarity"]).__name__,
     "unlisted": sorted(set(cascadekit.__all__) - listed),
     "elsewhere": sorted(
         name for name, value in exports.items()
@@ -51,18 +52,33 @@ print(json.dumps({
 }))
 """
 
+# Ways the complementarity submodule can load before NAMESPACE_CHECK reads the package attribute.
+FIRST_IMPORTS = [
+    "import cascadekit.calibration  # imports the complementarity submodule first",
+    "import cascadekit.complementarity",
+    "from cascadekit.complementarity import complementarity_matrix",
+    "from cascadekit import cli\n"
+    "cli.main(['complementarity', {a!r}, {b!r}, '--out', {out!r}])",
+]
 
-def test_package_binds_each_name_to_its_defining_module():
-    out = subprocess.run(
-        [sys.executable, "-c", NAMESPACE_CHECK],
-        capture_output=True, text=True, check=True, cwd=SOURCE.parent,
-    ).stdout
-    result = json.loads(out)
-    assert result["complementarity"] == "function"
-    assert result["unlisted"] == []
-    assert result["elsewhere"] == []
-    assert "cascadekit" not in result["modules"]
-    assert result["unknown"] == "module 'cascadekit' has no attribute 'no_such_name'"
+
+def test_package_binds_each_name_to_its_defining_module(tmp_path):
+    for first in FIRST_IMPORTS:
+        first = first.format(
+            a=str(DATA / "model_a.jsonl"), b=str(DATA / "model_b.jsonl"), out=str(tmp_path / "m.csv")
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", first + "\n" + NAMESPACE_CHECK],
+            capture_output=True, text=True, cwd=SOURCE.parent,
+        )
+        assert run.returncode == 0, (first, run.stderr)
+        result = json.loads(run.stdout.splitlines()[-1])  # cli.main prints its summary line first
+        assert (result["complementarity"], result["attribute"]) == ("function", "function"), first
+        assert result["submodule"] == "module", first
+        assert result["unlisted"] == [], first
+        assert result["elsewhere"] == [], first
+        assert "cascadekit" not in result["modules"], first
+        assert result["unknown"] == "module 'cascadekit' has no attribute 'no_such_name'", first
 
 
 def _modules_loaded(argv: list[str]) -> set[str]:
@@ -75,15 +91,16 @@ def _modules_loaded(argv: list[str]) -> set[str]:
     return {name.split(".", 1)[1] for name in names if name.startswith("cascadekit.")}
 
 
-STARTUP = {"complementarity", "errors", "records"}  # what import cascadekit loads
+STARTUP = {"errors"}  # what the CLI loads before it runs a command
+COMPLEMENTARITY = STARTUP | {"records", "complementarity"}
 
 
 @pytest.mark.parametrize(
     "command, loads",
     [
         ("help", STARTUP),
-        ("complementarity", STARTUP),
-        ("calibrate", STARTUP | {"calibration", "confidence"}),
+        ("complementarity", COMPLEMENTARITY),
+        ("calibrate", COMPLEMENTARITY | {"calibration", "confidence"}),
         ("hash", STARTUP | {"phash", "images"}),
     ],
 )
@@ -101,6 +118,27 @@ def test_each_command_loads_only_its_modules(tmp_path, command, loads):
         "hash": ["hash", "--method", "moments", str(image)],
     }[command]
     assert _modules_loaded(argv) == loads
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["-m", "cascadekit.cli", "--help"], 0),
+        (["-m", "cascadekit.cli", "run"], 2),  # a usage error
+        (["-c", "import cascadekit"], 0),
+    ],
+    ids=["help", "usage_error", "import"],
+)
+def test_start_path_loads_no_numpy(argv, code):
+    # the -X importtime tree lists every module the process imports, numpy's own too
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        capture_output=True, text=True, cwd=SOURCE.parent,
+    )
+    assert run.returncode == code, run.stderr
+    names = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines() if "|" in line}
+    assert "cascadekit" in names
+    assert sorted(name for name in names if name.split(".")[0] == "numpy") == []
 
 
 def test_cli_import_leaves_out_exact_arithmetic_modules():

@@ -231,6 +231,28 @@ class TestParseRecords:
         assert table.logits.shape == (5000, 10)
         assert collections == 0
 
+
+class TestRecordTable:
+    def test_parsed_logits_are_the_parse_buffer(self):
+        # the parse's own float64 buffer, which nothing else holds, is kept without a copy
+        table = parse_prediction_records(_line("a", 0, [1.0, 0.0]) + "\n" + _line("b", 1, [0.5, 2.0]))
+        assert not table.logits.flags.owndata
+        assert not table.logits.flags.writeable
+        assert table.logits.tolist() == [[1.0, 0.0], [0.5, 2.0]]
+
+    @pytest.mark.parametrize("read_only_view", [False, True], ids=["writable", "read_only_view"])
+    def test_a_callers_array_is_copied(self, read_only_view):
+        logits = np.array([[1.0, 0.0], [0.5, 2.0]])
+        handed = logits
+        if read_only_view:
+            handed = logits.view()
+            handed.setflags(write=False)
+        table = RecordTable(("a", "b"), np.array([0, 1]), handed)
+        logits[0, 0] = 9.0
+        assert table.logits.tolist() == [[1.0, 0.0], [0.5, 2.0]]
+        assert table.logits.flags.owndata and not table.logits.flags.writeable
+
+
 class TestFormatRecords:
     def test_round_trip_exact(self):
         rng = random.Random(3)
