@@ -11,6 +11,8 @@ Calibration keeps the most accurate threshold. The candidate set (midpoints
 between consecutive distinct model-A scores, plus the endpoints 0 and 1)
 realizes every achievable threshold behavior, so the search is exactly
 optimal without a grid; it is one sort plus prefix sums, O(N log N).
+Each public call builds its own score table from the pair's arrays and
+passes it down; nothing derived from the pair is stored on it.
 ``auto_select`` compares its six searches on their accuracy and usage arrays
 and builds the (lambda, accuracy, usage) curve of the winner only.
 """
@@ -132,22 +134,19 @@ def _model_columns(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, 
     return correct_rows(logits, labels), {fn: score_rows(probs, fn) for fn in ScoreFunction}
 
 
-def _columns(paired: PairedDataset) -> tuple[tuple[np.ndarray, dict], tuple[np.ndarray, dict]]:
+def _table(paired: PairedDataset) -> tuple[tuple[np.ndarray, dict], tuple[np.ndarray, dict]]:
+    """Both models' ``_model_columns``, model A's first: the score table one call searches."""
     if len(paired) == 0:
         raise DataError("empty dataset")
-    if paired.columns is None:
-        paired.columns = tuple(
-            _model_columns(logits, paired.labels) for logits in (paired.logits_a, paired.logits_b)
-        )
-    return paired.columns
+    return _model_columns(paired.logits_a, paired.labels), _model_columns(paired.logits_b, paired.labels)
 
 
 def _sweep(
-    paired: PairedDataset, score_fn: ScoreFunction, post_check: bool, lambdas: np.ndarray
+    table: tuple, score_fn: ScoreFunction, post_check: bool, lambdas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(accuracy, usage) arrays over the thresholds: one stable sort of model
     A's scores, prefix sums of the outcomes, one binary search per threshold."""
-    (correct_a, scores_a), (correct_b, scores_b) = _columns(paired)
+    (correct_a, scores_a), (correct_b, scores_b) = table
     key_a, key_b = score_fn.oriented(scores_a[score_fn]), score_fn.oriented(scores_b[score_fn])
     correct_esc = np.where((key_a >= key_b) & post_check, correct_a, correct_b)  # ties keep A
     order = np.argsort(key_a, kind="stable")
@@ -164,12 +163,12 @@ def accuracy_at(
     post_check: bool,
 ) -> tuple[float, float]:
     """(accuracy, second-model usage fraction) at a fixed threshold."""
-    accuracy, usage = _sweep(paired, score_fn, post_check, np.array([threshold]))
+    accuracy, usage = _sweep(_table(paired), score_fn, post_check, np.array([threshold]))
     return float(accuracy[0]), float(usage[0])
 
 
-def _candidates(paired: PairedDataset, score_fn: ScoreFunction) -> np.ndarray:
-    distinct = np.unique(_columns(paired)[0][1][score_fn])
+def _candidates(table: tuple, score_fn: ScoreFunction) -> np.ndarray:
+    distinct = np.unique(table[0][1][score_fn])
     mids = (distinct[:-1] + distinct[1:]) / 2.0
     return np.unique(np.concatenate(([0.0, 1.0], mids[(0.0 <= mids) & (mids <= 1.0)])))
 
@@ -181,7 +180,7 @@ def candidate_lambdas(paired: PairedDataset, score_fn: ScoreFunction) -> list[fl
     midpoints outside [0, 1] are dropped because the threshold domain is
     [0, 1] (this only happens for the entropy score with K < 10).
     """
-    return _candidates(paired, score_fn).tolist()
+    return _candidates(_table(paired), score_fn).tolist()
 
 
 @dataclass
@@ -194,10 +193,10 @@ class CalibrationResult:
     curve: list[tuple[float, float, float]] = field(default_factory=list)  # (lambda, acc, usage)
 
 
-def _search(paired: PairedDataset, score_fn: ScoreFunction, post_check: bool) -> tuple:
+def _search(table: tuple, score_fn: ScoreFunction, post_check: bool) -> tuple:
     """The candidate array, its accuracy and usage arrays, and the winner's index."""
-    lambdas = _candidates(paired, score_fn)
-    accuracy, usage = _sweep(paired, score_fn, post_check, lambdas)
+    lambdas = _candidates(table, score_fn)
+    accuracy, usage = _sweep(table, score_fn, post_check, lambdas)
     # Usage grows with the threshold for max/diff and shrinks for entropy; of the
     # most accurate, lowest-usage candidates the one at the low-usage end wins.
     best = np.flatnonzero(accuracy == accuracy.max())
@@ -206,12 +205,12 @@ def _search(paired: PairedDataset, score_fn: ScoreFunction, post_check: bool) ->
 
 
 def _result(
-    paired: PairedDataset, score_fn: ScoreFunction, post_check: bool, search: tuple
+    names: tuple[str, str], score_fn: ScoreFunction, post_check: bool, search: tuple
 ) -> CalibrationResult:
-    """A ``_search``'s winner as a config, with the whole sweep as its curve."""
+    """A ``_search``'s winner as a config for ``names``, with the whole sweep as its curve."""
     lambdas, accuracy, usage, best = search
     curve = list(zip(lambdas.tolist(), accuracy.tolist(), usage.tolist()))
-    config = CascadeConfig(paired.name_a, paired.name_b, score_fn, curve[best][0], post_check)
+    config = CascadeConfig(*names, score_fn, curve[best][0], post_check)
     return CalibrationResult(config, *curve[best][1:], curve)
 
 
@@ -226,7 +225,8 @@ def find_lambda_star(
     second-model usage wins (the smallest threshold for max/diff, the
     largest for entropy).
     """
-    return _result(paired, score_fn, post_check, _search(paired, score_fn, post_check))
+    search = _search(_table(paired), score_fn, post_check)
+    return _result((paired.name_a, paired.name_b), score_fn, post_check, search)
 
 
 def auto_select(paired: PairedDataset) -> CalibrationResult:
@@ -234,20 +234,20 @@ def auto_select(paired: PairedDataset) -> CalibrationResult:
 
     Always calibrates with post-check on. Ties break to lower second-model
     usage, then to the score-function order diff, max, entropy, then to the
-    original model ordering. The six sweeps are compared on their arrays;
-    only the winner's becomes a curve.
+    original model ordering. One table serves both orders; the six sweeps
+    are compared on their arrays, and only the winner's becomes a curve.
     """
-    _columns(paired)  # built once here; the swapped copy below reuses them
-    swapped = paired.swapped()
+    table = _table(paired)
+    names = paired.name_a, paired.name_b
     best = None
     order = (ScoreFunction.DIFFERENCE, ScoreFunction.MAX_PROBABILITY, ScoreFunction.ENTROPY_NORMALIZED)
     for score_fn in order:
-        for dataset in (paired, swapped):
-            _, accuracy, usage, i = search = _search(dataset, score_fn, True)
+        for ordered_names, ordered_table in ((names, table), (names[::-1], table[::-1])):
+            _, accuracy, usage, i = search = _search(ordered_table, score_fn, True)
             if best is None or accuracy[i] > best_acc or (accuracy[i] == best_acc and usage[i] < best_usage):
-                best, best_acc, best_usage = (dataset, score_fn, search), accuracy[i], usage[i]
-    dataset, score_fn, search = best
-    return _result(dataset, score_fn, True, search)
+                best, best_acc, best_usage = (ordered_names, score_fn, search), accuracy[i], usage[i]
+    names, score_fn, search = best
+    return _result(names, score_fn, True, search)
 
 
 def format_curve_csv(curve: list[tuple[float, float, float]]) -> str:

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import DataError, read_bytes, write_text
+from .errors import DataError, read_bytes, read_parsed, write_text
 
 if TYPE_CHECKING:
     from .calibration import CascadeConfig
@@ -70,11 +70,7 @@ def _load_sample_image(directory: str, sample_id: str):
     for ext in (".pgm", ".ppm"):
         candidate = os.path.join(directory, sample_id + ext)
         if os.path.exists(candidate):
-            data = read_bytes(candidate, "image")
-            try:
-                return load_image_pnm(data)
-            except DataError as exc:
-                raise DataError(f"{candidate}: {exc}") from None
+            return read_parsed(candidate, "image", load_image_pnm)
     raise DataError(f"no image for sample {sample_id!r} in {directory}")
 
 

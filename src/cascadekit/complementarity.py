@@ -8,6 +8,7 @@ mostly disjoint, similarly sized parts of the dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -59,24 +60,14 @@ class ComplementarityMatrix:
 
     def best_pair(self) -> tuple[int, int]:
         """Indices (i, j), i < j, of the maximum off-diagonal entry; ties
-        break to the lexicographically smallest name pair."""
+        break to the lexicographically smallest name pair, then to the first (i, j)."""
         if len(self.names) < 2:
             raise DataError("need at least 2 models to pick a pair")
-        best: tuple[int, int] | None = None
-        best_value = float("-inf")
-        best_names: tuple[str, str] | None = None
-        for i in range(len(self.names)):
-            for j in range(i + 1, len(self.names)):
-                value = self.values[i][j]
-                pair_names = tuple(sorted((self.names[i], self.names[j])))
-                if best is None or value > best_value or (
-                    value == best_value and pair_names < best_names
-                ):
-                    best = (i, j)
-                    best_value = value
-                    best_names = pair_names
-        assert best is not None
-        return best
+        names, values = self.names, self.values
+        return min(
+            combinations(range(len(names)), 2),
+            key=lambda ij: (-values[ij[0]][ij[1]], sorted(names[k] for k in ij)),
+        )
 
 
 def complementarity_matrix(

@@ -3,7 +3,8 @@
 Files are opened here only: every read, write and JSON parse of outside
 input goes through ``read_bytes``, ``write_text``, ``parse_json``,
 ``parse_json_lines`` (a JSON Lines stream, one line-numbered document at a
-time) and ``read_json``, so an unreadable or unwritable path, non-UTF-8
+time), ``read_parsed`` (a file through any parser, its errors prefixed with
+the path) and ``read_json``, so an unreadable or unwritable path, non-UTF-8
 bytes, malformed JSON and an integer literal past CPython's int-string
 limit each become a DataError in one place.
 ``non_negative_number`` is the one check that a parsed JSON value is a
@@ -16,7 +17,10 @@ import io
 import json
 import math
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from typing import TypeVar
+
+T = TypeVar("T")
 
 
 class DataError(ValueError):
@@ -88,12 +92,17 @@ def parse_json_lines(data: bytes | str, what: str) -> Iterator[tuple[int, object
         yield line_no, obj
 
 
-def read_json(path: str, what: str) -> object:
+def read_parsed(path: str, what: str, parse: Callable[[bytes], T]) -> T:
+    """``parse`` of the file's bytes; its DataError is re-raised as ``"{path}: {message}"``."""
     data = read_bytes(path, what)
     try:
-        return parse_json(data, what)
+        return parse(data)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+
+
+def read_json(path: str, what: str) -> object:
+    return read_parsed(path, what, lambda data: parse_json(data, what))
 
 
 def non_negative_number(value: object, what: str) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +10,8 @@ import numpy as np
 from .errors import DataError
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+# whitespace and whole comments (the lookahead stops a comment from ending early), then digits
+_HEADER_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\n\r]*(?![^\n\r]))*([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -36,22 +39,10 @@ class ImageBuffer:
 def _read_header_token(data: bytes, pos: int) -> tuple[int, int]:
     """Next ASCII integer token at or after pos, skipping whitespace and
     '#'-to-end-of-line comments. Returns (value, position after token)."""
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c == b"#":
-            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and data[pos : pos + 1].isdigit():
-        pos += 1
-    if pos == start:
+    match = _HEADER_TOKEN.match(data, pos)
+    if match is None:
         raise DataError("malformed PNM header")
-    return int(data[start:pos]), pos
+    return int(match[1]), match.end()
 
 
 def load_image_pnm(data: bytes) -> ImageBuffer:

@@ -25,7 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DataError, non_negative_number, parse_json, parse_json_lines, read_bytes
+from .errors import DataError, non_negative_number, parse_json, parse_json_lines, read_parsed
 
 STAGES = ("memory_lookup", "memory_insert", "model_a", "model_b")
 
@@ -67,8 +67,8 @@ class RecordTable:
 @dataclass(eq=False)
 class PairedDataset:
     """Two models' logits over the same samples, ordered by ascending id (code-point
-    order, which is UTF-8 byte order). The arrays must not change after
-    construction: calibration caches the scores it derives from them in ``columns``."""
+    order, which is UTF-8 byte order). It holds no derived state: calibration builds
+    its score table from these arrays on each call."""
 
     ids: tuple[str, ...]
     labels: np.ndarray    # int64, N
@@ -76,18 +76,13 @@ class PairedDataset:
     logits_b: np.ndarray  # float64, N x K
     name_a: str = "model_a"
     name_b: str = "model_b"
-    columns: tuple | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def swapped(self) -> "PairedDataset":
         """The same arrays with the A/B roles (and names) exchanged."""
-        result = PairedDataset(
-            self.ids, self.labels, self.logits_b, self.logits_a, self.name_b, self.name_a
-        )
-        result.columns = None if self.columns is None else self.columns[::-1]
-        return result
+        return PairedDataset(self.ids, self.labels, self.logits_b, self.logits_a, self.name_b, self.name_a)
 
     @cached_property
     def samples(self) -> list[SimpleNamespace]:
@@ -197,11 +192,7 @@ def format_prediction_records(table: RecordTable) -> str:
 
 
 def load_prediction_records(path: str) -> RecordTable:
-    data = read_bytes(path, "record file")
-    try:
-        return parse_prediction_records(data)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    return read_parsed(path, "record file", parse_prediction_records)
 
 
 def _row_index(ids: tuple[str, ...]) -> dict[str, int]:
@@ -281,8 +272,4 @@ def parse_cost_profile(data: bytes | str) -> CostProfile:
 
 
 def load_cost_profile(path: str) -> CostProfile:
-    data = read_bytes(path, "cost profile")
-    try:
-        return parse_cost_profile(data)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    return read_parsed(path, "cost profile", parse_cost_profile)

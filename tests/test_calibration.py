@@ -20,7 +20,7 @@ from cascadekit.calibration import (
 )
 from cascadekit.confidence import ScoreFunction, score, softmax, softmax_rows
 from cascadekit.errors import DataError
-from cascadekit.records import PairedDataset, RecordTable, align_records
+from cascadekit.records import PairedDataset, RecordTable, align_records, load_prediction_records
 from test_calibration_oracles import better_score
 
 DIFF = ScoreFunction.DIFFERENCE
@@ -395,17 +395,32 @@ class TestColumnarKernel:
         paired = _three_sample_set()
         auto_select(paired)  # 3 score functions x 2 model orders
         assert calls == [(3, 3), (3, 3)]
+        calls.clear()
         candidate_lambdas(paired.swapped(), MAX)
         accuracy_at(paired, ENTROPY, 0.5, post_check=False)
-        assert len(calls) == 2
-
-    def test_swapped_hands_over_exchanged_columns(self):
-        paired = _three_sample_set()
         find_lambda_star(paired, DIFF)
-        swapped = paired.swapped()
-        assert swapped.columns == paired.columns[::-1]
-        assert swapped.swapped().columns == paired.columns
-        assert swapped.logits_a is paired.logits_b and swapped.logits_b is paired.logits_a
+        assert calls == [(3, 3)] * 6  # each public call computes its own table, one softmax per model
+
+
+STALE_PAIR_CALLS = {
+    "accuracy_at": lambda paired: accuracy_at(paired, MAX, 0.5, True),
+    "candidate_lambdas": lambda paired: candidate_lambdas(paired, MAX),
+    "find_lambda_star": lambda paired: find_lambda_star(paired, DIFF),
+}
+
+
+@pytest.mark.parametrize("call", STALE_PAIR_CALLS.values(), ids=STALE_PAIR_CALLS.keys())
+def test_call_after_in_place_edit_matches_a_fresh_pair(call, data_dir):
+    def aligned():
+        a, b = (load_prediction_records(str(data_dir / name)) for name in ("model_a.jsonl", "model_b.jsonl"))
+        return align_records(a, b)
+
+    paired, fresh = aligned(), aligned()
+    before = call(paired)
+    for dataset in (paired, fresh):
+        dataset.logits_a[:] = dataset.logits_b
+    assert call(fresh) != before
+    assert call(paired) == call(fresh)
 
 
 def _non_finite(value):

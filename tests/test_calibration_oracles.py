@@ -236,7 +236,7 @@ def pairs(draw, classes=st.integers(2, 12)) -> PairedDataset:
 
 
 def _ordered(paired: PairedDataset, order: str) -> PairedDataset:
-    """The pair as given, swapped, or swapped after the kernel cached its columns."""
+    """The pair as given, swapped, or swapped after an earlier call on the pair."""
     if order == "cached-swap":
         candidate_lambdas(paired, ScoreFunction.MAX_PROBABILITY)
     return paired if order == "as-given" else paired.swapped()

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascadekit.complementarity import (
     ComplementarityMatrix,
@@ -25,6 +27,39 @@ def _oracle(correct_a, correct_b) -> float:
     a = {i for i, c in enumerate(correct_a) if c}
     b = {i for i, c in enumerate(correct_b) if c}
     return (len(a | b) - len(a & b) - abs(len(a) - len(b))) / len(correct_a)
+
+
+def oracle_best_pair(matrix: ComplementarityMatrix) -> tuple[int, int]:
+    """The loop ``best_pair`` replaced: scan i < j, keep a strictly larger
+    value, or an equal value with a strictly smaller sorted name pair."""
+    best = None
+    best_value = float("-inf")
+    best_names = None
+    for i in range(len(matrix.names)):
+        for j in range(i + 1, len(matrix.names)):
+            value = matrix.values[i][j]
+            pair_names = tuple(sorted((matrix.names[i], matrix.names[j])))
+            if best is None or value > best_value or (value == best_value and pair_names < best_names):
+                best = (i, j)
+                best_value = value
+                best_names = pair_names
+    return best
+
+
+@st.composite
+def matrices(draw) -> ComplementarityMatrix:
+    """2-6 models with repeated names and finite values, repeated values among them."""
+    m = draw(st.integers(2, 6))
+    names = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=m, max_size=m))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0]), st.floats(allow_nan=False, allow_infinity=False))
+    values = [draw(st.lists(value, min_size=m, max_size=m)) for _ in range(m)]
+    return ComplementarityMatrix(names, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_best_pair_matches_loop_oracle(matrix):
+    assert matrix.best_pair() == oracle_best_pair(matrix)
 
 
 class TestPredictedLabel:

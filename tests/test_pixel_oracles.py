@@ -19,12 +19,13 @@ from typing import Callable
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cascadekit.errors import DataError
 from cascadekit.images import (
     ImageBuffer,
+    _read_header_token,
     mirror_horizontal,
     mirror_vertical,
     rotate90,
@@ -40,6 +41,26 @@ from cascadekit.phash import (
     moments_fingerprint,
     quantize_key,
 )
+
+
+def oracle_read_header_token(data: bytes, pos: int) -> tuple[int, int]:
+    """The byte-by-byte walk the compiled header regex replaced."""
+    n = len(data)
+    while pos < n:
+        c = data[pos : pos + 1]
+        if c == b"#":
+            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
+                pos += 1
+        elif c in b" \t\n\r\x0b\x0c":
+            pos += 1
+        else:
+            break
+    start = pos
+    while pos < n and data[pos : pos + 1].isdigit():
+        pos += 1
+    if pos == start:
+        raise DataError("malformed PNM header")
+    return int(data[start:pos]), pos
 
 
 def oracle_to_grayscale(img: ImageBuffer) -> ImageBuffer:
@@ -329,3 +350,25 @@ def test_moments_match_exact_rational_oracle(img):
     else:
         assert moment_invariants(gray).vector() == tuple(float(v) for v in exact)
         assert moments_fingerprint(gray).key == oracle_exact_key(gray)
+
+
+HEADER_PIECES = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"0", b"7", b"42", b"x", b"\xff", b"\x00"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(st.binary(max_size=24), st.lists(st.sampled_from(HEADER_PIECES), max_size=16).map(b"".join)),
+    st.integers(0, 26),
+)
+# digits inside a comment are no token, whatever follows the comment
+@example(b" #1\nx", 0)
+@example(b"#12", 0)
+@example(b"# 3\r 4", 0)
+def test_header_token_matches_oracle(data, pos):
+    try:
+        want = oracle_read_header_token(data, pos)
+    except DataError:
+        with pytest.raises(DataError, match="^malformed PNM header$"):
+            _read_header_token(data, pos)
+    else:
+        assert _read_header_token(data, pos) == want
