@@ -33,35 +33,48 @@ def _model_names(path_a: str, path_b: str) -> tuple[str, str]:
     return name_a, name_b
 
 
-def _load_samples(
-    args: argparse.Namespace,
-    config: CascadeConfig,
-    with_images: bool,
-    with_labels: bool = False,
-):
-    from .engine import ReplayClassifier, SampleRef
+def _load_pair(args: argparse.Namespace, names: tuple[str, str] | None = None):
+    """Both record files' tables and their alignment, each file named as ``_model_names`` names it.
+    Given a config's (first, second) ``names``, the tables come in that order, so a swapped config
+    replays its own order; files that name other models are a DataError."""
     from .records import align_records, load_prediction_records
 
-    records_a = load_prediction_records(args.records_a)
-    records_b = load_prediction_records(args.records_b)
-    # each file is named as calibrate names it, so a swapped config replays its own order
-    names = _model_names(args.records_a, args.records_b)
-    if names == (config.second_model, config.first_model):
-        records_a, records_b = records_b, records_a
-    elif names != (config.first_model, config.second_model):
-        raise DataError(
-            f"record files name models {names[0]!r} and {names[1]!r}, "
-            f"but the config names {config.first_model!r} and {config.second_model!r}"
-        )
-    paired = align_records(records_a, records_b, config.first_model, config.second_model)
-    classifier_a = ReplayClassifier(config.first_model, records_a)
-    classifier_b = ReplayClassifier(config.second_model, records_b)
+    tables = [load_prediction_records(args.records_a), load_prediction_records(args.records_b)]
+    found = _model_names(args.records_a, args.records_b)
+    if names is not None and found != names:
+        if found[::-1] != names:
+            raise DataError(
+                f"record files name models {found[0]!r} and {found[1]!r}, "
+                f"but the config names {names[0]!r} and {names[1]!r}"
+            )
+        tables.reverse()
+    return tables, align_records(*tables, *(names or found))
+
+
+def _load_config(args: argparse.Namespace) -> CascadeConfig:
+    from .calibration import load_config
+
+    config = load_config(args.config)
+    if config.memory != "none" and not args.images:
+        args.parser.error(f"--images is required when config memory is {config.memory}")
+    return config
+
+
+def _load_replay(args: argparse.Namespace, config: CascadeConfig, with_images: bool, with_labels: bool):
+    """The cost profile, an engine wired to the config's two models, and one sample per aligned id."""
+    from .engine import CascadeEngine, ReplayClassifier, SampleRef
+    from .records import load_cost_profile
+
+    costs = load_cost_profile(args.costs)
+    names = (config.first_model, config.second_model)
+    tables, paired = _load_pair(args, names)
+    engine = CascadeEngine(config, *map(ReplayClassifier, names, tables))
     labels = paired.labels.tolist() if with_labels else [None] * len(paired)
     samples = [
         SampleRef(sid, _load_sample_image(args.images, sid) if with_images else None, label)
         for sid, label in zip(paired.ids, labels)
     ]
-    return classifier_a, classifier_b, samples
+    return costs, engine, samples
 
 
 def _load_sample_image(directory: str, sample_id: str):
@@ -96,14 +109,10 @@ def cmd_complementarity(args: argparse.Namespace) -> int:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     from .calibration import auto_select, find_lambda_star, format_curve_csv, save_config
     from .confidence import ScoreFunction
-    from .records import align_records, load_prediction_records
 
     if args.score == "auto" and args.no_post_check:
         args.parser.error("--no-post-check cannot be combined with --score auto")
-    records_a = load_prediction_records(args.records_a)
-    records_b = load_prediction_records(args.records_b)
-    name_a, name_b = _model_names(args.records_a, args.records_b)
-    paired = align_records(records_a, records_b, name_a, name_b)
+    _, paired = _load_pair(args)
     if args.score == "auto":
         result = auto_select(paired)
     else:
@@ -122,19 +131,13 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .calibration import load_config
-    from .engine import CascadeEngine, format_traces_jsonl, run_batch
+    from .engine import format_traces_jsonl, run_batch
     from .metering import aggregate, format_report_csv, format_report_json
-    from .records import load_cost_profile
 
-    config = load_config(args.config)
-    if config.memory != "none" and not args.images:
-        args.parser.error(f"--images is required when config memory is {config.memory}")
-    costs = load_cost_profile(args.costs)
-    classifier_a, classifier_b, samples = _load_samples(
+    config = _load_config(args)
+    costs, engine, samples = _load_replay(
         args, config, with_images=config.memory != "none", with_labels=args.labels
     )
-    engine = CascadeEngine(config, classifier_a, classifier_b)
     traces, _ = run_batch(engine, samples)
     report = aggregate(traces, costs, config=config)
     if args.format == "csv":
@@ -167,14 +170,9 @@ def cmd_hash(args: argparse.Namespace) -> int:
 
 
 def cmd_duplication(args: argparse.Namespace) -> int:
-    from .calibration import load_config
-    from .engine import CascadeEngine
     from .metering import duplication_experiment, format_curves_csv
-    from .records import load_cost_profile
 
-    config = load_config(args.config)
-    if config.memory != "none" and not args.images:
-        args.parser.error(f"--images is required when config memory is {config.memory}")
+    config = _load_config(args)
     if args.transform != "identity" and not args.images:
         args.parser.error(f"--images is required for transform {args.transform}")
     try:
@@ -183,15 +181,9 @@ def cmd_duplication(args: argparse.Namespace) -> int:
         args.parser.error(f"cannot parse --ratios {args.ratios!r}")
     if not ratios:
         args.parser.error("--ratios must list at least one value")
-    costs = load_cost_profile(args.costs)
-    classifier_a, classifier_b, samples = _load_samples(
-        args, config, with_images=bool(args.images)
-    )
-    def factory() -> CascadeEngine:
-        return CascadeEngine(config, classifier_a, classifier_b)
-
+    costs, engine, samples = _load_replay(args, config, with_images=bool(args.images), with_labels=False)
     curves = duplication_experiment(
-        samples, ratios, args.transform, [(config.memory, factory)], costs, seed=args.seed
+        samples, ratios, args.transform, [(config.memory, lambda: engine)], costs, seed=args.seed
     )
     write_text(args.out, format_curves_csv(curves))
     for ratio, energy, hits in curves[0].points:

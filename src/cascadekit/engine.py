@@ -50,7 +50,7 @@ class ReplayClassifier:
     def __init__(self, name: str, records: RecordTable):
         self.name = name
         self._logits = records.logits
-        self._rows = dict(zip(records.ids, range(len(records.ids))))
+        self._rows = records.index
 
     def infer(self, sample_id: str) -> np.ndarray:
         try:

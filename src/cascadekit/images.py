@@ -40,9 +40,10 @@ def _read_header_token(data: bytes, pos: int) -> tuple[int, int]:
     """Next ASCII integer token at or after pos, skipping whitespace and
     '#'-to-end-of-line comments. Returns (value, position after token)."""
     match = _HEADER_TOKEN.match(data, pos)
-    if match is None:
-        raise DataError("malformed PNM header")
-    return int(match[1]), match.end()
+    try:
+        return int(match[1]), match.end()
+    except (TypeError, ValueError):  # no token, or more digits than int() reads
+        raise DataError("malformed PNM header") from None
 
 
 def load_image_pnm(data: bytes) -> ImageBuffer:

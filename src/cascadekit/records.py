@@ -20,8 +20,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
@@ -32,33 +31,46 @@ STAGES = ("memory_lookup", "memory_insert", "model_a", "model_b")
 
 @dataclass(frozen=True, eq=False)
 class RecordTable:
-    """One model's records, one column each: ids (tuple of str), labels
-    (int64, N) and logits (float64, N x K). The arrays are read-only copies;
-    a parsed table's logits are the parse's own buffer, which nothing else holds."""
+    """One model's records, one column each: ids (tuple of unique str), labels
+    (int64, N) and logits (float64, N x K), plus ``index``, a read-only map from
+    each id to its row, in row order. The arrays are read-only copies; a parsed
+    table's logits are the parse's own buffer, which nothing else holds. A
+    hand-built table gets a parsed table's id and shape checks: unique ids,
+    and one label and one logits row per id."""
 
     ids: tuple[str, ...]
     labels: np.ndarray
     logits: np.ndarray
+    index: MappingProxyType[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._set_columns(self.ids, self.labels, np.array(self.logits, dtype=np.float64))
+        index: dict[str, int] = {}
+        for row, rid in enumerate(self.ids):
+            if index.setdefault(rid, row) != row:
+                raise DataError(f"duplicate id {_shown(rid)}")
+        self._set_columns(index, self.labels, np.array(self.logits, dtype=np.float64))
 
     @classmethod
-    def _adopt(cls, ids, labels, logits: np.ndarray) -> RecordTable:
-        """A table over ``logits`` itself (float64, N x K), not a copy of it."""
+    def _adopt(cls, index: dict[str, int], labels, logits: np.ndarray) -> RecordTable:
+        """A table over ``index`` (id to row, in row order) and ``logits`` itself
+        (float64, N x K), not copies of them."""
         table = object.__new__(cls)
-        table._set_columns(ids, labels, logits)
+        table._set_columns(index, labels, logits)
         return table
 
-    def _set_columns(self, ids, labels, logits: np.ndarray) -> None:
+    def _set_columns(self, index: dict[str, int], labels, logits: np.ndarray) -> None:
         labels = np.array(labels, dtype=np.int64)
-        if logits.ndim != 2:  # no rows
-            logits = logits.reshape(len(ids), 0)
+        if logits.shape == (0,):  # no rows
+            logits = logits.reshape(0, 0)
+        n = len(index)
+        if labels.shape != (n,) or logits.ndim != 2 or len(logits) != n:
+            raise DataError(f"{n} ids but labels of shape {labels.shape} and logits of shape {logits.shape}")
         for column in (labels, logits):
             column.setflags(write=False)
-        object.__setattr__(self, "ids", tuple(ids))
+        object.__setattr__(self, "ids", tuple(index))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "logits", logits)
+        object.__setattr__(self, "index", MappingProxyType(index))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -84,7 +96,7 @@ class PairedDataset:
         """The same arrays with the A/B roles (and names) exchanged."""
         return PairedDataset(self.ids, self.labels, self.logits_b, self.logits_a, self.name_b, self.name_a)
 
-    @cached_property
+    @property
     def samples(self) -> list[SimpleNamespace]:
         """Rows of Python values (``id``, ``label``, ``logits_a``, ``logits_b``)
         for code that walks samples one at a time; cascadekit reads the arrays."""
@@ -167,7 +179,7 @@ def parse_prediction_records(data: bytes | str) -> RecordTable:
     across the file, labels within range, finite logits, and unique ids;
     the first bad line raises its line-numbered DataError.
     """
-    seen: dict[str, None] = {}  # the ids, in file order
+    seen: dict[str, int] = {}  # each id's row, in file order
     labels: list[int] = []
     logits = array("d")  # every row's floats, row after row
     expected_k: int | None = None
@@ -175,7 +187,7 @@ def parse_prediction_records(data: bytes | str) -> RecordTable:
         rid, label, values = _record_from_obj(obj, line_no, expected_k)
         if rid in seen:
             raise DataError(f"duplicate id {_shown(rid)} at line {line_no}")
-        seen[rid] = None
+        seen[rid] = len(labels)
         expected_k = len(values)
         labels.append(label)
         logits.extend(values)
@@ -195,14 +207,6 @@ def load_prediction_records(path: str) -> RecordTable:
     return read_parsed(path, "record file", parse_prediction_records)
 
 
-def _row_index(ids: tuple[str, ...]) -> dict[str, int]:
-    index: dict[str, int] = {}
-    for row, rid in enumerate(ids):
-        if index.setdefault(rid, row) != row:
-            raise DataError(f"duplicate id {_shown(rid)}")
-    return index
-
-
 def align_records(
     a: RecordTable,
     b: RecordTable,
@@ -220,7 +224,7 @@ def align_records(
     k_a, k_b = a.logits.shape[1], b.logits.shape[1]
     if k_a != k_b:
         raise DataError(f"logits length mismatch between files: {k_a} vs {k_b}")
-    index_a, index_b = _row_index(a.ids), _row_index(b.ids)
+    index_a, index_b = a.index, b.index
     if index_a.keys() != index_b.keys():
         for rid in (*index_a, *index_b):
             if rid not in index_a or rid not in index_b:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 
 import pytest
 
@@ -25,6 +26,10 @@ COSTS = {
         "model_b": {"energy_wh": 0.2, "latency_ms": 20.0},
     }
 }
+
+
+# a width of 5000 digits: more than int() converts from a string by default
+OVERLONG_HEADER = b"P5 " + b"9" * 5000 + b" 4 255\n" + bytes(16)
 
 
 def assert_one_error_line(capsys, prefix: str) -> None:
@@ -338,6 +343,23 @@ class TestRun:
         assert code == 1
         assert "no image for sample" in capsys.readouterr().err
 
+    def test_header_number_beyond_int_parsing_names_the_image(self, workspace, tmp_path, capsys):
+        images = tmp_path / "images"
+        shutil.copytree(workspace / "images", images)
+        bad = sorted(images.iterdir())[5]
+        bad.write_bytes(OVERLONG_HEADER)
+        code = main([
+            "run",
+            "--config", str(workspace / "config_dhash.json"),
+            "--records-a", str(workspace / "small.jsonl"),
+            "--records-b", str(workspace / "big.jsonl"),
+            "--images", str(images),
+            "--costs", str(workspace / "costs.json"),
+            "--report", str(tmp_path / "report.json"),
+        ])
+        assert code == 1
+        assert_one_error_line(capsys, f"error: {bad}: malformed PNM header\n")
+
     @pytest.mark.parametrize(
         "content",
         [
@@ -462,16 +484,21 @@ class TestModelOrder:
             energies.append(capsys.readouterr().out)
         assert energies[0] == energies[1]
 
-    def test_unknown_file_names_are_a_data_error(self, swapped, capsys):
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("run", ["--report", "report.json"]), ("duplication", ["--ratios", "0,1", "--out", "dup.csv"])],
+        ids=["run", "duplication"],
+    )
+    def test_unknown_file_names_are_a_data_error(self, swapped, capsys, command, flags):
         root, _ = swapped
         (root / "other.jsonl").write_text((root / "big.jsonl").read_text())
         assert main([
-            "run",
+            command,
             "--config", str(root / "config.json"),
             "--records-a", str(root / "small.jsonl"),
             "--records-b", str(root / "other.jsonl"),
             "--costs", str(root / "costs.json"),
-            "--report", str(root / "report.json"),
+            *flags[:-1], str(root / flags[-1]),
         ]) == 1
         assert_one_error_line(
             capsys,
@@ -508,6 +535,12 @@ class TestHash:
     def test_missing_image(self, tmp_path, capsys):
         assert main(["hash", "--method", "dhash", str(tmp_path / "a.pgm")]) == 1
         assert "cannot read image" in capsys.readouterr().err
+
+    def test_header_number_beyond_int_parsing_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(OVERLONG_HEADER)
+        assert main(["hash", "--method", "dhash", str(path)]) == 1
+        assert_one_error_line(capsys, "error: malformed PNM header\n")
 
     def test_not_a_pnm(self, tmp_path, capsys):
         path = tmp_path / "a.pgm"

@@ -78,6 +78,14 @@ class TestPnm:
         with pytest.raises(DataError, match="trailing data"):
             load_image_pnm(b"P5\n1 1\n255\n\x00\x00")
 
+    @pytest.mark.parametrize("field", [0, 2], ids=["width", "maxval"])
+    def test_header_number_beyond_int_parsing(self, field):
+        # more digits than int() converts from a string by default: an error, not a ValueError
+        numbers = [b"4", b"4", b"255"]
+        numbers[field] = b"9" * 5000
+        with pytest.raises(DataError, match="^malformed PNM header$"):
+            load_image_pnm(b"P5 " + b" ".join(numbers) + b"\n" + bytes(16))
+
     def test_missing_header_token(self):
         with pytest.raises(DataError, match="malformed PNM header"):
             load_image_pnm(b"P5\n2\n255\n")

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from cascadekit import cli
 from cascadekit.calibration import CascadeConfig
 from cascadekit.confidence import ScoreFunction
-from cascadekit.engine import CascadeEngine, ReplayClassifier, run_batch
+from cascadekit.engine import ReplayClassifier, run_batch
 from cascadekit.errors import DataError, parse_json
 from cascadekit.records import RecordTable, align_records, parse_prediction_records
 
@@ -372,17 +372,16 @@ def test_sorted_ids_follow_utf8_byte_order():
     assert list(paired.ids) == sorted(ids, key=lambda s: s.encode("utf-8"))
 
 
-def test_trace_and_sample_labels_are_python_ints(data_dir):
+def test_trace_and_sample_labels_are_python_ints(data_dir, costs_dir):
     config = CascadeConfig("model_a", "model_b", ScoreFunction.DIFFERENCE, 0.5, True)
     args = argparse.Namespace(
         records_a=str(data_dir / "model_a.jsonl"),
         records_b=str(data_dir / "model_b.jsonl"),
+        costs=str(costs_dir / "cifar10.json"),
         images=None,
     )
-    classifier_a, classifier_b, samples = cli._load_samples(
-        args, config, with_images=False, with_labels=True
-    )
-    traces, _ = run_batch(CascadeEngine(config, classifier_a, classifier_b), samples)
+    _, engine, samples = cli._load_replay(args, config, with_images=False, with_labels=True)
+    traces, _ = run_batch(engine, samples)
     assert all(type(t.label) is int and type(t.predicted) is int for t in traces)
     paired = align_records(
         parse_prediction_records((data_dir / "model_a.jsonl").read_bytes()),

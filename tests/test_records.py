@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import random
@@ -252,6 +253,45 @@ class TestRecordTable:
         assert table.logits.tolist() == [[1.0, 0.0], [0.5, 2.0]]
         assert table.logits.flags.owndata and not table.logits.flags.writeable
 
+    def test_index_maps_each_id_to_its_row(self):
+        parsed = parse_prediction_records(_line("b", 0, [1.0, 0.0]) + "\n" + _line("a", 1, [0.5, 2.0]))
+        for table in (parsed, RecordTable(["b", "a"], [0, 1], [[1.0, 0.0], [0.5, 2.0]])):
+            assert dict(table.index) == {"b": 0, "a": 1}
+            assert tuple(table.index) == table.ids == ("b", "a")
+            with pytest.raises(TypeError):
+                table.index["c"] = 2
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                table.index = {}
+        assert dict(RecordTable([], [], []).index) == {}
+
+    @pytest.mark.parametrize("parsed", [False, True], ids=["hand_built", "parsed"])
+    def test_a_repeated_id_raises_at_construction(self, parsed):
+        ids, rows = ["b", "a", "b"], [[1.0, 0.0]] * 3
+        if parsed:
+            text = "\n".join(_line(rid, 0, row) for rid, row in zip(ids, rows))
+            with pytest.raises(DataError, match="^duplicate id b at line 3$"):
+                parse_prediction_records(text)
+        else:
+            with pytest.raises(DataError, match="^duplicate id b$"):
+                RecordTable(ids, [0] * 3, rows)
+
+    @pytest.mark.parametrize(
+        "ids, labels, logits, shapes",
+        [
+            (["a", "b"], [0], [[1.0, 0.0]], "labels of shape (1,) and logits of shape (1, 2)"),
+            (["a", "b"], [0, 1], [[1.0, 0.0]], "labels of shape (2,) and logits of shape (1, 2)"),
+            (["a"], [0], [1.0, 2.0], "labels of shape (1,) and logits of shape (2,)"),
+            (["a"], [0], [], "labels of shape (1,) and logits of shape (0, 0)"),
+            (["a"], [[0]], [[1.0, 0.0]], "labels of shape (1, 1) and logits of shape (1, 2)"),
+            (["a"], [0], [[[1.0, 0.0]]], "labels of shape (1,) and logits of shape (1, 1, 2)"),
+        ],
+        ids=["one_label_one_row", "one_row", "flat_logits", "no_logits", "nested_labels", "3d_logits"],
+    )
+    def test_a_hand_built_table_has_one_label_and_row_per_id(self, ids, labels, logits, shapes):
+        with pytest.raises(DataError) as err:
+            RecordTable(ids, labels, logits)
+        assert str(err.value) == f"{len(ids)} ids but {shapes}"
+
 
 class TestFormatRecords:
     def test_round_trip_exact(self):
@@ -300,10 +340,6 @@ class TestAlignRecords:
         with pytest.raises(DataError, match="unmatched id c"):
             align_records(self._recs(["a"]), self._recs(["c", "a"]))
 
-    def test_duplicate_id_in_a_hand_built_table(self):
-        with pytest.raises(DataError, match="duplicate id b"):
-            align_records(self._recs(["a"]), self._recs(["b", "a", "b"]))
-
     def test_empty_table(self):
         with pytest.raises(DataError, match="cannot align empty record lists"):
             align_records(self._recs([]), self._recs(["a"]))
@@ -328,6 +364,16 @@ class TestAlignRecords:
         assert flipped.name_a == "big" and flipped.name_b == "small"
         assert flipped.samples[0].logits_a == [0.0, 5.0]
         assert flipped.samples[0].logits_b == [5.0, 0.0]
+
+    def test_samples_follow_in_place_edits(self):
+        a = RecordTable(["x", "y"], [0, 1], [[5.0, 0.0], [0.0, 1.0]])
+        b = RecordTable(["x", "y"], [0, 1], [[0.0, 5.0], [2.0, 0.0]])
+        paired = align_records(a, b)
+        assert paired.samples[0].logits_a == [5.0, 0.0]
+        paired.logits_a[:] = paired.logits_b
+        paired.labels[:] = [1, 0]
+        assert [s.logits_a for s in paired.samples] == [[0.0, 5.0], [2.0, 0.0]]
+        assert [s.label for s in paired.samples] == [1, 0]
 
     def test_swapped_exchanges_references(self, bundled_paired):
         flipped = bundled_paired.swapped()
