@@ -27,7 +27,7 @@ import numpy as np
 
 from .complementarity import correct_rows
 from .confidence import ScoreFunction, score_rows, softmax_rows
-from .errors import DataError, read_json, write_text
+from .errors import DataError, parse_json, read_parsed, write_text
 from .records import PairedDataset
 
 # "none" plus phash.FINGERPRINTS, spelled out so that calibrating loads no image module
@@ -93,7 +93,7 @@ def save_config(config: CascadeConfig, path: str) -> None:
 
 
 def load_config(path: str) -> CascadeConfig:
-    return CascadeConfig.from_dict(read_json(path, "config"))
+    return read_parsed(path, "config", lambda data: CascadeConfig.from_dict(parse_json(data, "config")))
 
 
 def decide(
@@ -234,19 +234,19 @@ def auto_select(paired: PairedDataset) -> CalibrationResult:
 
     Always calibrates with post-check on. Ties break to lower second-model
     usage, then to the score-function order diff, max, entropy, then to the
-    original model ordering. One table serves both orders; the six sweeps
-    are compared on their arrays, and only the winner's becomes a curve.
+    original model ordering. One table serves both orders; the six sweeps'
+    winners are compared on their arrays, and only the winner's becomes a curve.
     """
     table = _table(paired)
     names = paired.name_a, paired.name_b
-    best = None
     order = (ScoreFunction.DIFFERENCE, ScoreFunction.MAX_PROBABILITY, ScoreFunction.ENTROPY_NORMALIZED)
-    for score_fn in order:
-        for ordered_names, ordered_table in ((names, table), (names[::-1], table[::-1])):
-            _, accuracy, usage, i = search = _search(ordered_table, score_fn, True)
-            if best is None or accuracy[i] > best_acc or (accuracy[i] == best_acc and usage[i] < best_usage):
-                best, best_acc, best_usage = (ordered_names, score_fn, search), accuracy[i], usage[i]
-    names, score_fn, search = best
+    searches = [
+        (ordered_names, score_fn, _search(ordered_table, score_fn, True))
+        for score_fn in order
+        for ordered_names, ordered_table in ((names, table), (names[::-1], table[::-1]))
+    ]
+    keys = [(accuracy[i], -usage[i]) for _, _, (_, accuracy, usage, i) in searches]
+    names, score_fn, search = searches[keys.index(max(keys))]
     return _result(names, score_fn, True, search)
 
 

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import DataError, read_bytes, read_parsed, write_text
+from .errors import DataError, read_parsed, write_text
 
 if TYPE_CHECKING:
     from .calibration import CascadeConfig
@@ -159,7 +159,7 @@ def cmd_hash(args: argparse.Namespace) -> int:
     from .images import load_image_pnm, to_grayscale
     from .phash import FINGERPRINTS, moment_invariants
 
-    gray = to_grayscale(load_image_pnm(read_bytes(args.image, "image")))
+    gray = to_grayscale(read_parsed(args.image, "image", load_image_pnm))
     fp = FINGERPRINTS[args.method](gray)
     line = f"{fp.method}: {fp.key}"
     if fp.method == "moments":

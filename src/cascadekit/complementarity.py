@@ -98,8 +98,10 @@ def complementarity_matrix(
 
 
 def format_matrix_csv(matrix: ComplementarityMatrix) -> str:
-    """CSV with a header row of model names and unscaled 6-decimal values."""
-    lines = ["model," + ",".join(matrix.names)]
-    for name, row in zip(matrix.names, matrix.values):
+    """CSV with a header row of model names and unscaled 6-decimal values. A name that holds
+    a comma, a double quote, CR or LF is quoted, its quotes doubled (RFC 4180)."""
+    names = ['"' + n.replace('"', '""') + '"' if set(n) & set(',"\r\n') else n for n in matrix.names]
+    lines = ["model," + ",".join(names)]
+    for name, row in zip(names, matrix.values):
         lines.append(name + "," + ",".join(f"{v:.6f}" for v in row))
     return "\n".join(lines) + "\n"

@@ -3,10 +3,10 @@
 Files are opened here only: every read, write and JSON parse of outside
 input goes through ``read_bytes``, ``write_text``, ``parse_json``,
 ``parse_json_lines`` (a JSON Lines stream, one line-numbered document at a
-time), ``read_parsed`` (a file through any parser, its errors prefixed with
-the path) and ``read_json``, so an unreadable or unwritable path, non-UTF-8
-bytes, malformed JSON and an integer literal past CPython's int-string
-limit each become a DataError in one place.
+time) and ``read_parsed`` (a file through any parser, its errors prefixed
+with the path), so an unreadable or unwritable path, non-UTF-8 bytes,
+malformed JSON and an integer literal past CPython's int-string limit each
+become a DataError in one place, and every input file loads one way.
 ``non_negative_number`` is the one check that a parsed JSON value is a
 finite, non-negative number.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import re
 from collections.abc import Callable, Iterator
 from typing import TypeVar
 
@@ -61,7 +60,6 @@ def parse_json(data: bytes | str, what: str) -> object:
 
 
 _DECODER = json.JSONDecoder()
-_STR_LINE = re.compile(".*\n|.+")  # a line and its "\n"; "." matches all but "\n"
 
 
 def parse_json_lines(data: bytes | str, what: str) -> Iterator[tuple[int, object]]:
@@ -69,7 +67,7 @@ def parse_json_lines(data: bytes | str, what: str) -> Iterator[tuple[int, object
     stream, accepting exactly what ``json.loads`` accepts for that line.
 
     Lines end at ``"\n"`` only and are numbered from 1, empty ones included;
-    they are read one at a time, so the stream is never copied whole. A
+    they are read one at a time, so a bytes stream is never copied whole. A
     bytes line is decoded as UTF-8. Only JSON's whitespace (space, tab, CR,
     LF) may surround a document; ``str.strip()`` would also drop Unicode
     spaces that JSON rejects. The first line that is not one document raises
@@ -77,8 +75,7 @@ def parse_json_lines(data: bytes | str, what: str) -> Iterator[tuple[int, object
     """
     decode = _DECODER.raw_decode
     newline = b"\n" if isinstance(data, bytes) else "\n"
-    # io.StringIO would hold a str as 4-byte code points while it is read
-    lines = io.BytesIO(data) if isinstance(data, bytes) else map(re.Match.group, _STR_LINE.finditer(data))
+    lines = io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data, newline="\n")
     for line_no, line in enumerate(lines, start=1):
         if line == newline:  # an empty line
             continue
@@ -99,10 +96,6 @@ def read_parsed(path: str, what: str, parse: Callable[[bytes], T]) -> T:
         return parse(data)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-
-
-def read_json(path: str, what: str) -> object:
-    return read_parsed(path, what, lambda data: parse_json(data, what))
 
 
 def non_negative_number(value: object, what: str) -> float:

@@ -30,7 +30,7 @@ from .engine import (
     macro_metrics,
     run_batch,
 )
-from .errors import DataError, non_negative_number, read_json
+from .errors import DataError, non_negative_number, parse_json, read_parsed
 from .images import TRANSFORMS
 from .records import STAGES, CostProfile
 
@@ -304,30 +304,17 @@ def format_report_json(report: RunReport) -> str:
 
 
 def load_report(path: str) -> RunReport:
-    return RunReport.from_dict(read_json(path, "report"))
+    return read_parsed(path, "report", lambda data: RunReport.from_dict(parse_json(data, "report")))
 
 
 def format_report_csv(report: RunReport) -> str:
     """One-row summary for spreadsheet comparison."""
-    header = (
-        "samples,total_energy_wh,mean_latency_ms,p95_latency_ms,p99_latency_ms,"
-        "accuracy,memory_hit,model_a_only,model_ab"
-    )
-    acc = "" if report.metrics is None else repr(report.metrics.accuracy)
-    row = ",".join(
-        [
-            str(report.sample_count),
-            repr(report.total_energy_wh),
-            repr(report.mean_latency_ms),
-            repr(report.p95_latency_ms),
-            repr(report.p99_latency_ms),
-            acc,
-            str(report.path_counts.get(PATH_MEMORY_HIT, 0)),
-            str(report.path_counts.get("model_a_only", 0)),
-            str(report.path_counts.get("model_ab", 0)),
-        ]
-    )
-    return header + "\n" + row + "\n"
+    numbers = [repr(getattr(report, name)) for name in _REPORT_NUMBERS]
+    accuracy = "" if report.metrics is None else repr(report.metrics.accuracy)
+    counts = [str(report.path_counts.get(path, 0)) for path in PATHS]
+    header = ["samples", *_REPORT_NUMBERS, "accuracy", *PATHS]
+    row = [str(report.sample_count), *numbers, accuracy, *counts]
+    return ",".join(header) + "\n" + ",".join(row) + "\n"
 
 
 def format_curves_csv(curves: Sequence[DuplicationCurve]) -> str:

@@ -35,8 +35,8 @@ class RecordTable:
     (int64, N) and logits (float64, N x K), plus ``index``, a read-only map from
     each id to its row, in row order. The arrays are read-only copies; a parsed
     table's logits are the parse's own buffer, which nothing else holds. A
-    hand-built table gets a parsed table's id and shape checks: unique ids,
-    and one label and one logits row per id."""
+    hand-built table gets a parsed table's checks, without line numbers: unique
+    ids, one label and one logits row per id, then the parse's value checks."""
 
     ids: tuple[str, ...]
     labels: np.ndarray
@@ -48,23 +48,38 @@ class RecordTable:
         for row, rid in enumerate(self.ids):
             if index.setdefault(rid, row) != row:
                 raise DataError(f"duplicate id {_shown(rid)}")
-        self._set_columns(index, self.labels, np.array(self.logits, dtype=np.float64))
+        labels, n = np.array(self.labels, dtype=object), len(index)  # keeps each label's type: no bool becomes 1
+        try:
+            logits = np.array(self.logits)
+        except ValueError:  # ragged rows; a short row is named before a length mismatch
+            short = any(not hasattr(row, "__len__") or len(row) < 2 for row in self.logits)
+            problem = "logits must be an array of length >= 2" if short else "inconsistent logits length"
+            raise DataError(problem) from None
+        if logits.shape == (0,):  # no rows
+            logits = logits.reshape(0, 0)
+        if labels.shape != (n,) or logits.ndim != 2 or len(logits) != n:
+            raise DataError(f"{n} ids but labels of shape {labels.shape} and logits of shape {logits.shape}")
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in labels):
+            raise DataError("label must be an integer")
+        if n and logits.shape[1] < 2:
+            raise DataError("logits must be an array of length >= 2")
+        if logits.dtype.kind not in "iuf":  # not bool, str or object
+            raise DataError("non-numeric logit")
+        if not np.isfinite(logits).all():
+            raise DataError("non-finite logit")
+        if not all(0 <= v < logits.shape[1] for v in labels):
+            raise DataError("label out of range")
+        self._set_columns(index, labels.astype(np.int64), logits.astype(np.float64, copy=False))
 
     @classmethod
     def _adopt(cls, index: dict[str, int], labels, logits: np.ndarray) -> RecordTable:
         """A table over ``index`` (id to row, in row order) and ``logits`` itself
         (float64, N x K), not copies of them."""
         table = object.__new__(cls)
-        table._set_columns(index, labels, logits)
+        table._set_columns(index, np.array(labels, dtype=np.int64), logits)
         return table
 
-    def _set_columns(self, index: dict[str, int], labels, logits: np.ndarray) -> None:
-        labels = np.array(labels, dtype=np.int64)
-        if logits.shape == (0,):  # no rows
-            logits = logits.reshape(0, 0)
-        n = len(index)
-        if labels.shape != (n,) or logits.ndim != 2 or len(logits) != n:
-            raise DataError(f"{n} ids but labels of shape {labels.shape} and logits of shape {logits.shape}")
+    def _set_columns(self, index: dict[str, int], labels: np.ndarray, logits: np.ndarray) -> None:
         for column in (labels, logits):
             column.setflags(write=False)
         object.__setattr__(self, "ids", tuple(index))

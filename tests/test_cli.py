@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import shutil
@@ -88,6 +89,19 @@ class TestComplementarity:
         float(line.rsplit("=", 1)[1])
         header = out.read_text().splitlines()[0]
         assert header == "model,small,big"
+
+    def test_matrix_csv_quotes_names_with_separators(self, workspace, tmp_path, capsys):
+        paths = [tmp_path / "a,b.jsonl", tmp_path / 'say "hi".jsonl', tmp_path / "c d.jsonl"]
+        for path, source in zip(paths, ["small", "big", "small"]):
+            path.write_bytes((workspace / f"{source}.jsonl").read_bytes())
+        out = tmp_path / "matrix.csv"
+        assert main(["complementarity", *map(str, paths), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == 'model,"a,b","say ""hi""",c d'
+        assert [line.split(",0.")[0] for line in lines[1:]] == ['"a,b"', '"say ""hi"""', "c d"]
+        rows = list(csv.reader(lines))
+        assert rows[0] == ["model", "a,b", 'say "hi"', "c d"]
+        assert all(len(row) == 4 for row in rows)
 
     def test_duplicate_stems_fall_back_to_paths(self, workspace, tmp_path, capsys):
         other = tmp_path / "copy"
@@ -398,7 +412,7 @@ class TestRun:
             "--report", str(tmp_path / "report.json"),
         ])
         assert code == 1
-        assert capsys.readouterr().err == "error: lambda must be a number\n"
+        assert capsys.readouterr().err == f"error: {path}: lambda must be a number\n"
 
     @pytest.mark.parametrize("key", ["first_model", "second_model", "memory"])
     def test_non_string_config_name_is_a_data_error(self, workspace, tmp_path, capsys, key):
@@ -415,7 +429,7 @@ class TestRun:
             "--report", str(tmp_path / "report.json"),
         ])
         assert code == 1
-        assert capsys.readouterr().err == f"error: {key} must be a string\n"
+        assert capsys.readouterr().err == f"error: {path}: {key} must be a string\n"
 
     def test_missing_records_file(self, workspace, tmp_path, capsys):
         code = main([
@@ -540,7 +554,7 @@ class TestHash:
         path = tmp_path / "x.pgm"
         path.write_bytes(OVERLONG_HEADER)
         assert main(["hash", "--method", "dhash", str(path)]) == 1
-        assert_one_error_line(capsys, "error: malformed PNM header\n")
+        assert_one_error_line(capsys, f"error: {path}: malformed PNM header\n")
 
     def test_not_a_pnm(self, tmp_path, capsys):
         path = tmp_path / "a.pgm"
@@ -723,7 +737,17 @@ class TestReport:
         candidate.write_text(json.dumps(obj))
         capsys.readouterr()
         assert main(["report", str(baseline), str(candidate)]) == 1
-        assert_one_error_line(capsys, f"error: malformed run report: {key} ")
+        assert_one_error_line(capsys, f"error: {candidate}: malformed run report: {key} ")
+
+    @pytest.mark.parametrize("bad", ["baseline", "candidate"])
+    def test_a_malformed_report_is_named(self, workspace, tmp_path, capsys, bad):
+        good = self._write_report(workspace, tmp_path, "good.json")
+        malformed = tmp_path / "bad.json"
+        malformed.write_text(json.dumps({k: v for k, v in json.loads(good.read_text()).items() if k != "metrics"}))
+        paths = [good, malformed] if bad == "candidate" else [malformed, good]
+        capsys.readouterr()
+        assert main(["report", *map(str, paths)]) == 1
+        assert_one_error_line(capsys, f"error: {malformed}: malformed run report: 'metrics'\n")
 
     def test_non_finite_reduction_is_a_data_error(self, workspace, tmp_path, capsys):
         obj = json.loads(self._write_report(workspace, tmp_path, "run.json").read_text())

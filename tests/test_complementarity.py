@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import random
 
 import numpy as np
@@ -187,6 +189,24 @@ class TestMatrix:
             "m1,0.000000,0.123457\n"
             "m2,0.123457,0.000000\n"
         )
+
+    @pytest.mark.parametrize(
+        "name, cell",
+        [
+            ("a,b", '"a,b"'),
+            ('say "hi"', '"say ""hi"""'),
+            ("cr\rname", '"cr\rname"'),
+            ("lf\nname", '"lf\nname"'),
+            ("tab\t é;'x'", "tab\t é;'x'"),  # other bytes stay as they are
+        ],
+        ids=["comma", "quote", "cr", "lf", "plain"],
+    )
+    def test_names_with_separators_are_quoted(self, name, cell):
+        matrix = ComplementarityMatrix(names=[name, "m2"], values=[[0.0, 0.5], [0.5, 0.0]])
+        text = format_matrix_csv(matrix)
+        assert text == f"model,{cell},m2\n{cell},0.000000,0.500000\nm2,0.500000,0.000000\n"
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert rows == [["model", name, "m2"], [name, "0.000000", "0.500000"], ["m2", "0.500000", "0.000000"]]
 
 
 class TestOnBundledPair:

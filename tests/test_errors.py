@@ -17,7 +17,7 @@ from cascadekit.errors import (
     parse_json,
     parse_json_lines,
     read_bytes,
-    read_json,
+    read_parsed,
     write_text,
 )
 from cascadekit.metering import load_report
@@ -213,9 +213,9 @@ def test_read_json_prefixes_parse_errors_with_the_path(tmp_path):
     path = tmp_path / "bad.json"
     path.write_bytes(b"{")
     with pytest.raises(DataError, match=f"^{re.escape(str(path))}: invalid test JSON: "):
-        read_json(str(path), "test")
+        read_parsed(str(path), "test", lambda data: parse_json(data, "test"))
     path.write_text('{"ok": true}')
-    assert read_json(str(path), "test") == {"ok": True}
+    assert read_parsed(str(path), "test", lambda data: parse_json(data, "test")) == {"ok": True}
 
 
 def test_non_negative_number():

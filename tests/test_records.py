@@ -3,7 +3,9 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -291,6 +293,49 @@ class TestRecordTable:
         with pytest.raises(DataError) as err:
             RecordTable(ids, labels, logits)
         assert str(err.value) == f"{len(ids)} ids but {shapes}"
+
+    @pytest.mark.parametrize(
+        "labels, logits, message",
+        [
+            ([0], [[math.nan, 0.0]], "non-finite logit"),
+            ([0], [[1.0, -math.inf]], "non-finite logit"),
+            ([5], [[1.0, 0.0]], "label out of range"),
+            ([-1], [[1.0, 0.0]], "label out of range"),
+            ([1.7], [[1.0, 0.0]], "label must be an integer"),
+            ([True], [[1.0, 0.0]], "label must be an integer"),
+            ([0, True], [[1.0, 0.0], [0.0, 1.0]], "label must be an integer"),
+            (["x"], [[1.0, 0.0]], "label must be an integer"),
+            ([0], [[1.0]], "logits must be an array of length >= 2"),
+            ([0, 0], [[1.0, 0.0], [1.0]], "logits must be an array of length >= 2"),
+            ([0, 0], [[1.0, 0.0], [1.0, 0.0, 2.0]], "inconsistent logits length"),
+            ([0], [["1.5", 0.0]], "non-numeric logit"),
+            ([0], [[True, False]], "non-numeric logit"),
+        ],
+        ids=[
+            "nan", "inf", "label_past_k", "negative_label", "float_label", "bool_label",
+            "bool_among_int_labels", "str_label", "one_logit", "ragged_short_row", "ragged_long_row",
+            "str_logit", "bool_logit",
+        ],
+    )
+    def test_a_hand_built_table_gets_the_parse_value_checks(self, labels, logits, message):
+        ids = [f"s{i}" for i in range(len(labels))]
+        with pytest.raises(DataError) as err:
+            RecordTable(ids, labels, logits)
+        assert str(err.value) == message
+        # the parse of the same rows says the same, with a line number
+        text = "\n".join(_line(rid, label, row) for rid, label, row in zip(ids, labels, logits))
+        with pytest.raises(DataError) as parsed:
+            parse_prediction_records(text)
+        assert re.sub(r"^malformed record at line \d+: | at line \d+$", "", str(parsed.value)) == message
+
+    def test_numpy_columns_get_the_value_checks(self):
+        with pytest.raises(DataError, match="^label must be an integer$"):
+            RecordTable(["a"], np.array([1.0]), np.array([[1.0, 0.0]]))
+        with pytest.raises(DataError, match="^non-finite logit$"):
+            RecordTable(["a"], np.array([0]), np.array([[np.nan, 0.0]]))
+        table = RecordTable(["a", "b"], np.array([1, 0], dtype=np.uint8), np.array([[1, 2], [3, 4]]))
+        assert table.labels.dtype == np.int64 and table.labels.tolist() == [1, 0]
+        assert table.logits.dtype == np.float64 and table.logits.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 class TestFormatRecords:
