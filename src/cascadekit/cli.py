@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 data or runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -88,7 +89,7 @@ def _load_sample_image(directory: str, sample_id: str):
 
 
 def cmd_complementarity(args: argparse.Namespace) -> int:
-    from .complementarity import complementarity_matrix, format_matrix_csv
+    from .complementarity import complementarity_matrix, csv_name, format_matrix_csv
     from .records import load_prediction_records
 
     if len(args.records) < 2:
@@ -101,8 +102,8 @@ def cmd_complementarity(args: argparse.Namespace) -> int:
     write_text(args.out, format_matrix_csv(matrix))
     i, j = matrix.best_pair()
     value = matrix.values[i][j]
-    # the CSV keeps raw [0, 1] scores; the summary line uses the tenfold display
-    print(f"best pair: {matrix.names[i]},{matrix.names[j]} score={value * 10:.4f}")
+    # the CSV keeps raw [0, 1] scores; the summary line uses the tenfold display and the CSV's names
+    print(f"best pair: {csv_name(matrix.names[i])},{csv_name(matrix.names[j])} score={value * 10:.4f}")
     return 0
 
 
@@ -294,5 +295,15 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def entry() -> int:
+    """The process entry (console script, ``python -m``): ``main``, then ``gc.freeze()``, also on
+    ``SystemExit``, so the interpreter's shutdown collections skip a heap that dies with the process.
+    ``main`` called in-process freezes nothing."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -97,10 +97,15 @@ def complementarity_matrix(
     return ComplementarityMatrix(list(names), values)
 
 
+def csv_name(name: str) -> str:
+    """A model name as one CSV field: quoted, its quotes doubled, if it holds a comma, a
+    double quote, CR or LF (RFC 4180); otherwise as it is."""
+    return '"' + name.replace('"', '""') + '"' if set(name) & set(',"\r\n') else name
+
+
 def format_matrix_csv(matrix: ComplementarityMatrix) -> str:
-    """CSV with a header row of model names and unscaled 6-decimal values. A name that holds
-    a comma, a double quote, CR or LF is quoted, its quotes doubled (RFC 4180)."""
-    names = ['"' + n.replace('"', '""') + '"' if set(n) & set(',"\r\n') else n for n in matrix.names]
+    """CSV with a header row of model names (``csv_name``) and unscaled 6-decimal values."""
+    names = [csv_name(n) for n in matrix.names]
     lines = ["model," + ",".join(names)]
     for name, row in zip(names, matrix.values):
         lines.append(name + "," + ",".join(f"{v:.6f}" for v in row))

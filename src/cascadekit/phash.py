@@ -19,7 +19,6 @@ been classified before.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -164,21 +163,17 @@ FINGERPRINTS: dict[str, Callable[[ImageBuffer], Fingerprint]] = {
 class MemoStore:
     """Unbounded map from fingerprints (method and key) to class labels.
 
-    One store lives for one run and is never saved. Lookups and inserts
-    are serialized by a lock so concurrent readers never see a torn entry.
+    One store lives for one run and is never saved.
     """
 
     def __init__(self) -> None:
         self._entries: dict[Fingerprint, int] = {}
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def lookup(self, fp: Fingerprint) -> int | None:
-        with self._lock:
-            return self._entries.get(fp)
+        return self._entries.get(fp)
 
     def insert(self, fp: Fingerprint, label: int) -> None:
-        with self._lock:
-            self._entries[fp] = label
+        self._entries[fp] = label

@@ -63,13 +63,21 @@ class RecordTable:
             raise DataError("label must be an integer")
         if n and logits.shape[1] < 2:
             raise DataError("logits must be an array of length >= 2")
-        if logits.dtype.kind not in "iuf":  # not bool, str or object
-            raise DataError("non-numeric logit")
+        if logits.dtype.kind not in "iuf" or not isinstance(self.logits, np.ndarray):
+            # each value as given, as the parse sees it: numpy would read a bool among floats as 1.0
+            for v in np.array(self.logits, dtype=object).flat:
+                if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, float, np.integer, np.floating)):
+                    raise DataError("non-numeric logit")
+                try:
+                    float(v)
+                except OverflowError:  # an integer beyond the float range
+                    raise DataError("logit out of float range") from None
+        logits = logits.astype(np.float64, copy=False)
         if not np.isfinite(logits).all():
             raise DataError("non-finite logit")
         if not all(0 <= v < logits.shape[1] for v in labels):
             raise DataError("label out of range")
-        self._set_columns(index, labels.astype(np.int64), logits.astype(np.float64, copy=False))
+        self._set_columns(index, labels.astype(np.int64), logits)
 
     @classmethod
     def _adopt(cls, index: dict[str, int], labels, logits: np.ndarray) -> RecordTable:

@@ -90,6 +90,16 @@ class TestComplementarity:
         header = out.read_text().splitlines()[0]
         assert header == "model,small,big"
 
+    @pytest.mark.parametrize("stem, shown", [("small", "small"), ("a,b", '"a,b"'), ('say "hi"', '"say ""hi"""')])
+    def test_summary_line_names_the_pair_as_the_csv_does(self, workspace, tmp_path, capsys, stem, shown):
+        first = tmp_path / f"{stem}.jsonl"
+        first.write_bytes((workspace / "small.jsonl").read_bytes())
+        out = tmp_path / "matrix.csv"
+        assert main(["complementarity", str(first), str(workspace / "big.jsonl"), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == f"model,{shown},big"
+        line = capsys.readouterr().out
+        assert line.startswith(f"best pair: {shown},big score=") and line.count("\n") == 1
+
     def test_matrix_csv_quotes_names_with_separators(self, workspace, tmp_path, capsys):
         paths = [tmp_path / "a,b.jsonl", tmp_path / 'say "hi".jsonl', tmp_path / "c d.jsonl"]
         for path, source in zip(paths, ["small", "big", "small"]):

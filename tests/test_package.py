@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import gc
 import importlib
 import json
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import cascadekit
+from cascadekit.cli import main
 from cascadekit.images import write_image_pnm
 from cascadekit.synthetic import synthetic_image
 
@@ -139,6 +141,52 @@ def test_start_path_loads_no_numpy(argv, code):
     names = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines() if "|" in line}
     assert "cascadekit" in names
     assert sorted(name for name in names if name.split(".")[0] == "numpy") == []
+
+
+# one argv per way a command ends, with its exit code; {tmp} is a scratch directory
+MODEL_A, MODEL_B = str(DATA / "model_a.jsonl"), str(DATA / "model_b.jsonl")
+ENDINGS = {
+    "success": (["complementarity", MODEL_A, MODEL_B, "--out", "{tmp}/m.csv"], 0),
+    "data_error": (["complementarity", MODEL_A, "{tmp}/missing.jsonl", "--out", "{tmp}/m.csv"], 1),
+    "usage_error": (["run"], 2),
+    "help": (["--help"], 0),
+}
+
+# what the console script runs, and then, from atexit, which runs before the
+# interpreter's shutdown collections, whether the heap is frozen
+FROZEN_AT_EXIT = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+    "from cascadekit.cli import entry\n"
+    "sys.exit(entry())\n"
+)
+
+
+@pytest.mark.parametrize("ending", ENDINGS)
+def test_each_process_ends_frozen_with_mains_output(tmp_path, capsys, ending):
+    argv, code = ENDINGS[ending]
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    script, module = (
+        subprocess.run([sys.executable, *start, *argv], capture_output=True, text=True, cwd=SOURCE.parent)
+        for start in (["-c", FROZEN_AT_EXIT], ["-m", "cascadekit.cli"])
+    )
+    assert (script.returncode, module.returncode) == (code, code), script.stderr
+    assert (script.stdout, script.stderr) == (module.stdout + "True\n", module.stderr)
+    # main called in-process prints the same and freezes nothing
+    frozen = gc.get_freeze_count()
+    try:
+        assert main(argv) == code
+    except SystemExit as exc:  # argparse's usage errors and --help
+        assert exc.code == code
+    assert gc.get_freeze_count() == frozen
+    assert (module.stdout, module.stderr) == capsys.readouterr()
+
+
+def test_console_script_is_the_process_entry():
+    # a string check: Python 3.10 has no tomllib
+    text = (SOURCE.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'cascadekit = "cascadekit.cli:entry"'
 
 
 def test_cli_import_leaves_out_exact_arithmetic_modules():

@@ -310,11 +310,14 @@ class TestRecordTable:
             ([0, 0], [[1.0, 0.0], [1.0, 0.0, 2.0]], "inconsistent logits length"),
             ([0], [["1.5", 0.0]], "non-numeric logit"),
             ([0], [[True, False]], "non-numeric logit"),
+            ([0], [[1.0, True]], "non-numeric logit"),
+            ([0], [[1.0, 10**400]], "logit out of float range"),
+            ([0], [[-10**400, 0]], "logit out of float range"),
         ],
         ids=[
             "nan", "inf", "label_past_k", "negative_label", "float_label", "bool_label",
             "bool_among_int_labels", "str_label", "one_logit", "ragged_short_row", "ragged_long_row",
-            "str_logit", "bool_logit",
+            "str_logit", "bool_logit", "bool_among_float_logits", "huge_int_logit", "huge_negative_int_logit",
         ],
     )
     def test_a_hand_built_table_gets_the_parse_value_checks(self, labels, logits, message):
