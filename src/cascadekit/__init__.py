@@ -18,7 +18,6 @@ _EXPORTS = {
     ),
     "complementarity": (
         "ComplementarityMatrix", "complementarity", "complementarity_matrix",
-        "correctness_vectors",
     ),
     "confidence": ("ScoreFunction", "score", "softmax"),
     "engine": (

@@ -23,11 +23,6 @@ def correct_rows(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return logits.argmax(axis=1) == labels
 
 
-def correctness_vectors(paired: PairedDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample correctness of models A and B, in dataset order."""
-    return correct_rows(paired.logits_a, paired.labels), correct_rows(paired.logits_b, paired.labels)
-
-
 def complementarity_of_vectors(correct_a: Sequence[bool], correct_b: Sequence[bool]) -> float:
     """Complementarity from two correctness vectors of equal length.
 
@@ -47,8 +42,9 @@ def complementarity_of_vectors(correct_a: Sequence[bool], correct_b: Sequence[bo
 
 def complementarity(paired: PairedDataset) -> float:
     """Complementarity score of an aligned model pair."""
-    correct_a, correct_b = correctness_vectors(paired)
-    return complementarity_of_vectors(correct_a, correct_b)
+    return complementarity_of_vectors(
+        correct_rows(paired.logits_a, paired.labels), correct_rows(paired.logits_b, paired.labels)
+    )
 
 
 @dataclass

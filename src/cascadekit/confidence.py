@@ -44,9 +44,10 @@ class ScoreFunction(enum.Enum):
             raise DataError(f"unknown score function {name!r} (valid: {valid})") from None
 
 
-def _add(values: Iterable[float]) -> float:
-    """Left-to-right float sum, the order of numpy's row adds in ``softmax_rows``
-    and ``score_rows``; ``sum()`` of floats is compensated from Python 3.12."""
+def add_in_order(values: Iterable[float]) -> float:
+    """Left-to-right float sum, as numpy's row adds in ``softmax_rows`` and
+    ``score_rows`` and ``sum()`` before Python 3.12 (which compensates) add;
+    report totals add this way, so they match on every Python version."""
     total = 0.0
     for v in values:
         total += v
@@ -63,7 +64,7 @@ def softmax(logits: Sequence[float]) -> list[float]:
             raise DataError("non-finite logit")
     m = max(logits)
     exps = [math.exp(v - m) for v in logits]
-    total = _add(exps)
+    total = add_in_order(exps)
     return [e / total for e in exps]
 
 
@@ -90,7 +91,7 @@ def entropy_denominator(num_classes: int) -> float:
     clamping.
     """
     k = num_classes
-    return -_add((i / k) * math.log(i / k) for i in range(1, k + 1))
+    return -add_in_order((i / k) * math.log(i / k) for i in range(1, k + 1))
 
 
 def _top_two(probs: Sequence[float]) -> tuple[float, float]:
@@ -115,7 +116,7 @@ def score(probs: Sequence[float], kind: ScoreFunction) -> float:
     if kind is ScoreFunction.DIFFERENCE:
         first, second = _top_two(probs)
         return first - second
-    entropy = -_add(p * math.log(p) for p in probs if p > 0.0)
+    entropy = -add_in_order(p * math.log(p) for p in probs if p > 0.0)
     return entropy / entropy_denominator(len(probs))
 
 

@@ -27,6 +27,7 @@ from typing import NamedTuple, Protocol, Sequence
 import numpy as np
 
 from .calibration import CascadeConfig, decide
+from .confidence import add_in_order
 from .errors import DataError
 from .images import ImageBuffer, to_grayscale
 from .phash import FINGERPRINTS, Fingerprint, MemoStore
@@ -165,10 +166,6 @@ class CascadeEngine:
             raise error
         return traces
 
-    def classify(self, sample: SampleRef) -> StageTrace:
-        """``run`` on a batch of one; the memo store persists across calls."""
-        return self.run([sample])[0]
-
 
 @dataclass(frozen=True)
 class MacroMetrics:
@@ -204,9 +201,9 @@ def macro_metrics(labels: Sequence[int], predictions: Sequence[int]) -> MacroMet
     k = len(per_class)
     return MacroMetrics(
         accuracy=sum(hits.values()) / len(labels),
-        precision=sum(precisions) / k,
-        recall=sum(recalls) / k,
-        f1=sum(f1s) / k,
+        precision=add_in_order(precisions) / k,
+        recall=add_in_order(recalls) / k,
+        f1=add_in_order(f1s) / k,
     )
 
 

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence
 
 from .calibration import CascadeConfig
+from .confidence import add_in_order
 from .engine import (
     PATH_MEMORY_HIT,
     PATHS,
@@ -161,11 +162,11 @@ def aggregate(
     for stages, count in Counter(t.stages for t in traces).items():
         for stage in stages:
             stage_counts[stage] += count
-    total_energy = sum(count * costs.energy(s) for s, count in stage_counts.items())
+    total_energy = add_in_order(count * costs.energy(s) for s, count in stage_counts.items())
     currents = [costs.stages[s].current_mah for s in STAGES]
     total_current = None
     if all(c is not None for c in currents):
-        total_current = sum(count * costs.stages[s].current_mah for s, count in stage_counts.items())
+        total_current = add_in_order(count * costs.stages[s].current_mah for s, count in stage_counts.items())
     metrics = None
     if all(t.label is not None for t in traces):
         metrics = macro_metrics([t.label for t in traces], [t.predicted for t in traces])
@@ -176,7 +177,7 @@ def aggregate(
         total_energy_wh=total_energy,
         total_current_mah=total_current,
         latencies_ms=latencies,
-        mean_latency_ms=sum(latencies) / len(latencies),
+        mean_latency_ms=add_in_order(latencies) / len(latencies),
         p95_latency_ms=nearest_rank(latencies, 95),
         p99_latency_ms=nearest_rank(latencies, 99),
         metrics=metrics,

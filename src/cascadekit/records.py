@@ -11,7 +11,8 @@ A file is parsed in one pass: each non-empty line is JSON-parsed once and
 checked as one record, and the first bad line raises a line-numbered
 ``DataError``. Each row's floats are appended to one float64 buffer, so no
 per-line list outlives its line, and the table's logits are that buffer, not a
-copy of it.
+copy of it. A hand-built ``RecordTable`` runs each row through the same record
+check and build loop, so it refuses what the parse refuses, without line numbers.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from types import MappingProxyType, SimpleNamespace
+from typing import Iterable
 
 import numpy as np
 
@@ -33,10 +35,10 @@ STAGES = ("memory_lookup", "memory_insert", "model_a", "model_b")
 class RecordTable:
     """One model's records, one column each: ids (tuple of unique str), labels
     (int64, N) and logits (float64, N x K), plus ``index``, a read-only map from
-    each id to its row, in row order. The arrays are read-only copies; a parsed
+    each id to its row, in row order. The arrays are read-only; a parsed
     table's logits are the parse's own buffer, which nothing else holds. A
-    hand-built table gets a parsed table's checks, without line numbers: unique
-    ids, one label and one logits row per id, then the parse's value checks."""
+    hand-built table needs one label and one logits row per id; numpy arrays and
+    scalars count as the Python values they hold, and its arrays are copies."""
 
     ids: tuple[str, ...]
     labels: np.ndarray
@@ -44,48 +46,12 @@ class RecordTable:
     index: MappingProxyType[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        index: dict[str, int] = {}
-        for row, rid in enumerate(self.ids):
-            if index.setdefault(rid, row) != row:
-                raise DataError(f"duplicate id {_shown(rid)}")
-        labels, n = np.array(self.labels, dtype=object), len(index)  # keeps each label's type: no bool becomes 1
-        try:
-            logits = np.array(self.logits)
-        except ValueError:  # ragged rows; a short row is named before a length mismatch
-            short = any(not hasattr(row, "__len__") or len(row) < 2 for row in self.logits)
-            problem = "logits must be an array of length >= 2" if short else "inconsistent logits length"
-            raise DataError(problem) from None
-        if logits.shape == (0,):  # no rows
-            logits = logits.reshape(0, 0)
-        if labels.shape != (n,) or logits.ndim != 2 or len(logits) != n:
-            raise DataError(f"{n} ids but labels of shape {labels.shape} and logits of shape {logits.shape}")
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in labels):
-            raise DataError("label must be an integer")
-        if n and logits.shape[1] < 2:
-            raise DataError("logits must be an array of length >= 2")
-        if logits.dtype.kind not in "iuf" or not isinstance(self.logits, np.ndarray):
-            # each value as given, as the parse sees it: numpy would read a bool among floats as 1.0
-            for v in np.array(self.logits, dtype=object).flat:
-                if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, float, np.integer, np.floating)):
-                    raise DataError("non-numeric logit")
-                try:
-                    float(v)
-                except OverflowError:  # an integer beyond the float range
-                    raise DataError("logit out of float range") from None
-        logits = logits.astype(np.float64, copy=False)
-        if not np.isfinite(logits).all():
-            raise DataError("non-finite logit")
-        if not all(0 <= v < logits.shape[1] for v in labels):
-            raise DataError("label out of range")
-        self._set_columns(index, labels.astype(np.int64), logits)
-
-    @classmethod
-    def _adopt(cls, index: dict[str, int], labels, logits: np.ndarray) -> RecordTable:
-        """A table over ``index`` (id to row, in row order) and ``logits`` itself
-        (float64, N x K), not copies of them."""
-        table = object.__new__(cls)
-        table._set_columns(index, np.array(labels, dtype=np.int64), logits)
-        return table
+        ids, labels, rows = map(_plain, (self.ids, self.labels, self.logits))
+        if not len(ids) == len(labels) == len(rows):
+            raise DataError(f"{len(ids)} ids but {len(labels)} labels and {len(rows)} logits rows")
+        records = ((None, {"id": i, "label": y, "logits": r}) for i, y, r in zip(ids, labels, rows))
+        index, labels, logits = _build(records)
+        self._set_columns(index, labels, logits.copy())  # a copy owns its data
 
     def _set_columns(self, index: dict[str, int], labels: np.ndarray, logits: np.ndarray) -> None:
         for column in (labels, logits):
@@ -152,47 +118,84 @@ def _shown(rid: str) -> str:
     return rid if rid.isprintable() else repr(rid)
 
 
-def _record_from_obj(obj: object, line_no: int, expected_k: int | None) -> tuple[str, int, list]:
+def _plain(value: object) -> object:
+    """A numpy array or scalar as the Python value it holds, at any depth; lists
+    and tuples become lists."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _record_from_obj(obj: object, expected_k: int | None) -> tuple[str, int, list]:
+    """The one record check: a record's id, label and logits as floats, or a
+    DataError naming its first problem."""
     if not isinstance(obj, dict):
-        raise DataError(f"malformed record at line {line_no}: expected a JSON object")
+        raise DataError("expected a JSON object")
     if obj.keys() != {"id", "label", "logits"}:
-        raise DataError(
-            f"malformed record at line {line_no}: "
-            f"expected exactly keys id, label, logits"
-        )
-    rid = obj["id"]
-    label = obj["label"]
-    logits = obj["logits"]
+        raise DataError("expected exactly keys id, label, logits")
+    rid, label, logits = obj["id"], obj["label"], obj["logits"]
     if not isinstance(rid, str):
-        raise DataError(f"malformed record at line {line_no}: id must be a string")
+        raise DataError("id must be a string")
     try:
         rid.encode("utf-8")
     except UnicodeEncodeError:  # a lone surrogate escape such as "\ud800"
-        raise DataError(f"malformed record at line {line_no}: id is not valid Unicode") from None
+        raise DataError("id is not valid Unicode") from None
     if isinstance(label, bool) or not isinstance(label, int):
-        raise DataError(f"malformed record at line {line_no}: label must be an integer")
+        raise DataError("label must be an integer")
     if not isinstance(logits, list) or len(logits) < 2:
-        raise DataError(
-            f"malformed record at line {line_no}: logits must be an array of length >= 2"
-        )
+        raise DataError("logits must be an array of length >= 2")
     values = logits  # all floats, and a finite sum means every one is finite
     if set(map(type, logits)) != {float} or not math.isfinite(sum(logits)):
         values = []
         for v in logits:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise DataError(f"malformed record at line {line_no}: non-numeric logit")
+                raise DataError("non-numeric logit")
             try:
                 f = float(v)
             except OverflowError:  # an integer literal beyond the float range
-                raise DataError(f"logit out of float range at line {line_no}") from None
+                raise DataError("logit out of float range") from None
             if not math.isfinite(f):
-                raise DataError(f"non-finite logit at line {line_no}")
+                raise DataError("non-finite logit")
             values.append(f)
     if expected_k is not None and len(values) != expected_k:
-        raise DataError(f"inconsistent logits length at line {line_no}")
+        raise DataError("inconsistent logits length")
     if not 0 <= label < len(values):
-        raise DataError(f"label out of range at line {line_no}")
+        raise DataError("label out of range")
     return rid, label, values
+
+
+# problems that a line number follows; a line with any other is a malformed record
+_AT_LINE = ("logit out of float range", "non-finite logit", "inconsistent logits length",
+            "label out of range", "duplicate id")
+
+
+def _build(records: Iterable[tuple[int | None, object]]) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """Check each (line number or None, record) pair in order and return a
+    table's columns: each id's row, the labels, and the logits over one float64
+    buffer. The first bad record raises its problem, with its line number if
+    it has one."""
+    index: dict[str, int] = {}  # each id's row, in record order
+    labels: list[int] = []
+    logits = array("d")  # every row's floats, row after row
+    expected_k: int | None = None
+    for line_no, obj in records:
+        try:
+            rid, label, values = _record_from_obj(obj, expected_k)
+            if rid in index:
+                raise DataError(f"duplicate id {_shown(rid)}")
+        except DataError as exc:
+            if line_no is None:
+                raise
+            at_line = f"{exc} at line {line_no}" if str(exc).startswith(_AT_LINE) else (
+                f"malformed record at line {line_no}: {exc}")
+            raise DataError(at_line) from None
+        index[rid] = len(labels)
+        expected_k = len(values)
+        labels.append(label)
+        logits.extend(values)
+    return index, np.array(labels, dtype=np.int64), np.frombuffer(logits).reshape(len(index), expected_k or 0)
 
 
 def parse_prediction_records(data: bytes | str) -> RecordTable:
@@ -202,19 +205,9 @@ def parse_prediction_records(data: bytes | str) -> RecordTable:
     across the file, labels within range, finite logits, and unique ids;
     the first bad line raises its line-numbered DataError.
     """
-    seen: dict[str, int] = {}  # each id's row, in file order
-    labels: list[int] = []
-    logits = array("d")  # every row's floats, row after row
-    expected_k: int | None = None
-    for line_no, obj in parse_json_lines(data, "record"):
-        rid, label, values = _record_from_obj(obj, line_no, expected_k)
-        if rid in seen:
-            raise DataError(f"duplicate id {_shown(rid)} at line {line_no}")
-        seen[rid] = len(labels)
-        expected_k = len(values)
-        labels.append(label)
-        logits.extend(values)
-    return RecordTable._adopt(seen, labels, np.frombuffer(logits).reshape(len(seen), expected_k or 0))
+    table = object.__new__(RecordTable)  # over the parse's own columns, not copies
+    table._set_columns(*_build(parse_json_lines(data, "record")))
+    return table
 
 
 def format_prediction_records(table: RecordTable) -> str:

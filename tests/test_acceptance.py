@@ -10,6 +10,7 @@ from the library code under test.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import random
 import time
@@ -17,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+from cascadekit import cli
 from cascadekit.calibration import (
     CascadeConfig,
     accuracy_at,
@@ -368,3 +370,52 @@ def test_11_percentile_contract():
     flat = [4.25] * 17
     mean = sum(flat) / len(flat)
     assert mean == nearest_rank(flat, 95) == nearest_rank(flat, 99)
+
+
+BUNDLED_CONFIG = """{
+  "first_model": "model_a",
+  "second_model": "model_b",
+  "score_fn": "max",
+  "lambda": 0.889437244479832,
+  "post_check": true,
+  "memory": "none"
+}
+"""
+
+
+@criterion(12, "bundled pair's outputs are pinned")
+def test_12_bundled_pair_outputs_are_pinned(data_dir, costs_dir, tmp_path, capsys):
+    # every float total adds left to right, so these reprs hold on every Python version
+    pair = ["--records-a", str(data_dir / "model_a.jsonl"), "--records-b", str(data_dir / "model_b.jsonl")]
+    config, report, curve = (str(tmp_path / name) for name in ("config.json", "report.json", "curve.csv"))
+    costs = ["--costs", str(costs_dir / "cifar10.json")]
+
+    assert cli.main(["calibrate", *pair, "--out", config]) == 0
+    assert capsys.readouterr().out == (
+        "score_fn=max lambda=0.889437244479832 post_check=True first=model_a second=model_b"
+        " accuracy=0.9060 usage=0.4880\n"
+    )
+    assert (tmp_path / "config.json").read_bytes() == BUNDLED_CONFIG.encode()
+
+    assert cli.main(["run", "--config", config, *pair, *costs, "--labels", "--report", report]) == 0
+    assert capsys.readouterr().out == (
+        "samples=500 accuracy=0.9060 energy_wh=0.022504000000000003 mean_ms=42.991 p95_ms=64.700 p99_ms=64.700\n"
+    )
+    got = json.loads((tmp_path / "report.json").read_text())
+    assert repr(got["total_energy_wh"]) == "0.022504000000000003"
+    assert repr(got["mean_latency_ms"]) == "42.99119999999999"
+    assert (repr(got["p95_latency_ms"]), repr(got["p99_latency_ms"])) == ("64.7", "64.7")
+    assert got["path_counts"] == {"memory_hit": 0, "model_a_only": 256, "model_ab": 244}
+    assert [repr(got["metrics"][m]) for m in ("accuracy", "precision", "recall", "f1")] == [
+        "0.906", "0.9038728057817014", "0.9089262528861102", "0.9053264178614777"
+    ]
+
+    assert cli.main(["duplication", "--config", config, *pair, *costs, "--ratios", "0,0.5,1", "--out", curve]) == 0
+    energies = ["0.022504000000000003", "0.033715", "0.045008000000000006"]
+    ratios = ["0.0", "0.5", "1.0"]
+    assert capsys.readouterr().out == "".join(
+        f"ratio={r} energy_wh={e} hits=0\n" for r, e in zip(ratios, energies)
+    )
+    assert (tmp_path / "curve.csv").read_text() == "ratio,engine,total_energy_wh,hits\n" + "".join(
+        f"{r},none,{e},0\n" for r, e in zip(ratios, energies)
+    )

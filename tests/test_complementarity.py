@@ -14,7 +14,7 @@ from cascadekit.complementarity import (
     complementarity,
     complementarity_matrix,
     complementarity_of_vectors,
-    correctness_vectors,
+    correct_rows,
     format_matrix_csv,
 )
 from cascadekit.errors import DataError
@@ -117,7 +117,8 @@ class TestCorrectnessVectors:
         a = RecordTable(["x", "y"], [0, 1], [(5.0, 0.0), (5.0, 0.0)])  # right, wrong
         b = RecordTable(["x", "y"], [0, 1], [(0.0, 5.0), (0.0, 5.0)])  # wrong, right
         paired = align_records(a, b)
-        correct_a, correct_b = correctness_vectors(paired)
+        correct_a = correct_rows(paired.logits_a, paired.labels)
+        correct_b = correct_rows(paired.logits_b, paired.labels)
         assert correct_a.tolist() == [True, False]
         assert correct_b.tolist() == [False, True]
         assert complementarity(paired) == 1.0
@@ -125,11 +126,13 @@ class TestCorrectnessVectors:
     def test_ties_resolve_like_predicted_label(self, bundled_paired):
         logits = np.array([(1.0, 1.0, 0.0), (0.0, 2.0, 2.0), (3.0, 3.0, 3.0)])
         table = RecordTable(["t0", "t1", "t2"], [0, 1, 1], logits)
-        correct_a, _ = correctness_vectors(align_records(table, table))
+        paired = align_records(table, table)
+        correct_a = correct_rows(paired.logits_a, paired.labels)
         assert correct_a.tolist() == [True, True, False]
         expected_a = [predicted_label(s.logits_a) == s.label for s in bundled_paired.samples]
         expected_b = [predicted_label(s.logits_b) == s.label for s in bundled_paired.samples]
-        correct_a, correct_b = correctness_vectors(bundled_paired)
+        correct_a = correct_rows(bundled_paired.logits_a, bundled_paired.labels)
+        correct_b = correct_rows(bundled_paired.logits_b, bundled_paired.labels)
         assert correct_a.tolist() == expected_a and correct_b.tolist() == expected_b
 
 

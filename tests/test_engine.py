@@ -80,7 +80,7 @@ class TestReplayClassifier:
 
 class TestClassify:
     def test_confident_sample_stops_at_model_a(self):
-        trace = _engine().classify(SampleRef("x1", label=0))
+        trace = _engine().run([SampleRef("x1", label=0)])[0]
         assert trace.path == PATH_MODEL_A_ONLY
         assert trace.chosen == "a"
         assert trace.predicted == 0
@@ -90,7 +90,7 @@ class TestClassify:
         assert trace.hash_error is None
 
     def test_hesitant_sample_escalates_and_b_wins(self):
-        trace = _engine().classify(SampleRef("x2", label=1))
+        trace = _engine().run([SampleRef("x2", label=1)])[0]
         assert trace.path == PATH_MODEL_AB
         assert trace.stages == ("model_a", "model_b")
         assert trace.chosen == "b"
@@ -98,13 +98,13 @@ class TestClassify:
         assert trace.score_b is not None
 
     def test_post_check_keeps_model_a_when_b_is_worse(self):
-        trace = _engine().classify(SampleRef("x3", label=2))
+        trace = _engine().run([SampleRef("x3", label=2)])[0]
         assert trace.path == PATH_MODEL_AB
         assert trace.chosen == "a"
         assert trace.predicted == 2
 
     def test_without_post_check_b_always_answers(self):
-        trace = _engine(post_check=False).classify(SampleRef("x3", label=2))
+        trace = _engine(post_check=False).run([SampleRef("x3", label=2)])[0]
         assert trace.chosen == "b"
         assert trace.predicted == 1
 
@@ -117,18 +117,18 @@ class TestClassify:
 
         config = CascadeConfig("model_a", "model_b", DIFF, 0.5, True)
         a = ReplayClassifier("model_a", _table([("x1", 0, (6.0, 0.0, 0.0))]))
-        trace = CascadeEngine(config, a, Unreachable()).classify(SampleRef("x1"))
+        trace = CascadeEngine(config, a, Unreachable()).run([SampleRef("x1")])[0]
         assert trace.path == PATH_MODEL_A_ONLY
         assert trace.stages == ("model_a",)
 
     def test_model_b_logits_length_mismatch(self):
         engine = _engine(b_rows=[("x2", 1, (0.0, 5.0))])
         with pytest.raises(DataError, match="length mismatch"):
-            engine.classify(SampleRef("x2"))
+            engine.run([SampleRef("x2")])
 
     def test_label_is_passed_through(self):
-        assert _engine().classify(SampleRef("x1")).label is None
-        assert _engine().classify(SampleRef("x1", label=2)).label == 2
+        assert _engine().run([SampleRef("x1")])[0].label is None
+        assert _engine().run([SampleRef("x1", label=2)])[0].label == 2
 
     def test_matches_offline_decisions(self, bundled_paired):
         records_a = RecordTable(bundled_paired.ids, bundled_paired.labels, bundled_paired.logits_a)
@@ -141,7 +141,7 @@ class TestClassify:
         )
         used = 0
         for s in bundled_paired.samples:
-            trace = engine.classify(SampleRef(s.id, label=s.label))
+            trace = engine.run([SampleRef(s.id, label=s.label)])[0]
             predicted, used_second, chosen = oracle_decide(
                 s.logits_a, s.logits_b, DIFF, 0.62, True
             )
@@ -157,7 +157,7 @@ class TestMemory:
     def test_first_sight_runs_models_and_inserts(self):
         engine = _engine(memory="dhash")
         img = synthetic_image(16, 16, seed=3)
-        trace = engine.classify(SampleRef("x1", image=img, label=0))
+        trace = engine.run([SampleRef("x1", image=img, label=0)])[0]
         assert trace.path == PATH_MODEL_A_ONLY
         assert trace.stages == ("memory_lookup", "model_a", "memory_insert")
         assert len(engine.store) == 1
@@ -166,8 +166,8 @@ class TestMemory:
     def test_second_sight_is_a_hit(self):
         engine = _engine(memory="dhash")
         img = synthetic_image(16, 16, seed=3)
-        engine.classify(SampleRef("x2", image=img, label=1))
-        trace = engine.classify(SampleRef("x2", image=img, label=1))
+        engine.run([SampleRef("x2", image=img, label=1)])
+        trace = engine.run([SampleRef("x2", image=img, label=1)])[0]
         assert trace.path == PATH_MEMORY_HIT
         assert trace.chosen == "memory"
         assert trace.stages == ("memory_lookup",)
@@ -183,9 +183,9 @@ class TestMemory:
             b_rows=[("x1", 0, (5.0, 0.0, 0.0))],
         )
         img = synthetic_image(12, 12, seed=4)
-        first = engine.classify(SampleRef("x1", image=img, label=0))
+        first = engine.run([SampleRef("x1", image=img, label=0)])[0]
         assert first.predicted == 1
-        hit = engine.classify(SampleRef("x1", image=img, label=0))
+        hit = engine.run([SampleRef("x1", image=img, label=0)])[0]
         assert hit.path == PATH_MEMORY_HIT
         assert hit.predicted == 1
         assert hit.label == 0
@@ -195,8 +195,8 @@ class TestMemory:
         # but a memory hit would blow up
         engine = _engine(memory="moments")
         img = synthetic_image(20, 20, seed=6)
-        engine.classify(SampleRef("x1", image=img, label=0))
-        trace = engine.classify(SampleRef("never-inferred", image=rotate90(img)))
+        engine.run([SampleRef("x1", image=img, label=0)])
+        trace = engine.run([SampleRef("never-inferred", image=rotate90(img))])[0]
         assert trace.path == PATH_MEMORY_HIT
         assert trace.predicted == 0
 
@@ -205,27 +205,27 @@ class TestMemory:
         turned = rotate90(img)
         assert dhash_fingerprint(img) != dhash_fingerprint(turned)
         engine = _engine(memory="dhash")
-        engine.classify(SampleRef("x1", image=img))
-        trace = engine.classify(SampleRef("x1", image=turned))
+        engine.run([SampleRef("x1", image=img)])
+        trace = engine.run([SampleRef("x1", image=turned)])[0]
         assert trace.path == PATH_MODEL_A_ONLY
         assert len(engine.store) == 2
 
     def test_moments_match_rotated_rgb_image(self):
         engine = _engine(memory="moments")
         img = synthetic_image(18, 14, seed=9, channels=3)
-        engine.classify(SampleRef("x1", image=img, label=0))
-        trace = engine.classify(SampleRef("x1", image=rotate90(img)))
+        engine.run([SampleRef("x1", image=img, label=0)])
+        trace = engine.run([SampleRef("x1", image=rotate90(img))])[0]
         assert trace.path == PATH_MEMORY_HIT
 
     def test_image_required_when_memory_enabled(self):
         engine = _engine(memory="dhash")
         with pytest.raises(DataError, match="image required when memory=dhash"):
-            engine.classify(SampleRef("x1", label=0))
+            engine.run([SampleRef("x1", label=0)])
 
     def test_hash_failure_degrades_to_plain_cascade(self):
         engine = _engine(memory="moments")
         black = ImageBuffer(8, 8, 1, bytes(64))
-        trace = engine.classify(SampleRef("x1", image=black, label=0))
+        trace = engine.run([SampleRef("x1", image=black, label=0)])[0]
         assert trace.path == PATH_MODEL_A_ONLY
         assert trace.predicted == 0
         assert trace.hash_error == "zero total intensity"
@@ -340,7 +340,7 @@ class TestRecordTypes:
 
 class TestTraceSerialization:
     def test_dict_shape_for_model_path(self):
-        trace = _engine().classify(SampleRef("x2", label=1))
+        trace = _engine().run([SampleRef("x2", label=1)])[0]
         obj = trace_to_dict(trace)
         assert set(obj) == {
             "id", "path", "chosen", "predicted", "label", "stages", "scores",
@@ -357,7 +357,7 @@ class TestTraceSerialization:
         assert trace_to_dict(hit)["scores"] is None
 
     def test_scores_present_when_only_a_ran(self):
-        trace = _engine().classify(SampleRef("x1", label=0))
+        trace = _engine().run([SampleRef("x1", label=0)])[0]
         obj = trace_to_dict(trace)
         assert obj["scores"] == {"a": trace.score_a, "b": None}
 
@@ -389,7 +389,7 @@ class TestArgmaxOnLogits:
             engine = CascadeEngine(
                 config, ReplayClassifier("model_a", records), ReplayClassifier("model_b", records)
             )
-            assert engine.classify(SampleRef("x")).predicted == 1
+            assert engine.run([SampleRef("x")])[0].predicted == 1
             assert oracle_decide(self.LOGITS, self.LOGITS, DIFF, threshold, True)[0] == 1
             paired = align_records(records, records)
             assert accuracy_at(paired, DIFF, threshold, post_check=True)[0] == 1.0

@@ -8,8 +8,10 @@ counting passes per class) and ``oracle_aggregate`` the former ``aggregate``
 (every stage of every trace checked and priced in turn).
 ``oracle_duplication_experiment`` is the former ``duplication_experiment``,
 which built a fresh engine, and so hashed every image again, at every
-ratio. They are kept unchanged apart from their names. The new code must
-write the same bytes, give the same floats, and raise the same first error.
+ratio. They are kept unchanged apart from their names and their float sums,
+which add left to right as 3.11's ``sum()`` did and as the code under test
+does on every Python version. The new code must write the same bytes, give
+the same floats, and raise the same first error.
 """
 
 from __future__ import annotations
@@ -54,6 +56,13 @@ from cascadekit.metering import (
 from cascadekit.phash import FINGERPRINTS
 from cascadekit.records import STAGES, CostProfile, RecordTable, StageCost
 from cascadekit.synthetic import synthetic_image
+
+
+def _left_to_right(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def oracle_trace_to_dict(trace: StageTrace) -> dict:
@@ -101,9 +110,9 @@ def oracle_macro_metrics(labels: Sequence[int], predictions: Sequence[int]) -> M
     k = len(observed)
     return MacroMetrics(
         accuracy=correct / len(labels),
-        precision=sum(precisions) / k,
-        recall=sum(recalls) / k,
-        f1=sum(f1s) / k,
+        precision=_left_to_right(precisions) / k,
+        recall=_left_to_right(recalls) / k,
+        f1=_left_to_right(f1s) / k,
     )
 
 
@@ -132,11 +141,11 @@ def oracle_aggregate(
             stage_counts[stage] += 1
             latency += costs.latency(stage)
         latencies.append(latency)
-    total_energy = sum(count * costs.energy(s) for s, count in stage_counts.items())
+    total_energy = _left_to_right(count * costs.energy(s) for s, count in stage_counts.items())
     currents = [costs.stages[s].current_mah for s in STAGES]
     total_current = None
     if all(c is not None for c in currents):
-        total_current = sum(count * costs.stages[s].current_mah for s, count in stage_counts.items())
+        total_current = _left_to_right(count * costs.stages[s].current_mah for s, count in stage_counts.items())
     metrics = None
     if all(t.label is not None for t in traces):
         metrics = oracle_macro_metrics([t.label for t in traces], [t.predicted for t in traces])
@@ -147,7 +156,7 @@ def oracle_aggregate(
         total_energy_wh=total_energy,
         total_current_mah=total_current,
         latencies_ms=latencies,
-        mean_latency_ms=sum(latencies) / len(latencies),
+        mean_latency_ms=_left_to_right(latencies) / len(latencies),
         p95_latency_ms=nearest_rank(latencies, 95),
         p99_latency_ms=nearest_rank(latencies, 99),
         metrics=metrics,

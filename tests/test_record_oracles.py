@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,6 +335,85 @@ def test_parse_matches_oracle_on_odd_files(text, as_bytes):
         assert got == want
     else:
         assert_table_matches(got, want)
+
+
+# Values no record accepts as a logit or as a label; in the parse's file each
+# is its JSON text (NaN and Infinity as Python's json writes them).
+BAD_LOGITS = [True, False, "1.5", None, math.nan, math.inf, -math.inf, 10**400, -(10**400)]
+BAD_LABELS = [True, "0", 1.0, None, -1, 10**30]
+
+
+@st.composite
+def hand_built_columns(draw) -> tuple[list, list, list]:
+    """Columns of one label and one logits row per id: clean, bad in one row,
+    or bad in many (a bad value, label or length, a repeated, int or
+    lone-surrogate id); good values may come as numpy arrays or scalars."""
+    pool = draw(st.lists(ids_st, min_size=1, max_size=6, unique=True))
+    k = draw(st.integers(2, 4))
+    unique = draw(st.integers(0, 3)) > 0
+    ids = draw(st.lists(st.sampled_from(pool), min_size=0 if draw(st.integers(0, 9)) == 0 else 1,
+                        max_size=6, unique=unique))
+    logit_st = draw(st.sampled_from([float_logit_st, float_logit_st, mixed_logit_st]))
+    mode = draw(st.sampled_from(["clean", "one fault", "one fault", "many faults"]))
+    faulty = draw(st.integers(0, max(len(ids) - 1, 0)))
+    labels, rows = [], []
+    for i in range(len(ids)):
+        label, width = draw(st.integers(0, k - 1)), k
+        fault = None
+        if mode == "many faults" and draw(st.booleans()) or mode == "one fault" and i == faulty:
+            fault = draw(st.integers(0, 3))
+        if fault == 0:
+            ids[i] = draw(st.integers(0, 3))
+        elif fault == 1:
+            label = draw(st.sampled_from(BAD_LABELS))
+        elif fault == 2:
+            width = draw(st.sampled_from([0, 1, k - 1, k + 1]))
+        row = draw(st.lists(logit_st, min_size=width, max_size=width))
+        if fault == 3:
+            row[draw(st.integers(0, k - 1))] = draw(st.sampled_from(BAD_LOGITS))
+        labels.append(label)
+        rows.append(row)
+    form = draw(st.sampled_from(["lists", "tuples", "numpy scalars", "numpy arrays"]))
+    if form == "tuples":
+        rows = [tuple(row) for row in rows]
+    elif form == "numpy scalars":  # each int or float as the numpy scalar of its kind
+        def scalar(v):
+            if type(v) is float:
+                return np.float64(v)
+            return np.int64(v) if type(v) is int and -(2**63) <= v < 2**63 else v
+        labels = [scalar(y) for y in labels]
+        rows = [[scalar(v) for v in row] for row in rows]
+    elif form == "numpy arrays":  # only where numpy keeps every value as it is
+        if all(type(y) is int and 0 <= y < 2**63 for y in labels):
+            labels = np.array(labels, dtype=np.int64)
+        if all(type(v) is float for row in rows for v in row) and len({len(row) for row in rows}) == 1:
+            rows = np.array(rows, dtype=np.float64)
+    return ids, labels, rows
+
+
+def _as_record_file(ids, labels, rows) -> str:
+    """The same records as a JSON Lines file, each value as the Python value it holds."""
+    plain = [c.tolist() if isinstance(c, np.ndarray) else c for c in (labels, rows)]
+    return "".join(
+        json.dumps({"id": rid, "label": label, "logits": list(row)}, default=lambda v: v.item()) + "\n"
+        for rid, label, row in zip(ids, *plain)
+    )
+
+
+@given(hand_built_columns())
+@settings(max_examples=600, deadline=None)
+def test_a_hand_built_table_is_the_parse_of_its_records(columns):
+    ids, labels, rows = columns
+    want = _outcome(parse_prediction_records, _as_record_file(ids, labels, rows))
+    got = _outcome(RecordTable, ids, labels, rows)
+    if isinstance(want, tuple):
+        kind, message = want
+        assert got == (kind, re.sub(r"^malformed record at line \d+: | at line \d+$", "", message))
+        return
+    assert isinstance(got, RecordTable), got
+    assert got.ids == want.ids and got.labels.dtype == want.labels.dtype
+    assert got.labels.tolist() == want.labels.tolist()
+    assert got.logits.shape == want.logits.shape and got.logits.tobytes() == want.logits.tobytes()
 
 
 def _wide_logit(rng: random.Random, kind: str, extreme: bool) -> float | int:

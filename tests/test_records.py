@@ -278,21 +278,22 @@ class TestRecordTable:
                 RecordTable(ids, [0] * 3, rows)
 
     @pytest.mark.parametrize(
-        "ids, labels, logits, shapes",
+        "ids, labels, logits, message",
         [
-            (["a", "b"], [0], [[1.0, 0.0]], "labels of shape (1,) and logits of shape (1, 2)"),
-            (["a", "b"], [0, 1], [[1.0, 0.0]], "labels of shape (2,) and logits of shape (1, 2)"),
-            (["a"], [0], [1.0, 2.0], "labels of shape (1,) and logits of shape (2,)"),
-            (["a"], [0], [], "labels of shape (1,) and logits of shape (0, 0)"),
-            (["a"], [[0]], [[1.0, 0.0]], "labels of shape (1, 1) and logits of shape (1, 2)"),
-            (["a"], [0], [[[1.0, 0.0]]], "labels of shape (1,) and logits of shape (1, 1, 2)"),
+            (["a", "b"], [0], [[1.0, 0.0]], "2 ids but 1 labels and 1 logits rows"),
+            (["a", "b"], [0, 1], [[1.0, 0.0]], "2 ids but 2 labels and 1 logits rows"),
+            (["a"], [0], [1.0, 2.0], "1 ids but 1 labels and 2 logits rows"),
+            (["a"], [0], [], "1 ids but 1 labels and 0 logits rows"),
+            # one of each per id: the record check names the row's problem
+            (["a"], [[0]], [[1.0, 0.0]], "label must be an integer"),
+            (["a"], [0], [[[1.0, 0.0]]], "logits must be an array of length >= 2"),
         ],
         ids=["one_label_one_row", "one_row", "flat_logits", "no_logits", "nested_labels", "3d_logits"],
     )
-    def test_a_hand_built_table_has_one_label_and_row_per_id(self, ids, labels, logits, shapes):
+    def test_a_hand_built_table_has_one_label_and_row_per_id(self, ids, labels, logits, message):
         with pytest.raises(DataError) as err:
             RecordTable(ids, labels, logits)
-        assert str(err.value) == f"{len(ids)} ids but {shapes}"
+        assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "labels, logits, message",
@@ -339,6 +340,39 @@ class TestRecordTable:
         table = RecordTable(["a", "b"], np.array([1, 0], dtype=np.uint8), np.array([[1, 2], [3, 4]]))
         assert table.labels.dtype == np.int64 and table.labels.tolist() == [1, 0]
         assert table.logits.dtype == np.float64 and table.logits.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize(
+        "ids, labels, logits, message",
+        [
+            ([1, 2], [0, 0], [[1.0, 0.0]] * 2, "id must be a string"),
+            (["a\ud800"], [0], [[1.0, 0.0]], "id is not valid Unicode"),
+            ([1, 1], [0, 0], [[1.0, 0.0]] * 2, "id must be a string"),
+            (["a"], [0], [[np.float64(1.0), True]], "non-numeric logit"),
+            (["a"], [0], [[np.float64(1.0), np.True_]], "non-numeric logit"),
+            # the first bad row's first problem, as the parse names it
+            (["a", "b"], [0, True], [[math.nan, 0.0], [1.0, 0.0]], "non-finite logit"),
+            (["a", "a"], [0, 5], [[1.0, 0.0]] * 2, "label out of range"),
+        ],
+        ids=["int_id", "lone_surrogate_id", "repeated_int_id", "bool_among_numpy_floats",
+             "numpy_bool_among_numpy_floats", "first_bad_row", "bad_row_before_its_repeated_id"],
+    )
+    def test_a_hand_built_table_runs_the_record_check(self, ids, labels, logits, message):
+        with pytest.raises(DataError) as err:
+            RecordTable(ids, labels, logits)
+        assert str(err.value) == message
+        plain = [[v.item() if isinstance(v, np.generic) else v for v in row] for row in logits]
+        text = "\n".join(json.dumps({"id": i, "label": y, "logits": r}) for i, y, r in zip(ids, labels, plain))
+        with pytest.raises(DataError) as parsed:
+            parse_prediction_records(text)
+        assert re.sub(r"^malformed record at line \d+: | at line \d+$", "", str(parsed.value)) == message
+
+    def test_numpy_scalars_count_as_the_values_they_hold(self):
+        table = RecordTable(
+            np.array(["a", "b"]), [np.int64(1), np.uint8(0)], [[np.int64(3), np.int64(1)], (np.float32(0.5), 2)]
+        )
+        assert table.ids == ("a", "b") and all(type(rid) is str for rid in table.ids)
+        assert table.labels.tolist() == [1, 0]
+        assert table.logits.dtype == np.float64 and table.logits.tolist() == [[3.0, 1.0], [0.5, 2.0]]
 
 
 class TestFormatRecords:
