@@ -7,7 +7,10 @@ Subcommands map one-to-one onto the library workflows: pair selection
 
 Each command imports only the modules it runs, so a cold start loads no more
 than that command needs. The parser therefore spells out its choices; tests pin
-them to the names they come from.
+them to the names they come from. ``records`` and ``complementarity`` import no
+numpy, so the complementarity command never loads it; every other command loads
+it with its first module that does array math (``calibration``, ``engine``,
+``images`` or ``phash``).
 
 Exit codes: 0 success, 1 data or runtime error, 2 usage error.
 """

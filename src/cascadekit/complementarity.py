@@ -3,18 +3,24 @@
 complementarity(a, b) = (n(a or b) - n(a and b) - |n(a) - n(b)|) / N over the
 N samples of an id-aligned pair: high when the two models are correct on
 mostly disjoint, similarly sized parts of the dataset.
+
+This module imports no numpy, and ``complementarity_matrix`` runs in plain
+Python, so the ``complementarity`` command never loads numpy; ``correct_rows``
+and ``complementarity`` take a ``PairedDataset``'s numpy arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
-
-import numpy as np
+from operator import and_
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DataError
-from .records import PairedDataset, RecordTable, align_records
+from .records import PairedDataset, RecordTable, align_rows
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def correct_rows(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -34,8 +40,8 @@ def complementarity_of_vectors(correct_a: Sequence[bool], correct_b: Sequence[bo
     n = len(correct_a)
     if n == 0:
         raise DataError("complementarity of an empty dataset is undefined")
-    a, b = np.asarray(correct_a, dtype=bool), np.asarray(correct_b, dtype=bool)
-    n_a, n_b, n_inter = (int(np.count_nonzero(v)) for v in (a, b, a & b))
+    a, b = list(map(bool, correct_a)), list(map(bool, correct_b))
+    n_a, n_b, n_inter = sum(a), sum(b), sum(map(and_, a, b))
     n_union = n_a + n_b - n_inter
     return (n_union - n_inter - abs(n_a - n_b)) / n
 
@@ -81,13 +87,17 @@ def complementarity_matrix(
         raise DataError("names and models must have equal length")
     m = len(models)
     values = [[0.0] * m for _ in range(m)]
+    predicted = [table.predictions() for table in models]
     for i in range(m):
         for j in range(i + 1, m):
             try:
-                paired = align_records(models[i], models[j])
+                _, labels, rows_i, rows_j = align_rows(models[i], models[j])
             except DataError as exc:
                 raise DataError(f"pair ({names[i]}, {names[j]}): {exc}") from None
-            value = complementarity(paired)
+            value = complementarity_of_vectors(
+                [predicted[i][r] == y for r, y in zip(rows_i, labels)],
+                [predicted[j][r] == y for r, y in zip(rows_j, labels)],
+            )
             values[i][j] = value
             values[j][i] = value
     return ComplementarityMatrix(list(names), values)

@@ -4,8 +4,9 @@ Record files are JSON Lines: one object per line with exactly the keys
 ``id`` (string without lone surrogates), ``label`` (0-based class index),
 and ``logits`` (array of finite numbers). All records in one file must
 share the same logits length. A file parses into one columnar
-``RecordTable``; ``align_records`` joins two tables on id into a
-``PairedDataset`` with one logits matrix per model.
+``RecordTable``; ``align_rows`` checks that two tables hold the same
+samples, and ``align_records`` joins them on id into a ``PairedDataset``
+with one logits matrix per model.
 
 A file is parsed in one pass: each non-empty line is JSON-parsed once and
 checked as one record, and the first bad line raises a line-numbered
@@ -13,56 +14,90 @@ checked as one record, and the first bad line raises a line-numbered
 per-line list outlives its line, and the table's logits are that buffer, not a
 copy of it. A hand-built ``RecordTable`` runs each row through the same record
 check and build loop, so it refuses what the parse refuses, without line numbers.
+
+This module imports no numpy: numpy is first loaded when a table's ``labels``
+or ``logits`` array is first read, which ``align_records`` does.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType, SimpleNamespace
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DataError, non_negative_number, parse_json, parse_json_lines, read_parsed
+
+if TYPE_CHECKING:
+    import numpy as np
 
 STAGES = ("memory_lookup", "memory_insert", "model_a", "model_b")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class RecordTable:
     """One model's records, one column each: ids (tuple of unique str), labels
     (int64, N) and logits (float64, N x K), plus ``index``, a read-only map from
-    each id to its row, in row order. The arrays are read-only; a parsed
-    table's logits are the parse's own buffer, which nothing else holds. A
-    hand-built table needs one label and one logits row per id; numpy arrays and
-    scalars count as the Python values they hold, and its arrays are copies."""
+    each id to its row, in row order. The labels and the logits, row after row,
+    are kept in plain Python arrays; the numpy arrays over them are made on first
+    read and are read-only. A parsed table's logits are the parse's own buffer,
+    which nothing else holds. A hand-built table needs one label and one logits
+    row per id; numpy arrays and scalars count as the Python values they hold,
+    and its logits array is a copy."""
 
     ids: tuple[str, ...]
-    labels: np.ndarray
-    logits: np.ndarray
-    index: MappingProxyType[str, int] = field(init=False, repr=False)
+    index: MappingProxyType[str, int] = field(repr=False)
+    _labels: array = field(repr=False)  # "q": one label per row
+    _values: array = field(repr=False)  # "d": every row's logits, row after row
+    _k: int = field(repr=False)
+    _parsed: bool = field(repr=False)
 
-    def __post_init__(self) -> None:
-        ids, labels, rows = map(_plain, (self.ids, self.labels, self.logits))
+    def __init__(self, ids: Sequence[str], labels: Sequence[int], logits: Sequence[Sequence[float]]) -> None:
+        numpy = sys.modules.get("numpy")  # while numpy is not loaded, no value is a numpy object
+        kinds = (numpy.ndarray, numpy.generic) if numpy else ()
+        ids, labels, rows = (_plain(column, kinds) for column in (ids, labels, logits))
         if not len(ids) == len(labels) == len(rows):
             raise DataError(f"{len(ids)} ids but {len(labels)} labels and {len(rows)} logits rows")
         records = ((None, {"id": i, "label": y, "logits": r}) for i, y, r in zip(ids, labels, rows))
-        index, labels, logits = _build(records)
-        self._set_columns(index, labels, logits.copy())  # a copy owns its data
+        self._set_columns(*_build(records), parsed=False)
 
-    def _set_columns(self, index: dict[str, int], labels: np.ndarray, logits: np.ndarray) -> None:
-        for column in (labels, logits):
-            column.setflags(write=False)
-        object.__setattr__(self, "ids", tuple(index))
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "logits", logits)
-        object.__setattr__(self, "index", MappingProxyType(index))
+    def _set_columns(self, index: dict[str, int], labels: array, values: array, k: int, parsed: bool) -> None:
+        for name, value in (("ids", tuple(index)), ("index", MappingProxyType(index)), ("_labels", labels),
+                            ("_values", values), ("_k", k), ("_parsed", parsed)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        import numpy as np
+
+        labels = np.frombuffer(self._labels, dtype=np.int64)
+        labels.setflags(write=False)
+        return labels
+
+    @cached_property
+    def logits(self) -> np.ndarray:
+        import numpy as np
+
+        logits = np.frombuffer(self._values).reshape(len(self.ids), self._k)
+        if not self._parsed:
+            logits = logits.copy()  # a copy owns its data
+        logits.setflags(write=False)
+        return logits
+
+    def predictions(self) -> list[int]:
+        """Each row's predicted label: the index of its largest logit, the lowest
+        on ties, as ``logits.argmax(axis=1)`` picks it, computed in plain Python."""
+        values, k = self._values, self._k
+        rows = (values[start:start + k] for start in range(0, len(values), k or 1))
+        return [row.index(max(row)) for row in rows]
 
 
 @dataclass(eq=False)
@@ -118,13 +153,13 @@ def _shown(rid: str) -> str:
     return rid if rid.isprintable() else repr(rid)
 
 
-def _plain(value: object) -> object:
-    """A numpy array or scalar as the Python value it holds, at any depth; lists
-    and tuples become lists."""
-    if isinstance(value, (np.ndarray, np.generic)):
+def _plain(value: object, numpy_kinds: tuple[type, ...]) -> object:
+    """A value of one of ``numpy_kinds`` (numpy's array and scalar types, or none)
+    as the Python value it holds, at any depth; lists and tuples become lists."""
+    if isinstance(value, numpy_kinds):
         return value.tolist()
     if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+        return [_plain(v, numpy_kinds) for v in value]
     return value
 
 
@@ -171,13 +206,13 @@ _AT_LINE = ("logit out of float range", "non-finite logit", "inconsistent logits
             "label out of range", "duplicate id")
 
 
-def _build(records: Iterable[tuple[int | None, object]]) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+def _build(records: Iterable[tuple[int | None, object]]) -> tuple[dict[str, int], array, array, int]:
     """Check each (line number or None, record) pair in order and return a
-    table's columns: each id's row, the labels, and the logits over one float64
-    buffer. The first bad record raises its problem, with its line number if
-    it has one."""
+    table's columns: each id's row, the int64 labels, every row's logits in one
+    float64 buffer, and the logits length K (0 with no records). The first bad
+    record raises its problem, with its line number if it has one."""
     index: dict[str, int] = {}  # each id's row, in record order
-    labels: list[int] = []
+    labels = array("q")
     logits = array("d")  # every row's floats, row after row
     expected_k: int | None = None
     for line_no, obj in records:
@@ -195,7 +230,7 @@ def _build(records: Iterable[tuple[int | None, object]]) -> tuple[dict[str, int]
         expected_k = len(values)
         labels.append(label)
         logits.extend(values)
-    return index, np.array(labels, dtype=np.int64), np.frombuffer(logits).reshape(len(index), expected_k or 0)
+    return index, labels, logits, expected_k or 0
 
 
 def parse_prediction_records(data: bytes | str) -> RecordTable:
@@ -206,7 +241,7 @@ def parse_prediction_records(data: bytes | str) -> RecordTable:
     the first bad line raises its line-numbered DataError.
     """
     table = object.__new__(RecordTable)  # over the parse's own columns, not copies
-    table._set_columns(*_build(parse_json_lines(data, "record")))
+    table._set_columns(*_build(parse_json_lines(data, "record")), parsed=True)
     return table
 
 
@@ -223,36 +258,49 @@ def load_prediction_records(path: str) -> RecordTable:
     return read_parsed(path, "record file", parse_prediction_records)
 
 
-def align_records(
-    a: RecordTable,
-    b: RecordTable,
-    name_a: str = "model_a",
-    name_b: str = "model_b",
-) -> PairedDataset:
-    """Join two models' record tables on sample id.
-
-    Every id must appear in both tables with the same label and logits
-    length; the output is sorted by ascending id (code-point order, which
-    is byte-lexicographic on UTF-8).
-    """
+def align_rows(
+    a: RecordTable, b: RecordTable
+) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The alignment check, in plain Python: every id must appear in both tables
+    with the same label and logits length. Returns the ids in ascending order
+    (code-point order, which is byte-lexicographic on UTF-8), their labels, and
+    each id's row in ``a`` and in ``b``."""
     if not len(a) or not len(b):
         raise DataError("cannot align empty record lists")
-    k_a, k_b = a.logits.shape[1], b.logits.shape[1]
-    if k_a != k_b:
-        raise DataError(f"logits length mismatch between files: {k_a} vs {k_b}")
+    if a._k != b._k:
+        raise DataError(f"logits length mismatch between files: {a._k} vs {b._k}")
     index_a, index_b = a.index, b.index
     if index_a.keys() != index_b.keys():
         for rid in (*index_a, *index_b):
             if rid not in index_a or rid not in index_b:
                 raise DataError(f"unmatched id {_shown(rid)}")
     ids = tuple(sorted(index_a))
-    rows_a = np.fromiter(map(index_a.__getitem__, ids), np.intp, len(ids))
-    rows_b = np.fromiter(map(index_b.__getitem__, ids), np.intp, len(ids))
-    labels = a.labels[rows_a]
-    disagree = np.flatnonzero(labels != b.labels[rows_b])
-    if disagree.size:
-        raise DataError(f"label disagreement for {_shown(ids[disagree[0]])}")
-    return PairedDataset(ids, labels, a.logits[rows_a], b.logits[rows_b], name_a, name_b)
+    rows_a, rows_b = _pick(index_a, ids), _pick(index_b, ids)
+    labels, labels_b = _pick(a._labels, rows_a), _pick(b._labels, rows_b)
+    if labels != labels_b:
+        rid = next(rid for rid, y, z in zip(ids, labels, labels_b) if y != z)
+        raise DataError(f"label disagreement for {_shown(rid)}")
+    return ids, labels, rows_a, rows_b
+
+
+def _pick(items, keys: Sequence) -> tuple:
+    """``items[key]`` for each key, in one C-level pass (``itemgetter`` of one key returns the bare item)."""
+    return itemgetter(*keys)(items) if len(keys) != 1 else (items[keys[0]],)
+
+
+def align_records(
+    a: RecordTable,
+    b: RecordTable,
+    name_a: str = "model_a",
+    name_b: str = "model_b",
+) -> PairedDataset:
+    """Join two models' record tables on sample id: the ``align_rows`` check,
+    then each table's rows gathered into new arrays in ascending id order."""
+    import numpy as np
+
+    ids, _, rows_a, rows_b = align_rows(a, b)
+    rows_a, rows_b = (np.fromiter(rows, np.intp, len(ids)) for rows in (rows_a, rows_b))
+    return PairedDataset(ids, a.labels[rows_a], a.logits[rows_a], b.logits[rows_b], name_a, name_b)
 
 
 def parse_cost_profile(data: bytes | str) -> CostProfile:

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cascadekit.complementarity import (
@@ -18,7 +18,13 @@ from cascadekit.complementarity import (
     format_matrix_csv,
 )
 from cascadekit.errors import DataError
-from cascadekit.records import RecordTable, align_records
+from cascadekit.records import (
+    RecordTable,
+    align_records,
+    format_prediction_records,
+    load_prediction_records,
+    parse_prediction_records,
+)
 from cascadekit.synthetic import synthetic_pair
 from test_calibration_oracles import predicted_label
 from test_synthetic import synthetic_model
@@ -221,3 +227,97 @@ class TestOnBundledPair:
         records_a, records_b = synthetic_pair(50, 10, seed=3)
         paired = align_records(records_a, records_b)
         assert len(paired) == 50
+
+
+# ties among these, -0.0 against 0.0 among them, and the extremes of the float range
+TIE_VALUES = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1.7e308, -1.7e308]
+
+
+@st.composite
+def tied_rows(draw) -> tuple[int, list[int], list[list[float]]]:
+    """K, labels and logits rows whose values come from a pool of at most 4, so
+    that most rows hold their maximum more than once."""
+    k = draw(st.sampled_from([2, 3, 10, 1000]))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(st.sampled_from(TIE_VALUES) | finite, min_size=1, max_size=4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(0, 6))
+    return k, [rng.randrange(k) for _ in range(n)], [[rng.choice(pool) for _ in range(k)] for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_rows())
+@example((2, [0, 1, 1], [[-0.0, 0.0], [0.0, -0.0], [-1.0, -0.0]]))
+@example((1000, [0, 999], [[-0.0] + [0.0] * 999, [-5.0] * 998 + [0.0, -0.0]]))
+def test_predictions_are_numpy_argmax(case):
+    k, labels, rows = case
+    want = np.array(rows, dtype=np.float64).reshape(len(rows), k).argmax(axis=1).tolist()
+    table = RecordTable([f"s{i}" for i in range(len(rows))], labels, rows)
+    parsed = parse_prediction_records(format_prediction_records(table))
+    assert table.predictions() == parsed.predictions() == want
+    assert all(type(p) is int for p in want)
+
+
+def _tied_pair(n: int, k: int, seed: int) -> tuple[RecordTable, RecordTable]:
+    """Two tables over the same ids, b's rows in another order, with tied logits in most rows."""
+    rng = random.Random(seed)
+    ids = [f"t{i}" for i in range(n)]
+    labels = [rng.randrange(k) for _ in ids]
+    rows = [[[rng.choice([0.0, -0.0, 1.0]) for _ in range(k)] for _ in ids] for _ in "ab"]
+    order = rng.sample(range(n), n)
+    a = RecordTable(ids, labels, rows[0])
+    b = RecordTable([ids[i] for i in order], [labels[i] for i in order], [rows[1][i] for i in order])
+    return a, b
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        lambda: synthetic_pair(10000, 10, seed=1),  # calib-10k's shape
+        lambda: synthetic_pair(16, 1000, seed=2),  # memo-224's shape
+        lambda: _tied_pair(300, 10, seed=3),
+        lambda: _tied_pair(16, 1000, seed=4),
+    ],
+    ids=["calib_10k_shape", "memo_224_shape", "tied", "tied_k1000"],
+)
+def test_matrix_matches_the_aligned_pair_path(pair):
+    a, b = pair()
+    matrix = complementarity_matrix([a, b, a], ["a", "b", "a2"])
+    assert matrix.values[0][1] == complementarity(align_records(a, b))
+    assert matrix.values[1][2] == complementarity(align_records(b, a))
+    assert matrix.values[0][2] == complementarity(align_records(a, a)) == 0.0
+
+
+def test_matrix_on_the_bundled_pair_matches_the_aligned_pair_path(data_dir, bundled_paired):
+    tables = [load_prediction_records(str(data_dir / name)) for name in ("model_a.jsonl", "model_b.jsonl")]
+    assert complementarity_matrix(tables).values[0][1] == complementarity(bundled_paired)
+
+
+def _pair_with(fault: str) -> tuple[RecordTable, RecordTable]:
+    a = RecordTable(["x", "y", "z"], [0, 1, 0], [[1.0, 0.0]] * 3)
+    if fault == "empty":
+        return a, RecordTable([], [], [])
+    if fault == "logits_length":
+        return a, RecordTable(["x", "y", "z"], [0, 1, 0], [[1.0, 0.0, 0.0]] * 3)
+    if fault == "unmatched_id":
+        return a, RecordTable(["z", "w", "x"], [0, 1, 0], [[1.0, 0.0]] * 3)
+    return a, RecordTable(["z", "y", "x"], [1, 0, 0], [[1.0, 0.0]] * 3)  # label disagreements at y and z
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("empty", "cannot align empty record lists"),
+        ("logits_length", "logits length mismatch between files: 2 vs 3"),
+        ("unmatched_id", "unmatched id y"),
+        ("label", "label disagreement for y"),
+    ],
+)
+def test_each_alignment_error_has_one_message(fault, message):
+    a, b = _pair_with(fault)
+    with pytest.raises(DataError) as aligned:
+        align_records(a, b)
+    assert str(aligned.value) == message
+    with pytest.raises(DataError) as matrix:
+        complementarity_matrix([a, b], ["m1", "m2"])
+    assert str(matrix.value) == f"pair (m1, m2): {message}"

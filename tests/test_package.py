@@ -94,6 +94,7 @@ def _modules_loaded(argv: list[str]) -> set[str]:
 
 
 STARTUP = {"errors"}  # what the CLI loads before it runs a command
+# these two load no numpy either (test_start_path_loads_no_numpy); calibrate's modules do
 COMPLEMENTARITY = STARTUP | {"records", "complementarity"}
 
 
@@ -128,13 +129,18 @@ def test_each_command_loads_only_its_modules(tmp_path, command, loads):
         (["-m", "cascadekit.cli", "--help"], 0),
         (["-m", "cascadekit.cli", "run"], 2),  # a usage error
         (["-c", "import cascadekit"], 0),
+        # the whole command: parse, alignment check, argmax and CSV run in plain Python
+        (["-m", "cascadekit.cli", "complementarity", str(DATA / "model_a.jsonl"), str(DATA / "model_b.jsonl"),
+          "--out", "{tmp}/m.csv"], 0),
+        (["-c", "from cascadekit.records import RecordTable\n"
+                "RecordTable(['a'], [0], [(1.0, 0)]).predictions()"], 0),
     ],
-    ids=["help", "usage_error", "import"],
+    ids=["help", "usage_error", "import", "complementarity", "hand_built_table"],
 )
-def test_start_path_loads_no_numpy(argv, code):
+def test_start_path_loads_no_numpy(tmp_path, argv, code):
     # the -X importtime tree lists every module the process imports, numpy's own too
     run = subprocess.run(
-        [sys.executable, "-X", "importtime", *argv],
+        [sys.executable, "-X", "importtime", *(arg.format(tmp=tmp_path) for arg in argv)],
         capture_output=True, text=True, cwd=SOURCE.parent,
     )
     assert run.returncode == code, run.stderr
