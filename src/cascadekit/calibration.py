@@ -10,7 +10,7 @@ on a tie). It lives here only, in two forms over the same row kernels:
 Calibration keeps the most accurate threshold. The candidate set (midpoints
 between consecutive distinct model-A scores, plus the endpoints 0 and 1)
 realizes every achievable threshold behavior, so the search is exactly
-optimal without a grid; it is one sort plus prefix sums, O(N log N).
+optimal without a grid; one sort yields candidates and prefix sums, O(N log N).
 Each public call builds its own score table from the pair's arrays and
 passes it down; nothing derived from the pair is stored on it.
 ``auto_select`` compares its six searches on their accuracy and usage arrays
@@ -141,19 +141,23 @@ def _table(paired: PairedDataset) -> tuple[tuple[np.ndarray, dict], tuple[np.nda
     return _model_columns(paired.logits_a, paired.labels), _model_columns(paired.logits_b, paired.labels)
 
 
+def _ranked(table: tuple, score_fn: ScoreFunction) -> tuple:
+    """Both models' (correct, scores) columns, ordered by one stable sort of model A's oriented scores."""
+    order = np.argsort(score_fn.oriented(table[0][1][score_fn]), kind="stable")
+    return tuple((correct[order], scores[score_fn][order]) for correct, scores in table)
+
+
 def _sweep(
-    table: tuple, score_fn: ScoreFunction, post_check: bool, lambdas: np.ndarray
+    ranked: tuple, score_fn: ScoreFunction, post_check: bool, lambdas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(accuracy, usage) arrays over the thresholds: one stable sort of model
-    A's scores, prefix sums of the outcomes, one binary search per threshold."""
-    (correct_a, scores_a), (correct_b, scores_b) = table
-    key_a, key_b = score_fn.oriented(scores_a[score_fn]), score_fn.oriented(scores_b[score_fn])
+    """(accuracy, usage) arrays over the thresholds: prefix sums, one binary search each."""
+    (correct_a, scores_a), (correct_b, scores_b) = ranked
+    key_a, key_b = score_fn.oriented(scores_a), score_fn.oriented(scores_b)
     correct_esc = np.where((key_a >= key_b) & post_check, correct_a, correct_b)  # ties keep A
-    order = np.argsort(key_a, kind="stable")
-    pass_before = np.concatenate(([0], np.cumsum(correct_a[order])))
-    esc_before = np.concatenate(([0], np.cumsum(correct_esc[order])))
-    cut = np.searchsorted(key_a[order], score_fn.oriented(lambdas), side="left")  # escalated count
-    return (esc_before[cut] + pass_before[-1] - pass_before[cut]) / len(order), cut / len(order)
+    pass_before = np.concatenate(([0], np.cumsum(correct_a)))
+    esc_before = np.concatenate(([0], np.cumsum(correct_esc)))
+    cut = np.searchsorted(key_a, score_fn.oriented(lambdas), side="left")  # escalated count
+    return (esc_before[cut] + pass_before[-1] - pass_before[cut]) / len(key_a), cut / len(key_a)
 
 
 def accuracy_at(
@@ -163,14 +167,15 @@ def accuracy_at(
     post_check: bool,
 ) -> tuple[float, float]:
     """(accuracy, second-model usage fraction) at a fixed threshold."""
-    accuracy, usage = _sweep(_table(paired), score_fn, post_check, np.array([threshold]))
+    accuracy, usage = _sweep(_ranked(_table(paired), score_fn), score_fn, post_check, np.array([threshold]))
     return float(accuracy[0]), float(usage[0])
 
 
-def _candidates(table: tuple, score_fn: ScoreFunction) -> np.ndarray:
-    distinct = np.unique(table[0][1][score_fn])
-    mids = (distinct[:-1] + distinct[1:]) / 2.0
-    return np.unique(np.concatenate(([0.0, 1.0], mids[(0.0 <= mids) & (mids <= 1.0)])))
+def _candidates(ranked: tuple, score_fn: ScoreFunction) -> np.ndarray:
+    scores = ranked[0][1][::-1] if score_fn.lower_is_better else ranked[0][1]  # ascending
+    mids = ((scores[:-1] + scores[1:]) / 2.0)[scores[:-1] != scores[1:]]  # distinct neighbours only
+    lambdas = np.concatenate(([0.0], mids[(0.0 <= mids) & (mids <= 1.0)], [1.0]))
+    return lambdas[np.concatenate(([True], lambdas[1:] != lambdas[:-1]))]  # midpoints can round equal
 
 
 def candidate_lambdas(paired: PairedDataset, score_fn: ScoreFunction) -> list[float]:
@@ -180,7 +185,7 @@ def candidate_lambdas(paired: PairedDataset, score_fn: ScoreFunction) -> list[fl
     midpoints outside [0, 1] are dropped because the threshold domain is
     [0, 1] (this only happens for the entropy score with K < 10).
     """
-    return _candidates(_table(paired), score_fn).tolist()
+    return _candidates(_ranked(_table(paired), score_fn), score_fn).tolist()
 
 
 @dataclass
@@ -195,8 +200,9 @@ class CalibrationResult:
 
 def _search(table: tuple, score_fn: ScoreFunction, post_check: bool) -> tuple:
     """The candidate array, its accuracy and usage arrays, and the winner's index."""
-    lambdas = _candidates(table, score_fn)
-    accuracy, usage = _sweep(table, score_fn, post_check, lambdas)
+    ranked = _ranked(table, score_fn)
+    lambdas = _candidates(ranked, score_fn)
+    accuracy, usage = _sweep(ranked, score_fn, post_check, lambdas)
     # Usage grows with the threshold for max/diff and shrinks for entropy; of the
     # most accurate, lowest-usage candidates the one at the low-usage end wins.
     best = np.flatnonzero(accuracy == accuracy.max())

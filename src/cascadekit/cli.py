@@ -161,15 +161,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_hash(args: argparse.Namespace) -> int:
     from .images import load_image_pnm, to_grayscale
-    from .phash import FINGERPRINTS, moment_invariants
+    from .phash import dhash_fingerprint, moment_invariants
 
     gray = to_grayscale(read_parsed(args.image, "image", load_image_pnm))
-    fp = FINGERPRINTS[args.method](gray)
-    line = f"{fp.method}: {fp.key}"
-    if fp.method == "moments":
-        phi = ",".join(repr(v) for v in moment_invariants(gray).vector())
-        line += f" phi=[{phi}]"
-    print(line)
+    if args.method == "moments":
+        invariants = moment_invariants(gray)  # the key and phi= from one pass over the moments
+        print(f"moments: {invariants.key} phi=[{','.join(repr(v) for v in invariants.vector())}]")
+    else:
+        print(f"dhash: {dhash_fingerprint(gray).key}")
     return 0
 
 

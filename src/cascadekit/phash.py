@@ -120,7 +120,7 @@ def _invariant_numerators(gray: ImageBuffer) -> tuple[int, int, int, tuple[int, 
 
 @dataclass(frozen=True)
 class MomentInvariants:
-    """Six rotation-invariant features; phi4 and phi6 flip sign on mirrors."""
+    """Six rotation-invariant features (phi4 and phi6 flip sign on mirrors) and the moment key."""
 
     phi1: float
     phi2: float
@@ -128,6 +128,7 @@ class MomentInvariants:
     phi4: float
     phi5: float
     phi6: float
+    key: str
 
     def vector(self) -> tuple[float, float, float, float, float, float]:
         return (self.phi1, self.phi2, self.phi3, self.phi4, self.phi5, self.phi6)
@@ -136,7 +137,8 @@ class MomentInvariants:
 def moment_invariants(gray: ImageBuffer) -> MomentInvariants:
     """Each feature is one correctly rounded division of exact integers."""
     n, c11, norm, (re3, im3), (re5, im5) = _invariant_numerators(gray)
-    return MomentInvariants(c11 / n**3, norm / n**9, re3 / n**12, im3 / n**12, re5 / n**18, im5 / n**18)
+    key = quantize_key((c11 * n**15 + norm * n**9 + re3 * n**6 + re5) / n**18)
+    return MomentInvariants(c11 / n**3, norm / n**9, re3 / n**12, im3 / n**12, re5 / n**18, im5 / n**18, key)
 
 
 def quantize_key(value: float) -> str:
@@ -148,9 +150,7 @@ def quantize_key(value: float) -> str:
 
 def moments_fingerprint(gray: ImageBuffer) -> Fingerprint:
     """Key from the mirror-safe phi1+phi2+phi3+phi5, summed exactly over m00**18, rounded once."""
-    n, c11, norm, pair3, pair5 = _invariant_numerators(gray)
-    scalar = (c11 * n**15 + norm * n**9 + pair3[0] * n**6 + pair5[0]) / n**18
-    return Fingerprint("moments", quantize_key(scalar))
+    return Fingerprint("moments", moment_invariants(gray).key)
 
 
 # Fingerprint methods by name: the engine, configs and the CLI offer exactly these.

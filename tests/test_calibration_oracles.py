@@ -4,10 +4,12 @@ both.
 
 The oracles below are that loop and the per-sample decision function with
 its scalar helpers (the threshold test, the post-check comparator and the
-argmax of the logits), kept unchanged apart from their names. The kernel
-reproduces their arithmetic (``math.exp``/``math.log`` per element, sums
-left to right), so curves, configs, accuracy and usage must be equal, and
-the per-sample scores equal bit for bit.
+argmax of the logits), and the candidate set as two ``np.unique`` calls,
+which the search used before it read its candidates off its one sort; all
+are kept unchanged apart from their names. The kernel reproduces their
+arithmetic (``math.exp``/``math.log`` per element, sums left to right), so
+curves, configs, accuracy and usage must be equal, and the per-sample
+scores equal bit for bit.
 """
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cascadekit.calibration import (
     CalibrationResult,
     CascadeConfig,
+    _table,
     accuracy_at,
     auto_select,
     candidate_lambdas,
@@ -153,6 +157,12 @@ def oracle_candidate_lambdas(paired: PairedDataset, score_fn: ScoreFunction) -> 
         if 0.0 <= mid <= 1.0:
             candidates.add(mid)
     return sorted(candidates)
+
+
+def unique_candidates(table: tuple, score_fn: ScoreFunction) -> np.ndarray:
+    distinct = np.unique(table[0][1][score_fn])
+    mids = (distinct[:-1] + distinct[1:]) / 2.0
+    return np.unique(np.concatenate(([0.0, 1.0], mids[(0.0 <= mids) & (mids <= 1.0)])))
 
 
 def oracle_find_lambda_star(
@@ -290,6 +300,37 @@ def test_entropy_above_one_drops_the_same_midpoints(paired, post_check):
     _assert_same_result(
         find_lambda_star(paired, fn, post_check), oracle_find_lambda_star(paired, fn, post_check)
     )
+
+
+def _rows_pair(rows: list[list[float]]) -> PairedDataset:
+    """Model A's rows as given, model B's in reverse order."""
+    logits = np.array(rows, dtype=np.float64)
+    ids = tuple(f"s{i}" for i in range(len(rows)))
+    return PairedDataset(ids, np.zeros(len(rows), dtype=np.int64), logits, logits[::-1].copy())
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs())
+# one-hot rows: every entropy score is -0.0 and every max and diff score 1.0
+@example(_rows_pair([[800.0, 0.0, 0.0], [0.0, 0.0, 800.0], [0.0, 800.0, 0.0]]))
+@example(_rows_pair([[0.5, 2.0, -1.0]] * 4))  # every row identical
+@example(_rows_pair([[1.0, 3.0]]))  # N = 1
+# near-uniform rows at K = 2 and 3 score entropy above 1, so midpoints are dropped
+@example(_rows_pair([[0.0, 0.0], [0.0, 0.1], [0.0, 0.4], [0.0, 1.5], [3.0, 0.0]]))
+@example(_rows_pair([[0.0, 0.0, 0.0], [0.0, 0.2, 0.1], [0.3, 0.0, 0.6], [0.0, 4.0, 0.0]]))
+# tied scores on distinct rows
+@example(_rows_pair([[2.0, 0.0, 1.0], [1.0, 2.0, 0.0], [0.0, 1.0, 2.0], [3.0, 0.0, 0.0], [0.0, 0.0, 3.0]]))
+def test_candidates_match_two_unique_calls(paired):
+    table = _table(paired)
+    for fn in ScoreFunction:
+        for dataset, ordered_table in ((paired, table), (paired.swapped(), table[::-1])):
+            assert repr(candidate_lambdas(dataset, fn)) == repr(unique_candidates(ordered_table, fn).tolist())
+
+
+@pytest.mark.parametrize("rows", [[[800.0, 0.0, 0.0], [0.0, 800.0, 0.0]], [[0.5, 2.0, -1.0]] * 4, [[1.0, 3.0]]])
+def test_one_distinct_score_leaves_the_endpoints(rows):
+    for fn in ScoreFunction:
+        assert repr(candidate_lambdas(_rows_pair(rows), fn)) == "[0.0, 1.0]"
 
 
 def loop_auto_select(paired: PairedDataset) -> CalibrationResult:

@@ -123,6 +123,16 @@ def test_each_command_loads_only_its_modules(tmp_path, command, loads):
     assert _modules_loaded(argv) == loads
 
 
+def _import_tree(argv: list[str], code: int, tmp_path: Path) -> set[str]:
+    """Every module ``python -X importtime argv`` imports, numpy's own too; {tmp} in argv is tmp_path."""
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", *(arg.format(tmp=tmp_path) for arg in argv)],
+        capture_output=True, text=True, cwd=SOURCE.parent,
+    )
+    assert run.returncode == code, run.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines() if "|" in line}
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -138,19 +148,40 @@ def test_each_command_loads_only_its_modules(tmp_path, command, loads):
     ids=["help", "usage_error", "import", "complementarity", "hand_built_table"],
 )
 def test_start_path_loads_no_numpy(tmp_path, argv, code):
-    # the -X importtime tree lists every module the process imports, numpy's own too
-    run = subprocess.run(
-        [sys.executable, "-X", "importtime", *(arg.format(tmp=tmp_path) for arg in argv)],
-        capture_output=True, text=True, cwd=SOURCE.parent,
-    )
-    assert run.returncode == code, run.stderr
-    names = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines() if "|" in line}
+    names = _import_tree(argv, code, tmp_path)
     assert "cascadekit" in names
     assert sorted(name for name in names if name.split(".")[0] == "numpy") == []
 
 
-# one argv per way a command ends, with its exit code; {tmp} is a scratch directory
 MODEL_A, MODEL_B = str(DATA / "model_a.jsonl"), str(DATA / "model_b.jsonl")
+RECORDS = ["--records-a", MODEL_A, "--records-b", MODEL_B]
+REPLAY = ["--config", "{tmp}/config.json", *RECORDS, "--costs", str(DATA.parent / "costs" / "cifar10.json")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate", *RECORDS, "--out", "{tmp}/c.json"],
+        ["calibrate", *RECORDS, "--score", "entropy", "--out", "{tmp}/c.json"],
+        ["run", *REPLAY, "--labels", "--report", "{tmp}/report.json"],
+        ["duplication", *REPLAY, "--ratios", "0,0.5,1", "--out", "{tmp}/dup.csv"],
+    ],
+    ids=["calibrate_auto", "calibrate_entropy", "run", "duplication"],
+)
+def test_commands_load_no_numpy_ma(tmp_path, argv):
+    # on numpy 2.x numpy.ma loads on first use (np.unique uses it); numpy 1.x loads it with numpy
+    config = {
+        "first_model": "model_a", "second_model": "model_b", "score_fn": "entropy",
+        "lambda": 0.5, "post_check": True, "memory": "none",
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    names = _import_tree(["-m", "cascadekit.cli", *argv], 0, tmp_path)
+    names -= _import_tree(["-c", "import numpy"], 0, tmp_path)
+    assert "cascadekit.calibration" in names
+    assert sorted(name for name in names if name.split(".")[:2] == ["numpy", "ma"]) == []
+
+
+# one argv per way a command ends, with its exit code; {tmp} is a scratch directory
 ENDINGS = {
     "success": (["complementarity", MODEL_A, MODEL_B, "--out", "{tmp}/m.csv"], 0),
     "data_error": (["complementarity", MODEL_A, "{tmp}/missing.jsonl", "--out", "{tmp}/m.csv"], 1),
