@@ -20,8 +20,7 @@ and builds the (lambda, accuracy, usage) curve of the winner only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,24 +33,25 @@ from .records import PairedDataset
 MEMORY_METHODS = ("none", "dhash", "moments")
 
 
-@dataclass
 class CascadeConfig:
-    """Runtime configuration of a calibrated cascade."""
+    """Runtime configuration of a calibrated cascade; it compares by value."""
 
-    first_model: str
-    second_model: str
-    score_fn: ScoreFunction
-    threshold: float
-    post_check: bool
-    memory: str = "none"
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.threshold <= 1.0:
-            raise DataError(f"threshold {self.threshold} outside [0, 1]")
-        if self.first_model == self.second_model:
+    def __init__(self, first_model: str, second_model: str, score_fn: ScoreFunction, threshold: float,
+                 post_check: bool, memory: str = "none") -> None:
+        if not 0.0 <= threshold <= 1.0:
+            raise DataError(f"threshold {threshold} outside [0, 1]")
+        if first_model == second_model:
             raise DataError("first and second model must differ")
-        if self.memory not in MEMORY_METHODS:
-            raise DataError(f"unknown memory method {self.memory!r}")
+        if memory not in MEMORY_METHODS:
+            raise DataError(f"unknown memory method {memory!r}")
+        self.first_model, self.second_model, self.score_fn = first_model, second_model, score_fn
+        self.threshold, self.post_check, self.memory = threshold, post_check, memory
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"CascadeConfig({', '.join(f'{name}={value!r}' for name, value in vars(self).items())})"
 
     def to_dict(self) -> dict:
         return {
@@ -188,14 +188,13 @@ def candidate_lambdas(paired: PairedDataset, score_fn: ScoreFunction) -> list[fl
     return _candidates(_ranked(_table(paired), score_fn), score_fn).tolist()
 
 
-@dataclass
-class CalibrationResult:
+class CalibrationResult(NamedTuple):
     """Winning configuration plus the full threshold sweep behind it."""
 
     config: CascadeConfig
     accuracy: float
     second_model_usage: float
-    curve: list[tuple[float, float, float]] = field(default_factory=list)  # (lambda, acc, usage)
+    curve: list[tuple[float, float, float]]  # (lambda, acc, usage)
 
 
 def _search(table: tuple, score_fn: ScoreFunction, post_check: bool) -> tuple:

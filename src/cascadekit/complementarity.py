@@ -11,7 +11,6 @@ and ``complementarity`` take a ``PairedDataset``'s numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import and_
 from typing import TYPE_CHECKING, Sequence
@@ -53,12 +52,11 @@ def complementarity(paired: PairedDataset) -> float:
     )
 
 
-@dataclass
 class ComplementarityMatrix:
     """Symmetric all-pairs complementarity; diagonal is exactly 0."""
 
-    names: list[str]
-    values: list[list[float]]
+    def __init__(self, names: list[str], values: list[list[float]]) -> None:
+        self.names, self.values = names, values
 
     def best_pair(self) -> tuple[int, int]:
         """Indices (i, j), i < j, of the maximum off-diagonal entry; ties

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import weakref
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
@@ -167,8 +166,7 @@ class CascadeEngine:
         return traces
 
 
-@dataclass(frozen=True)
-class MacroMetrics:
+class MacroMetrics(NamedTuple):
     """Accuracy plus precision/recall/F1 macro-averaged over observed classes."""
 
     accuracy: float
@@ -207,8 +205,7 @@ def macro_metrics(labels: Sequence[int], predictions: Sequence[int]) -> MacroMet
     )
 
 
-@dataclass
-class BatchSummary:
+class BatchSummary(NamedTuple):
     sample_count: int
     path_counts: dict[str, int]
     second_model_usage: float

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,26 +13,42 @@ _WHITESPACE = b" \t\n\r\x0b\x0c"
 _HEADER_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\n\r]*(?![^\n\r]))*([0-9]+)")
 
 
-@dataclass(frozen=True)
 class ImageBuffer:
     """Row-major 8-bit image; channels is 1 (grayscale) or 3 (RGB).
 
-    Images compare and hash by value; any bytes-like ``pixels`` are stored as ``bytes``."""
+    Images are frozen and compare and hash by value; any bytes-like ``pixels`` are
+    stored as ``bytes``. The engine's fingerprint memo holds images by weak reference."""
 
-    width: int
-    height: int
-    channels: int
-    pixels: bytes
+    __slots__ = ("width", "height", "channels", "pixels", "__weakref__")
 
-    def __post_init__(self) -> None:
-        if type(self.pixels) is not bytes:  # a bytearray or memoryview is unhashable
-            object.__setattr__(self, "pixels", bytes(memoryview(self.pixels)))
-        if self.width < 1 or self.height < 1:
+    def __init__(self, width: int, height: int, channels: int, pixels: bytes) -> None:
+        if type(pixels) is not bytes:  # a bytearray or memoryview is unhashable
+            pixels = bytes(memoryview(pixels))
+        if width < 1 or height < 1:
             raise DataError("image dimensions must be positive")
-        if self.channels not in (1, 3):
+        if channels not in (1, 3):
             raise DataError("channels must be 1 or 3")
-        if len(self.pixels) != self.width * self.height * self.channels:
+        if len(pixels) != width * height * channels:
             raise DataError("pixel count does not match dimensions")
+        for name, value in zip(ImageBuffer.__slots__, (width, height, channels, pixels)):
+            object.__setattr__(self, name, value)
+
+    def _astuple(self) -> tuple[int, int, int, bytes]:
+        return self.width, self.height, self.channels, self.pixels
+
+    def __eq__(self, other: object) -> bool:
+        return self._astuple() == other._astuple() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__, as assignment is refused
+        return ImageBuffer, self._astuple()
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen ImageBuffer")
+
+    __delattr__ = __setattr__
 
 
 def _read_header_token(data: bytes, pos: int) -> tuple[int, int]:

@@ -16,8 +16,7 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .calibration import CascadeConfig
 from .confidence import add_in_order
@@ -51,8 +50,7 @@ def _counts(value: object, what: str) -> dict[str, int]:
     return {k: _count(v, f"{what} {k}") for k, v in value.items()}
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     sample_count: int
     path_counts: dict[str, int]
     stage_counts: dict[str, int]
@@ -76,7 +74,7 @@ class RunReport:
             "mean_latency_ms": self.mean_latency_ms,
             "p95_latency_ms": self.p95_latency_ms,
             "p99_latency_ms": self.p99_latency_ms,
-            "metrics": None if self.metrics is None else asdict(self.metrics),
+            "metrics": None if self.metrics is None else self.metrics._asdict(),
             "config": self.config.to_dict() if self.config is not None else None,
         }
 
@@ -100,7 +98,7 @@ class RunReport:
             metrics, current, latencies = obj["metrics"], obj["total_current_mah"], obj["latencies_ms"]
             if metrics is not None:
                 metrics = MacroMetrics(
-                    *(non_negative_number(metrics[f.name], f.name) for f in fields(MacroMetrics))
+                    *(non_negative_number(metrics[name], name) for name in MacroMetrics._fields)
                 )
             if not isinstance(latencies, list):
                 raise DataError("latencies_ms must be an array")
@@ -185,8 +183,7 @@ def aggregate(
     )
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(NamedTuple):
     """Percentage reductions of a candidate run against a baseline; None for a zero latency baseline."""
 
     energy_pct: float
@@ -224,8 +221,7 @@ def compare(baseline: RunReport, candidate: RunReport) -> Reduction:
 RANDOM_TRANSFORM = "random_of_these"
 
 
-@dataclass
-class DuplicationCurve:
+class DuplicationCurve(NamedTuple):
     """Energy/hit trajectory of one engine across duplication ratios."""
 
     engine_name: str

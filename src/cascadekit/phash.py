@@ -19,8 +19,7 @@ been classified before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,8 +30,7 @@ DHASH_COLS = 9
 DHASH_ROWS = 8
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     """A hashable image key: method name plus canonical key string."""
 
     method: str  # a FINGERPRINTS name
@@ -118,8 +116,7 @@ def _invariant_numerators(gray: ImageBuffer) -> tuple[int, int, int, tuple[int, 
     return n, u20 + u02, norm, _gmul(c20, c12_sq), _gmul(c30, _gmul(c12_sq, c12))
 
 
-@dataclass(frozen=True)
-class MomentInvariants:
+class MomentInvariants(NamedTuple):
     """Six rotation-invariant features (phi4 and phi6 flip sign on mirrors) and the moment key."""
 
     phi1: float

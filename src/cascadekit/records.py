@@ -25,11 +25,10 @@ import json
 import math
 import sys
 from array import array
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from types import MappingProxyType, SimpleNamespace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DataError, non_negative_number, parse_json, parse_json_lines, read_parsed
 
@@ -39,7 +38,6 @@ if TYPE_CHECKING:
 STAGES = ("memory_lookup", "memory_insert", "model_a", "model_b")
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class RecordTable:
     """One model's records, one column each: ids (tuple of unique str), labels
     (int64, N) and logits (float64, N x K), plus ``index``, a read-only map from
@@ -48,14 +46,7 @@ class RecordTable:
     read and are read-only. A parsed table's logits are the parse's own buffer,
     which nothing else holds. A hand-built table needs one label and one logits
     row per id; numpy arrays and scalars count as the Python values they hold,
-    and its logits array is a copy."""
-
-    ids: tuple[str, ...]
-    index: MappingProxyType[str, int] = field(repr=False)
-    _labels: array = field(repr=False)  # "q": one label per row
-    _values: array = field(repr=False)  # "d": every row's logits, row after row
-    _k: int = field(repr=False)
-    _parsed: bool = field(repr=False)
+    and its logits array is a copy. A table is frozen and compares by identity."""
 
     def __init__(self, ids: Sequence[str], labels: Sequence[int], logits: Sequence[Sequence[float]]) -> None:
         numpy = sys.modules.get("numpy")  # while numpy is not loaded, no value is a numpy object
@@ -67,9 +58,15 @@ class RecordTable:
         self._set_columns(*_build(records), parsed=False)
 
     def _set_columns(self, index: dict[str, int], labels: array, values: array, k: int, parsed: bool) -> None:
+        # _labels ("q"): one label per row; _values ("d"): every row's logits, row after row
         for name, value in (("ids", tuple(index)), ("index", MappingProxyType(index)), ("_labels", labels),
                             ("_values", values), ("_k", k), ("_parsed", parsed)):
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen RecordTable")
+
+    __delattr__ = __setattr__
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -100,18 +97,18 @@ class RecordTable:
         return [row.index(max(row)) for row in rows]
 
 
-@dataclass(eq=False)
 class PairedDataset:
     """Two models' logits over the same samples, ordered by ascending id (code-point
     order, which is UTF-8 byte order). It holds no derived state: calibration builds
-    its score table from these arrays on each call."""
+    its score table from these arrays on each call. It compares by identity."""
 
-    ids: tuple[str, ...]
-    labels: np.ndarray    # int64, N
-    logits_a: np.ndarray  # float64, N x K
-    logits_b: np.ndarray  # float64, N x K
-    name_a: str = "model_a"
-    name_b: str = "model_b"
+    def __init__(self, ids: tuple[str, ...], labels: np.ndarray, logits_a: np.ndarray, logits_b: np.ndarray,
+                 name_a: str = "model_a", name_b: str = "model_b") -> None:
+        self.ids = ids
+        self.labels = labels      # int64, N
+        self.logits_a = logits_a  # float64, N x K
+        self.logits_b = logits_b  # float64, N x K
+        self.name_a, self.name_b = name_a, name_b
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -128,18 +125,17 @@ class PairedDataset:
         return [SimpleNamespace(id=i, label=y, logits_a=a, logits_b=b) for i, y, a, b in rows]
 
 
-@dataclass(frozen=True)
-class StageCost:
+class StageCost(NamedTuple):
     energy_wh: float
     latency_ms: float
     current_mah: float | None = None
 
 
-@dataclass
 class CostProfile:
     """Per-invocation energy and latency for each pipeline stage."""
 
-    stages: dict[str, StageCost] = field(default_factory=dict)
+    def __init__(self, stages: dict[str, StageCost] | None = None) -> None:
+        self.stages = {} if stages is None else stages
 
     def energy(self, stage: str) -> float:
         return self.stages[stage].energy_wh

@@ -76,20 +76,32 @@ class TestCascadeConfig:
         assert on_disk["score_fn"] == "diff"
 
     def test_threshold_range(self):
-        with pytest.raises(DataError, match="outside"):
+        with pytest.raises(DataError, match=r"^threshold 1\.5 outside \[0, 1\]$"):
             self._config(threshold=1.5)
-        with pytest.raises(DataError, match="outside"):
+        with pytest.raises(DataError, match=r"^threshold -0\.1 outside \[0, 1\]$"):
             self._config(threshold=-0.1)
 
     def test_models_must_differ(self):
-        with pytest.raises(DataError, match="must differ"):
+        with pytest.raises(DataError, match="^first and second model must differ$"):
             self._config(second_model="small")
 
     def test_memory_values(self):
         for memory in ("none", "dhash", "moments"):
             assert self._config(memory=memory).memory == memory
-        with pytest.raises(DataError, match="unknown memory method"):
+        with pytest.raises(DataError, match="^unknown memory method 'md5'$"):
             self._config(memory="md5")
+
+    def test_compares_by_value(self):
+        config = self._config()
+        assert config == self._config() and not config != self._config()
+        for change in ({"first_model": "tiny"}, {"second_model": "huge"}, {"score_fn": ScoreFunction.ENTROPY_NORMALIZED},
+                       {"threshold": 0.25}, {"post_check": False}, {"memory": "dhash"}):
+            assert config != self._config(**change)
+        assert config != config.to_dict()
+        with pytest.raises(TypeError):
+            hash(config)
+        assert repr(config) == ("CascadeConfig(first_model='small', second_model='big', "
+                                "score_fn=<ScoreFunction.DIFFERENCE: 'diff'>, threshold=0.5, post_check=True, memory='none')")
 
     def test_from_dict_requires_exact_keys(self):
         obj = self._config().to_dict()

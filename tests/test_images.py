@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import copy
+import pickle
+import weakref
+
 import pytest
 
 from cascadekit.errors import DataError
@@ -43,6 +47,19 @@ class TestImageBuffer:
     def test_non_buffer_pixels_still_rejected(self):
         with pytest.raises(TypeError):
             ImageBuffer(2, 2, 1, 4)
+
+    def test_weakly_referenced_frozen_and_copied_by_value(self):
+        img = ImageBuffer(4, 3, 1, bytes(range(12)))
+        assert img != ImageBuffer(3, 4, 1, img.pixels) and img != (4, 3, 1, img.pixels)
+        assert weakref.ref(img)() is img  # the engine's fingerprint memo holds images weakly
+        for name in ("width", "pixels", "other"):
+            with pytest.raises(AttributeError):
+                setattr(img, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(img, name)
+        assert (img.width, img.height, img.channels, img.pixels) == (4, 3, 1, bytes(range(12)))
+        for twin in (copy.copy(img), copy.deepcopy(img), pickle.loads(pickle.dumps(img))):
+            assert twin == img and hash(twin) == hash(img) and twin is not img
 
 
 class TestPnm:

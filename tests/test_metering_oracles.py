@@ -20,7 +20,6 @@ import gc
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from typing import Callable, Sequence
 
 from hypothesis import given, settings
@@ -356,7 +355,9 @@ DUP_COSTS = CostProfile({
 def _entries(config: CascadeConfig, records_a: RecordTable, records_b: RecordTable, memories: Sequence[str]):
     """One (name, engine factory) entry per memory method, over one config and one pair of tables."""
     def factory(memory: str) -> Callable[[], CascadeEngine]:
-        return lambda: CascadeEngine(replace(config, memory=memory), ReplayClassifier("model_a", records_a),
+        variant = CascadeConfig(config.first_model, config.second_model, config.score_fn, config.threshold,
+                                config.post_check, memory)
+        return lambda: CascadeEngine(variant, ReplayClassifier("model_a", records_a),
                                      ReplayClassifier("model_b", records_b))
     return [(f"{i}:{memory}", factory(memory)) for i, memory in enumerate(memories)]
 

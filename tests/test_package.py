@@ -158,6 +158,15 @@ RECORDS = ["--records-a", MODEL_A, "--records-b", MODEL_B]
 REPLAY = ["--config", "{tmp}/config.json", *RECORDS, "--costs", str(DATA.parent / "costs" / "cifar10.json")]
 
 
+def _write_config(tmp_path: Path) -> None:
+    """{tmp}/config.json: a memory-off config over the bundled pair, for REPLAY."""
+    config = {
+        "first_model": "model_a", "second_model": "model_b", "score_fn": "entropy",
+        "lambda": 0.5, "post_check": True, "memory": "none",
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -170,15 +179,65 @@ REPLAY = ["--config", "{tmp}/config.json", *RECORDS, "--costs", str(DATA.parent 
 )
 def test_commands_load_no_numpy_ma(tmp_path, argv):
     # on numpy 2.x numpy.ma loads on first use (np.unique uses it); numpy 1.x loads it with numpy
-    config = {
-        "first_model": "model_a", "second_model": "model_b", "score_fn": "entropy",
-        "lambda": 0.5, "post_check": True, "memory": "none",
-    }
-    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    _write_config(tmp_path)
     names = _import_tree(["-m", "cascadekit.cli", *argv], 0, tmp_path)
     names -= _import_tree(["-c", "import numpy"], 0, tmp_path)
     assert "cascadekit.calibration" in names
     assert sorted(name for name in names if name.split(".")[:2] == ["numpy", "ma"]) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["complementarity", MODEL_A, MODEL_B, "--out", "{tmp}/m.csv"],
+        ["calibrate", *RECORDS, "--out", "{tmp}/c.json"],
+        ["run", *REPLAY, "--labels", "--report", "{tmp}/r.json"],
+        ["duplication", *REPLAY, "--ratios", "0,0.5,1", "--out", "{tmp}/dup.csv"],
+        ["hash", "--method", "moments", "{tmp}/image.pgm"],
+        ["report", "{tmp}/report.json", "{tmp}/report.json"],
+    ],
+    ids=["help", "complementarity", "calibrate", "run", "duplication", "hash", "report"],
+)
+def test_commands_load_no_dataclasses(tmp_path, argv):
+    """No module generates methods at import: ``dataclasses`` is absent from each command's
+    import tree beyond what ``import numpy`` loads itself."""
+    _write_config(tmp_path)
+    (tmp_path / "image.pgm").write_bytes(write_image_pnm(synthetic_image(16, 16, seed=1)))
+    assert main(["run", *(arg.format(tmp=tmp_path) for arg in REPLAY), "--report", str(tmp_path / "report.json")]) == 0
+    names = _import_tree(["-m", "cascadekit.cli", *argv], 0, tmp_path)
+    names -= _import_tree(["-c", "import numpy"], 0, tmp_path)
+    assert "cascadekit.errors" in names
+    assert "dataclasses" not in names
+
+
+# each public NamedTuple type and its fields, in order (RunReport's JSON and MacroMetrics' keys follow it)
+VALUE_TYPES = {
+    ("records", "StageCost"): ("energy_wh", "latency_ms", "current_mah"),
+    ("engine", "MacroMetrics"): ("accuracy", "precision", "recall", "f1"),
+    ("engine", "BatchSummary"): ("sample_count", "path_counts", "second_model_usage"),
+    ("metering", "RunReport"): (
+        "sample_count", "path_counts", "stage_counts", "total_energy_wh", "total_current_mah", "latencies_ms",
+        "mean_latency_ms", "p95_latency_ms", "p99_latency_ms", "metrics", "config",
+    ),
+    ("metering", "Reduction"): ("energy_pct", "mean_latency_pct", "p95_latency_pct", "p99_latency_pct"),
+    ("metering", "DuplicationCurve"): ("engine_name", "points"),
+    ("phash", "Fingerprint"): ("method", "key"),
+    ("phash", "MomentInvariants"): ("phi1", "phi2", "phi3", "phi4", "phi5", "phi6", "key"),
+    ("calibration", "CalibrationResult"): ("config", "accuracy", "second_model_usage", "curve"),
+}
+
+
+@pytest.mark.parametrize("module, name", VALUE_TYPES)
+def test_value_types_keep_their_fields_and_refuse_assignment(module, name):
+    cls = getattr(importlib.import_module(f"cascadekit.{module}"), name)
+    assert cls._fields == VALUE_TYPES[module, name]
+    value = cls(*range(len(cls._fields)))
+    assert value._asdict() == dict(zip(cls._fields, range(len(cls._fields))))
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, -1)
+    assert tuple(value) == tuple(range(len(cls._fields)))
 
 
 # one argv per way a command ends, with its exit code; {tmp} is a scratch directory

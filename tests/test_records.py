@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import gc
 import json
 import math
@@ -262,7 +261,7 @@ class TestRecordTable:
             assert tuple(table.index) == table.ids == ("b", "a")
             with pytest.raises(TypeError):
                 table.index["c"] = 2
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 table.index = {}
         assert dict(RecordTable([], [], []).index) == {}
 
