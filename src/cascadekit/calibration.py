@@ -20,7 +20,7 @@ and builds the (lambda, accuracy, usage) curve of the winner only.
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -96,15 +96,28 @@ def load_config(path: str) -> CascadeConfig:
     return read_parsed(path, "config", lambda data: CascadeConfig.from_dict(parse_json(data, "config")))
 
 
+def checked_logits(name: str, logits: object, rows: int, k: int | None = None) -> np.ndarray:
+    """A model's answer as a float64 array; a DataError naming the model unless
+    it is rows x k (k None: rows x K for any K >= 1)."""
+    try:
+        array = np.asarray(logits, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged rows or not numbers
+        array = np.empty(0)
+    if array.ndim != 2 or len(array) != rows or not array.shape[1] or k not in (None, array.shape[1]):
+        raise DataError(f"{name}: logits of shape {array.shape} for {rows} samples, "
+                        f"want ({rows}, {'K' if k is None else k})")
+    return array
+
+
 def decide(
-    config: CascadeConfig, logits_a: np.ndarray, infer_b: Callable[[np.ndarray], Iterable[Sequence[float]]]
+    config: CascadeConfig, logits_a: np.ndarray, infer_b: Callable[[np.ndarray], object]
 ) -> tuple[list[int], list[bool], list[float], list[float | None]]:
     """Apply the cascade rule to each row of an N x K matrix of model-A logits.
 
     Returns per-row lists (predicted label, A chosen, score_a, score_b), with
     score_b None where A passed. ``infer_b`` is called once, only if some rows
-    miss the threshold, with their indices; it yields model B's logits for
-    each in turn, and each is length-checked before the next is asked for.
+    miss the threshold, with their indices; it returns model B's logits for
+    them as one array, whose shape is checked once.
     """
     score_fn = config.score_fn
     scores_a = score_rows(softmax_rows(logits_a), score_fn)
@@ -114,12 +127,7 @@ def decide(
     chosen_a = np.ones(len(logits_a), dtype=bool)
     scores_b = np.full(len(logits_a), None)  # stays None where A passes
     if escalated.size:
-        rows_b = []
-        for row in infer_b(escalated):
-            if len(row) != logits_a.shape[1]:
-                raise DataError("logits length mismatch between models")
-            rows_b.append(row)
-        logits_b = np.array(rows_b, dtype=np.float64)
+        logits_b = checked_logits(config.second_model, infer_b(escalated), escalated.size, logits_a.shape[1])
         escalated_b = score_rows(softmax_rows(logits_b), score_fn)
         keep_a = (key_a[escalated] >= score_fn.oriented(escalated_b)) & config.post_check  # ties keep A
         chosen_a[escalated] = keep_a

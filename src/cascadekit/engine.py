@@ -4,15 +4,18 @@ The rule itself (threshold test, model B on escalation, post-check) is
 ``calibration.decide``, the batch form of the rule calibration sweeps; the
 engine adds the memory around it and traces every sample. Each StageTrace
 names the path taken and the exact stages executed, which is what the
-metering module prices. With memory enabled the engine fingerprints the
-(grayscaled) image first and skips both models on a hit; the predicted
-label of every non-hit sample is inserted afterwards, so hits replay
-earlier cascade decisions, mistakes included. A fingerprint is a function
-of the pixels alone, so an engine grayscales and hashes each distinct
-image once and keeps the result (or the hash error's message) while the
-caller keeps that image alive; ``clear_memory`` empties the label memory
-but keeps those. A replayed row is the record table's own read-only
-float64 row, not a copy; SampleRef and StageTrace are immutable
+metering module prices. A batch makes one call to model A, for all its
+memory misses in stream order, and at most one to model B, for the
+escalated ones; each answer is one (n, K) float64 array whose shape is
+checked once. With memory enabled the engine fingerprints the (grayscaled)
+image first and skips both models on a hit; the predicted label of every
+non-hit sample is inserted afterwards, so hits replay earlier cascade
+decisions, mistakes included. A fingerprint is a function of the pixels
+alone, so an engine hashes each distinct image once, together with the
+batch's other new images of its shape, and keeps the result (or the hash
+error's message) while the caller keeps that image alive; ``clear_memory``
+empties the label memory but keeps those. A replayed answer is a gathered
+copy of the record table's rows; SampleRef and StageTrace are immutable
 NamedTuples.
 """
 
@@ -25,11 +28,11 @@ from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .calibration import CascadeConfig, decide
+from .calibration import CascadeConfig, checked_logits, decide
 from .confidence import add_in_order
 from .errors import DataError
-from .images import ImageBuffer, to_grayscale
-from .phash import FINGERPRINTS, Fingerprint, MemoStore
+from .images import ImageBuffer
+from .phash import Fingerprint, MemoStore, fingerprint_images
 from .records import RecordTable
 
 PATH_MEMORY_HIT = "memory_hit"
@@ -41,22 +44,23 @@ PATHS = (PATH_MEMORY_HIT, PATH_MODEL_A_ONLY, PATH_MODEL_AB)
 class Classifier(Protocol):
     name: str
 
-    def infer(self, sample_id: str) -> Sequence[float]: ...
+    def infer(self, sample_ids: Sequence[str]) -> np.ndarray: ...
 
 
 class ReplayClassifier:
-    """Classifier backed by a record table; ``infer`` returns the table's row, not a copy."""
+    """Classifier backed by a record table; ``infer`` gathers the ids' rows into one new array."""
 
     def __init__(self, name: str, records: RecordTable):
         self.name = name
         self._logits = records.logits
         self._rows = records.index
 
-    def infer(self, sample_id: str) -> np.ndarray:
+    def infer(self, sample_ids: Sequence[str]) -> np.ndarray:
         try:
-            return self._logits[self._rows[sample_id]]
-        except KeyError:
-            raise DataError(f"{self.name}: unknown sample id {sample_id!r}") from None
+            rows = list(map(self._rows.__getitem__, sample_ids))
+        except KeyError as exc:
+            raise DataError(f"{self.name}: unknown sample id {exc.args[0]!r}") from None
+        return self._logits.take(rows, axis=0)
 
 
 class SampleRef(NamedTuple):
@@ -95,58 +99,79 @@ class CascadeEngine:
         """Start the label memory cold; the fingerprints already computed are kept."""
         self.store = None if self.config.memory == "none" else MemoStore()
 
-    def _fingerprint(self, image: ImageBuffer) -> Fingerprint | str:
-        """The image's fingerprint, or its hash error's message; each distinct image is hashed once."""
-        result = self._fingerprints.get(image)
-        if result is None:
+    def _memo_entries(self, samples: Sequence[SampleRef]) -> dict[int, Fingerprint | str]:
+        """Each sample image's fingerprint or hash error message, keyed by the image's id().
+
+        The batch's images with no memo entry yet are hashed together first."""
+        images = {id(s.image): s.image for s in samples if s.image is not None}  # alive for the call
+        new = list({image: None for image in images.values() if image not in self._fingerprints})
+        self._fingerprints.update(zip(new, fingerprint_images(self.config.memory, new)))
+        return {key: self._fingerprints[image] for key, image in images.items()}
+
+    def _logits_a(self, ids: list[str]) -> tuple[np.ndarray | None, DataError | None]:
+        """Model A's logits for ``ids`` from one call, and no error.
+
+        If that call raises, each id is asked alone: the result is then the
+        logits of the ids before the first one refused (None if there are none)
+        and that refusal, so the samples before it can still be decided."""
+        try:
+            logits = self.classifier_a.infer(ids)
+        except DataError as exc:
+            error = exc
+        else:
+            return checked_logits(self.config.first_model, logits, len(ids)), None
+        for cut, sample_id in enumerate(ids):
             try:
-                result = FINGERPRINTS[self.config.memory](to_grayscale(image))
+                self.classifier_a.infer([sample_id])
             except DataError as exc:
-                result = str(exc)
-            self._fingerprints[image] = result
-        return result
+                return (self._logits_a(ids[:cut])[0] if cut else None), exc
+        raise error
 
     def run(self, samples: Sequence[SampleRef]) -> list[StageTrace]:
         """Classify samples in stream order and trace every stage.
 
-        Pass 1 asks model A for every memory miss; a sample hits if its
-        fingerprint is in the store or is an earlier miss's, so no hit waits
-        on a decision. One ``decide`` over the misses then asks model B for
-        the escalated ones. A hash failure (say, an all-black image under
+        With memory on, the batch's new images are fingerprinted first. Pass 1
+        then finds the memory misses: a sample hits if its fingerprint is in the
+        store or is an earlier miss's, so no hit waits on a decision. Model A is
+        asked once for every miss, and one ``decide`` over them asks model B once
+        for the escalated ones. A hash failure (say, an all-black image under
         moments) degrades the sample to the no-memory path and is recorded on
         the trace. The first bad sample in stream order raises, after the
         samples before it are decided.
         """
         plan = []  # (sample, fingerprint, hash error, hit) per sample
         fresh: set[Fingerprint] = set()  # fingerprints of this batch's misses
-        rows_a: list[Sequence[float]] = []
+        miss_ids: list[str] = []
+        miss_at: list[int] = []  # each miss's place in the plan
         error: DataError | None = None
+        entries = {} if self.store is None else self._memo_entries(samples)
         try:
             for sample in samples:
                 fp = hash_error = None
                 if self.store is not None:
                     if sample.image is None:
                         raise DataError(f"sample {sample.id!r}: image required when memory={self.config.memory}")
-                    fp = self._fingerprint(sample.image)
+                    fp = entries[id(sample.image)]
                     if isinstance(fp, str):
                         fp, hash_error = None, fp
                 hit = fp is not None and (fp in fresh or self.store.lookup(fp) is not None)
                 if not hit:
-                    row = self.classifier_a.infer(sample.id)
-                    if rows_a and len(row) != len(rows_a[0]):
-                        raise DataError("logits length mismatch between samples")
-                    rows_a.append(row)
+                    miss_ids.append(sample.id)
+                    miss_at.append(len(plan))
                     if fp is not None:
                         fresh.add(fp)
                 plan.append((sample, fp, hash_error, hit))
         except DataError as exc:
             error = exc
         decisions = iter(())
-        if rows_a:
-            miss_ids = [sample.id for sample, _, _, hit in plan if not hit]
-            decisions = zip(*decide(self.config, np.array(rows_a, dtype=np.float64), lambda rows: (
-                self.classifier_b.infer(miss_ids[r]) for r in rows.tolist()
-            )))
+        if miss_ids:
+            logits_a, refusal = self._logits_a(miss_ids)
+            if refusal is not None:  # model A refused a miss before any pass-1 error
+                cut = 0 if logits_a is None else len(logits_a)
+                plan, miss_ids, error = plan[: miss_at[cut]], miss_ids[:cut], refusal
+            if logits_a is not None:
+                decisions = zip(*decide(self.config, logits_a, lambda rows: self.classifier_b.infer(
+                    [miss_ids[r] for r in rows.tolist()])))
         traces = []
         for sample, fp, hash_error, hit in plan:
             if hit:  # first seen before this batch or earlier in this loop

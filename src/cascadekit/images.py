@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from typing import Sequence
 
 import numpy as np
 
@@ -103,18 +104,29 @@ def _from_array(pixels: np.ndarray) -> ImageBuffer:
     return ImageBuffer(width, height, channels, pixels.tobytes())
 
 
-def to_grayscale(img: ImageBuffer) -> ImageBuffer:
-    """BT.601 luma with half-up integer rounding; identity for 1-channel input."""
-    if img.channels == 1:
-        return img
+def grayscale_stack(images: Sequence[ImageBuffer]) -> np.ndarray:
+    """The (n, height, width) uint8 gray planes of n images of one shape, computed together.
+
+    BT.601 luma with half-up integer rounding; 1-channel pixels are read as they are."""
+    first = images[0]
+    px = np.frombuffer(b"".join(img.pixels for img in images), dtype=np.uint8)
+    px = px.reshape(len(images), first.height, first.width, first.channels)
+    if first.channels == 1:
+        return px[..., 0]
     # int32 in place (numpy's int64 matmul skips BLAS); weights sum to 1000, so luma <= 255
-    px = _array(img)
-    luma = np.multiply(px[:, :, 0], 299, dtype=np.int32)
-    luma += np.multiply(px[:, :, 1], 587, dtype=np.int32)
-    luma += np.multiply(px[:, :, 2], 114, dtype=np.int32)
+    luma = np.multiply(px[..., 0], 299, dtype=np.int32)
+    luma += np.multiply(px[..., 1], 587, dtype=np.int32)
+    luma += np.multiply(px[..., 2], 114, dtype=np.int32)
     luma += 500
     luma //= 1000
-    return _from_array(luma.astype(np.uint8)[:, :, np.newaxis])
+    return luma.astype(np.uint8)
+
+
+def to_grayscale(img: ImageBuffer) -> ImageBuffer:
+    """``grayscale_stack`` of one image; identity for 1-channel input."""
+    if img.channels == 1:
+        return img
+    return _from_array(grayscale_stack([img])[0, :, :, np.newaxis])
 
 
 def rotate90(img: ImageBuffer) -> ImageBuffer:

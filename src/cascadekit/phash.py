@@ -12,6 +12,10 @@ Two fingerprint methods over grayscale images:
   by 90, 180 and 270 degrees and both mirror axes (exact pixel
   permutations) is exact, not approximate.
 
+Both kernels take an (n, height, width) stack of gray planes. The engine
+hashes each batch's new images with ``fingerprint_images``, one stack per
+image shape and pixel budget; the per-image functions are stacks of one.
+
 The MemoStore maps fingerprints to class labels for one run, so a cascade
 can skip both models when an image (or an invariant transform of it) has
 been classified before.
@@ -19,12 +23,12 @@ been classified before.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .images import ImageBuffer
+from .images import ImageBuffer, grayscale_stack
 
 DHASH_COLS = 9
 DHASH_ROWS = 8
@@ -37,30 +41,40 @@ class Fingerprint(NamedTuple):
     key: str
 
 
-def dhash(gray: ImageBuffer) -> int:
-    """64-bit difference hash of a grayscale image.
+def _planes(gray: ImageBuffer, refusal: str) -> np.ndarray:
+    """A grayscale image as a stack of one (1, height, width) plane; ``refusal`` for a color one."""
+    if gray.channels != 1:
+        raise DataError(refusal)
+    return grayscale_stack([gray])
 
-    The image is split into a 9x8 grid (column boundaries floor(k*W/9),
+
+def _dhash_words(planes: np.ndarray) -> list[int]:
+    """The 64-bit difference hash of each (height, width) plane of an (n, height, width) stack.
+
+    Each plane is split into a 9x8 grid (column boundaries floor(k*W/9),
     row boundaries floor(k*H/8)). Bit (r, c) is 1 iff the mean brightness
     of cell (r, c) strictly exceeds that of cell (r, c+1); means are
     compared by cross-multiplying integer sums so no floats are involved.
     Bits are packed most-significant-first in row-major order.
     """
-    if gray.channels != 1:
-        raise DataError("dhash requires a 1-channel image")
-    w, h = gray.width, gray.height
+    n, h, w = planes.shape
     if w < DHASH_COLS or h < DHASH_ROWS:
         raise DataError(f"image {w}x{h} smaller than {DHASH_COLS}x{DHASH_ROWS} grid")
-    f = np.frombuffer(gray.pixels, dtype=np.uint8).reshape(h, w).astype(np.int64)
     col_edges = np.arange(DHASH_COLS + 1) * w // DHASH_COLS
     row_edges = np.arange(DHASH_ROWS + 1) * h // DHASH_ROWS
     # reduceat needs strictly increasing edges (an empty cell would yield one
     # pixel, not 0), which w >= 9 and h >= 8 guarantee; the int64 cross
     # products stay exact for cells of up to 1.9e8 pixels
-    sums = np.add.reduceat(np.add.reduceat(f, row_edges[:-1], axis=0), col_edges[:-1], axis=1)
+    f = planes.astype(np.int64)
+    sums = np.add.reduceat(np.add.reduceat(f, row_edges[:-1], axis=1), col_edges[:-1], axis=2)
     counts = np.outer(np.diff(row_edges), np.diff(col_edges))
-    bits = sums[:, :-1] * counts[:, 1:] > sums[:, 1:] * counts[:, :-1]
-    return int.from_bytes(np.packbits(bits).tobytes(), "big")
+    bits = sums[..., :-1] * counts[:, 1:] > sums[..., 1:] * counts[:, :-1]
+    return np.packbits(bits.reshape(n, 64), axis=1).view(">u8")[:, 0].tolist()
+
+
+def dhash(gray: ImageBuffer) -> int:
+    """64-bit difference hash of a grayscale image (see ``_dhash_words``)."""
+    return _dhash_words(_planes(gray, "dhash requires a 1-channel image"))[0]
 
 
 def dhash_fingerprint(gray: ImageBuffer) -> Fingerprint:
@@ -73,17 +87,15 @@ def _power_sums(n: int) -> list[int]:
     return [n, s1, s1 * (2 * n - 1) // 3, s1 * s1]
 
 
-def _raw_moments(gray: ImageBuffer) -> list[list[int]]:
-    """m[q][p] = sum over pixels of y**q * x**p * f(x, y), exact for p + q <= 3."""
-    if gray.channels != 1:
-        raise DataError("moments require a 1-channel image")
-    h, w = gray.height, gray.width
+def _raw_moments(planes: np.ndarray) -> list[list[list[int]]]:
+    """Per plane of an (n, h, w) stack, m[q][p] = sum of y**q * x**p * f(x, y), exact for p + q <= 3."""
+    h, w = planes.shape[1:]
     sx, sy = _power_sums(w), _power_sums(h)
     # int64 is exact while no used moment of an all-255 image reaches 2**63; past that
     # (thin or huge images) the same product runs on Python ints. p + q > 3 may wrap.
     fits = all(255 * sx[p] * sy[q] < 2**63 for p in range(4) for q in range(4 - p))
     dtype = np.int64 if fits else object
-    f = np.frombuffer(gray.pixels, dtype=np.uint8).reshape(h, w).astype(dtype)
+    f = planes.astype(dtype)
     ys = np.vander(np.arange(h).astype(dtype), 4, increasing=True)
     xs = np.vander(np.arange(w).astype(dtype), 4, increasing=True)
     return (ys.T @ (f @ xs)).tolist()
@@ -94,13 +106,13 @@ def _gmul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
 
 
-def _invariant_numerators(gray: ImageBuffer) -> tuple[int, int, int, tuple[int, int], tuple[int, int]]:
-    """m00 and the integer numerators of c11, c21*c12, c20*c12**2 and c30*c12**3.
+def _invariant_numerators(raw: list[list[int]]) -> tuple[int, int, int, tuple[int, int], tuple[int, int]]:
+    """From one image's raw moments, m00 and the integer numerators of c11, c21*c12, c20*c12**2 and c30*c12**3.
 
     With n = m00 their denominators are n**3, n**9, n**12 and n**18: c_pq sums
     z**p * conj(z)**q * f over n**((p+q)/2 + 1), z centered on the centroid, and
     central moments u are kept scaled by n (order 2) or n**2 (order 3)."""
-    (n, a, m20, m30), (b, m11, m21, _), (m02, m12, _, _), (m03, _, _, _) = _raw_moments(gray)
+    (n, a, m20, m30), (b, m11, m21, _), (m02, m12, _, _), (m03, _, _, _) = raw
     if n == 0:
         raise DataError("zero total intensity")
     u20, u11, u02 = n * m20 - a * a, n * m11 - a * b, n * m02 - b * b
@@ -132,8 +144,13 @@ class MomentInvariants(NamedTuple):
 
 
 def moment_invariants(gray: ImageBuffer) -> MomentInvariants:
+    """A grayscale image's invariants (see ``_invariants``)."""
+    return _invariants(_raw_moments(_planes(gray, "moments require a 1-channel image"))[0])
+
+
+def _invariants(raw: list[list[int]]) -> MomentInvariants:
     """Each feature is one correctly rounded division of exact integers."""
-    n, c11, norm, (re3, im3), (re5, im5) = _invariant_numerators(gray)
+    n, c11, norm, (re3, im3), (re5, im5) = _invariant_numerators(raw)
     key = quantize_key((c11 * n**15 + norm * n**9 + re3 * n**6 + re5) / n**18)
     return MomentInvariants(c11 / n**3, norm / n**9, re3 / n**12, im3 / n**12, re5 / n**18, im5 / n**18, key)
 
@@ -150,11 +167,53 @@ def moments_fingerprint(gray: ImageBuffer) -> Fingerprint:
     return Fingerprint("moments", moment_invariants(gray).key)
 
 
-# Fingerprint methods by name: the engine, configs and the CLI offer exactly these.
-FINGERPRINTS: dict[str, Callable[[ImageBuffer], Fingerprint]] = {
-    "dhash": dhash_fingerprint,
-    "moments": moments_fingerprint,
+def _dhash_stack(planes: np.ndarray) -> list[Fingerprint]:
+    return [Fingerprint("dhash", format(word, "016x")) for word in _dhash_words(planes)]
+
+
+def _moments_stack(planes: np.ndarray) -> list[Fingerprint | str]:
+    keys: list[Fingerprint | str] = []
+    for raw in _raw_moments(planes):
+        try:
+            keys.append(Fingerprint("moments", _invariants(raw).key))
+        except DataError as exc:  # zero total intensity
+            keys.append(str(exc))
+    return keys
+
+
+# Fingerprint methods by name: the engine, configs and the CLI offer exactly these. Each maps
+# an (n, height, width) stack of gray planes to one fingerprint or hash error message per plane,
+# and raises DataError for a shape it cannot hash.
+FINGERPRINTS: dict[str, Callable[[np.ndarray], list[Fingerprint | str]]] = {
+    "dhash": _dhash_stack,
+    "moments": _moments_stack,
 }
+
+# The most pixels one stacked call takes, so its int64 planes stay within 512 KB (peak RSS
+# stays flat at 224x224); a larger image goes alone.
+CHUNK_PIXELS = 1 << 16
+
+
+def fingerprint_images(method: str, images: Sequence[ImageBuffer]) -> list[Fingerprint | str]:
+    """Each image's ``method`` fingerprint, or the message of the DataError hashing it raised.
+
+    Images of one (height, width, channels) are grayscaled and hashed together,
+    in chunks of at most CHUNK_PIXELS pixels (and at least one image)."""
+    results: list[Fingerprint | str] = [""] * len(images)
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for i, image in enumerate(images):
+        groups.setdefault((image.height, image.width, image.channels), []).append(i)
+    for (height, width, _), members in groups.items():
+        step = max(1, CHUNK_PIXELS // (height * width))
+        for lo in range(0, len(members), step):
+            chunk = members[lo : lo + step]
+            try:
+                found = FINGERPRINTS[method](grayscale_stack([images[i] for i in chunk]))
+            except DataError as exc:  # the shape itself, say one smaller than the dhash grid
+                found = [str(exc)] * len(chunk)
+            for i, result in zip(chunk, found):
+                results[i] = result
+    return results
 
 
 class MemoStore:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,9 +197,12 @@ class TestDecideOffline:
         assert type(got[0][0]) is int and type(got[2][0]) is float
 
     def test_length_mismatch(self):
+        # model B's whole answer is checked once: rows x model A's K, named after model B
         config = CascadeConfig("a", "b", DIFF, 0.5, True)
-        with pytest.raises(DataError, match="length mismatch"):
-            decide(config, _rows((1.0, 0.0)), lambda rows: [(1.0, 0.0, 0.0)])
+        for answer, shape in (([(1.0, 0.0, 0.0)], "(1, 3)"), ([(1.0, 0.0)] * 2, "(2, 2)"),
+                              ([1.0, 0.0], "(2,)"), ([(1.0, 0.0), (1.0,)], "(0,)")):
+            with pytest.raises(DataError, match=rf"^b: logits of shape {re.escape(shape)} for 1 samples, want \(1, 2\)$"):
+                decide(config, _rows((1.0, 0.0)), lambda rows: answer)
 
 
 class TestAccuracyAt:

@@ -65,17 +65,17 @@ class TestReplayClassifier:
     def test_replays_logits(self):
         table = _table([("a", 0, (1.0, 2.0)), ("b", 1, (3.0, 4.0))])
         clf = ReplayClassifier("m", table)
-        assert clf.infer("a").tolist() == [1.0, 2.0]
-        assert clf.infer("b").tolist() == [3.0, 4.0]
-        row = clf.infer("b")
-        assert row.dtype == np.float64
-        assert not row.flags.writeable
-        assert np.shares_memory(row, table.logits)  # the table's own row, not a copy
+        assert clf.infer(["a", "b"]).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert clf.infer(["b", "a", "b"]).tolist() == [[3.0, 4.0], [1.0, 2.0], [3.0, 4.0]]
+        rows = clf.infer(["b"])
+        assert rows.dtype == np.float64 and rows.shape == (1, 2)
+        assert not np.shares_memory(rows, table.logits)  # one gather, a copy
+        assert clf.infer([]).shape == (0, 2)
 
     def test_unknown_id(self):
         clf = ReplayClassifier("small", _table([("a", 0, (1.0, 2.0))]))
-        with pytest.raises(DataError, match="small: unknown sample id 'b'"):
-            clf.infer("b")
+        with pytest.raises(DataError, match="^small: unknown sample id 'b'$"):
+            clf.infer(["a", "b", "c"])
 
 
 class TestClassify:
@@ -112,8 +112,8 @@ class TestClassify:
         class Unreachable:
             name = "model_b"
 
-            def infer(self, sample_id):
-                raise AssertionError(f"model B invoked for {sample_id}")
+            def infer(self, sample_ids):
+                raise AssertionError(f"model B invoked for {sample_ids}")
 
         config = CascadeConfig("model_a", "model_b", DIFF, 0.5, True)
         a = ReplayClassifier("model_a", _table([("x1", 0, (6.0, 0.0, 0.0))]))
@@ -123,7 +123,7 @@ class TestClassify:
 
     def test_model_b_logits_length_mismatch(self):
         engine = _engine(b_rows=[("x2", 1, (0.0, 5.0))])
-        with pytest.raises(DataError, match="length mismatch"):
+        with pytest.raises(DataError, match=r"^model_b: logits of shape \(1, 2\) for 1 samples, want \(1, 3\)$"):
             engine.run([SampleRef("x2")])
 
     def test_label_is_passed_through(self):

@@ -3,18 +3,23 @@
 ``oracle_classify`` is the former ``CascadeEngine.classify`` body and
 ``oracle_decide_one`` the former scalar ``calibration.decide`` it called,
 kept unchanged apart from their names (``self`` became the ``engine``
-argument) and the fingerprint: ``oracle_classify`` computes it from the
-pixels itself, so the engine's per-image fingerprint memo is checked, not
-reused. Driven one sample at a time on a fresh engine, they must give the
-traces ``run_batch`` gives, field for field and type for type, leave the
-same memo store, ask each classifier for the same ids in the same order,
-and raise the same first ``DataError``.
+argument), the fingerprint and the classifier calls: ``oracle_classify``
+computes the fingerprint from the pixels itself with the per-image
+functions, so the engine's stacked hashing and per-image fingerprint memo
+are checked, not reused, and it asks each classifier for one id at a time
+through the batch protocol. Driven one sample at a time on a fresh engine,
+they must give the traces ``run_batch`` gives, field for field and type for
+type, leave the same memo store, ask each classifier for the same ids in
+the same order, and raise the same first ``DataError``. The engine asks
+model A once per batch and model B at most once.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,9 +37,13 @@ from cascadekit.engine import (
 )
 from cascadekit.errors import DataError
 from cascadekit.images import TRANSFORMS, ImageBuffer, to_grayscale
-from cascadekit.phash import FINGERPRINTS, Fingerprint
+from cascadekit.phash import Fingerprint, dhash_fingerprint, moments_fingerprint
 from cascadekit.synthetic import synthetic_image
 from test_calibration_oracles import better_score, logit_rows, passes_threshold, predicted_label
+
+
+# the per-image fingerprint of each memory method
+PER_IMAGE = {"dhash": dhash_fingerprint, "moments": moments_fingerprint}
 
 
 def oracle_decide_one(
@@ -74,7 +83,7 @@ def oracle_classify(engine: CascadeEngine, sample: SampleRef) -> StageTrace:
                 f"sample {sample.id!r}: image required when memory={engine.config.memory}"
             )
         try:
-            fp = FINGERPRINTS[engine.config.memory](to_grayscale(sample.image))
+            fp = PER_IMAGE[engine.config.memory](to_grayscale(sample.image))
         except DataError as exc:
             hash_error = str(exc)
         if fp is not None:
@@ -93,9 +102,9 @@ def oracle_classify(engine: CascadeEngine, sample: SampleRef) -> StageTrace:
                 )
 
     stages.append("model_a")
-    logits_a = engine.classifier_a.infer(sample.id)
+    logits_a = engine.classifier_a.infer([sample.id])[0]
     predicted, chosen, score_a, score_b = oracle_decide_one(
-        engine.config, logits_a, lambda: engine.classifier_b.infer(sample.id)
+        engine.config, logits_a, lambda: engine.classifier_b.infer([sample.id])[0]
     )
     path = PATH_MODEL_A_ONLY if score_b is None else PATH_MODEL_AB
     if score_b is not None:
@@ -119,19 +128,27 @@ def oracle_classify(engine: CascadeEngine, sample: SampleRef) -> StageTrace:
 
 
 class LoggedClassifier:
-    """Replays logits from a dict, whose rows may differ in length, and logs each id asked for."""
+    """Replays logits from a dict and logs each call's ids. Rows may differ in
+    length: an answer is zero-padded to its longest row, so one long row widens
+    the whole answer."""
 
     def __init__(self, name: str, rows: dict[str, Sequence[float]]):
         self.name = name
         self.rows = rows
-        self.asked: list[str] = []
+        self.calls: list[list[str]] = []
 
-    def infer(self, sample_id: str) -> Sequence[float]:
-        self.asked.append(sample_id)
+    @property
+    def asked(self) -> list[str]:
+        return [sample_id for call in self.calls for sample_id in call]
+
+    def infer(self, sample_ids: Sequence[str]) -> np.ndarray:
+        self.calls.append(list(sample_ids))
         try:
-            return self.rows[sample_id]
-        except KeyError:
-            raise DataError(f"{self.name}: unknown sample id {sample_id!r}") from None
+            rows = [list(self.rows[sample_id]) for sample_id in sample_ids]
+        except KeyError as exc:
+            raise DataError(f"{self.name}: unknown sample id {exc.args[0]!r}") from None
+        width = max(map(len, rows), default=0)
+        return np.array([row + [0.0] * (width - len(row)) for row in rows], dtype=np.float64).reshape(len(rows), width)
 
 
 def _engines(config: CascadeConfig, rows_a: dict, rows_b: dict) -> tuple[CascadeEngine, CascadeEngine]:
@@ -192,7 +209,12 @@ def test_batches_match_per_sample_oracle(n, k, data):
     got = []
     for lo, hi in zip([0, *cuts], [*cuts, len(stream)]):  # repeats may span batches
         if lo < hi:
-            got += run_batch(engine, stream[lo:hi])[0]
+            calls_a, calls_b = len(engine.classifier_a.calls), len(engine.classifier_b.calls)
+            traces = run_batch(engine, stream[lo:hi])[0]
+            misses = sum(t.path != PATH_MEMORY_HIT for t in traces)
+            assert len(engine.classifier_a.calls) - calls_a == (misses > 0)  # once, or not at all
+            assert len(engine.classifier_b.calls) - calls_b == any(t.path == PATH_MODEL_AB for t in traces)
+            got += traces
     want = [oracle_classify(oracle, s) for s in stream]
 
     assert got == want
@@ -205,6 +227,10 @@ def test_batches_match_per_sample_oracle(n, k, data):
     assert engine.classifier_b.asked == oracle.classifier_b.asked
     if config.memory != "none":
         assert list(engine.store._entries.items()) == list(oracle.store._entries.items())
+
+
+# model B answers a batch at once, so the oracle's per-sample length error becomes a shape error
+B_SHAPE = re.compile(r"model_b: logits of shape \((\d+), (\d+)\) for \1 samples, want \(\1, (\d+)\)")
 
 
 @settings(max_examples=200, deadline=None)
@@ -223,16 +249,29 @@ def test_first_error_is_the_oracles(n, k, data):
     faults = [
         SampleRef(ids[0], None),                                    # missing image
         SampleRef("ghost-a", synthetic_image(8, 8, 90)),            # unknown to model A
-        SampleRef("ghost-b", synthetic_image(8, 8, 91)),            # escalated, unknown to model B
-        SampleRef("short-b", synthetic_image(8, 8, 92)),            # escalated, B logits too long
+        # model B's answer covers every escalated sample, so a stream gets one kind of B fault:
+        data.draw(st.sampled_from([
+            SampleRef("ghost-b", synthetic_image(8, 8, 91)),        # escalated, unknown to model B
+            SampleRef("short-b", synthetic_image(8, 8, 92)),        # escalated, B logits too long
+        ])),
     ]
     for fault in data.draw(st.lists(st.sampled_from(faults), min_size=1, max_size=4)):
         stream.insert(data.draw(st.integers(0, len(stream))), fault)
     engine, oracle = _engines(config, rows_a, rows_b)
 
     want = _first_error(lambda s=s: oracle_classify(oracle, s) for s in stream)
-    assert _first_error([lambda: run_batch(engine, stream)]) == want
-    assert want is not None or memory == "none"  # the missing image is harmless only without memory
+    got = _first_error([lambda: run_batch(engine, stream)])
+    if want is None:  # the missing image is harmless only without memory
+        assert memory == "none" and got is None
+    elif want == "logits length mismatch between models":
+        match = B_SHAPE.fullmatch(got)
+        assert match and (int(match[2]), int(match[3])) == (k + 1, k)
+    else:
+        assert got == want
+        if memory != "none" and not want.startswith("model_b: "):
+            # the samples before a pass-1 error or model A's refusal are decided and remembered
+            assert list(engine.store._entries.items()) == list(oracle.store._entries.items())
+    assert len(engine.classifier_b.calls) <= 1
 
 
 def test_classifiers_are_asked_only_for_misses_and_escalations():
@@ -244,18 +283,62 @@ def test_classifiers_are_asked_only_for_misses_and_escalations():
     img_x, img_y, img_z = (synthetic_image(12, 12, seed) for seed in (1, 2, 3))
     first = [SampleRef("x", img_x), SampleRef("y", img_y), SampleRef("x", img_x), SampleRef("y", img_y)]
     second = [SampleRef("y", img_y), SampleRef("z", img_z), SampleRef("x", img_x)]
-    paths = [t.path for t in run_batch(engine, first)[0] + run_batch(engine, second)[0]]
+    third = [SampleRef("z", img_z), SampleRef("x", img_x)]
+    paths = [t.path for batch in (first, second, third) for t in run_batch(engine, batch)[0]]
     assert paths == [
         PATH_MODEL_A_ONLY, PATH_MODEL_AB, PATH_MEMORY_HIT, PATH_MEMORY_HIT,
         PATH_MEMORY_HIT, PATH_MODEL_AB, PATH_MEMORY_HIT,
+        PATH_MEMORY_HIT, PATH_MEMORY_HIT,
     ]
-    assert engine.classifier_a.asked == ["x", "y", "z"]
-    assert engine.classifier_b.asked == ["y", "z"]
+    assert engine.classifier_a.calls == [["x", "y"], ["z"]]  # none for the all-hit batch
+    assert engine.classifier_b.calls == [["y"], ["z"]]
 
 
-def test_model_a_rows_of_unequal_length_are_a_data_error():
-    rows = {"x": [1.0, 0.0], "y": [1.0, 0.0, 0.0]}
+def test_unknown_model_a_id_mid_stream():
+    """Model A refuses the batch; asked one id at a time, it names the first
+    unknown id, and the samples before that one are decided and remembered."""
+    rows = {"x": [9.0, 0.0], "y": [0.0, 9.0]}
+    config = CascadeConfig("model_a", "model_b", ScoreFunction.DIFFERENCE, 0.5, True, "dhash")
+    engine, oracle = _engines(config, rows, rows)
+    img_x, img_y, img_g, img_h = (synthetic_image(9, 8, seed) for seed in (1, 2, 3, 4))
+    stream = [SampleRef("x", img_x), SampleRef("x", img_x), SampleRef("y", img_y),
+              SampleRef("ghost", img_g), SampleRef("phantom", img_h)]
+    with pytest.raises(DataError, match="^model_a: unknown sample id 'ghost'$"):
+        run_batch(engine, stream)
+    with pytest.raises(DataError, match="^model_a: unknown sample id 'ghost'$"):
+        for sample in stream:
+            oracle_classify(oracle, sample)
+    assert list(engine.store._entries.items()) == list(oracle.store._entries.items())
+    assert list(engine.store._entries.values()) == [0, 1]
+    assert engine.classifier_a.calls == [["x", "y", "ghost", "phantom"], ["x"], ["y"], ["ghost"], ["x", "y"]]
+    assert engine.classifier_b.calls == []
+
+
+class Answers:
+    """A classifier that gives one fixed answer, whatever it is asked."""
+
+    def __init__(self, name: str, answer: object):
+        self.name = name
+        self.answer = answer
+
+    def infer(self, sample_ids: Sequence[str]) -> object:
+        return self.answer
+
+
+@pytest.mark.parametrize("answer, shape", [
+    (np.zeros((1, 2)), "(1, 2)"),
+    (np.zeros(2), "(2,)"),
+    (np.zeros((2, 0)), "(2, 0)"),
+    (np.zeros((2, 1, 2)), "(2, 1, 2)"),
+    ([[1.0, 0.0], [1.0]], "(0,)"),  # not an array at all
+], ids=["row-short", "one-row", "no-classes", "3-d", "ragged"])
+def test_wrong_shaped_answers_are_a_data_error(answer, shape):
     config = CascadeConfig("model_a", "model_b", ScoreFunction.DIFFERENCE, 0.5, True)
-    engine, _ = _engines(config, rows, rows)
-    with pytest.raises(DataError, match="^logits length mismatch between samples$"):
-        run_batch(engine, [SampleRef("x"), SampleRef("y")])
+    rows = {"x": [0.0, 0.0], "y": [0.0, 0.0]}  # flat: both escalate
+    samples = [SampleRef("x"), SampleRef("y")]
+    engine = CascadeEngine(config, Answers("model_a", answer), LoggedClassifier("model_b", rows))
+    with pytest.raises(DataError, match=rf"^model_a: logits of shape {re.escape(shape)} for 2 samples, want \(2, K\)$"):
+        run_batch(engine, samples)
+    engine = CascadeEngine(config, LoggedClassifier("model_a", rows), Answers("model_b", answer))
+    with pytest.raises(DataError, match=rf"^model_b: logits of shape {re.escape(shape)} for 2 samples, want \(2, 2\)$"):
+        run_batch(engine, samples)

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadekit import engine as engine_module
+from cascadekit import phash
 from cascadekit.calibration import CascadeConfig
 from cascadekit.confidence import ScoreFunction
 from cascadekit.engine import (
@@ -41,7 +41,7 @@ from cascadekit.engine import (
     run_batch,
 )
 from cascadekit.errors import DataError
-from cascadekit.images import ImageBuffer
+from cascadekit.images import ImageBuffer, grayscale_stack
 from cascadekit.metering import (
     RANDOM_TRANSFORM,
     DuplicationCurve,
@@ -400,8 +400,9 @@ def test_duplication_experiment_matches_fresh_engine_oracle(case):
 def test_each_distinct_image_is_fingerprinted_once_per_engine(monkeypatch):
     """The calib-10k duplication slice: 512 distinct 32x32 RGB images and
     identity duplicates at ratios 0, 0.5 and 1 are 2304 samples, which the
-    engines grayscale and fingerprint 512 times each; one blank frame is
-    tried once under moments and degrades every sample it appears in."""
+    engines grayscale and fingerprint 512 times each, in stacks of
+    CHUNK_PIXELS; one blank frame is tried once under moments and degrades
+    every sample it appears in."""
     count = 512
     ids = [f"s{i:03d}" for i in range(count)]
     images = [synthetic_image(32, 32, seed, 3) for seed in range(count - 1)]
@@ -411,21 +412,28 @@ def test_each_distinct_image_is_fingerprinted_once_per_engine(monkeypatch):
     config = CascadeConfig("model_a", "model_b", ScoreFunction.DIFFERENCE, 0.5, True)
     grayscaled = Counter()
     fingerprinted = {method: Counter() for method in FINGERPRINTS}
+    stacks = []
 
-    def counted(counter, fn):
-        def wrapper(image):
-            counter[image] += 1
-            return fn(image)
+    def counted_grayscale(chunk):
+        grayscaled.update(chunk)
+        stacks.append(len(chunk))
+        return grayscale_stack(chunk)
+
+    def counted(counter, kernel):
+        def wrapper(planes):
+            counter.update(plane.tobytes() for plane in planes)
+            return kernel(planes)
         return wrapper
 
-    monkeypatch.setattr(engine_module, "to_grayscale", counted(grayscaled, engine_module.to_grayscale))
-    for method, fingerprint in list(FINGERPRINTS.items()):
-        monkeypatch.setitem(FINGERPRINTS, method, counted(fingerprinted[method], fingerprint))
+    monkeypatch.setattr(phash, "grayscale_stack", counted_grayscale)
+    for method, kernel in list(FINGERPRINTS.items()):
+        monkeypatch.setitem(FINGERPRINTS, method, counted(fingerprinted[method], kernel))
     curves = duplication_experiment(samples, [0, 0.5, 1], "identity",
                                     _entries(config, records, records, ["dhash", "moments"]), DUP_COSTS)
 
     assert sum(len(build_duplicated_stream(samples, r, "identity", random.Random(0))) for r in (0, 0.5, 1)) == 2304
     assert sorted(grayscaled.values()) == [2] * count  # once per engine entry
+    assert stacks == [phash.CHUNK_PIXELS // (32 * 32)] * (2 * count * 32 * 32 // phash.CHUNK_PIXELS)
     for method in FINGERPRINTS:
         assert len(fingerprinted[method]) == count
         assert set(fingerprinted[method].values()) == {1}

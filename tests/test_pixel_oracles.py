@@ -4,6 +4,12 @@ The oracles below are the pure-Python implementations the numpy code
 replaced, kept unchanged. Both sides use exact integer arithmetic, so every
 output must match byte for byte.
 
+The stacked kernels (``grayscale_stack``, ``_dhash_words`` and
+``_raw_moments`` over (n, height, width) stacks, and ``fingerprint_images``,
+which groups a batch by shape and chunks it by pixel budget) are checked
+against the per-image numpy bodies they replaced, kept below unchanged apart
+from their names.
+
 The moment fingerprint has two oracles: the float64 complex-moment path the
 exact integer path replaced (its keys agree except at a 9-digit rounding
 boundary, its features to about 1e-11 relative), and an exact rational
@@ -26,6 +32,7 @@ from cascadekit.errors import DataError
 from cascadekit.images import (
     ImageBuffer,
     _read_header_token,
+    grayscale_stack,
     mirror_horizontal,
     mirror_vertical,
     rotate90,
@@ -33,10 +40,17 @@ from cascadekit.images import (
     rotate270,
     to_grayscale,
 )
+from cascadekit import phash
 from cascadekit.phash import (
+    CHUNK_PIXELS,
     DHASH_COLS,
     DHASH_ROWS,
+    FINGERPRINTS,
+    Fingerprint,
+    _invariants,
     dhash,
+    fingerprint_images,
+    MomentInvariants,
     moment_invariants,
     moments_fingerprint,
     quantize_key,
@@ -74,6 +88,20 @@ def oracle_to_grayscale(img: ImageBuffer) -> ImageBuffer:
         y = (299 * r + 587 * g + 114 * b + 500) // 1000
         out[i] = min(y, 255)
     return ImageBuffer(img.width, img.height, 1, bytes(out))
+
+
+def oracle_numpy_to_grayscale(img: ImageBuffer) -> ImageBuffer:
+    """BT.601 luma with half-up integer rounding; identity for 1-channel input."""
+    if img.channels == 1:
+        return img
+    # int32 in place (numpy's int64 matmul skips BLAS); weights sum to 1000, so luma <= 255
+    px = np.frombuffer(img.pixels, dtype=np.uint8).reshape(img.height, img.width, img.channels)
+    luma = np.multiply(px[:, :, 0], 299, dtype=np.int32)
+    luma += np.multiply(px[:, :, 1], 587, dtype=np.int32)
+    luma += np.multiply(px[:, :, 2], 114, dtype=np.int32)
+    luma += 500
+    luma //= 1000
+    return ImageBuffer(img.width, img.height, 1, luma.astype(np.uint8).tobytes())
 
 
 def oracle_rotate90(img: ImageBuffer) -> ImageBuffer:
@@ -146,6 +174,58 @@ def oracle_dhash(gray: ImageBuffer) -> int:
             bit = 1 if sums[c] * counts[c + 1] > sums[c + 1] * counts[c] else 0
             word = (word << 1) | bit
     return word
+
+
+def oracle_numpy_dhash(gray: ImageBuffer) -> int:
+    """64-bit difference hash of a grayscale image (the per-image numpy body)."""
+    if gray.channels != 1:
+        raise DataError("dhash requires a 1-channel image")
+    w, h = gray.width, gray.height
+    if w < DHASH_COLS or h < DHASH_ROWS:
+        raise DataError(f"image {w}x{h} smaller than {DHASH_COLS}x{DHASH_ROWS} grid")
+    f = np.frombuffer(gray.pixels, dtype=np.uint8).reshape(h, w).astype(np.int64)
+    col_edges = np.arange(DHASH_COLS + 1) * w // DHASH_COLS
+    row_edges = np.arange(DHASH_ROWS + 1) * h // DHASH_ROWS
+    # reduceat needs strictly increasing edges (an empty cell would yield one
+    # pixel, not 0), which w >= 9 and h >= 8 guarantee; the int64 cross
+    # products stay exact for cells of up to 1.9e8 pixels
+    sums = np.add.reduceat(np.add.reduceat(f, row_edges[:-1], axis=0), col_edges[:-1], axis=1)
+    counts = np.outer(np.diff(row_edges), np.diff(col_edges))
+    bits = sums[:, :-1] * counts[:, 1:] > sums[:, 1:] * counts[:, :-1]
+    return int.from_bytes(np.packbits(bits).tobytes(), "big")
+
+
+def _power_sums(n: int) -> list[int]:
+    """Sums of k**p over k in range(n), for p = 0..3."""
+    s1 = n * (n - 1) // 2
+    return [n, s1, s1 * (2 * n - 1) // 3, s1 * s1]
+
+
+def oracle_raw_moments(gray: ImageBuffer) -> list[list[int]]:
+    """m[q][p] = sum over pixels of y**q * x**p * f(x, y), exact for p + q <= 3."""
+    if gray.channels != 1:
+        raise DataError("moments require a 1-channel image")
+    h, w = gray.height, gray.width
+    sx, sy = _power_sums(w), _power_sums(h)
+    # int64 is exact while no used moment of an all-255 image reaches 2**63; past that
+    # (thin or huge images) the same product runs on Python ints. p + q > 3 may wrap.
+    fits = all(255 * sx[p] * sy[q] < 2**63 for p in range(4) for q in range(4 - p))
+    dtype = np.int64 if fits else object
+    f = np.frombuffer(gray.pixels, dtype=np.uint8).reshape(h, w).astype(dtype)
+    ys = np.vander(np.arange(h).astype(dtype), 4, increasing=True)
+    xs = np.vander(np.arange(w).astype(dtype), 4, increasing=True)
+    return (ys.T @ (f @ xs)).tolist()
+
+
+def oracle_fingerprint(method: str, img: ImageBuffer) -> Fingerprint | str:
+    """One image's fingerprint from the per-image bodies, or its hash error's message."""
+    gray = oracle_numpy_to_grayscale(img)
+    try:
+        if method == "dhash":
+            return Fingerprint("dhash", format(oracle_numpy_dhash(gray), "016x"))
+        return Fingerprint("moments", _invariants(oracle_raw_moments(gray)).key)
+    except DataError as exc:
+        return str(exc)
 
 
 def _intensity(gray: ImageBuffer) -> np.ndarray:
@@ -350,6 +430,92 @@ def test_moments_match_exact_rational_oracle(img):
     else:
         assert moment_invariants(gray).vector() == tuple(float(v) for v in exact)
         assert moments_fingerprint(gray).key == oracle_exact_key(gray)
+
+
+@st.composite
+def batches(draw) -> list[ImageBuffer]:
+    """Up to 12 images over a few shapes, grayscale and RGB, some below the dhash
+    grid, a third of them flat 0 (a black frame) or 255, in any order."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 24), st.integers(1, 24), st.sampled_from((1, 3))),
+                           min_size=1, max_size=3))
+    batch = []
+    for _ in range(draw(st.integers(1, 12))):
+        width, height, c = draw(st.sampled_from(shapes))
+        size = width * height * c
+        fill = draw(st.sampled_from((None, None, 0, 255)))
+        pixels = draw(st.binary(min_size=size, max_size=size)) if fill is None else bytes([fill]) * size
+        batch.append(ImageBuffer(width, height, c, pixels))
+    return batch
+
+
+@examples
+@given(batches(), st.sampled_from(sorted(FINGERPRINTS)))
+def test_stacked_fingerprints_match_per_image_oracle(batch, method):
+    assert fingerprint_images(method, batch) == [oracle_fingerprint(method, img) for img in batch]
+    shape = (batch[0].height, batch[0].width, batch[0].channels)
+    group = [img for img in batch if (img.height, img.width, img.channels) == shape]
+    planes = grayscale_stack(group)
+    assert planes.dtype == np.uint8 and planes.shape == (len(group), *shape[:2])
+    assert planes.tobytes() == b"".join(oracle_numpy_to_grayscale(img).pixels for img in group)
+    assert [to_grayscale(img) for img in group] == [oracle_numpy_to_grayscale(img) for img in group]
+    if shape[2] == 1:
+        assert [dhash_or_error(img) for img in group] == [dhash_or_error(img, oracle_numpy_dhash) for img in group]
+        assert [moments_or_error(img) for img in group] == [moments_or_error(img, oracle_raw_moments) for img in group]
+
+
+def dhash_or_error(gray: ImageBuffer, fn=dhash) -> int | str:
+    try:
+        return fn(gray)
+    except DataError as exc:
+        return str(exc)
+
+
+def moments_or_error(gray: ImageBuffer, raw=None) -> MomentInvariants | str:
+    try:
+        return moment_invariants(gray) if raw is None else _invariants(raw(gray))
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(9, 40), st.integers(8, 40), st.sampled_from((1, 3)), st.sampled_from((-1, 0, 1)),
+       st.sampled_from(sorted(FINGERPRINTS)), st.integers(0, 2**32 - 1))
+def test_groups_at_the_pixel_budget(width, height, channels, extra, method, seed):
+    """A group one image short of a full chunk, exactly one, and one image over,
+    with black frames among random ones; the images repeat in every chunk."""
+    count = CHUNK_PIXELS // (width * height) + extra
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, 256, size=(count, height, width, channels), dtype=np.uint8)
+    pixels[rng.integers(0, count, size=2)] = 0
+    batch = [ImageBuffer(width, height, channels, frame.tobytes()) for frame in pixels]
+    assert fingerprint_images(method, batch) == [oracle_fingerprint(method, img) for img in batch]
+
+
+def test_thin_images_stack_on_python_ints():
+    """20000x1 images exceed the int64 moment bound, so their stacked moments run
+    on Python ints; three fit in one chunk, so five take two."""
+    assert CHUNK_PIXELS // 20000 == 3
+    rng = np.random.default_rng(5)
+    batch = [ImageBuffer(20000, 1, 1, rng.integers(0, 256, 20000, dtype=np.uint8).tobytes()) for _ in range(3)]
+    batch += [ImageBuffer(20000, 1, 1, bytes(20000)), ImageBuffer(20000, 1, 1, b"\xff" * 20000)]
+    found = fingerprint_images("moments", batch)
+    assert found == [oracle_fingerprint("moments", img) for img in batch]
+    assert found[3] == "zero total intensity"
+    assert [f.key for f in found[:3] + found[4:]] == [oracle_exact_key(img) for img in batch[:3] + batch[4:]]
+
+
+def test_one_call_per_chunk(monkeypatch):
+    calls = []
+    kernel = FINGERPRINTS["dhash"]
+    monkeypatch.setitem(FINGERPRINTS, "dhash", lambda planes: calls.append(planes.shape) or kernel(planes))
+    per_chunk = CHUNK_PIXELS // (16 * 16)
+    batch = [ImageBuffer(16, 16, 3, bytes([i % 256]) * 768) for i in range(per_chunk + 1)]
+    batch.insert(1, ImageBuffer(8, 8, 1, bytes(64)))  # below the grid: the kernel refuses the whole stack
+    batch.insert(2, ImageBuffer(20, 10, 1, bytes(200)))
+    found = fingerprint_images("dhash", batch)
+    assert calls == [(per_chunk, 16, 16), (1, 16, 16), (1, 8, 8), (1, 10, 20)]  # groups in first-seen order
+    assert found[1] == "image 8x8 smaller than 9x8 grid"
+    assert found == [oracle_fingerprint("dhash", img) for img in batch]
 
 
 HEADER_PIECES = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"0", b"7", b"42", b"x", b"\xff", b"\x00"]

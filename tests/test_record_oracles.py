@@ -243,11 +243,10 @@ def test_columnar_parse_and_align_match_object_oracle(texts, as_bytes):
     assert paired.logits_a.tobytes() == _bits([r[2] for r in rows])
     assert paired.logits_b.tobytes() == _bits([r[3] for r in rows])
     replay = ReplayClassifier("m", table_a)
-    for r in expected[0]:
-        row = replay.infer(r.id)
-        assert row.tolist() == list(r.logits)
-        assert row.dtype == np.float64 and not row.flags.writeable
-        assert np.shares_memory(row, table_a.logits)
+    gathered = replay.infer([r.id for r in expected[0]][::-1])  # one gather, in the order asked
+    assert gathered.dtype == np.float64 and gathered.shape == table_a.logits.shape
+    assert gathered.tobytes() == _bits([r.logits for r in expected[0]][::-1])
+    assert not np.shares_memory(gathered, table_a.logits)
 
 
 # Values that JSON parses but a record rejects, or that only the per-value
