@@ -33,6 +33,33 @@ from .records import PairedDataset
 MEMORY_METHODS = ("none", "dhash", "moments")
 
 
+def _typed(kind: type, what: str) -> Callable[[object, str], object]:
+    def read(value: object, key: str) -> object:
+        if not isinstance(value, kind):
+            raise DataError(f"{key} must be {what}")
+        return value
+    return read
+
+
+def _threshold(value: object, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"{key} must be a number")
+    if not 0 <= value <= 1:  # before float(), which overflows on a huge integer
+        raise DataError(f"threshold {value} outside [0, 1]")
+    return float(value)
+
+
+# each config file key, in CascadeConfig.__init__'s argument order, with its reader (value, key) -> checked value
+_CONFIG_READERS = {
+    "first_model": _typed(str, "a string"),
+    "second_model": _typed(str, "a string"),
+    "score_fn": lambda value, key: ScoreFunction.parse(value),
+    "lambda": _threshold,
+    "post_check": _typed(bool, "a boolean"),
+    "memory": _typed(str, "a string"),
+}
+
+
 class CascadeConfig:
     """Runtime configuration of a calibrated cascade; it compares by value."""
 
@@ -54,38 +81,13 @@ class CascadeConfig:
         return f"CascadeConfig({', '.join(f'{name}={value!r}' for name, value in vars(self).items())})"
 
     def to_dict(self) -> dict:
-        return {
-            "first_model": self.first_model,
-            "second_model": self.second_model,
-            "score_fn": self.score_fn.value,
-            "lambda": self.threshold,
-            "post_check": self.post_check,
-            "memory": self.memory,
-        }
+        return dict(zip(_CONFIG_READERS, vars(self).values()), score_fn=self.score_fn.value)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CascadeConfig":
-        expected = {"first_model", "second_model", "score_fn", "lambda", "post_check", "memory"}
-        if not isinstance(obj, dict) or set(obj) != expected:
-            raise DataError(f"config must have exactly keys: {', '.join(sorted(expected))}")
-        for key in ("first_model", "second_model", "memory"):
-            if not isinstance(obj[key], str):
-                raise DataError(f"{key} must be a string")
-        if not isinstance(obj["post_check"], bool):
-            raise DataError("post_check must be a boolean")
-        threshold = obj["lambda"]
-        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
-            raise DataError("lambda must be a number")
-        if not 0 <= threshold <= 1:  # before float(), which overflows on a huge integer
-            raise DataError(f"threshold {threshold} outside [0, 1]")
-        return cls(
-            first_model=obj["first_model"],
-            second_model=obj["second_model"],
-            score_fn=ScoreFunction.parse(obj["score_fn"]),
-            threshold=float(threshold),
-            post_check=obj["post_check"],
-            memory=obj["memory"],
-        )
+        if not isinstance(obj, dict) or obj.keys() != _CONFIG_READERS.keys():
+            raise DataError(f"config must have exactly keys: {', '.join(sorted(_CONFIG_READERS))}")
+        return cls(*(read(obj[key], key) for key, read in _CONFIG_READERS.items()))
 
 
 def save_config(config: CascadeConfig, path: str) -> None:

@@ -56,6 +56,8 @@ class ReplayClassifier:
         self._rows = records.index
 
     def infer(self, sample_ids: Sequence[str]) -> np.ndarray:
+        if isinstance(sample_ids, str):  # else each of its characters would be read as an id
+            raise DataError(f"{self.name}: sample ids must be a sequence of ids, not a str")
         try:
             rows = list(map(self._rows.__getitem__, sample_ids))
         except KeyError as exc:

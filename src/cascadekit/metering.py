@@ -35,9 +35,6 @@ from .images import TRANSFORMS
 from .records import STAGES, CostProfile
 
 
-_REPORT_NUMBERS = ("total_energy_wh", "mean_latency_ms", "p95_latency_ms", "p99_latency_ms")
-
-
 def _count(value: object, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise DataError(f"{what} must be an integer >= 0")
@@ -48,6 +45,33 @@ def _counts(value: object, what: str) -> dict[str, int]:
     if not isinstance(value, dict):
         raise DataError(f"{what} must be an object")
     return {k: _count(v, f"{what} {k}") for k, v in value.items()}
+
+
+def _latencies(value: object, what: str) -> list[float]:
+    if not isinstance(value, list):
+        raise DataError(f"{what} must be an array")
+    return [non_negative_number(v, f"{what} entry") for v in value]
+
+
+def _optional(read: Callable[[object, str], object]) -> Callable[[object, str], object]:
+    return lambda value, key: None if value is None else read(value, key)
+
+
+# each report file key, in RunReport's field order, with its reader (value, key) -> checked value
+_REPORT_READERS = {
+    "sample_count": _count,
+    "path_counts": _counts,
+    "stage_counts": _counts,
+    "total_energy_wh": non_negative_number,
+    "total_current_mah": _optional(non_negative_number),
+    "latencies_ms": _latencies,
+    "mean_latency_ms": non_negative_number,
+    "p95_latency_ms": non_negative_number,
+    "p99_latency_ms": non_negative_number,
+    "metrics": _optional(lambda value, key: MacroMetrics(
+        *(non_negative_number(value[name], name) for name in MacroMetrics._fields))),
+    "config": _optional(lambda value, key: CascadeConfig.from_dict(value)),
+}
 
 
 class RunReport(NamedTuple):
@@ -64,19 +88,9 @@ class RunReport(NamedTuple):
     config: CascadeConfig | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "sample_count": self.sample_count,
-            "path_counts": dict(self.path_counts),
-            "stage_counts": dict(self.stage_counts),
-            "total_energy_wh": self.total_energy_wh,
-            "total_current_mah": self.total_current_mah,
-            "latencies_ms": list(self.latencies_ms),
-            "mean_latency_ms": self.mean_latency_ms,
-            "p95_latency_ms": self.p95_latency_ms,
-            "p99_latency_ms": self.p99_latency_ms,
-            "metrics": None if self.metrics is None else self.metrics._asdict(),
-            "config": self.config.to_dict() if self.config is not None else None,
-        }
+        obj = {k: v.copy() if isinstance(v, (dict, list)) else v for k, v in self._asdict().items()}
+        return obj | {"metrics": None if self.metrics is None else self.metrics._asdict(),
+                      "config": None if self.config is None else self.config.to_dict()}
 
     def _check_consistent(self) -> None:
         """The fields agree the way ``aggregate`` writes them."""
@@ -95,25 +109,7 @@ class RunReport(NamedTuple):
     def from_dict(cls, obj: dict) -> "RunReport":
         """Read a report back; a missing, ill-typed or inconsistent field is a DataError."""
         try:
-            metrics, current, latencies = obj["metrics"], obj["total_current_mah"], obj["latencies_ms"]
-            if metrics is not None:
-                metrics = MacroMetrics(
-                    *(non_negative_number(metrics[name], name) for name in MacroMetrics._fields)
-                )
-            if not isinstance(latencies, list):
-                raise DataError("latencies_ms must be an array")
-            report = cls(
-                sample_count=_count(obj["sample_count"], "sample_count"),
-                path_counts=_counts(obj["path_counts"], "path_counts"),
-                stage_counts=_counts(obj["stage_counts"], "stage_counts"),
-                total_current_mah=(
-                    None if current is None else non_negative_number(current, "total_current_mah")
-                ),
-                latencies_ms=[non_negative_number(v, "latencies_ms entry") for v in latencies],
-                **{k: non_negative_number(obj[k], k) for k in _REPORT_NUMBERS},
-                metrics=metrics,
-                config=None if obj["config"] is None else CascadeConfig.from_dict(obj["config"]),
-            )
+            report = cls(*(read(obj[key], key) for key, read in _REPORT_READERS.items()))
             report._check_consistent()
             return report
         except (KeyError, TypeError, ValueError) as exc:
@@ -306,10 +302,11 @@ def load_report(path: str) -> RunReport:
 
 def format_report_csv(report: RunReport) -> str:
     """One-row summary for spreadsheet comparison."""
-    numbers = [repr(getattr(report, name)) for name in _REPORT_NUMBERS]
+    columns = ("total_energy_wh", "mean_latency_ms", "p95_latency_ms", "p99_latency_ms")
+    numbers = [repr(getattr(report, name)) for name in columns]
     accuracy = "" if report.metrics is None else repr(report.metrics.accuracy)
     counts = [str(report.path_counts.get(path, 0)) for path in PATHS]
-    header = ["samples", *_REPORT_NUMBERS, "accuracy", *PATHS]
+    header = ["samples", *columns, "accuracy", *PATHS]
     row = [str(report.sample_count), *numbers, accuracy, *counts]
     return ",".join(header) + "\n" + ",".join(row) + "\n"
 

@@ -43,10 +43,10 @@ class RecordTable:
     (int64, N) and logits (float64, N x K), plus ``index``, a read-only map from
     each id to its row, in row order. The labels and the logits, row after row,
     are kept in plain Python arrays; the numpy arrays over them are made on first
-    read and are read-only. A parsed table's logits are the parse's own buffer,
-    which nothing else holds. A hand-built table needs one label and one logits
-    row per id; numpy arrays and scalars count as the Python values they hold,
-    and its logits array is a copy. A table is frozen and compares by identity."""
+    read and are read-only. The logits are the table's own buffer, never a caller's
+    array: the parse's, or one filled from a hand-built table's rows. A hand-built
+    table needs one label and one logits row per id; numpy arrays and scalars count
+    as the Python values they hold. A table is frozen and compares by identity."""
 
     def __init__(self, ids: Sequence[str], labels: Sequence[int], logits: Sequence[Sequence[float]]) -> None:
         numpy = sys.modules.get("numpy")  # while numpy is not loaded, no value is a numpy object
@@ -55,12 +55,12 @@ class RecordTable:
         if not len(ids) == len(labels) == len(rows):
             raise DataError(f"{len(ids)} ids but {len(labels)} labels and {len(rows)} logits rows")
         records = ((None, {"id": i, "label": y, "logits": r}) for i, y, r in zip(ids, labels, rows))
-        self._set_columns(*_build(records), parsed=False)
+        self._set_columns(*_build(records))
 
-    def _set_columns(self, index: dict[str, int], labels: array, values: array, k: int, parsed: bool) -> None:
+    def _set_columns(self, index: dict[str, int], labels: array, values: array, k: int) -> None:
         # _labels ("q"): one label per row; _values ("d"): every row's logits, row after row
         for name, value in (("ids", tuple(index)), ("index", MappingProxyType(index)), ("_labels", labels),
-                            ("_values", values), ("_k", k), ("_parsed", parsed)):
+                            ("_values", values), ("_k", k)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, *_: object) -> None:
@@ -84,8 +84,6 @@ class RecordTable:
         import numpy as np
 
         logits = np.frombuffer(self._values).reshape(len(self.ids), self._k)
-        if not self._parsed:
-            logits = logits.copy()  # a copy owns its data
         logits.setflags(write=False)
         return logits
 
@@ -237,7 +235,7 @@ def parse_prediction_records(data: bytes | str) -> RecordTable:
     the first bad line raises its line-numbered DataError.
     """
     table = object.__new__(RecordTable)  # over the parse's own columns, not copies
-    table._set_columns(*_build(parse_json_lines(data, "record")), parsed=True)
+    table._set_columns(*_build(parse_json_lines(data, "record")))
     return table
 
 

@@ -77,6 +77,12 @@ class TestReplayClassifier:
         with pytest.raises(DataError, match="^small: unknown sample id 'b'$"):
             clf.infer(["a", "b", "c"])
 
+    @pytest.mark.parametrize("ids", ["a", "ab"])
+    def test_a_str_is_not_a_sequence_of_ids(self, ids):
+        clf = ReplayClassifier("model_a", _table([("a", 0, (1.0, 2.0)), ("b", 1, (3.0, 4.0))]))
+        with pytest.raises(DataError, match="^model_a: sample ids must be a sequence of ids, not a str$"):
+            clf.infer(ids)
+
 
 class TestClassify:
     def test_confident_sample_stops_at_model_a(self):

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import random
 
 import pytest
 
-from cascadekit.calibration import CascadeConfig
+from cascadekit.calibration import _CONFIG_READERS, CascadeConfig
 from cascadekit.confidence import ScoreFunction
 from cascadekit.engine import (
     PATH_MEMORY_HIT,
@@ -21,6 +22,7 @@ from cascadekit.engine import (
 from cascadekit.errors import DataError
 from cascadekit.images import TRANSFORMS, rotate90
 from cascadekit.metering import (
+    _REPORT_READERS,
     DuplicationCurve,
     RunReport,
     aggregate,
@@ -436,20 +438,48 @@ class TestDuplicationExperiment:
             duplication_experiment(_samples(1), [], "identity", [], _costs())
 
 
-class TestReportSerialization:
-    def _report(self) -> RunReport:
-        config = CascadeConfig("model_a", "model_b", DIFF, 0.62, True, "none")
-        traces = [
-            _trace(["model_a"], "s0", predicted=0, label=0),
-            _trace(["model_a", "model_b"], "s1", PATH_MODEL_AB, predicted=1, label=0),
-        ]
-        return aggregate(traces, _costs(), config=config)
+def test_each_reader_table_lists_its_types_fields_in_order():
+    assert tuple(_REPORT_READERS) == RunReport._fields
+    config = CascadeConfig("model_a", "model_b", DIFF, 0.5, True)
+    assert tuple(_CONFIG_READERS) == tuple(config.to_dict())
+    # to_dict pairs the table with vars(config), which __init__ fills in its argument order
+    arguments = list(inspect.signature(CascadeConfig).parameters)
+    assert list(vars(config)) == arguments
+    assert list(_CONFIG_READERS) == ["lambda" if name == "threshold" else name for name in arguments]
 
-    def test_json_round_trip(self, tmp_path):
-        report = self._report()
+
+class TestReportSerialization:
+    def _report(self, metrics=True, config=True, current=None) -> RunReport:
+        label = 0 if metrics else None  # unlabelled traces give no metrics
+        traces = [
+            _trace(["model_a"], "s0", predicted=0, label=label),
+            _trace(["model_a", "model_b"], "s1", PATH_MODEL_AB, predicted=1, label=label),
+        ]
+        config = CascadeConfig("model_a", "model_b", DIFF, 0.62, True, "none") if config else None
+        return aggregate(traces, _costs(current=current), config=config)
+
+    @pytest.mark.parametrize("current", [0.25, None], ids=["current", "no_current"])
+    @pytest.mark.parametrize("config", [True, False], ids=["config", "no_config"])
+    @pytest.mark.parametrize("metrics", [True, False], ids=["metrics", "no_metrics"])
+    def test_json_round_trip(self, tmp_path, metrics, config, current):
+        report = self._report(metrics, config, current)
+        present = report.metrics is not None, report.config is not None, report.total_current_mah is not None
+        assert present == (metrics, config, current is not None)
         path = tmp_path / "report.json"
         path.write_text(format_report_json(report))
-        assert load_report(str(path)) == report
+        loaded = load_report(str(path))
+        assert loaded == report
+        assert format_report_json(loaded).encode() == path.read_bytes()
+
+    def test_to_dict_containers_are_copies(self):
+        report = self._report()
+        obj = report.to_dict()
+        obj["path_counts"]["model_ab"] = 9
+        obj["stage_counts"].clear()
+        obj["latencies_ms"].append(1.0)
+        obj["metrics"]["accuracy"] = 0.0
+        obj["config"]["lambda"] = 0.0
+        assert report == self._report()
 
     def test_json_shape(self):
         obj = json.loads(format_report_json(self._report()))

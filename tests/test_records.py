@@ -252,7 +252,7 @@ class TestRecordTable:
         table = RecordTable(("a", "b"), np.array([0, 1]), handed)
         logits[0, 0] = 9.0
         assert table.logits.tolist() == [[1.0, 0.0], [0.5, 2.0]]
-        assert table.logits.flags.owndata and not table.logits.flags.writeable
+        assert not np.shares_memory(table.logits, handed) and not table.logits.flags.writeable
 
     def test_index_maps_each_id_to_its_row(self):
         parsed = parse_prediction_records(_line("b", 0, [1.0, 0.0]) + "\n" + _line("a", 1, [0.5, 2.0]))
