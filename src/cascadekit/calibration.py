@@ -45,7 +45,7 @@ def _threshold(value: object, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DataError(f"{key} must be a number")
     if not 0 <= value <= 1:  # before float(), which overflows on a huge integer
-        raise DataError(f"threshold {value} outside [0, 1]")
+        raise DataError(f"{key} must be within [0, 1]")
     return float(value)
 
 

@@ -2,11 +2,12 @@
 
 Files are opened here only: every read, write and JSON parse of outside
 input goes through ``read_bytes``, ``write_text``, ``parse_json``,
-``parse_json_lines`` (a JSON Lines stream, one line-numbered document at a
-time) and ``read_parsed`` (a file through any parser, its errors prefixed
-with the path), so an unreadable or unwritable path, non-UTF-8 bytes,
-malformed JSON and an integer literal past CPython's int-string limit each
-become a DataError in one place, and every input file loads one way.
+``parse_json_chunks`` (a JSON Lines stream, its line-numbered documents 64
+lines at a time) and ``read_parsed`` (a file through any parser, its errors
+prefixed with the path), so an unreadable or unwritable path, non-UTF-8
+bytes, malformed or too deeply nested JSON and an integer literal past
+CPython's int-string limit each become a DataError in one place, and every
+input file loads one way.
 ``non_negative_number`` is the one check that a parsed JSON value is a
 finite, non-negative number.
 """
@@ -17,6 +18,9 @@ import io
 import json
 import math
 from collections.abc import Callable, Iterator
+from contextlib import suppress
+from itertools import islice, repeat
+from operator import itemgetter
 from typing import TypeVar
 
 T = TypeVar("T")
@@ -48,45 +52,57 @@ def write_text(path: str, text: str) -> None:
 def parse_json(data: bytes | str, what: str) -> object:
     """Decode UTF-8 bytes (a str passes through) and parse one JSON document.
 
-    ``ValueError`` covers ``JSONDecodeError``, ``UnicodeDecodeError`` and the
-    int-string limit that a literal of over 4300 digits hits.
+    ``ValueError`` covers ``JSONDecodeError``, ``UnicodeDecodeError`` and the int-string
+    limit that a literal of over 4300 digits hits; ``RecursionError``, too deep a nesting.
     """
     try:
         return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except UnicodeDecodeError as exc:
         raise DataError(f"{what} JSON is not valid UTF-8: {exc}") from None
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"invalid {what} JSON: {exc}") from None
 
 
 _DECODER = json.JSONDecoder()
+CHUNK_LINES = 64  # lines read, decoded and scanned at a time
 
 
-def parse_json_lines(data: bytes | str, what: str) -> Iterator[tuple[int, object]]:
-    """Yield ``(line number, document)`` for each non-empty line of a JSON Lines
-    stream, accepting exactly what ``json.loads`` accepts for that line.
+def parse_json_chunks(data: bytes | str, what: str) -> Iterator[tuple[list[int], list[object]]]:
+    """Yield ``(line numbers, documents)`` for the non-empty lines of a JSON Lines
+    stream, up to CHUNK_LINES lines at a time, accepting exactly what ``json.loads``
+    accepts for each line.
 
-    Lines end at ``"\n"`` only and are numbered from 1, empty ones included;
-    they are read one at a time, so a bytes stream is never copied whole. A
-    bytes line is decoded as UTF-8. Only JSON's whitespace (space, tab, CR,
-    LF) may surround a document; ``str.strip()`` would also drop Unicode
-    spaces that JSON rejects. The first line that is not one document raises
-    ``DataError("malformed <what> at line N: invalid JSON")``.
+    Lines end at ``"\n"`` only and are numbered from 1, empty ones included; a
+    bytes stream is read a chunk at a time, never copied whole, and its lines
+    are decoded as UTF-8. Only JSON's whitespace (space, tab, CR, LF) may
+    surround a document; ``str.strip()`` would also drop Unicode spaces that
+    JSON rejects. A chunk is decoded and scanned in one pass each; at the first
+    line that is not one document, the documents before it are yielded and
+    ``DataError("malformed <what> at line N: invalid JSON")`` is raised, so no
+    line is scanned twice.
     """
-    decode = _DECODER.raw_decode
-    newline = b"\n" if isinstance(data, bytes) else "\n"
-    lines = io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data, newline="\n")
-    for line_no, line in enumerate(lines, start=1):
-        if line == newline:  # an empty line
-            continue
-        try:
-            doc = (line.decode("utf-8") if isinstance(line, bytes) else line).strip(" \t\n\r")
-            obj, end = decode(doc)
-            if end != len(doc):
-                raise ValueError("extra data after the document")
-        except ValueError:  # also UnicodeDecodeError, JSONDecodeError and the int-string limit
-            raise DataError(f"malformed {what} at line {line_no}: invalid JSON") from None
-        yield line_no, obj
+    scan, is_bytes = _DECODER.scan_once, isinstance(data, bytes)
+    newline = b"\n" if is_bytes else "\n"
+    lines = io.BytesIO(data) if is_bytes else io.StringIO(data, newline="\n")
+    start = 1
+    while chunk := list(islice(lines, CHUNK_LINES)):
+        numbers = [n for n, line in enumerate(chunk, start) if line != newline]
+        start += len(chunk)
+        docs, scanned = [], []  # each extend keeps what it made before a bad line stopped it
+        kept = filter(newline.__ne__, chunk)
+        with suppress(ValueError):  # UnicodeDecodeError
+            docs.extend(map(str.strip, map(bytes.decode, kept) if is_bytes else kept, repeat(" \t\n\r")))
+        with suppress(ValueError, RecursionError):  # JSONDecodeError, the int-string limit, deep nesting
+            scanned.extend(map(scan, docs, repeat(0)))  # a line that starts no document ends it short
+        good, ends = len(scanned), list(map(len, docs))
+        if list(map(itemgetter(1), scanned)) != ends[:good]:  # a document that ends before its line
+            good = next(i for i, ((_, end), n) in enumerate(zip(scanned, ends)) if end != n)
+        objs = list(map(itemgetter(0), scanned[:good]))
+        del chunk, docs, scanned  # this, the del below and the caller's hold one chunk at a time
+        yield numbers[:good], objs
+        del objs
+        if good < len(numbers):
+            raise DataError(f"malformed {what} at line {numbers[good]}: invalid JSON")
 
 
 def read_parsed(path: str, what: str, parse: Callable[[bytes], T]) -> T:

@@ -53,6 +53,13 @@ def _latencies(value: object, what: str) -> list[float]:
     return [non_negative_number(v, f"{what} entry") for v in value]
 
 
+def _metrics(value: object, key: str) -> MacroMetrics:
+    try:
+        return MacroMetrics(*(non_negative_number(value[name], name) for name in MacroMetrics._fields))
+    except KeyError as exc:  # a missing metric, named by its dotted path
+        raise KeyError(f"{key}.{exc.args[0]}") from None
+
+
 def _optional(read: Callable[[object, str], object]) -> Callable[[object, str], object]:
     return lambda value, key: None if value is None else read(value, key)
 
@@ -68,8 +75,7 @@ _REPORT_READERS = {
     "mean_latency_ms": non_negative_number,
     "p95_latency_ms": non_negative_number,
     "p99_latency_ms": non_negative_number,
-    "metrics": _optional(lambda value, key: MacroMetrics(
-        *(non_negative_number(value[name], name) for name in MacroMetrics._fields))),
+    "metrics": _optional(_metrics),
     "config": _optional(lambda value, key: CascadeConfig.from_dict(value)),
 }
 
@@ -112,7 +118,9 @@ class RunReport(NamedTuple):
             report = cls(*(read(obj[key], key) for key, read in _REPORT_READERS.items()))
             report._check_consistent()
             return report
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise DataError(f"malformed run report: missing key {exc.args[0]}") from None
+        except (TypeError, ValueError) as exc:
             raise DataError(f"malformed run report: {exc}") from None
 
 
@@ -293,7 +301,12 @@ def duplication_experiment(
 
 
 def format_report_json(report: RunReport) -> str:
-    return json.dumps(report.to_dict(), indent=2) + "\n"
+    # indent=2 encodes in Python, so the latencies go through the C encoder, laid out as it lays top-level keys
+    text = json.dumps(report._replace(latencies_ms=[]).to_dict(), indent=2) + "\n"
+    if report.latencies_ms:
+        latencies = json.dumps(report.latencies_ms)[1:-1].replace(", ", ",\n    ")
+        text = text.replace('\n  "latencies_ms": []', f'\n  "latencies_ms": [\n    {latencies}\n  ]')
+    return text
 
 
 def load_report(path: str) -> RunReport:

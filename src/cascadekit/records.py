@@ -8,12 +8,13 @@ share the same logits length. A file parses into one columnar
 samples, and ``align_records`` joins them on id into a ``PairedDataset``
 with one logits matrix per model.
 
-A file is parsed in one pass: each non-empty line is JSON-parsed once and
-checked as one record, and the first bad line raises a line-numbered
-``DataError``. Each row's floats are appended to one float64 buffer, so no
-per-line list outlives its line, and the table's logits are that buffer, not a
-copy of it. A hand-built ``RecordTable`` runs each row through the same record
-check and build loop, so it refuses what the parse refuses, without line numbers.
+A file is parsed in one pass, ``CHUNK_LINES`` (64) lines at a time: a chunk's
+lines are JSON-scanned together, and C-level column checks let its records
+extend the columns in one step. A chunk they decline goes through the record
+check one record at a time, so the first bad line raises a line-numbered
+``DataError``. All floats go into one float64 buffer, the table's logits, so no
+per-row list outlives its chunk. A hand-built ``RecordTable`` goes through the
+same build, so it refuses what the parse refuses, without line numbers.
 
 This module imports no numpy: numpy is first loaded when a table's ``labels``
 or ``logits`` array is first read, which ``align_records`` does.
@@ -23,14 +24,16 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 import sys
 from array import array
 from functools import cached_property
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from types import MappingProxyType, SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .errors import DataError, non_negative_number, parse_json, parse_json_lines, read_parsed
+from .errors import CHUNK_LINES, DataError, non_negative_number, parse_json, parse_json_chunks, read_parsed
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,8 +57,8 @@ class RecordTable:
         ids, labels, rows = (_plain(column, kinds) for column in (ids, labels, logits))
         if not len(ids) == len(labels) == len(rows):
             raise DataError(f"{len(ids)} ids but {len(labels)} labels and {len(rows)} logits rows")
-        records = ((None, {"id": i, "label": y, "logits": r}) for i, y, r in zip(ids, labels, rows))
-        self._set_columns(*_build(records))
+        records = ({"id": i, "label": y, "logits": r} for i, y, r in zip(ids, labels, rows))
+        self._set_columns(*_build(iter(lambda: (None, list(islice(records, CHUNK_LINES))), (None, []))))
 
     def _set_columns(self, index: dict[str, int], labels: array, values: array, k: int) -> None:
         # _labels ("q"): one label per row; _values ("d"): every row's logits, row after row
@@ -200,30 +203,58 @@ _AT_LINE = ("logit out of float range", "non-finite logit", "inconsistent logits
             "label out of range", "duplicate id")
 
 
-def _build(records: Iterable[tuple[int | None, object]]) -> tuple[dict[str, int], array, array, int]:
-    """Check each (line number or None, record) pair in order and return a
+def _extend_columns(objs: list, index: dict[str, int], labels: array, logits: array, k: int | None) -> int | None:
+    """Add a chunk of records to the columns in one step and return their K when
+    C-level column checks show that each passes the record check; else None."""
+    if set(map(type, objs)) != {dict} or set(map(len, objs)) != {3}:
+        return None
+    try:  # with len 3, exactly the three keys; one width for every row
+        ids, chunk_labels, rows = zip(*map(itemgetter("id", "label", "logits"), objs))
+        "".join(ids).encode("utf-8")
+        (width,) = set(map(len, rows))
+    except (KeyError, TypeError, ValueError):  # ValueError: an id that is not Unicode, or several widths
+        return None
+    flat = list(chain.from_iterable(rows))
+    if (set(map(type, ids)) != {str} or set(map(type, chunk_labels)) != {int} or set(map(type, rows)) != {list}
+            or width < 2 or k not in (None, width) or min(chunk_labels) < 0 or max(chunk_labels) >= width
+            or set(map(type, flat)) != {float} or not (math.isfinite(sum(flat)) or all(map(math.isfinite, flat)))
+            or len(set(ids)) != len(ids) or not index.keys().isdisjoint(ids)):
+        return None
+    index.update(zip(ids, range(len(labels), len(labels) + len(ids))))
+    labels.extend(chunk_labels)
+    logits.frombytes(struct.pack(f"{len(flat)}d", *flat))  # the floats' own bits, faster than extend
+    return width
+
+
+def _build(chunks: Iterable[tuple[Sequence[int] | None, list]]) -> tuple[dict[str, int], array, array, int]:
+    """Check each chunk of (line numbers or None, records) in order and return a
     table's columns: each id's row, the int64 labels, every row's logits in one
-    float64 buffer, and the logits length K (0 with no records). The first bad
-    record raises its problem, with its line number if it has one."""
+    float64 buffer, and K (0 with no records). A chunk ``_extend_columns`` declines
+    goes through the record check one record at a time: the first bad one raises."""
     index: dict[str, int] = {}  # each id's row, in record order
     labels = array("q")
     logits = array("d")  # every row's floats, row after row
     expected_k: int | None = None
-    for line_no, obj in records:
-        try:
-            rid, label, values = _record_from_obj(obj, expected_k)
-            if rid in index:
-                raise DataError(f"duplicate id {_shown(rid)}")
-        except DataError as exc:
-            if line_no is None:
-                raise
-            at_line = f"{exc} at line {line_no}" if str(exc).startswith(_AT_LINE) else (
-                f"malformed record at line {line_no}: {exc}")
-            raise DataError(at_line) from None
-        index[rid] = len(labels)
-        expected_k = len(values)
-        labels.append(label)
-        logits.extend(values)
+    for numbers, objs in chunks:
+        if k := _extend_columns(objs, index, labels, logits, expected_k):
+            expected_k = k
+        else:
+            for line_no, obj in zip(numbers or repeat(None), objs):
+                try:
+                    rid, label, values = _record_from_obj(obj, expected_k)
+                    if rid in index:
+                        raise DataError(f"duplicate id {_shown(rid)}")
+                except DataError as exc:
+                    if line_no is None:
+                        raise
+                    at_line = f"{exc} at line {line_no}" if str(exc).startswith(_AT_LINE) else (
+                        f"malformed record at line {line_no}: {exc}")
+                    raise DataError(at_line) from None
+                index[rid] = len(labels)
+                expected_k = len(values)
+                labels.append(label)
+                logits.extend(values)
+        del objs  # before the next chunk is read, so the parse holds one chunk at a time
     return index, labels, logits, expected_k or 0
 
 
@@ -235,7 +266,7 @@ def parse_prediction_records(data: bytes | str) -> RecordTable:
     the first bad line raises its line-numbered DataError.
     """
     table = object.__new__(RecordTable)  # over the parse's own columns, not copies
-    table._set_columns(*_build(parse_json_lines(data, "record")))
+    table._set_columns(*_build(parse_json_chunks(data, "record")))
     return table
 
 

@@ -125,7 +125,7 @@ class TestCascadeConfig:
         for out_of_range in (1.5, -1, 10**400, float("nan")):
             obj = self._config().to_dict()
             obj["lambda"] = out_of_range
-            with pytest.raises(DataError, match="outside"):
+            with pytest.raises(DataError, match=r"^lambda must be within \[0, 1\]$"):
                 CascadeConfig.from_dict(obj)
         obj = self._config().to_dict()
         obj["lambda"] = 1

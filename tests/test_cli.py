@@ -757,7 +757,7 @@ class TestReport:
         paths = [good, malformed] if bad == "candidate" else [malformed, good]
         capsys.readouterr()
         assert main(["report", *map(str, paths)]) == 1
-        assert_one_error_line(capsys, f"error: {malformed}: malformed run report: 'metrics'\n")
+        assert_one_error_line(capsys, f"error: {malformed}: malformed run report: missing key metrics\n")
 
     def test_non_finite_reduction_is_a_data_error(self, workspace, tmp_path, capsys):
         obj = json.loads(self._write_report(workspace, tmp_path, "run.json").read_text())

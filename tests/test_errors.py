@@ -15,7 +15,7 @@ from cascadekit.errors import (
     DataError,
     non_negative_number,
     parse_json,
-    parse_json_lines,
+    parse_json_chunks,
     read_bytes,
     read_parsed,
     write_text,
@@ -37,6 +37,7 @@ BAD_FILES = {
     "non_utf8": b'{"x": "\xff\xfe"}\n',
     "invalid_json": b"{]\n",
     "huge_integer": b"[" + b"1" * 4400 + b"]\n",  # past CPython's int-string limit
+    "deeply_nested": b'{"a":' * 100000 + b"[" * 200000 + b"\n",  # past the decoder's recursion limit
 }
 
 
@@ -79,6 +80,13 @@ def test_write_text_round_trips_utf8(tmp_path):
     assert read_bytes(str(path), "text") == "λ=0.5\n".encode()
 
 
+def parse_json_lines(data: bytes | str, what: str):
+    """The chunk reader flattened: ``(line number, document)`` for each non-empty
+    line, lazily, so the lines before a bad one come out before its error."""
+    for numbers, docs in parse_json_chunks(data, what):
+        yield from zip(numbers, docs, strict=True)
+
+
 def test_parse_json_accepts_bytes_and_str():
     assert parse_json(b'{"a": [1, 2.5]}', "test") == {"a": [1, 2.5]}
     assert parse_json('{"a": null}', "test") == {"a": None}
@@ -91,8 +99,10 @@ def test_parse_json_accepts_bytes_and_str():
         ("{", "^invalid test JSON: "),
         (b"\xef\xbb\xbf{}", "^invalid test JSON: "),  # a UTF-8 byte-order mark
         ("1" * 4400, "^invalid test JSON: .*limit"),
+        ('{"a":' * 100000, "^invalid test JSON: maximum recursion depth exceeded"),
+        ("[" * 200000, "^invalid test JSON: maximum recursion depth exceeded"),
     ],
-    ids=["non_utf8", "invalid", "bom", "huge_integer"],
+    ids=["non_utf8", "invalid", "bom", "huge_integer", "nested_objects", "nested_arrays"],
 )
 def test_parse_json_errors(data, message):
     with pytest.raises(DataError, match=message):

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -529,6 +530,14 @@ class TestReportSerialization:
         obj = self._report().to_dict()
         obj[key] = value
         with pytest.raises(DataError, match=f"^malformed run report: .*{message}"):
+            RunReport.from_dict(obj)
+
+    @pytest.mark.parametrize("path", ["sample_count", "latencies_ms", "metrics", "metrics.precision"])
+    def test_from_dict_names_a_missing_key(self, path):
+        obj = self._report().to_dict()
+        *within, key = path.split(".")
+        del (obj[within[0]] if within else obj)[key]
+        with pytest.raises(DataError, match=f"^malformed run report: missing key {re.escape(path)}$"):
             RunReport.from_dict(obj)
 
     def test_from_dict_checks_the_config(self):

@@ -8,9 +8,10 @@ counting passes per class) and ``oracle_aggregate`` the former ``aggregate``
 (every stage of every trace checked and priced in turn).
 ``oracle_duplication_experiment`` is the former ``duplication_experiment``,
 which built a fresh engine, and so hashed every image again, at every
-ratio. They are kept unchanged apart from their names and their float sums,
-which add left to right as 3.11's ``sum()`` did and as the code under test
-does on every Python version. The new code must write the same bytes, give
+ratio. ``oracle_format_report_json`` is the former ``format_report_json``,
+one indented ``json.dumps`` of the whole report. They are kept unchanged
+apart from their names and their float sums, which add left to right as
+3.11's ``sum()`` did and as the code under test does on every Python version. The new code must write the same bytes, give
 the same floats, and raise the same first error.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import random
 from collections import Counter
 from typing import Callable, Sequence
@@ -329,6 +331,35 @@ def _report_or_error(fn, traces, costs):
 def test_aggregate_matches_per_trace_oracle(case):
     traces, costs = case
     assert _report_or_error(aggregate, traces, costs) == _report_or_error(oracle_aggregate, traces, costs)
+
+
+def oracle_format_report_json(report: RunReport) -> str:
+    """The former ``format_report_json``: json's indented dump of the whole report."""
+    return json.dumps(report.to_dict(), indent=2) + "\n"
+
+
+# repeats, subnormals, the largest floats, inf, -0.0 and 0.1's shortest repr
+report_latency_st = st.one_of(
+    st.floats(0, 1e6),
+    st.sampled_from([0.0, -0.0, 0.1, 5e-324, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308, math.inf]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(report_latency_st, max_size=12), st.booleans(), st.booleans())
+def test_report_json_matches_indented_dumps_oracle(latencies, metrics, config):
+    report = RunReport(
+        len(latencies), {p: 0 for p in PATHS}, {s: 1 for s in STAGES}, 0.5, None, latencies, 1.0, 2.0, 3.0,
+        MacroMetrics(0.5, 0.25, 1.0, 1e-320) if metrics else None,
+        CascadeConfig("latencies_ms", "b", ScoreFunction.DIFFERENCE, 0.5, True) if config else None,
+    )
+    assert format_report_json(report) == oracle_format_report_json(report)
+
+
+def test_report_json_of_one_latency():
+    report = RunReport(1, {p: 0 for p in PATHS}, {s: 0 for s in STAGES}, 0.0, None, [5e-324], 0.0, 0.0, 0.0)
+    assert '"latencies_ms": [\n    5e-324\n  ],' in format_report_json(report)
+    assert format_report_json(report) == oracle_format_report_json(report)
 
 
 def test_aggregate_bad_trace_after_cached_tuple_raises_oracle_error():

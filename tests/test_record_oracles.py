@@ -13,8 +13,10 @@ message as its ``repr``, so the message stays on one line. Half the files hold
 only float logits, the rows that take the record check's fast branch unless
 their sum overflows.
 
-The parser is also fed files broken in the ways record files break: it must
-raise the oracle's first message, or return the oracle's table bit for bit.
+The parser is also fed files broken in the ways record files break, and
+files whose size or faults sit on the edges of its ``CHUNK_LINES``-line
+chunks: it must raise the oracle's first message, or return the oracle's
+table bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from cascadekit import cli
 from cascadekit.calibration import CascadeConfig
 from cascadekit.confidence import ScoreFunction
 from cascadekit.engine import ReplayClassifier, run_batch
-from cascadekit.errors import DataError, parse_json
+from cascadekit.errors import CHUNK_LINES, DataError, parse_json
 from cascadekit.records import RecordTable, align_records, parse_prediction_records
 
 
@@ -154,6 +156,15 @@ def assert_table_matches(table: RecordTable, records: list[PredictionRecord]) ->
     assert table.logits.shape[0] == len(records)
     if records:
         assert table.logits.tobytes() == _bits([r.logits for r in records])
+
+
+def assert_parse_matches_oracle(data: bytes | str) -> None:
+    want = _outcome(oracle_parse, data)
+    got = _outcome(parse_prediction_records, data)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_table_matches(got, want)
 
 
 # Ids from a small pool so that files share, repeat and miss ids; the pool
@@ -327,13 +338,7 @@ def odd_record_file(draw) -> str:
 @given(odd_record_file(), st.booleans())
 @settings(max_examples=1000, deadline=None)
 def test_parse_matches_oracle_on_odd_files(text, as_bytes):
-    data = text.encode("utf-8", "surrogatepass") if as_bytes else text
-    want = _outcome(oracle_parse, data)
-    got = _outcome(parse_prediction_records, data)
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        assert_table_matches(got, want)
+    assert_parse_matches_oracle(text.encode("utf-8", "surrogatepass") if as_bytes else text)
 
 
 # Values no record accepts as a logit or as a label; in the parse's file each
@@ -441,6 +446,99 @@ def test_buffered_logits_match_oracle_bit_for_bit(k, kind, as_bytes):
     table = parse_prediction_records(data)
     assert table.logits.shape == ((n, k) if n else (0, 0))
     assert_table_matches(table, oracle_parse(data))
+
+
+def _chunk_file(n: int, faults: dict[int, bytes] | None = None, float_logits: bool = True) -> bytes:
+    """n record lines, each line number's own id and K = 2, with lines swapped
+    for ``faults`` (line number -> raw line); int logits send a chunk down
+    the record-by-record loop."""
+    faults = faults or {}
+    logits = "[%d.5,-0.25]" if float_logits else "[%d,0]"
+    return b"".join(
+        faults.get(i, b'{"id":"s%d","label":%d,"logits":%s}' % (i, i % 2, (logits % i).encode())) + b"\n"
+        for i in range(1, n + 1)
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1, 3 * CHUNK_LINES + 5])
+@pytest.mark.parametrize("float_logits", [True, False], ids=["floats", "ints"])
+@pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+def test_files_around_chunk_sizes_match_oracle(n, float_logits, as_bytes):
+    data = _chunk_file(n, float_logits=float_logits)
+    for data in (data, data.rstrip(b"\n")):  # with and without a last newline
+        table = parse_prediction_records(data if as_bytes else data.decode())
+        assert len(table) == n
+        assert_parse_matches_oracle(data if as_bytes else data.decode())
+
+
+@pytest.mark.parametrize("last, want", [
+    (None, None),
+    (b'{"id":"t","label":5,"logits":[1.0,2.0]}', "^label out of range at line 148$"),
+    (b"{", "^malformed record at line 148: invalid JSON$"),
+], ids=["clean", "record_fault", "json_fault"])
+def test_a_chunk_of_empty_lines_keeps_line_numbers(last, want):
+    # lines 11-138 are empty: the second chunk holds no record
+    lines = _chunk_file(10).split(b"\n")[:-1] + [b""] * (2 * CHUNK_LINES) + _chunk_file(20).split(b"\n")[10:-1]
+    assert len(lines) == 148 and CHUNK_LINES == 64
+    if last is not None:
+        lines[-1] = last
+    data = b"\n".join(lines) + b"\n"
+    assert_parse_matches_oracle(data)
+    if want is None:
+        assert parse_prediction_records(data).ids == tuple(f"s{i}" for i in range(1, 21))
+    else:
+        with pytest.raises(DataError, match=want):
+            parse_prediction_records(data)
+
+
+# one line for each fault the oracle names; "s2" repeats line 2's id (at line 1, line 2 repeats it)
+CHUNK_FAULTS = {
+    "not an object": b"[1.0,2.0]",
+    "missing key": b'{"id":"x","label":0}',
+    "extra key": b'{"id":"x","label":0,"logits":[1.0,2.0],"y":1}',
+    "int id": b'{"id":1,"label":0,"logits":[1.0,2.0]}',
+    "lone surrogate id": b'{"id":"\\ud800","label":0,"logits":[1.0,2.0]}',
+    "bool label": b'{"id":"x","label":true,"logits":[1.0,2.0]}',
+    "one logit": b'{"id":"x","label":0,"logits":[1.0]}',
+    "null logit": b'{"id":"x","label":0,"logits":[1.0,null]}',
+    "logit past float range": b'{"id":"x","label":0,"logits":[1.0,%s]}' % (b"9" * 400),
+    "NaN logit": b'{"id":"x","label":0,"logits":[1.0,NaN]}',
+    "three logits": b'{"id":"x","label":0,"logits":[1.0,2.0,3.0]}',
+    "label out of range": b'{"id":"x","label":2,"logits":[1.0,2.0]}',
+    "duplicate id": b'{"id":"s2","label":0,"logits":[1.0,2.0]}',
+    "invalid JSON": b'{"id":"x","label":0,"logits":[1.0,2.0]',
+    "trailing data": b'{"id":"x","label":0,"logits":[1.0,2.0]} 1',
+    "no document": b"\t ",
+    "bad UTF-8 byte": b'{"id":"\xff","label":0,"logits":[1.0,2.0]}',
+    "deeply nested": b"[" * 100000,
+}
+
+
+@pytest.mark.parametrize("line", [1, CHUNK_LINES, CHUNK_LINES + 1, 2 * CHUNK_LINES],
+                         ids=["first_of_first", "last_of_first", "first_of_second", "last_of_second"])
+@pytest.mark.parametrize("fault", sorted(CHUNK_FAULTS))
+@pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+def test_a_fault_at_a_chunk_edge_matches_oracle(fault, line, as_bytes):
+    data = _chunk_file(3 * CHUNK_LINES + 5, {line: CHUNK_FAULTS[fault]})
+    data = data if as_bytes else data.decode("utf-8", "surrogateescape")  # \xff: a lone surrogate
+    assert_parse_matches_oracle(data)
+    with pytest.raises(DataError):
+        parse_prediction_records(data)
+
+
+@pytest.mark.parametrize(
+    "record_line, json_line, want",
+    [(CHUNK_LINES + 3, CHUNK_LINES + 10, f"^label out of range at line {CHUNK_LINES + 3}$"),
+     (CHUNK_LINES + 10, CHUNK_LINES + 3, f"^malformed record at line {CHUNK_LINES + 3}: invalid JSON$"),
+     (2 * CHUNK_LINES - 1, 2 * CHUNK_LINES, f"^label out of range at line {2 * CHUNK_LINES - 1}$")],
+    ids=["record_fault_first", "json_fault_first", "last_two_lines"],
+)
+def test_the_first_fault_in_a_chunk_wins(record_line, json_line, want):
+    data = _chunk_file(3 * CHUNK_LINES, {record_line: CHUNK_FAULTS["label out of range"],
+                                         json_line: CHUNK_FAULTS["invalid JSON"]})
+    assert_parse_matches_oracle(data)
+    with pytest.raises(DataError, match=want):
+        parse_prediction_records(data)
 
 
 def test_sorted_ids_follow_utf8_byte_order():

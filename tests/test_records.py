@@ -9,8 +9,8 @@ import re
 import numpy as np
 import pytest
 
-from cascadekit import records
-from cascadekit.errors import DataError, parse_json_lines
+from cascadekit import errors, records
+from cascadekit.errors import DataError
 from cascadekit.records import (
     RecordTable,
     align_records,
@@ -187,30 +187,31 @@ class TestParseRecords:
     @pytest.mark.parametrize(
         "last, error",
         [('{"id":"c","label":1,"logits":[3,4]}', None),
-         ('{"id":"c","label":9,"logits":[3.0,4.0]}', "^label out of range at line 4$")],
-        ids=["int_logits", "bad_last_line"],
+         ('{"id":"c","label":9,"logits":[3.0,4.0]}', "^label out of range at line 4$"),
+         ('{"id":"c","label":1,"logits":[3.0,4.0]', "^malformed record at line 4: invalid JSON$")],
+        ids=["int_logits", "bad_last_line", "bad_json_last_line"],
     )
     def test_each_line_is_json_parsed_once(self, monkeypatch, last, error):
-        yielded = []
+        scanned = []
+        scan_once = errors._DECODER.scan_once
 
-        def counted(data, what):
-            for line_no, obj in parse_json_lines(data, what):
-                yielded.append(line_no)
-                yield line_no, obj
+        def counted(doc, idx):
+            scanned.append(doc)
+            return scan_once(doc, idx)
 
         def no_second_parser(*args):
-            raise AssertionError("a record line was parsed outside parse_json_lines")
+            raise AssertionError("a record line was parsed outside parse_json_chunks")
 
-        monkeypatch.setattr(records, "parse_json_lines", counted)
+        monkeypatch.setattr(errors._DECODER, "scan_once", counted)
         monkeypatch.setattr(records, "parse_json", no_second_parser)
-        text = "\n".join([_line("a", 0, [1, 2]), "", _line("b", 1, [2.5, 0]), last]) + "\n"
+        lines = [_line("a", 0, [1, 2]), "", _line("b", 1, [2.5, 0]), last]
+        text = "\n".join(lines) + "\n"
         if error is None:
             assert parse_prediction_records(text).logits.tolist() == [[1, 2], [2.5, 0], [3, 4]]
         else:
             with pytest.raises(DataError, match=error):
                 parse_prediction_records(text)
-        assert yielded == [1, 3, 4]
-
+        assert scanned == [lines[0], lines[2], lines[3]]
 
     def test_no_per_row_object_outlives_its_line(self):
         # 5000 rows each kept as a Python list until the parse ends would be 5000
