@@ -1,22 +1,23 @@
 """Runtime cascade engine: memory lookup, then the cascade rule over two classifiers.
 
 The rule itself (threshold test, model B on escalation, post-check) is
-``calibration.decide``, the batch form of the rule calibration sweeps; the
-engine adds the memory around it and traces every sample. Each StageTrace
-names the path taken and the exact stages executed, which is what the
-metering module prices. A batch makes one call to model A, for all its
-memory misses in stream order, and at most one to model B, for the
-escalated ones; each answer is one (n, K) float64 array whose shape is
-checked once. With memory enabled the engine fingerprints the (grayscaled)
-image first and skips both models on a hit; the predicted label of every
-non-hit sample is inserted afterwards, so hits replay earlier cascade
-decisions, mistakes included. A fingerprint is a function of the pixels
-alone, so an engine hashes each distinct image once, together with the
-batch's other new images of its shape, and keeps the result (or the hash
-error's message) while the caller keeps that image alive; ``clear_memory``
-empties the label memory but keeps those. A replayed answer is a gathered
-copy of the record table's rows; SampleRef and StageTrace are immutable
-NamedTuples.
+``calibration.decide``, the batch form of the rule calibration sweeps;
+the engine adds the memory around it and traces every sample. Each
+StageTrace names the path taken and the exact stages executed, which is
+what the metering module prices. A batch makes one call to model A, for
+all its memory misses in stream order, and at most one to model B, for
+the escalated ones; each answer is one (n, K) float64 array whose shape
+is checked once. A batch that raises leaves the label memory as it was.
+With memory enabled the engine fingerprints the (grayscaled) image first
+and skips both models on a hit; the predicted label of every non-hit
+sample is inserted afterwards, so hits replay earlier cascade decisions,
+mistakes included. A fingerprint is a function of the pixels alone, so
+an engine hashes each distinct image once, together with the batch's
+other new images of its shape, and keeps the result (or the hash error's
+message) while the caller keeps that image alive; ``clear_memory``
+empties the label memory but keeps those. A replayed answer is a
+gathered copy of the record table's rows; SampleRef and StageTrace are
+immutable NamedTuples.
 """
 
 from __future__ import annotations
@@ -110,25 +111,6 @@ class CascadeEngine:
         self._fingerprints.update(zip(new, fingerprint_images(self.config.memory, new)))
         return {key: self._fingerprints[image] for key, image in images.items()}
 
-    def _logits_a(self, ids: list[str]) -> tuple[np.ndarray | None, DataError | None]:
-        """Model A's logits for ``ids`` from one call, and no error.
-
-        If that call raises, each id is asked alone: the result is then the
-        logits of the ids before the first one refused (None if there are none)
-        and that refusal, so the samples before it can still be decided."""
-        try:
-            logits = self.classifier_a.infer(ids)
-        except DataError as exc:
-            error = exc
-        else:
-            return checked_logits(self.config.first_model, logits, len(ids)), None
-        for cut, sample_id in enumerate(ids):
-            try:
-                self.classifier_a.infer([sample_id])
-            except DataError as exc:
-                return (self._logits_a(ids[:cut])[0] if cut else None), exc
-        raise error
-
     def run(self, samples: Sequence[SampleRef]) -> list[StageTrace]:
         """Classify samples in stream order and trace every stage.
 
@@ -138,42 +120,33 @@ class CascadeEngine:
         asked once for every miss, and one ``decide`` over them asks model B once
         for the escalated ones. A hash failure (say, an all-black image under
         moments) degrades the sample to the no-memory path and is recorded on
-        the trace. The first bad sample in stream order raises, after the
-        samples before it are decided.
+        the trace. A batch that raises leaves the label memory as it was: a
+        sample without an image (memory on) raises before any model is asked,
+        then model A's error, then model B's.
         """
         plan = []  # (sample, fingerprint, hash error, hit) per sample
         fresh: set[Fingerprint] = set()  # fingerprints of this batch's misses
         miss_ids: list[str] = []
-        miss_at: list[int] = []  # each miss's place in the plan
-        error: DataError | None = None
         entries = {} if self.store is None else self._memo_entries(samples)
-        try:
-            for sample in samples:
-                fp = hash_error = None
-                if self.store is not None:
-                    if sample.image is None:
-                        raise DataError(f"sample {sample.id!r}: image required when memory={self.config.memory}")
-                    fp = entries[id(sample.image)]
-                    if isinstance(fp, str):
-                        fp, hash_error = None, fp
-                hit = fp is not None and (fp in fresh or self.store.lookup(fp) is not None)
-                if not hit:
-                    miss_ids.append(sample.id)
-                    miss_at.append(len(plan))
-                    if fp is not None:
-                        fresh.add(fp)
-                plan.append((sample, fp, hash_error, hit))
-        except DataError as exc:
-            error = exc
+        for sample in samples:
+            fp = hash_error = None
+            if self.store is not None:
+                if sample.image is None:
+                    raise DataError(f"sample {sample.id!r}: image required when memory={self.config.memory}")
+                fp = entries[id(sample.image)]
+                if isinstance(fp, str):
+                    fp, hash_error = None, fp
+            hit = fp is not None and (fp in fresh or self.store.lookup(fp) is not None)
+            if not hit:
+                miss_ids.append(sample.id)
+                if fp is not None:
+                    fresh.add(fp)
+            plan.append((sample, fp, hash_error, hit))
         decisions = iter(())
         if miss_ids:
-            logits_a, refusal = self._logits_a(miss_ids)
-            if refusal is not None:  # model A refused a miss before any pass-1 error
-                cut = 0 if logits_a is None else len(logits_a)
-                plan, miss_ids, error = plan[: miss_at[cut]], miss_ids[:cut], refusal
-            if logits_a is not None:
-                decisions = zip(*decide(self.config, logits_a, lambda rows: self.classifier_b.infer(
-                    [miss_ids[r] for r in rows.tolist()])))
+            logits_a = checked_logits(self.config.first_model, self.classifier_a.infer(miss_ids), len(miss_ids))
+            decisions = zip(*decide(self.config, logits_a, lambda rows: self.classifier_b.infer(
+                [miss_ids[r] for r in rows.tolist()])))
         traces = []
         for sample, fp, hash_error, hit in plan:
             if hit:  # first seen before this batch or earlier in this loop
@@ -188,8 +161,6 @@ class CascadeEngine:
             path = PATH_MODEL_A_ONLY if score_b is None else PATH_MODEL_AB
             traces.append(StageTrace(sample.id, path, "a" if chosen_a else "b", predicted, sample.label,
                                      score_a, score_b, stages, hash_error))
-        if error is not None:
-            raise error
         return traces
 
 

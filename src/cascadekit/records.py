@@ -217,12 +217,18 @@ def _extend_columns(objs: list, index: dict[str, int], labels: array, logits: ar
     flat = list(chain.from_iterable(rows))
     if (set(map(type, ids)) != {str} or set(map(type, chunk_labels)) != {int} or set(map(type, rows)) != {list}
             or width < 2 or k not in (None, width) or min(chunk_labels) < 0 or max(chunk_labels) >= width
-            or set(map(type, flat)) != {float} or not (math.isfinite(sum(flat)) or all(map(math.isfinite, flat)))
-            or len(set(ids)) != len(ids) or not index.keys().isdisjoint(ids)):
+            or not set(map(type, flat)) <= {int, float} or len(set(ids)) != len(ids)
+            or not index.keys().isdisjoint(ids)):
+        return None
+    try:  # an int past the float range overflows here; the record check names its line
+        if not (math.isfinite(sum(flat)) or all(map(math.isfinite, flat))):
+            return None
+        packed = struct.pack(f"{len(flat)}d", *flat)  # the floats' own bits, faster than extend
+    except (OverflowError, struct.error):
         return None
     index.update(zip(ids, range(len(labels), len(labels) + len(ids))))
     labels.extend(chunk_labels)
-    logits.frombytes(struct.pack(f"{len(flat)}d", *flat))  # the floats' own bits, faster than extend
+    logits.frombytes(packed)
     return width
 
 

@@ -9,9 +9,11 @@ functions, so the engine's stacked hashing and per-image fingerprint memo
 are checked, not reused, and it asks each classifier for one id at a time
 through the batch protocol. Driven one sample at a time on a fresh engine,
 they must give the traces ``run_batch`` gives, field for field and type for
-type, leave the same memo store, ask each classifier for the same ids in
-the same order, and raise the same first ``DataError``. The engine asks
-model A once per batch and model B at most once.
+type, leave the same memo store, and ask each classifier for the same ids
+in the same order. The engine asks model A once per batch and model B at
+most once. A faulty batch raises in a fixed order of checks, not the
+oracle's stream order: a sample without an image (memory on), then model
+A's first error, then model B's; and it leaves the memo store as it was.
 """
 
 from __future__ import annotations
@@ -232,34 +234,48 @@ def test_batches_match_per_sample_oracle(n, k, data):
 # model B answers a batch at once, so the oracle's per-sample length error becomes a shape error
 B_SHAPE = re.compile(r"model_b: logits of shape \((\d+), (\d+)\) for \1 samples, want \(\1, (\d+)\)")
 
+# faults a stream can carry: a sample without an image, one unknown to model A
+A_FAULTS = [SampleRef("s0", None), SampleRef("ghost-a", synthetic_image(8, 8, 90))]
+# faults of escalated samples: one unknown to model B, one whose B logits are too long
+B_FAULTS = [SampleRef("ghost-b", synthetic_image(8, 8, 91)), SampleRef("short-b", synthetic_image(8, 8, 92))]
+
+
+def _rows_for_faults(data, n: int, k: int) -> tuple[list[str], dict, dict]:
+    """Ids s0.. and both models' logits for them and for the faults' ids."""
+    ids = [f"s{i}" for i in range(n)]
+    rows_a = dict(zip(ids, data.draw(logit_rows(n, k))))
+    rows_b = dict(zip(ids, data.draw(logit_rows(n, k))))
+    # a flat row scores diff 0, so these two always escalate to model B at a threshold above 0
+    rows_a["ghost-b"] = rows_a["short-b"] = [0.0] * k
+    rows_b["short-b"] = [0.0] * (k + 1)
+    return ids, rows_a, rows_b
+
+
+def _insert_faults(data, stream: list[SampleRef], faults: list[SampleRef]) -> None:
+    for fault in data.draw(st.lists(st.sampled_from(faults), min_size=1, max_size=4)):
+        stream.insert(data.draw(st.integers(0, len(stream))), fault)
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4), st.integers(2, 5), st.data())
 def test_first_error_is_the_oracles(n, k, data):
-    ids = [f"s{i}" for i in range(n)]
-    rows_a = dict(zip(ids, data.draw(logit_rows(n, k))))
-    rows_b = dict(zip(ids, data.draw(logit_rows(n, k))))
-    # a flat row scores diff 0, so these two always escalate to model B
-    rows_a["ghost-b"] = rows_a["short-b"] = [0.0] * k
-    rows_b["short-b"] = [0.0] * (k + 1)
+    ids, rows_a, rows_b = _rows_for_faults(data, n, k)
     threshold = data.draw(st.floats(0.05, 1.0))
     memory = data.draw(st.sampled_from(("none", "dhash", "moments")))
     config = CascadeConfig("model_a", "model_b", ScoreFunction.DIFFERENCE, threshold, True, memory)
     stream = data.draw(streams(ids))
-    faults = [
-        SampleRef(ids[0], None),                                    # missing image
-        SampleRef("ghost-a", synthetic_image(8, 8, 90)),            # unknown to model A
-        # model B's answer covers every escalated sample, so a stream gets one kind of B fault:
-        data.draw(st.sampled_from([
-            SampleRef("ghost-b", synthetic_image(8, 8, 91)),        # escalated, unknown to model B
-            SampleRef("short-b", synthetic_image(8, 8, 92)),        # escalated, B logits too long
-        ])),
-    ]
-    for fault in data.draw(st.lists(st.sampled_from(faults), min_size=1, max_size=4)):
-        stream.insert(data.draw(st.integers(0, len(stream))), fault)
+    # model B's answer covers every escalated sample, so a stream gets one kind of B fault
+    _insert_faults(data, stream, [*A_FAULTS, data.draw(st.sampled_from(B_FAULTS))])
     engine, oracle = _engines(config, rows_a, rows_b)
+    # the oracle over a model B that answers any one id: model A's first error, if any
+    oracle_a = CascadeEngine(config, LoggedClassifier("model_a", rows_a), Answers("model_b", np.zeros((1, k))))
 
-    want = _first_error(lambda s=s: oracle_classify(oracle, s) for s in stream)
+    missing = [s for s in stream if s.image is None]
+    if memory != "none" and missing:  # before any model is asked
+        want = f"sample {missing[0].id!r}: image required when memory={memory}"
+    else:
+        want = (_first_error(lambda s=s: oracle_classify(oracle_a, s) for s in stream)
+                or _first_error(lambda s=s: oracle_classify(oracle, s) for s in stream))
     got = _first_error([lambda: run_batch(engine, stream)])
     if want is None:  # the missing image is harmless only without memory
         assert memory == "none" and got is None
@@ -268,10 +284,30 @@ def test_first_error_is_the_oracles(n, k, data):
         assert match and (int(match[2]), int(match[3])) == (k + 1, k)
     else:
         assert got == want
-        if memory != "none" and not want.startswith("model_b: "):
-            # the samples before a pass-1 error or model A's refusal are decided and remembered
-            assert list(engine.store._entries.items()) == list(oracle.store._entries.items())
+    if want is not None and memory != "none":
+        assert list(engine.store._entries.items()) == []
+    assert len(engine.classifier_a.calls) == (0 if want is not None and want.startswith("sample ") else 1)
     assert len(engine.classifier_b.calls) <= 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 5), st.data())
+def test_a_batch_that_raises_leaves_the_memory_as_it_was(n, k, data):
+    ids, rows_a, rows_b = _rows_for_faults(data, n, k)
+    threshold = data.draw(st.floats(0.05, 1.0))
+    memory = data.draw(st.sampled_from(("dhash", "moments")))
+    config = CascadeConfig("model_a", "model_b", ScoreFunction.DIFFERENCE, threshold, data.draw(st.booleans()), memory)
+    engine, _ = _engines(config, rows_a, rows_b)
+    run_batch(engine, data.draw(streams(ids)))  # a clean batch warms the memory
+    before = list(engine.store._entries.items())
+    calls_a, calls_b = len(engine.classifier_a.calls), len(engine.classifier_b.calls)
+    stream = data.draw(streams(ids))
+    _insert_faults(data, stream, [*A_FAULTS, *B_FAULTS])
+    with pytest.raises(DataError):
+        run_batch(engine, stream)
+    assert list(engine.store._entries.items()) == before
+    assert len(engine.classifier_a.calls) - calls_a <= 1
+    assert len(engine.classifier_b.calls) - calls_b <= 1
 
 
 def test_classifiers_are_asked_only_for_misses_and_escalations():
@@ -295,8 +331,8 @@ def test_classifiers_are_asked_only_for_misses_and_escalations():
 
 
 def test_unknown_model_a_id_mid_stream():
-    """Model A refuses the batch; asked one id at a time, it names the first
-    unknown id, and the samples before that one are decided and remembered."""
+    """Model A refuses the batch, naming the first unknown id it was asked for;
+    that error is raised as it is, model B is not asked, nothing is remembered."""
     rows = {"x": [9.0, 0.0], "y": [0.0, 9.0]}
     config = CascadeConfig("model_a", "model_b", ScoreFunction.DIFFERENCE, 0.5, True, "dhash")
     engine, oracle = _engines(config, rows, rows)
@@ -308,9 +344,8 @@ def test_unknown_model_a_id_mid_stream():
     with pytest.raises(DataError, match="^model_a: unknown sample id 'ghost'$"):
         for sample in stream:
             oracle_classify(oracle, sample)
-    assert list(engine.store._entries.items()) == list(oracle.store._entries.items())
-    assert list(engine.store._entries.values()) == [0, 1]
-    assert engine.classifier_a.calls == [["x", "y", "ghost", "phantom"], ["x"], ["y"], ["ghost"], ["x", "y"]]
+    assert list(engine.store._entries.items()) == []
+    assert engine.classifier_a.calls == [["x", "y", "ghost", "phantom"]]
     assert engine.classifier_b.calls == []
 
 

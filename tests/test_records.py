@@ -104,6 +104,31 @@ class TestParseRecords:
         with pytest.raises(DataError, match="logit out of float range at line 1"):
             parse_prediction_records(_line("a", 0, [sign * 10**400, 0.0]))
 
+    @pytest.mark.parametrize("logits", [[10**400, -10**400], [1, 10**400], [10**400, 1, -10**400]])
+    def test_integer_logits_beyond_float_range_in_an_int_row(self, logits):
+        # the row's sum may be finite, or an int itself: each value still needs a float
+        with pytest.raises(DataError, match="^logit out of float range at line 1$"):
+            parse_prediction_records(_line("a", 0, logits))
+
+    def test_integer_logit_beyond_float_range_in_a_later_chunk(self):
+        lines = [_line(f"s{i}", 0, [i, 0]) for i in range(69)] + [_line("big", 0, [10**400, -10**400])]
+        with pytest.raises(DataError, match="^logit out of float range at line 70$"):
+            parse_prediction_records("\n".join(lines) + "\n")
+
+    def test_integer_logits_pass_the_chunk_check(self, monkeypatch):
+        # 200 lines span four chunks; each chunk of ints is taken whole, with no one-record check
+        rows = [[(i * 7 + j) % 13 - 6 for j in range(10)] for i in range(200)]
+        floats = parse_prediction_records("".join(
+            _line(f"s{i}", i % 10, [float(v) for v in row]) + "\n" for i, row in enumerate(rows)))
+
+        def no_record_check(*args):
+            raise AssertionError("a record of a valid chunk went through the one-record check")
+
+        monkeypatch.setattr(records, "_record_from_obj", no_record_check)
+        ints = parse_prediction_records("".join(_line(f"s{i}", i % 10, row) + "\n" for i, row in enumerate(rows)))
+        assert ints.logits.tobytes() == floats.logits.tobytes()
+        assert ints.labels.tolist() == floats.labels.tolist() and ints.ids == floats.ids
+
     def test_duplicate_id(self):
         text = _line("a", 0, [1.0, 0.0]) + "\n" + _line("a", 1, [0.0, 1.0]) + "\n"
         with pytest.raises(DataError, match="duplicate id a at line 2"):
