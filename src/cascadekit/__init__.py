@@ -22,7 +22,7 @@ _EXPORTS = {
     "confidence": ("ScoreFunction", "score", "softmax"),
     "engine": (
         "CascadeEngine", "Classifier", "MacroMetrics", "ReplayClassifier", "SampleRef",
-        "StageTrace", "macro_metrics", "run_batch",
+        "StageTrace", "Traces", "macro_metrics", "run_batch",
     ),
     "errors": ("DataError",),
     "images": ("ImageBuffer", "load_image_pnm", "to_grayscale", "write_image_pnm"),

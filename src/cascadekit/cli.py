@@ -38,10 +38,10 @@ def _model_names(path_a: str, path_b: str) -> tuple[str, str]:
 
 
 def _load_pair(args: argparse.Namespace, names: tuple[str, str] | None = None):
-    """Both record files' tables and their alignment, each file named as ``_model_names`` names it.
+    """Both record files' tables and their model names, each file named as ``_model_names`` names it.
     Given a config's (first, second) ``names``, the tables come in that order, so a swapped config
     replays its own order; files that name other models are a DataError."""
-    from .records import align_records, load_prediction_records
+    from .records import load_prediction_records
 
     tables = [load_prediction_records(args.records_a), load_prediction_records(args.records_b)]
     found = _model_names(args.records_a, args.records_b)
@@ -52,7 +52,7 @@ def _load_pair(args: argparse.Namespace, names: tuple[str, str] | None = None):
                 f"but the config names {names[0]!r} and {names[1]!r}"
             )
         tables.reverse()
-    return tables, align_records(*tables, *(names or found))
+    return tables, names or found
 
 
 def _load_config(args: argparse.Namespace) -> CascadeConfig:
@@ -65,18 +65,20 @@ def _load_config(args: argparse.Namespace) -> CascadeConfig:
 
 
 def _load_replay(args: argparse.Namespace, config: CascadeConfig, with_images: bool, with_labels: bool):
-    """The cost profile, an engine wired to the config's two models, and one sample per aligned id."""
+    """The cost profile, an engine wired to the config's two models, and one sample per aligned id.
+    The replay reads the tables' rows by id, so the alignment check is all it needs of them."""
     from .engine import CascadeEngine, ReplayClassifier, SampleRef
-    from .records import load_cost_profile
+    from .records import align_rows, load_cost_profile
 
     costs = load_cost_profile(args.costs)
-    names = (config.first_model, config.second_model)
-    tables, paired = _load_pair(args, names)
+    tables, names = _load_pair(args, (config.first_model, config.second_model))
+    ids, labels, _, _ = align_rows(*tables)
     engine = CascadeEngine(config, *map(ReplayClassifier, names, tables))
-    labels = paired.labels.tolist() if with_labels else [None] * len(paired)
+    if not with_labels:
+        labels = [None] * len(ids)
     samples = [
         SampleRef(sid, _load_sample_image(args.images, sid) if with_images else None, label)
-        for sid, label in zip(paired.ids, labels)
+        for sid, label in zip(ids, labels)
     ]
     return costs, engine, samples
 
@@ -113,10 +115,12 @@ def cmd_complementarity(args: argparse.Namespace) -> int:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     from .calibration import auto_select, find_lambda_star, format_curve_csv, save_config
     from .confidence import ScoreFunction
+    from .records import align_records
 
     if args.score == "auto" and args.no_post_check:
         args.parser.error("--no-post-check cannot be combined with --score auto")
-    _, paired = _load_pair(args)
+    tables, names = _load_pair(args)
+    paired = align_records(*tables, *names)
     if args.score == "auto":
         result = auto_select(paired)
     else:

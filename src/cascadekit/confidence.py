@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import enum
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,10 +49,7 @@ def add_in_order(values: Iterable[float]) -> float:
     """Left-to-right float sum, as numpy's row adds in ``softmax_rows`` and
     ``score_rows`` and ``sum()`` before Python 3.12 (which compensates) add;
     report totals add this way, so they match on every Python version."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
+    return reduce(add, values, 0.0)
 
 
 def softmax(logits: Sequence[float]) -> list[float]:

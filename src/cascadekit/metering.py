@@ -1,13 +1,16 @@
 """Energy and latency accounting over stage traces.
 
 The cost model is linear: each executed stage contributes a fixed energy
-and latency taken from a CostProfile. Totals are computed by summing raw
-stage counts first and multiplying once per stage, so the grand total is
-immune to per-sample rounding. Percentiles use the nearest-rank order
-statistic. The duplication experiment builds each engine once and empties
-its label memory before every ratio, so each ratio's stream starts cold;
-that is how the memory component's flat-energy behavior shows up against
-a linear baseline.
+and latency taken from a CostProfile. ``aggregate`` reads a batch's
+``Traces`` by column: it counts the paths and the distinct stages tuples,
+prices each distinct tuple once, and sums raw stage counts first and
+multiplies once per stage, so the grand total is immune to per-sample
+rounding. Percentiles use the nearest-rank order statistic; both of a
+report's come from one sort. The duplication experiment builds each
+engine once and empties its label memory before every ratio, so each
+ratio's stream starts cold; that is how the memory component's
+flat-energy behavior shows up against a linear baseline. Only it loads
+the pixel transforms (``images``).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import json
 import math
 import random
 from collections import Counter
+from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 from .calibration import CascadeConfig
@@ -27,11 +31,11 @@ from .engine import (
     MacroMetrics,
     SampleRef,
     StageTrace,
+    Traces,
     macro_metrics,
     run_batch,
 )
 from .errors import DataError, non_negative_number, parse_json, read_parsed
-from .images import TRANSFORMS
 from .records import STAGES, CostProfile
 
 
@@ -130,58 +134,68 @@ def nearest_rank(values: Sequence[float], percentile: float) -> float:
         raise DataError("no values for percentile")
     if not 0 < percentile <= 100:
         raise DataError(f"percentile {percentile} outside (0, 100]")
-    ordered = sorted(values)
-    rank = math.ceil(percentile * len(ordered) / 100)
-    return ordered[rank - 1]
+    return _ranked(sorted(values), percentile)
+
+
+def _ranked(ordered: list[float], percentile: float) -> float:
+    return ordered[math.ceil(percentile * len(ordered) / 100) - 1]
+
+
+_KNOWN_STAGES = frozenset(STAGES)
 
 
 def aggregate(
-    traces: Sequence[StageTrace],
+    traces: Traces | Sequence[StageTrace],
     costs: CostProfile,
     config: CascadeConfig | None = None,
 ) -> RunReport:
-    """Sum a trace list into a RunReport against one cost profile."""
+    """Sum a batch's traces into a RunReport against one cost profile; a list
+    of rows is read through ``Traces.from_rows``. The first trace, in order,
+    with an unknown path or stage is named."""
+    if not isinstance(traces, Traces):
+        traces = Traces.from_rows(traces)
     if not traces:
         raise DataError("no traces to aggregate")
     for stage in STAGES:
         if stage not in costs.stages:
             raise DataError(f"cost profile missing stage {stage!r}")
-    path_counts = {p: 0 for p in PATHS}
+    paths = Counter(traces.path)
+    stage_tuples = Counter(traces.stages)  # each distinct stages tuple, with its count
+    if paths.keys() - PATHS or not _KNOWN_STAGES.issuperset(chain.from_iterable(stage_tuples)):
+        for path, stages, sample_id in zip(traces.path, traces.stages, traces.sample_id):
+            if path not in PATHS:
+                raise DataError(f"unknown path {path!r} in trace {sample_id!r}")
+            for stage in stages:
+                if stage not in _KNOWN_STAGES:
+                    raise DataError(f"unknown stage {stage!r} in trace {sample_id!r}")
     stage_counts = {s: 0 for s in STAGES}
-    stage_latency: dict[tuple[str, ...], float] = {}  # per distinct stages tuple, checked once
-    for t in traces:
-        if t.path not in path_counts:
-            raise DataError(f"unknown path {t.path!r} in trace {t.sample_id!r}")
-        path_counts[t.path] += 1
-        if t.stages not in stage_latency:
-            latency = 0.0
-            for stage in t.stages:
-                if stage not in stage_counts:
-                    raise DataError(f"unknown stage {stage!r} in trace {t.sample_id!r}")
-                latency += costs.latency(stage)
-            stage_latency[t.stages] = latency
-    latencies = [stage_latency[t.stages] for t in traces]
-    for stages, count in Counter(t.stages for t in traces).items():
+    stage_latency: dict[tuple[str, ...], float] = {}  # per distinct stages tuple
+    for stages, count in stage_tuples.items():
+        latency = 0.0
         for stage in stages:
             stage_counts[stage] += count
+            latency += costs.latency(stage)
+        stage_latency[stages] = latency
+    latencies = list(map(stage_latency.__getitem__, traces.stages))
+    ordered = sorted(latencies)
     total_energy = add_in_order(count * costs.energy(s) for s, count in stage_counts.items())
     currents = [costs.stages[s].current_mah for s in STAGES]
     total_current = None
     if all(c is not None for c in currents):
         total_current = add_in_order(count * costs.stages[s].current_mah for s, count in stage_counts.items())
     metrics = None
-    if all(t.label is not None for t in traces):
-        metrics = macro_metrics([t.label for t in traces], [t.predicted for t in traces])
+    if None not in traces.label:
+        metrics = macro_metrics(traces.label, traces.predicted)
     return RunReport(
         sample_count=len(traces),
-        path_counts=path_counts,
+        path_counts={p: paths[p] for p in PATHS},
         stage_counts=stage_counts,
         total_energy_wh=total_energy,
         total_current_mah=total_current,
         latencies_ms=latencies,
         mean_latency_ms=add_in_order(latencies) / len(latencies),
-        p95_latency_ms=nearest_rank(latencies, 95),
-        p99_latency_ms=nearest_rank(latencies, 99),
+        p95_latency_ms=_ranked(ordered, 95),
+        p99_latency_ms=_ranked(ordered, 99),
         metrics=metrics,
         config=config,
     )
@@ -233,6 +247,8 @@ class DuplicationCurve(NamedTuple):
 
 
 def _duplicate(sample: SampleRef, transform_name: str, rng: random.Random) -> SampleRef:
+    from .images import TRANSFORMS
+
     if transform_name == RANDOM_TRANSFORM:
         transform_name = rng.choice(list(TRANSFORMS))
     if sample.image is None:
@@ -251,6 +267,8 @@ def build_duplicated_stream(
 ) -> list[SampleRef]:
     """Originals in order, with the duplicate of sample i at position 2i+1
     while duplicates remain; floor(ratio * N) duplicates total."""
+    from .images import TRANSFORMS
+
     if not 0.0 <= ratio <= 1.0:
         raise DataError(f"duplication ratio {ratio} outside [0, 1]")
     if transform_name not in TRANSFORMS and transform_name != RANDOM_TRANSFORM:

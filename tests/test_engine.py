@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from cascadekit import engine as engine_module
+from cascadekit import metering
 from cascadekit.calibration import CascadeConfig, accuracy_at
 from cascadekit.confidence import ScoreFunction
 from cascadekit.engine import (
@@ -23,7 +25,7 @@ from cascadekit.errors import DataError
 from cascadekit.images import ImageBuffer, rotate90
 from cascadekit.metering import aggregate
 from cascadekit.phash import dhash_fingerprint
-from cascadekit.records import RecordTable, align_records, load_cost_profile
+from cascadekit.records import RecordTable, align_records, load_cost_profile, load_prediction_records
 from cascadekit.synthetic import synthetic_image
 from test_calibration_oracles import oracle_decide
 from test_metering_oracles import oracle_trace_to_dict as trace_to_dict
@@ -258,6 +260,30 @@ class TestRunBatch:
         report = aggregate(traces, load_cost_profile(str(costs_dir / "cifar10.json")))
         assert report.metrics is not None
         assert report.metrics.accuracy == 1.0
+
+    def test_a_memory_off_batch_builds_no_trace_row(self, monkeypatch, data_dir, costs_dir):
+        """run_batch, aggregate and the trace writer keep a batch in columns: no StageTrace is
+        made, neither by its constructor nor by ``tuple.__new__`` through a module's name for it."""
+        tables = [load_prediction_records(str(data_dir / f"{name}.jsonl")) for name in ("model_a", "model_b")]
+        config = CascadeConfig("model_a", "model_b", DIFF, 0.5, True)
+        engine = CascadeEngine(config, *map(ReplayClassifier, ("model_a", "model_b"), tables))
+        samples = [SampleRef(i, label=y) for i, y in zip(tables[0].ids, tables[0].labels.tolist())]
+        costs = load_cost_profile(str(costs_dir / "cifar10.json"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a StageTrace row was built")
+
+        monkeypatch.setattr(StageTrace, "__new__", refuse)
+        monkeypatch.setattr(StageTrace, "_make", classmethod(refuse))
+        for module in (engine_module, metering):
+            monkeypatch.setattr(module, "StageTrace", None)
+        traces, summary = run_batch(engine, samples)
+        report = aggregate(traces, costs)
+        text = format_traces_jsonl(traces)
+        monkeypatch.undo()
+        assert text.count("\n") == report.sample_count == len(traces) == 500
+        assert 0 < summary.path_counts[PATH_MODEL_AB] < 500
+        assert text == format_traces_jsonl(list(traces))
 
     def test_order_matters_for_memory(self):
         img = synthetic_image(16, 16, seed=5)

@@ -212,7 +212,7 @@ def test_batches_match_per_sample_oracle(n, k, data):
     for lo, hi in zip([0, *cuts], [*cuts, len(stream)]):  # repeats may span batches
         if lo < hi:
             calls_a, calls_b = len(engine.classifier_a.calls), len(engine.classifier_b.calls)
-            traces = run_batch(engine, stream[lo:hi])[0]
+            traces = list(run_batch(engine, stream[lo:hi])[0])
             misses = sum(t.path != PATH_MEMORY_HIT for t in traces)
             assert len(engine.classifier_a.calls) - calls_a == (misses > 0)  # once, or not at all
             assert len(engine.classifier_b.calls) - calls_b == any(t.path == PATH_MODEL_AB for t in traces)

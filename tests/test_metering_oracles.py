@@ -24,6 +24,7 @@ import random
 from collections import Counter
 from typing import Callable, Sequence
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +39,7 @@ from cascadekit.engine import (
     ReplayClassifier,
     SampleRef,
     StageTrace,
+    Traces,
     format_traces_jsonl,
     macro_metrics,
     run_batch,
@@ -375,6 +377,80 @@ def test_aggregate_bad_trace_after_cached_tuple_raises_oracle_error():
 
 
 
+
+# the rows an engine writes: a hit, an A-only or A+B decision with or without
+# the memory's lookup and insert, and a degraded sample with its hash error
+ROW_SHAPES = [
+    (PATH_MEMORY_HIT, "memory", ("memory_lookup",), False),
+    (PATHS[1], "a", ("model_a",), False),
+    (PATHS[2], "b", ("model_a", "model_b"), False),
+    (PATHS[2], "a", ("model_a", "model_b"), False),
+    (PATHS[1], "a", ("memory_lookup", "model_a", "memory_insert"), False),
+    (PATHS[2], "b", ("memory_lookup", "model_a", "model_b", "memory_insert"), False),
+    (PATHS[1], "a", ("model_a",), True),
+    (PATHS[2], "a", ("model_a", "model_b"), True),
+]
+
+
+@st.composite
+def batch_rows(draw) -> tuple[list[StageTrace], CostProfile]:
+    """A batch of engine-shaped rows with unusual ids, labels that may all be
+    set or not, and now and then an unknown path or stage on any row."""
+    costs = CostProfile({
+        s: StageCost(draw(latency_st), draw(latency_st), draw(st.one_of(st.none(), latency_st))) for s in STAGES
+    })
+    labels = draw(st.sampled_from(["all", "none", "some"]))
+    errors = st.one_of(st.sampled_from(["zero total intensity", "image is 0x0"]), text_st)
+    rows = []
+    for i in range(draw(st.integers(1, 12))):
+        path, chosen, stages, degraded = draw(st.sampled_from(ROW_SHAPES))
+        score_a = None if path == PATH_MEMORY_HIT else draw(score_st.filter(lambda v: v is not None))
+        score_b = draw(score_st.filter(lambda v: v is not None)) if path == PATHS[2] else None
+        label = draw(st.integers(-2, 12)) if labels == "all" or labels == "some" and draw(st.booleans()) else None
+        rows.append(StageTrace(draw(text_st) + str(i), path, chosen, draw(st.integers(-2, 12)), label, score_a, score_b,
+                               stages, draw(errors) if degraded else None))
+    for _ in range(draw(st.integers(0, 2)) if draw(st.booleans()) else 0):  # bad rows, now and then
+        at = draw(st.integers(0, len(rows) - 1))
+        if draw(st.booleans()):
+            rows[at] = rows[at]._replace(path=draw(st.sampled_from(["bogus", "memory", "", "Model_AB"])))
+        else:
+            stages = list(rows[at].stages)
+            stages.insert(draw(st.integers(0, len(stages))), draw(st.sampled_from(["model_c", "", "MODEL_A"])))
+            rows[at] = rows[at]._replace(stages=tuple(stages))
+    return rows, costs
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch_rows())
+def test_columns_aggregate_and_write_as_the_per_trace_oracles(case):
+    rows, costs = case
+    traces = Traces.from_rows(rows)
+    assert list(traces) == rows
+    want = _outcome(oracle_aggregate, rows, costs)
+    assert repr(_outcome(aggregate, traces, costs)) == repr(want)  # bit for bit
+    if want[0] is DataError:  # the first bad row, in order, is the one named
+        bad = next(t for t in rows if t.path not in PATHS or not set(t.stages) <= set(STAGES))
+        assert want[1].endswith(f" in trace {bad.sample_id!r}")
+    assert format_traces_jsonl(traces) == "".join(
+        json.dumps(oracle_trace_to_dict(t), separators=(",", ":")) + "\n" for t in rows)
+
+
+@pytest.mark.parametrize("n", [19, 20, 99, 100])
+def test_each_percentile_reads_its_own_rank(n):
+    """One A+B sample among A-only ones is the top latency: p95 reads it up to 19 samples, p99 up to 99."""
+    rows = [StageTrace(f"s{i}", PATHS[1], "a", 0, 0, 0.5, None, ("model_a",)) for i in range(n - 1)]
+    rows.append(StageTrace("last", PATHS[2], "b", 1, 0, 0.25, 0.75, ("model_a", "model_b")))
+    costs = CostProfile({s: StageCost(0.1, 10.0) for s in STAGES})
+    report = aggregate(Traces.from_rows(rows), costs)
+    assert repr(report) == repr(oracle_aggregate(rows, costs))
+    assert (report.p95_latency_ms, report.p99_latency_ms) == (20.0 if n < 20 else 10.0, 20.0 if n < 100 else 10.0)
+
+
+def test_zero_traces_write_an_empty_file():
+    assert format_traces_jsonl(Traces.from_rows([])) == ""
+    assert format_traces_jsonl([]) == ""
+
+
 DUP_COSTS = CostProfile({
     "memory_lookup": StageCost(0.001, 1.0),
     "memory_insert": StageCost(0.002, 1.0),
@@ -481,7 +557,7 @@ def test_hash_error_message_is_reused_not_reraised():
     first = run_batch(engine, [SampleRef("x", blank), SampleRef("y", ImageBuffer(9, 8, 1, bytearray(72)))])[0]
     engine.clear_memory()
     again = run_batch(engine, [SampleRef("x", blank)])[0]
-    assert [t.hash_error for t in first + again] == ["zero total intensity"] * 3
+    assert [t.hash_error for t in [*first, *again]] == ["zero total intensity"] * 3
     assert len(engine._fingerprints) == 1 and len(engine.store) == 0
 
 

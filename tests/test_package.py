@@ -96,6 +96,9 @@ def _modules_loaded(argv: list[str]) -> set[str]:
 STARTUP = {"errors"}  # what the CLI loads before it runs a command
 # these two load no numpy either (test_start_path_loads_no_numpy); calibrate's modules do
 COMPLEMENTARITY = STARTUP | {"records", "complementarity"}
+CALIBRATE = COMPLEMENTARITY | {"calibration", "confidence"}
+# replay and pricing without memory, and reading reports back, load no image or fingerprint module
+METERING = CALIBRATE | {"engine", "metering"}
 
 
 @pytest.mark.parametrize(
@@ -103,7 +106,9 @@ COMPLEMENTARITY = STARTUP | {"records", "complementarity"}
     [
         ("help", STARTUP),
         ("complementarity", COMPLEMENTARITY),
-        ("calibrate", COMPLEMENTARITY | {"calibration", "confidence"}),
+        ("calibrate", CALIBRATE),
+        ("run", METERING),
+        ("report", METERING),
         ("hash", STARTUP | {"phash", "images"}),
     ],
 )
@@ -111,6 +116,11 @@ def test_each_command_loads_only_its_modules(tmp_path, command, loads):
     model_a, model_b = str(DATA / "model_a.jsonl"), str(DATA / "model_b.jsonl")
     image = tmp_path / "image.pgm"
     image.write_bytes(write_image_pnm(synthetic_image(16, 16, seed=1)))
+    _write_config(tmp_path)  # memory none
+    replay = [arg.format(tmp=tmp_path) for arg in REPLAY]
+    report = str(tmp_path / "report.json")
+    if command == "report":
+        assert main(["run", *replay, "--labels", "--report", report]) == 0
     argv = {
         "help": ["--help"],
         "complementarity": ["complementarity", model_a, model_b, "--out", str(tmp_path / "m.csv")],
@@ -118,6 +128,8 @@ def test_each_command_loads_only_its_modules(tmp_path, command, loads):
             "calibrate", "--records-a", model_a, "--records-b", model_b,
             "--out", str(tmp_path / "config.json"),
         ],
+        "run": ["run", *replay, "--labels", "--report", str(tmp_path / "r.json"), "--traces", str(tmp_path / "t.jsonl")],
+        "report": ["report", report, report],
         "hash": ["hash", "--method", "moments", str(image)],
     }[command]
     assert _modules_loaded(argv) == loads
