@@ -2,7 +2,9 @@
 # Six seeded 32x32 RGB frames, one black, through the stacked grayscale and
 # fingerprint kernels of `cascadekit duplication`: at ratio 1 every identity
 # copy hits under dhash; under moments every rot90 copy hits but the black one,
-# which has no moments. Exits non-zero if either hit count differs.
+# which has no moments. Then `cascadekit run --traces` under moments writes one
+# trace per frame: the black one carries its hash error, the other five look the
+# memory up. Exits non-zero if either hit count or that trace file differs.
 #
 # usage, from the repository root: bash .github/dup6.sh WORKDIR [CLI...]
 # CLI is the command that runs cascadekit (default: the console script), for
@@ -37,3 +39,9 @@ for case in "dhash identity 6" "moments rot90 5"; do
   "${cli[@]}" duplication --config "$dir/$memory.json" --records-a "$dir/model_a.jsonl" --records-b "$dir/model_b.jsonl" --images "$dir/images" --costs costs/cifar10.json --ratios 0,1 --transform "$transform" --out "$dir/$memory.csv" | tee "$dir/$memory.txt"
   grep -E "^ratio=1\.0 .* hits=$hits\$" "$dir/$memory.txt"
 done
+
+blank='"hash_error":"zero total intensity"'
+"${cli[@]}" run --config "$dir/moments.json" --records-a "$dir/model_a.jsonl" --records-b "$dir/model_b.jsonl" --images "$dir/images" --costs costs/cifar10.json --report "$dir/run.json" --traces "$dir/traces.jsonl"
+test "$(wc -l < "$dir/traces.jsonl")" -eq 6
+test "$(grep -cF "$blank" "$dir/traces.jsonl")" -eq 1
+test "$(grep -vF "$blank" "$dir/traces.jsonl" | grep -cF '"memory_lookup"')" -eq 5

@@ -1,29 +1,26 @@
 """Runtime cascade engine: memory lookup, then the cascade rule over two classifiers.
 
 The rule itself (threshold test, model B on escalation, post-check) is
-``calibration.decide``, the batch form of the rule calibration sweeps;
-the engine adds the memory around it and traces every sample. A batch's
-traces come back as one ``Traces``, a list per StageTrace field; each row
-names the path taken and the exact stages executed, which is what the
-metering module prices, and a StageTrace row is made only when a caller
-iterates or indexes. A batch makes one call to model A, for all its
-memory misses in stream order, and at most one to model B, for the
-escalated ones; each answer is one (n, K) float64 array whose shape is
-checked once. With memory off a batch is decided as columns, with no
-per-sample step but list comprehensions. A batch that raises leaves the
-label memory as it was. With memory enabled the engine fingerprints the
-(grayscaled) image first and skips both models on a hit; the predicted
-label of every non-hit sample is inserted afterwards, so hits replay
-earlier cascade decisions, mistakes included. A fingerprint is a
-function of the pixels alone, so an engine hashes each distinct image
-once, together with the batch's other new images of its shape, and keeps
-the result (or the hash error's message) while the caller keeps that
-image alive; ``clear_memory`` empties the label memory but keeps those.
-``phash`` (and with it ``images``) is imported only by an engine with
-memory on. A replayed answer is a gathered copy of the record table's
-rows; SampleRef and StageTrace are immutable NamedTuples. The trace
-writer reads the columns too, and writes each distinct path, label,
-stages tuple and hash error as JSON once.
+``calibration.decide``, the batch form of the rule calibration sweeps. A
+batch's traces come back as one ``Traces``, a list per StageTrace field;
+each row names the path taken and the exact stages executed, which is what
+the metering module prices, and a StageTrace row is made only when a caller
+iterates or indexes. A batch makes one call to model A, for all its memory
+misses in stream order, and at most one to model B, for the escalated ones;
+each answer is one (n, K) float64 array whose shape is checked once. With
+memory enabled, the memory is one filter in front of that decided path: the
+engine fingerprints each (grayscaled) image, a hit skips both models, and
+the misses' decided columns are written into stream order in place. The
+predicted label of every miss is inserted afterwards, so hits replay earlier
+cascade decisions, mistakes included; a batch that raises leaves the label
+memory as it was. An engine hashes each distinct image once, together with
+the batch's other new images of its shape, and keeps the fingerprint (or the
+hash error's message) while the caller keeps that image alive;
+``clear_memory`` empties the label memory but keeps those. ``phash`` (and
+with it ``images``) is imported only by an engine with memory on. A replayed
+answer is a gathered copy of the record table's rows; SampleRef and
+StageTrace are immutable NamedTuples. The trace writer reads the columns,
+writing each distinct path, label, stages tuple and hash error as JSON once.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import weakref
 from collections import Counter
 from itertools import compress
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, eq
+from operator import attrgetter, eq, index
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
@@ -123,6 +120,7 @@ class Traces:
         return map(StageTrace, *_columns(self))
 
     def __getitem__(self, i: int) -> StageTrace:
+        i = index(i)  # a slice, or any other index that is not an integer, is a TypeError
         return StageTrace(*(column[i] for column in _columns(self)))
 
 
@@ -154,21 +152,22 @@ class CascadeEngine:
 
             self.store = MemoStore()
 
-    def _memo_entries(self, samples: Sequence[SampleRef]) -> dict[int, Fingerprint | str]:
-        """Each sample image's fingerprint or hash error message, keyed by the image's id().
-
-        The batch's images with no memo entry yet are hashed together first."""
+    def _keys(self, samples: Sequence[SampleRef]) -> list[Fingerprint | str]:
+        """Each sample's fingerprint or hash error message, in stream order. A sample without
+        an image is refused before the batch's images with no memo entry yet are hashed together."""
         from .phash import fingerprint_images
 
-        images = {id(s.image): s.image for s in samples if s.image is not None}  # alive for the call
-        new = list({image: None for image in images.values() if image not in self._fingerprints})
+        for s in samples:
+            if s.image is None:
+                raise DataError(f"sample {s.id!r}: image required when memory={self.config.memory}")
+        images = [s.image for s in samples]  # alive for the call
+        new = list({image: None for image in images if image not in self._fingerprints})
         self._fingerprints.update(zip(new, fingerprint_images(self.config.memory, new)))
-        return {key: self._fingerprints[image] for key, image in images.items()}
+        return list(map(self._fingerprints.__getitem__, images))
 
-    def _decided(self, ids: list[str], labels: list[int | None], fps: list[Fingerprint | None] | None = None,
-                 hash_errors: list[str | None] | None = None) -> Traces:
+    def _decided(self, ids: list[str], labels: list[int | None], keys: list[Fingerprint | str] | None = None) -> Traces:
         """The traces of samples no memory answers: model A asked once for all ids, then one
-        ``decide``. ``fps`` (memory on) holds each sample's fingerprint, None after a hash error."""
+        ``decide``. ``keys`` (memory on) holds each sample's ``_keys`` entry."""
         predicted = chosen_a = scores_a = scores_b = []
         if ids:
             logits_a = checked_logits(self.config.first_model, self.classifier_a.infer(ids), len(ids))
@@ -176,59 +175,50 @@ class CascadeEngine:
                 self.config, logits_a, lambda rows: self.classifier_b.infer(list(map(ids.__getitem__, rows.tolist()))))
         paths = [PATH_MODEL_A_ONLY if b is None else PATH_MODEL_AB for b in scores_b]
         stages = list(map(_STAGES.__getitem__, paths))
-        if fps is not None:
-            stages = [s if fp is None else _MEMO_STAGES[s] for s, fp in zip(stages, fps)]
+        hash_errors = [None] * len(ids)
+        if keys is not None:  # a hash error skips the memory stages
+            hash_errors = [key if isinstance(key, str) else None for key in keys]
+            stages = [_MEMO_STAGES[s] if e is None else s for s, e in zip(stages, hash_errors)]
         return Traces(ids, paths, ["a" if a else "b" for a in chosen_a], predicted, labels, scores_a, scores_b,
-                      stages, hash_errors or [None] * len(ids))
+                      stages, hash_errors)
 
     def run(self, samples: Sequence[SampleRef]) -> Traces:
         """Classify samples in stream order and trace every stage.
 
         With memory off, model A is asked once for the whole batch, and one
         ``decide`` asks model B once for the escalated samples. With memory on,
-        the batch's new images are fingerprinted first. Pass 1 then finds the
-        memory misses: a sample hits if its fingerprint is in the store or is an
-        earlier miss's, so no hit waits on a decision. The misses are decided as
-        above and their answers stored; the hits read theirs, and both sets of
-        columns are merged back into stream order. A hash failure (say, an
-        all-black image under moments) degrades the sample to the no-memory path
-        and is recorded on the trace. A batch that raises leaves the label memory
-        as it was: a sample without an image (memory on) raises before any model
-        is asked, then model A's error, then model B's.
+        one pass over the ``_keys`` finds the misses: a hash error (say, an
+        all-black image under moments) always misses and is recorded on the
+        trace; a fingerprint misses unless the store or an earlier miss holds it,
+        so no hit waits on a decision. The misses are decided as above and their
+        answers stored; then every sample is traced as a hit, its label read from
+        the store, and the misses' columns are written over their positions. A
+        batch that raises leaves the label memory as it was: a sample without an
+        image (memory on) raises before anything is hashed, then model A's
+        error, then model B's.
         """
         if self.store is None:
             return self._decided([s.id for s in samples], [s.label for s in samples])
-        fresh: set[Fingerprint] = set()  # fingerprints of this batch's misses
+        keys = self._keys(samples)
+        fresh: set[Fingerprint | str] = set()  # keys of this batch's misses
         miss_at: list[int] = []  # stream positions
-        hit_at: list[int] = []
-        miss_fps: list[Fingerprint | None] = []
-        hash_errors: list[str | None] = []
-        entries = self._memo_entries(samples)
-        for at, sample in enumerate(samples):
-            if sample.image is None:
-                raise DataError(f"sample {sample.id!r}: image required when memory={self.config.memory}")
-            fp, hash_error = entries[id(sample.image)], None
-            if isinstance(fp, str):
-                fp, hash_error = None, fp
-            if fp is not None and (fp in fresh or self.store.lookup(fp) is not None):
-                hit_at.append(at)
-                continue
-            miss_at.append(at)
-            miss_fps.append(fp)
-            hash_errors.append(hash_error)
-            if fp is not None:
-                fresh.add(fp)
-        misses, hits = ([samples[at] for at in positions] for positions in (miss_at, hit_at))
-        decided = self._decided([s.id for s in misses], [s.label for s in misses], miss_fps, hash_errors)
-        for fp, predicted in zip(miss_fps, decided.predicted):
-            if fp is not None:
-                self.store.insert(fp, predicted)
-        n = len(hits)
-        remembered = Traces([s.id for s in hits], [PATH_MEMORY_HIT] * n, ["memory"] * n,
-                            [self.store.lookup(entries[id(s.image)]) for s in hits], [s.label for s in hits],
-                            [None] * n, [None] * n, [("memory_lookup",)] * n, [None] * n)
-        order = sorted(range(len(samples)), key=(miss_at + hit_at).__getitem__)  # into misses + hits
-        return Traces(*(list(map((m + h).__getitem__, order)) for m, h in zip(_columns(decided), _columns(remembered))))
+        for at, key in enumerate(keys):  # a hash error message always misses
+            if isinstance(key, str) or key not in fresh and self.store.lookup(key) is None:
+                miss_at.append(at)
+                fresh.add(key)
+        miss_keys = [keys[at] for at in miss_at]
+        decided = self._decided([samples[at].id for at in miss_at], [samples[at].label for at in miss_at], miss_keys)
+        for key, predicted in zip(miss_keys, decided.predicted):
+            if not isinstance(key, str):
+                self.store.insert(key, predicted)
+        n = len(samples)
+        traces = Traces([s.id for s in samples], [PATH_MEMORY_HIT] * n, ["memory"] * n,
+                        list(map(self.store.lookup, keys)), [s.label for s in samples], [None] * n, [None] * n,
+                        [("memory_lookup",)] * n, [None] * n)
+        for column, values in zip(_columns(traces), _columns(decided)):
+            for at, value in zip(miss_at, values):
+                column[at] = value
+        return traces
 
 
 class MacroMetrics(NamedTuple):

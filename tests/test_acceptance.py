@@ -36,7 +36,7 @@ from cascadekit.images import (
     rotate180,
     rotate270,
 )
-from cascadekit.metering import aggregate, compare, duplication_experiment, nearest_rank
+from cascadekit.metering import aggregate, build_duplicated_stream, compare, duplication_experiment, nearest_rank
 from cascadekit.phash import dhash, dhash_fingerprint, moment_invariants, moments_fingerprint
 from cascadekit.records import RecordTable, load_cost_profile
 from cascadekit.synthetic import synthetic_image
@@ -419,3 +419,84 @@ def test_12_bundled_pair_outputs_are_pinned(data_dir, costs_dir, tmp_path, capsy
     assert (tmp_path / "curve.csv").read_text() == "ratio,engine,total_energy_wh,hits\n" + "".join(
         f"{r},none,{e},0\n" for r, e in zip(ratios, energies)
     )
+
+
+# README's headline table: energies in Wh at each duplication ratio
+HEADLINE_RATIOS = (0.0, 0.5, 1.0)
+HEADLINE_SINGLE_LARGE = (0.06, 0.09, 0.12)
+HEADLINE_CASCADE = (0.022504, 0.033715, 0.045008)
+HEADLINE_MEMORY = {  # (memory, transform): (energies, hits)
+    ("dhash", "identity"): ((0.0227415, 0.022800875, 0.02286025), (0, 250, 500)),
+    ("moments", "identity"): ((0.0227415, 0.022800875, 0.02286025), (0, 250, 500)),
+    ("moments", "rot90"): ((0.0227415, 0.022800875, 0.02286025), (0, 250, 500)),
+    ("dhash", "rot90"): ((0.0227415, 0.03407125, 0.045483), (0, 0, 0)),
+}
+
+
+@criterion(13, "paper's headline on the bundled pair")
+def test_13_headline_energy_on_the_bundled_pair(bundled_paired, costs_dir):
+    """One large model, the calibrated cascade and the cascade with memory on
+    ``data/``, each sample duplicated once at ratio 1. Every total is pinned
+    and also rebuilt by hand from stage counts derived from the escalated set
+    and the duplication ratio, times the profile's per-stage energies."""
+    config = CascadeConfig.from_dict(json.loads(BUNDLED_CONFIG))  # what calibrate gives (test 12)
+    tables = [RecordTable(bundled_paired.ids, bundled_paired.labels, logits)
+              for logits in (bundled_paired.logits_a, bundled_paired.logits_b)]
+    images = [synthetic_image(32, 32, 1000 + i, 3) for i in range(len(bundled_paired))]
+    samples = [SampleRef(sid, image=img) for sid, img in zip(bundled_paired.ids, images)]
+    small = load_cost_profile(str(costs_dir / "cifar10.json"))
+    large = load_cost_profile(str(costs_dir / "cifar10_single_large.json"))
+    n = len(samples)
+
+    def reports(threshold, memory, transform, costs):
+        engine = CascadeEngine(
+            CascadeConfig(config.first_model, config.second_model, config.score_fn, threshold, config.post_check,
+                          memory),
+            ReplayClassifier(config.first_model, tables[0]),
+            ReplayClassifier(config.second_model, tables[1]),
+        )
+        for ratio in HEADLINE_RATIOS:
+            engine.clear_memory()
+            traces, _ = run_batch(engine, build_duplicated_stream(samples, ratio, transform, random.Random(0)))
+            yield aggregate(traces, costs), traces
+
+    def by_hand(counts, costs):
+        return sum(count * costs.energy(stage) for stage, count in counts.items())
+
+    runs = list(reports(config.threshold, "none", "identity", small))
+    escalated = [t.path == "model_ab" for t in runs[0][1]]  # at ratio 0: each sample once
+    assert sum(escalated) == 244  # usage 0.488
+    dups = [int(ratio * n) for ratio in HEADLINE_RATIOS]
+
+    single = [r for r, _ in reports(0.0, "none", "identity", large)]
+    for report, d, pinned in zip(single, dups, HEADLINE_SINGLE_LARGE):
+        assert report.stage_counts["model_a"] == n + d and report.stage_counts["model_b"] == 0
+        assert report.total_energy_wh == pytest.approx(pinned, rel=1e-12)
+        assert report.total_energy_wh == pytest.approx(by_hand({"model_a": n + d}, large), rel=1e-12)
+
+    cascade = [r for r, _ in runs]
+    for report, d, pinned in zip(cascade, dups, HEADLINE_CASCADE):
+        counts = {"model_a": n + d, "model_b": sum(escalated) + sum(escalated[:d])}
+        assert {s: report.stage_counts[s] for s in counts} == counts
+        assert report.total_energy_wh == pytest.approx(pinned, rel=1e-12)
+        assert report.total_energy_wh == pytest.approx(by_hand(counts, small), rel=1e-12)
+    assert round(compare(single[-1], cascade[-1]).energy_pct, 2) == 62.49
+
+    for (memory, transform), (energies, hits) in HEADLINE_MEMORY.items():
+        got = [r for r, _ in reports(config.threshold, memory, transform, small)]
+        for report, d, pinned, h in zip(got, dups, energies, hits):
+            decided = n + d - h  # every duplicate hits, or none does
+            counts = {"model_a": decided, "model_b": sum(escalated) + sum(escalated[:d]) * (h == 0),
+                      "memory_lookup": n + d, "memory_insert": decided}
+            assert report.path_counts["memory_hit"] == h
+            assert dict(report.stage_counts) == counts
+            assert report.total_energy_wh == pytest.approx(pinned, rel=1e-12)
+            assert report.total_energy_wh == pytest.approx(by_hand(counts, small), rel=1e-12)
+        reduction = compare(single[-1], got[-1]).energy_pct
+        assert round(reduction, 2) == (80.95 if hits[-1] else 62.10)
+
+    # the paper's 85.8% at ratio 1 needs this usage u: a + u * b + 2 lookups + 1 insert = 14.2% of 2 large calls
+    per_pair = (1 - 0.858) * 2 * large.energy("model_a")
+    usage = (per_pair - small.energy("model_a") - 2 * small.energy("memory_lookup") - small.energy("memory_insert")) \
+        / small.energy("model_b")
+    assert round(usage, 3) == 0.204

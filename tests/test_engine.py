@@ -17,6 +17,7 @@ from cascadekit.engine import (
     ReplayClassifier,
     SampleRef,
     StageTrace,
+    Traces,
     format_traces_jsonl,
     macro_metrics,
     run_batch,
@@ -229,6 +230,10 @@ class TestMemory:
         engine = _engine(memory="dhash")
         with pytest.raises(DataError, match="image required when memory=dhash"):
             engine.run([SampleRef("x1", label=0)])
+        image = synthetic_image(8, 8, seed=1)  # kept alive: the fingerprint memo holds images weakly
+        with pytest.raises(DataError, match="'x2': image required"):
+            engine.run([SampleRef("x1", image=image), SampleRef("x2")])
+        assert len(engine._fingerprints) == 0  # refused before anything is hashed
 
     def test_hash_failure_degrades_to_plain_cascade(self):
         engine = _engine(memory="moments")
@@ -239,6 +244,15 @@ class TestMemory:
         assert trace.hash_error == "zero total intensity"
         assert "memory_lookup" not in trace.stages
         assert "memory_insert" not in trace.stages
+        assert len(engine.store) == 0
+
+    def test_two_blank_frames_in_one_batch_both_take_the_decided_path(self):
+        engine = _engine(memory="moments")
+        samples = [SampleRef(i, image=ImageBuffer(8, 8, 1, bytes(64)), label=l) for i, l in (("x1", 0), ("x2", 1))]
+        traces = engine.run(samples)
+        assert traces.path == [PATH_MODEL_A_ONLY, PATH_MODEL_AB]  # the second blank is no hit of the first
+        assert traces.stages == [("model_a",), ("model_a", "model_b")]
+        assert traces.hash_error == ["zero total intensity"] * 2
         assert len(engine.store) == 0
 
     def test_no_store_when_memory_disabled(self):
@@ -368,6 +382,16 @@ class TestRecordTypes:
         assert StageTrace(*args, "blank").hash_error == "blank"
         with pytest.raises(AttributeError):
             trace.predicted = 0
+
+    def test_traces_index_by_integer_only(self):
+        rows = [StageTrace(i, PATH_MODEL_A_ONLY, "a", 0, None, 0.5, None, ("model_a",)) for i in ("x", "y", "z")]
+        traces = Traces.from_rows(rows)
+        assert traces[np.int64(1)] == traces[-2] == rows[1]
+        for i in (slice(0, 2), 1.0, "1", None):
+            with pytest.raises(TypeError):
+                traces[i]
+        with pytest.raises(IndexError):
+            traces[3]
 
 
 class TestTraceSerialization:

@@ -324,8 +324,9 @@ def priced_traces(draw) -> tuple[list[StageTrace], CostProfile]:
 
 
 def _report_or_error(fn, traces, costs):
+    """A report as its JSON text, so -0.0 against 0.0 or an int against a float differs; else the error."""
     got = _outcome(fn, traces, costs)
-    return got if isinstance(got, tuple) else format_report_json(got)
+    return format_report_json(got) if isinstance(got, RunReport) else got
 
 
 @settings(max_examples=300, deadline=None)
