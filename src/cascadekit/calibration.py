@@ -14,20 +14,22 @@ optimal without a grid; one sort yields candidates and prefix sums, O(N log N).
 Each public call builds its own score table from the pair's arrays and
 passes it down; nothing derived from the pair is stored on it.
 ``auto_select`` compares its six searches on their accuracy and usage arrays
-and builds the (lambda, accuracy, usage) curve of the winner only.
+and builds the (lambda, accuracy, usage) curve of the winner only. numpy is
+imported by the functions that compute, so loading a config (or a run report,
+through ``metering``) loads none.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import numpy as np
-
-from .complementarity import correct_rows
 from .confidence import ScoreFunction, score_rows, softmax_rows
 from .errors import DataError, parse_json, read_parsed, write_text
 from .records import PairedDataset
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # "none" plus phash.FINGERPRINTS, spelled out so that calibrating loads no image module
 MEMORY_METHODS = ("none", "dhash", "moments")
@@ -101,9 +103,11 @@ def load_config(path: str) -> CascadeConfig:
 def checked_logits(name: str, logits: object, rows: int, k: int | None = None) -> np.ndarray:
     """A model's answer as a float64 array; a DataError naming the model unless
     it is rows x k (k None: rows x K for any K >= 1)."""
+    import numpy as np
+
     try:
         array = np.asarray(logits, dtype=np.float64)
-    except (TypeError, ValueError):  # ragged rows or not numbers
+    except (TypeError, ValueError, OverflowError):  # ragged rows, not numbers, or an int past the float range
         array = np.empty(0)
     if array.ndim != 2 or len(array) != rows or not array.shape[1] or k not in (None, array.shape[1]):
         raise DataError(f"{name}: logits of shape {array.shape} for {rows} samples, "
@@ -121,6 +125,8 @@ def decide(
     miss the threshold, with their indices; it returns model B's logits for
     them as one array, whose shape is checked once.
     """
+    import numpy as np
+
     score_fn = config.score_fn
     scores_a = score_rows(softmax_rows(logits_a), score_fn)
     key_a = score_fn.oriented(scores_a)
@@ -140,6 +146,8 @@ def decide(
 
 def _model_columns(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, dict]:
     """One model's (argmax of the logits == label, {score function: scores})."""
+    from .complementarity import correct_rows
+
     probs = softmax_rows(logits)
     return correct_rows(logits, labels), {fn: score_rows(probs, fn) for fn in ScoreFunction}
 
@@ -153,6 +161,8 @@ def _table(paired: PairedDataset) -> tuple[tuple[np.ndarray, dict], tuple[np.nda
 
 def _ranked(table: tuple, score_fn: ScoreFunction) -> tuple:
     """Both models' (correct, scores) columns, ordered by one stable sort of model A's oriented scores."""
+    import numpy as np
+
     order = np.argsort(score_fn.oriented(table[0][1][score_fn]), kind="stable")
     return tuple((correct[order], scores[score_fn][order]) for correct, scores in table)
 
@@ -161,6 +171,8 @@ def _sweep(
     ranked: tuple, score_fn: ScoreFunction, post_check: bool, lambdas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(accuracy, usage) arrays over the thresholds: prefix sums, one binary search each."""
+    import numpy as np
+
     (correct_a, scores_a), (correct_b, scores_b) = ranked
     key_a, key_b = score_fn.oriented(scores_a), score_fn.oriented(scores_b)
     correct_esc = np.where((key_a >= key_b) & post_check, correct_a, correct_b)  # ties keep A
@@ -177,11 +189,15 @@ def accuracy_at(
     post_check: bool,
 ) -> tuple[float, float]:
     """(accuracy, second-model usage fraction) at a fixed threshold."""
+    import numpy as np
+
     accuracy, usage = _sweep(_ranked(_table(paired), score_fn), score_fn, post_check, np.array([threshold]))
     return float(accuracy[0]), float(usage[0])
 
 
 def _candidates(ranked: tuple, score_fn: ScoreFunction) -> np.ndarray:
+    import numpy as np
+
     scores = ranked[0][1][::-1] if score_fn.lower_is_better else ranked[0][1]  # ascending
     mids = ((scores[:-1] + scores[1:]) / 2.0)[scores[:-1] != scores[1:]]  # distinct neighbours only
     lambdas = np.concatenate(([0.0], mids[(0.0 <= mids) & (mids <= 1.0)], [1.0]))
@@ -209,6 +225,8 @@ class CalibrationResult(NamedTuple):
 
 def _search(table: tuple, score_fn: ScoreFunction, post_check: bool) -> tuple:
     """The candidate array, its accuracy and usage arrays, and the winner's index."""
+    import numpy as np
+
     ranked = _ranked(table, score_fn)
     lambdas = _candidates(ranked, score_fn)
     accuracy, usage = _sweep(ranked, score_fn, post_check, lambdas)

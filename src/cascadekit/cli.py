@@ -6,11 +6,13 @@ Subcommands map one-to-one onto the library workflows: pair selection
 (duplication) and run-report comparison (report).
 
 Each command imports only the modules it runs, so a cold start loads no more
-than that command needs. The parser therefore spells out its choices; tests pin
-them to the names they come from. ``records`` and ``complementarity`` import no
-numpy, so the complementarity command never loads it; every other command loads
-it with its first module that does array math (``calibration``, ``engine``,
-``images`` or ``phash``).
+than that command needs: ``--help`` and a usage error load no cascadekit
+submodule (and no ``json``), and ``main`` imports ``errors`` only once the
+arguments parse. The parser therefore spells out its choices; tests pin them to
+the names they come from. ``records``, ``confidence`` and ``calibration``
+import numpy only in the functions that compute, and ``complementarity``,
+``engine`` and ``metering`` not at all, so neither the complementarity nor the
+report command loads it; every other command does.
 
 Exit codes: 0 success, 1 data or runtime error, 2 usage error.
 """
@@ -23,8 +25,6 @@ import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-from .errors import DataError, read_parsed, write_text
 
 if TYPE_CHECKING:
     from .calibration import CascadeConfig
@@ -41,6 +41,7 @@ def _load_pair(args: argparse.Namespace, names: tuple[str, str] | None = None):
     """Both record files' tables and their model names, each file named as ``_model_names`` names it.
     Given a config's (first, second) ``names``, the tables come in that order, so a swapped config
     replays its own order; files that name other models are a DataError."""
+    from .errors import DataError
     from .records import load_prediction_records
 
     tables = [load_prediction_records(args.records_a), load_prediction_records(args.records_b)]
@@ -84,6 +85,7 @@ def _load_replay(args: argparse.Namespace, config: CascadeConfig, with_images: b
 
 
 def _load_sample_image(directory: str, sample_id: str):
+    from .errors import DataError, read_parsed
     from .images import load_image_pnm
 
     for ext in (".pgm", ".ppm"):
@@ -95,6 +97,7 @@ def _load_sample_image(directory: str, sample_id: str):
 
 def cmd_complementarity(args: argparse.Namespace) -> int:
     from .complementarity import complementarity_matrix, csv_name, format_matrix_csv
+    from .errors import write_text
     from .records import load_prediction_records
 
     if len(args.records) < 2:
@@ -115,6 +118,7 @@ def cmd_complementarity(args: argparse.Namespace) -> int:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     from .calibration import auto_select, find_lambda_star, format_curve_csv, save_config
     from .confidence import ScoreFunction
+    from .errors import write_text
     from .records import align_records
 
     if args.score == "auto" and args.no_post_check:
@@ -140,6 +144,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     from .engine import format_traces_jsonl, run_batch
+    from .errors import write_text
     from .metering import aggregate, format_report_csv, format_report_json
 
     config = _load_config(args)
@@ -164,6 +169,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_hash(args: argparse.Namespace) -> int:
+    from .errors import read_parsed
     from .images import load_image_pnm, to_grayscale
     from .phash import dhash_fingerprint, moment_invariants
 
@@ -177,6 +183,7 @@ def cmd_hash(args: argparse.Namespace) -> int:
 
 
 def cmd_duplication(args: argparse.Namespace) -> int:
+    from .errors import write_text
     from .metering import duplication_experiment, format_curves_csv
 
     config = _load_config(args)
@@ -294,6 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .errors import DataError
+
     try:
         return args.func(args)
     except DataError as exc:
@@ -302,9 +311,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> int:
-    """The process entry (console script, ``python -m``): ``main``, then ``gc.freeze()``, also on
-    ``SystemExit``, so the interpreter's shutdown collections skip a heap that dies with the process.
-    ``main`` called in-process freezes nothing."""
+    """The process entry (console script, ``python -m``): ``main`` with the cyclic collector off,
+    then ``gc.freeze()``, also on ``SystemExit``, so the interpreter's shutdown collections skip a
+    heap that dies with the process. No command leaves cyclic garbage that grows with its input, so
+    the collections a process would run (most of them while numpy imports) free nothing it needs.
+    ``main`` called in-process leaves the collector as it finds it."""
+    gc.disable()
     try:
         return main()
     finally:

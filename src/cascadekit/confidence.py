@@ -13,11 +13,12 @@ import enum
 import math
 from functools import lru_cache, reduce
 from operator import add
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DataError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ScoreFunction(enum.Enum):
@@ -71,6 +72,8 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     ``math.exp`` per element (numpy's exp can differ in the last bit; Python
     floats map faster than numpy scalars) and ``sum`` over the columns, which
     adds them left to right as ``softmax`` does."""
+    import numpy as np
+
     if logits.shape[1] < 2:
         raise DataError("softmax needs at least 2 logits")
     if not np.isfinite(logits).all():
@@ -120,6 +123,8 @@ def score(probs: Sequence[float], kind: ScoreFunction) -> float:
 
 def score_rows(probs: np.ndarray, kind: ScoreFunction) -> np.ndarray:
     """``score`` of each row of an N x K probability matrix, bit for bit."""
+    import numpy as np
+
     if kind is ScoreFunction.MAX_PROBABILITY:
         return probs.max(axis=1)
     if kind is ScoreFunction.DIFFERENCE:

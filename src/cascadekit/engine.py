@@ -32,14 +32,14 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter, eq, index
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
-import numpy as np
-
 from .calibration import CascadeConfig, checked_logits, decide
 from .confidence import add_in_order
 from .errors import DataError
 from .records import RecordTable
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .images import ImageBuffer
     from .phash import Fingerprint
 

@@ -366,7 +366,8 @@ class Answers:
     (np.zeros((2, 0)), "(2, 0)"),
     (np.zeros((2, 1, 2)), "(2, 1, 2)"),
     ([[1.0, 0.0], [1.0]], "(0,)"),  # not an array at all
-], ids=["row-short", "one-row", "no-classes", "3-d", "ragged"])
+    ([[10**400, 0.0], [0.0, 0.0]], "(0,)"),  # an int past the float range: float64 overflows
+], ids=["row-short", "one-row", "no-classes", "3-d", "ragged", "past-float-range"])
 def test_wrong_shaped_answers_are_a_data_error(answer, shape):
     config = CascadeConfig("model_a", "model_b", ScoreFunction.DIFFERENCE, 0.5, True)
     rows = {"x": [0.0, 0.0], "y": [0.0, 0.0]}  # flat: both escalate

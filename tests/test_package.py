@@ -14,8 +14,10 @@ import pytest
 
 import cascadekit
 from cascadekit.cli import main
+from cascadekit.errors import write_text
 from cascadekit.images import write_image_pnm
-from cascadekit.synthetic import synthetic_image
+from cascadekit.records import RecordTable, format_prediction_records, load_prediction_records
+from cascadekit.synthetic import synthetic_image, synthetic_pair
 
 SOURCE = Path(cascadekit.__file__).resolve().parent
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -93,12 +95,13 @@ def _modules_loaded(argv: list[str]) -> set[str]:
     return {name.split(".", 1)[1] for name in names if name.startswith("cascadekit.")}
 
 
-STARTUP = {"errors"}  # what the CLI loads before it runs a command
-# these two load no numpy either (test_start_path_loads_no_numpy); calibrate's modules do
-COMPLEMENTARITY = STARTUP | {"records", "complementarity"}
+STARTUP = set()  # what the CLI loads before it runs a command
+# complementarity loads no numpy either (test_start_path_loads_no_numpy); calibrate's modules do
+COMPLEMENTARITY = STARTUP | {"errors", "records", "complementarity"}
 CALIBRATE = COMPLEMENTARITY | {"calibration", "confidence"}
-# replay and pricing without memory, and reading reports back, load no image or fingerprint module
-METERING = CALIBRATE | {"engine", "metering"}
+# replay and pricing without memory, and reading reports back, load no image, fingerprint or
+# complementarity module (a report loads no numpy either)
+METERING = CALIBRATE - {"complementarity"} | {"engine", "metering"}
 
 
 @pytest.mark.parametrize(
@@ -109,7 +112,9 @@ METERING = CALIBRATE | {"engine", "metering"}
         ("calibrate", CALIBRATE),
         ("run", METERING),
         ("report", METERING),
-        ("hash", STARTUP | {"phash", "images"}),
+        # memory off and no --images: the duplicated stream still imports the transforms
+        ("duplication", METERING | {"images"}),
+        ("hash", STARTUP | {"errors", "phash", "images"}),
     ],
 )
 def test_each_command_loads_only_its_modules(tmp_path, command, loads):
@@ -130,6 +135,7 @@ def test_each_command_loads_only_its_modules(tmp_path, command, loads):
         ],
         "run": ["run", *replay, "--labels", "--report", str(tmp_path / "r.json"), "--traces", str(tmp_path / "t.jsonl")],
         "report": ["report", report, report],
+        "duplication": ["duplication", *replay, "--ratios", "0,0.5,1", "--out", str(tmp_path / "dup.csv")],
         "hash": ["hash", "--method", "moments", str(image)],
     }[command]
     assert _modules_loaded(argv) == loads
@@ -156,10 +162,13 @@ def _import_tree(argv: list[str], code: int, tmp_path: Path) -> set[str]:
           "--out", "{tmp}/m.csv"], 0),
         (["-c", "from cascadekit.records import RecordTable\n"
                 "RecordTable(['a'], [0], [(1.0, 0)]).predictions()"], 0),
+        # two JSON files read back and compared in plain Python
+        (["-m", "cascadekit.cli", "report", "{tmp}/report.json", "{tmp}/report.json"], 0),
     ],
-    ids=["help", "usage_error", "import", "complementarity", "hand_built_table"],
+    ids=["help", "usage_error", "import", "complementarity", "hand_built_table", "report"],
 )
 def test_start_path_loads_no_numpy(tmp_path, argv, code):
+    _write_report(tmp_path)
     names = _import_tree(argv, code, tmp_path)
     assert "cascadekit" in names
     assert sorted(name for name in names if name.split(".")[0] == "numpy") == []
@@ -177,6 +186,19 @@ def _write_config(tmp_path: Path) -> None:
         "lambda": 0.5, "post_check": True, "memory": "none",
     }
     (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+
+
+def _write_report(tmp_path: Path) -> None:
+    """{tmp}/config.json and {tmp}/report.json, the run report of a memory-off replay of the bundled pair."""
+    _write_config(tmp_path)
+    assert main(["run", *(arg.format(tmp=tmp_path) for arg in REPLAY), "--report", str(tmp_path / "report.json")]) == 0
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["run"], 2)], ids=["help", "usage_error"])
+def test_help_and_usage_error_load_no_json_and_no_submodule(tmp_path, argv, code):
+    names = _import_tree(["-m", "cascadekit.cli", *argv], code, tmp_path)
+    assert "cascadekit" in names
+    assert sorted(name for name in names if name.split(".")[0] == "json" or name.startswith("cascadekit.")) == []
 
 
 @pytest.mark.parametrize(
@@ -214,12 +236,11 @@ def test_commands_load_no_numpy_ma(tmp_path, argv):
 def test_commands_load_no_dataclasses(tmp_path, argv):
     """No module generates methods at import: ``dataclasses`` is absent from each command's
     import tree beyond what ``import numpy`` loads itself."""
-    _write_config(tmp_path)
+    _write_report(tmp_path)
     (tmp_path / "image.pgm").write_bytes(write_image_pnm(synthetic_image(16, 16, seed=1)))
-    assert main(["run", *(arg.format(tmp=tmp_path) for arg in REPLAY), "--report", str(tmp_path / "report.json")]) == 0
     names = _import_tree(["-m", "cascadekit.cli", *argv], 0, tmp_path)
     names -= _import_tree(["-c", "import numpy"], 0, tmp_path)
-    assert "cascadekit.errors" in names
+    assert ("cascadekit.errors" in names) == (argv != ["--help"])  # --help loads no submodule
     assert "dataclasses" not in names
 
 
@@ -261,10 +282,10 @@ ENDINGS = {
 }
 
 # what the console script runs, and then, from atexit, which runs before the
-# interpreter's shutdown collections, whether the heap is frozen
+# interpreter's shutdown collections, whether the heap is frozen and the collector on
 FROZEN_AT_EXIT = (
     "import atexit, gc, sys\n"
-    "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+    "atexit.register(lambda: print(gc.get_freeze_count() > 0, gc.isenabled()))\n"
     "from cascadekit.cli import entry\n"
     "sys.exit(entry())\n"
 )
@@ -279,15 +300,99 @@ def test_each_process_ends_frozen_with_mains_output(tmp_path, capsys, ending):
         for start in (["-c", FROZEN_AT_EXIT], ["-m", "cascadekit.cli"])
     )
     assert (script.returncode, module.returncode) == (code, code), script.stderr
-    assert (script.stdout, script.stderr) == (module.stdout + "True\n", module.stderr)
-    # main called in-process prints the same and freezes nothing
-    frozen = gc.get_freeze_count()
+    assert (script.stdout, script.stderr) == (module.stdout + "True False\n", module.stderr)
+    # main called in-process prints the same, freezes nothing and leaves the collector as it was
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
     try:
         assert main(argv) == code
     except SystemExit as exc:  # argparse's usage errors and --help
         assert exc.code == code
-    assert gc.get_freeze_count() == frozen
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
     assert (module.stdout, module.stderr) == capsys.readouterr()
+
+
+# ``python -m cascadekit.cli`` run through runpy, as -m runs it, with the parser reporting
+# whether the collector is on when main parses its arguments
+COLLECTOR_IN_MAIN = (
+    "import argparse, gc, runpy\n"
+    "parse_args = argparse.ArgumentParser.parse_args\n"
+    "def reporting(self, *args, **kwargs):\n"
+    "    print('collector on:', gc.isenabled())\n"
+    "    return parse_args(self, *args, **kwargs)\n"
+    "argparse.ArgumentParser.parse_args = reporting\n"
+    "runpy.run_module('cascadekit.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+@pytest.mark.parametrize("ending", ENDINGS)
+def test_process_entry_runs_main_with_the_collector_off(tmp_path, ending):
+    argv, code = ENDINGS[ending]
+    run = subprocess.run(
+        [sys.executable, "-c", COLLECTOR_IN_MAIN, *(arg.format(tmp=tmp_path) for arg in argv)],
+        capture_output=True, text=True, cwd=SOURCE.parent,
+    )
+    assert run.returncode == code, run.stderr
+    assert run.stdout.startswith("collector on: False\n")
+
+
+# each command once, in order (report reads both runs' reports), with its exit code; {set} is a
+# directory of model_a.jsonl, model_b.jsonl, images/ and configs, {out} a scratch directory
+SET_RECORDS = ["--records-a", "{set}/model_a.jsonl", "--records-b", "{set}/model_b.jsonl"]
+SET_REPLAY = [*SET_RECORDS, "--costs", str(DATA.parent / "costs" / "cifar10.json")]
+GARBAGE_COMMANDS = {
+    "complementarity": (["complementarity", "{set}/model_a.jsonl", "{set}/model_b.jsonl", "--out", "{out}/m.csv"], 0),
+    "calibrate": (["calibrate", *SET_RECORDS, "--out", "{out}/c.json"], 0),
+    "run_traced": (["run", "--config", "{set}/none.json", *SET_REPLAY, "--labels", "--report", "{out}/r.json",
+                    "--traces", "{out}/t.jsonl"], 0),
+    "run_moments": (["run", "--config", "{set}/moments.json", *SET_REPLAY, "--images", "{set}/images",
+                     "--report", "{out}/rm.json"], 0),
+    "duplication": (["duplication", "--config", "{set}/moments.json", *SET_REPLAY, "--images", "{set}/images",
+                     "--ratios", "0,0.5,1", "--out", "{out}/dup.csv"], 0),
+    "report": (["report", "{out}/r.json", "{out}/rm.json"], 0),
+    # both files parse before the config's model names are checked against theirs
+    "data_error": (["run", "--config", "{set}/other.json", *SET_REPLAY, "--report", "{out}/x.json"], 1),
+}
+
+
+def _replay_set(root: Path, tables: tuple[RecordTable, RecordTable]) -> Path:
+    """A GARBAGE_COMMANDS {set}: the pair, an 8x8 image per sample and three configs."""
+    (root / "images").mkdir(parents=True)
+    for name, table in zip(("model_a", "model_b"), tables):
+        write_text(str(root / f"{name}.jsonl"), format_prediction_records(table))
+    for i, sample_id in enumerate(tables[0].ids):
+        (root / "images" / f"{sample_id}.pgm").write_bytes(write_image_pnm(synthetic_image(8, 8, seed=i)))
+    config = {"first_model": "model_a", "second_model": "model_b", "score_fn": "entropy", "lambda": 0.5,
+              "post_check": True, "memory": "none"}
+    for name, changes in (("none", {}), ("moments", {"memory": "moments"}), ("other", {"first_model": "x"})):
+        (root / f"{name}.json").write_text(json.dumps({**config, **changes}), encoding="utf-8")
+    return root
+
+
+def test_no_command_leaves_cyclic_garbage_that_grows_with_its_input(tmp_path, capsys):
+    """With the collector off, as the process entry runs ``main``, each command leaves the same
+    number of unreachable objects (argparse's parser) on the bundled 500-sample pair as on a
+    seeded 5000-sample one: none of its cyclic garbage is per sample."""
+    bundled = tuple(map(load_prediction_records, (MODEL_A, MODEL_B)))
+    sets = {
+        "bundled": _replay_set(tmp_path / "bundled", bundled),
+        "seeded": _replay_set(tmp_path / "seeded", synthetic_pair(5000, 10, seed=3)),
+    }
+    garbage = {}
+    # the first pass imports each command's modules, which leaves garbage of its own
+    for run, directory in (("warm", sets["bundled"]), *sets.items()):
+        out = tmp_path / f"out_{run}"
+        out.mkdir()
+        for command, (argv, code) in GARBAGE_COMMANDS.items():
+            gc.collect()
+            gc.disable()
+            try:
+                returned = main([arg.format(set=directory, out=out) for arg in argv])
+                garbage[run, command] = gc.collect()
+            finally:
+                gc.enable()
+            assert returned == code, (run, command, capsys.readouterr())
+    for command in GARBAGE_COMMANDS:
+        assert garbage["bundled", command] == garbage["seeded", command], command
 
 
 def test_console_script_is_the_process_entry():
