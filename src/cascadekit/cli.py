@@ -96,8 +96,8 @@ def _load_sample_image(directory: str, sample_id: str):
 
 
 def cmd_complementarity(args: argparse.Namespace) -> int:
-    from .complementarity import complementarity_matrix, csv_name, format_matrix_csv
-    from .errors import write_text
+    from .complementarity import complementarity_matrix, format_matrix_csv
+    from .errors import csv_name, write_text
     from .records import load_prediction_records
 
     if len(args.records) < 2:

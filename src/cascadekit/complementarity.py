@@ -15,7 +15,7 @@ from itertools import combinations
 from operator import and_
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DataError
+from .errors import DataError, csv_name
 from .records import PairedDataset, RecordTable, align_rows
 
 if TYPE_CHECKING:
@@ -99,12 +99,6 @@ def complementarity_matrix(
             values[i][j] = value
             values[j][i] = value
     return ComplementarityMatrix(list(names), values)
-
-
-def csv_name(name: str) -> str:
-    """A model name as one CSV field: quoted, its quotes doubled, if it holds a comma, a
-    double quote, CR or LF (RFC 4180); otherwise as it is."""
-    return '"' + name.replace('"', '""') + '"' if set(name) & set(',"\r\n') else name
 
 
 def format_matrix_csv(matrix: ComplementarityMatrix) -> str:

@@ -4,7 +4,10 @@ Three score functions are supported; for ``max`` and ``diff`` a higher score
 means higher confidence, for ``entropy`` a lower score does.
 ``ScoreFunction.oriented`` is the one place that direction is applied: the
 cascade rule in ``calibration`` compares oriented scores of the row kernels
-``softmax_rows`` / ``score_rows``, which match ``softmax`` / ``score`` bit for bit.
+``softmax_rows`` / ``score_rows``. They are the one implementation of each
+computation; ``softmax`` / ``score`` are one-row calls of them. The
+per-element loops they replaced are the oracle in
+``tests/test_calibration_oracles.py``, which they match bit for bit.
 """
 
 from __future__ import annotations
@@ -54,31 +57,26 @@ def add_in_order(values: Iterable[float]) -> float:
 
 
 def softmax(logits: Sequence[float]) -> list[float]:
-    """Numerically stable softmax: the max logit is subtracted before
-    exponentiation, so arbitrarily large logits cannot overflow."""
-    if len(logits) < 2:
-        raise DataError("softmax needs at least 2 logits")
-    for v in logits:
-        if not math.isfinite(v):
-            raise DataError("non-finite logit")
-    m = max(logits)
-    exps = [math.exp(v - m) for v in logits]
-    total = add_in_order(exps)
-    return [e / total for e in exps]
+    """``softmax_rows`` of one logit vector."""
+    import numpy as np
+
+    return softmax_rows(np.array([logits], dtype=np.float64)).tolist()[0]
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """``softmax`` of each row of an N x K float64 matrix, bit for bit: one
-    ``math.exp`` per element (numpy's exp can differ in the last bit; Python
-    floats map faster than numpy scalars) and ``sum`` over the columns, which
-    adds them left to right as ``softmax`` does."""
+    """Numerically stable softmax of each row of an N x K float64 matrix: the
+    row's max logit is subtracted before exponentiation, so arbitrarily large
+    logits cannot overflow. One ``math.exp`` per element (numpy's exp can
+    differ in the last bit; Python floats map faster than numpy scalars) and
+    ``sum`` over the columns, which adds them left to right."""
     import numpy as np
 
     if logits.shape[1] < 2:
         raise DataError("softmax needs at least 2 logits")
     if not np.isfinite(logits).all():
         raise DataError("non-finite logit")
-    shifted = (logits - logits.max(axis=1, keepdims=True)).ravel()
+    with np.errstate(over="ignore"):  # v - max past the float range is -inf, whose exp is 0
+        shifted = (logits - logits.max(axis=1, keepdims=True)).ravel()
     exps = np.fromiter(map(math.exp, shifted.tolist()), np.float64, shifted.size).reshape(logits.shape)
     return exps / sum(exps.T)[:, None]
 
@@ -95,34 +93,23 @@ def entropy_denominator(num_classes: int) -> float:
     return -add_in_order((i / k) * math.log(i / k) for i in range(1, k + 1))
 
 
-def _top_two(probs: Sequence[float]) -> tuple[float, float]:
-    first = second = -math.inf
-    for p in probs:
-        if p > first:
-            first, second = p, first
-        elif p > second:
-            second = p
-    return first, second
-
-
 def score(probs: Sequence[float], kind: ScoreFunction) -> float:
-    """Confidence score of a probability vector under the given function.
+    """``score_rows`` of one vector of at least two finite numbers."""
+    import numpy as np
 
-    max: largest entry. diff: largest minus second largest (by position, so
-    a repeated maximum scores 0). entropy: -sum p ln p over the K-dependent
-    normalization, with the 0 ln 0 = 0 convention.
-    """
-    if kind is ScoreFunction.MAX_PROBABILITY:
-        return max(probs)
-    if kind is ScoreFunction.DIFFERENCE:
-        first, second = _top_two(probs)
-        return first - second
-    entropy = -add_in_order(p * math.log(p) for p in probs if p > 0.0)
-    return entropy / entropy_denominator(len(probs))
+    row = np.array([probs], dtype=np.float64)
+    if row.shape[1] < 2 or not np.isfinite(row).all():
+        raise DataError("score needs at least 2 finite probabilities")
+    return score_rows(row, kind).tolist()[0]
 
 
 def score_rows(probs: np.ndarray, kind: ScoreFunction) -> np.ndarray:
-    """``score`` of each row of an N x K probability matrix, bit for bit."""
+    """Confidence score of each row of an N x K probability matrix under the given function.
+
+    max: largest entry. diff: largest minus second largest (a repeated
+    maximum scores 0). entropy: -sum p ln p over the K-dependent
+    normalization, with the 0 ln 0 = 0 convention.
+    """
     import numpy as np
 
     if kind is ScoreFunction.MAX_PROBABILITY:

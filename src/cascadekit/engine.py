@@ -293,12 +293,9 @@ def _string(value: str | None) -> str:
     return _NULL if value is None else encode_basestring_ascii(value)
 
 
-def format_traces_jsonl(traces: Traces | Sequence[StageTrace]) -> str:
+def format_traces_jsonl(traces: Traces) -> str:
     """One compact JSON object per trace: id, path, chosen, predicted, label,
-    stages, scores ({"a", "b"} or null when neither model ran) and hash_error.
-    A list of rows is read through ``Traces.from_rows``."""
-    if not isinstance(traces, Traces):
-        traces = Traces.from_rows(traces)
+    stages, scores ({"a", "b"} or null when neither model ran) and hash_error."""
     score_a, score_b = ([_NULL if v is None else float.__repr__(v) for v in column]
                         for column in (traces.score_a, traces.score_b))
     rows = zip(

@@ -9,7 +9,8 @@ bytes, malformed or too deeply nested JSON and an integer literal past
 CPython's int-string limit each become a DataError in one place, and every
 input file loads one way.
 ``non_negative_number`` is the one check that a parsed JSON value is a
-finite, non-negative number.
+finite, non-negative number, and ``csv_name`` the one quoting of a name
+written into a CSV field.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ def write_text(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from None
+
+
+def csv_name(name: str) -> str:
+    """A name as one CSV field: quoted, its quotes doubled, if it holds a comma, a
+    double quote, CR or LF (RFC 4180); otherwise as it is."""
+    return '"' + name.replace('"', '""') + '"' if set(name) & set(',"\r\n') else name
 
 
 def parse_json(data: bytes | str, what: str) -> object:

@@ -30,12 +30,11 @@ from .engine import (
     CascadeEngine,
     MacroMetrics,
     SampleRef,
-    StageTrace,
     Traces,
     macro_metrics,
     run_batch,
 )
-from .errors import DataError, non_negative_number, parse_json, read_parsed
+from .errors import DataError, csv_name, non_negative_number, parse_json, read_parsed
 from .records import STAGES, CostProfile
 
 
@@ -144,21 +143,11 @@ def _ranked(ordered: list[float], percentile: float) -> float:
 _KNOWN_STAGES = frozenset(STAGES)
 
 
-def aggregate(
-    traces: Traces | Sequence[StageTrace],
-    costs: CostProfile,
-    config: CascadeConfig | None = None,
-) -> RunReport:
-    """Sum a batch's traces into a RunReport against one cost profile; a list
-    of rows is read through ``Traces.from_rows``. The first trace, in order,
-    with an unknown path or stage is named."""
-    if not isinstance(traces, Traces):
-        traces = Traces.from_rows(traces)
+def aggregate(traces: Traces, costs: CostProfile, config: CascadeConfig | None = None) -> RunReport:
+    """Sum a batch's traces into a RunReport against one cost profile. The
+    first trace, in order, with an unknown path or stage is named."""
     if not traces:
         raise DataError("no traces to aggregate")
-    for stage in STAGES:
-        if stage not in costs.stages:
-            raise DataError(f"cost profile missing stage {stage!r}")
     paths = Counter(traces.path)
     stage_tuples = Counter(traces.stages)  # each distinct stages tuple, with its count
     if paths.keys() - PATHS or not _KNOWN_STAGES.issuperset(chain.from_iterable(stage_tuples)):
@@ -170,19 +159,19 @@ def aggregate(
                     raise DataError(f"unknown stage {stage!r} in trace {sample_id!r}")
     stage_counts = {s: 0 for s in STAGES}
     stage_latency: dict[tuple[str, ...], float] = {}  # per distinct stages tuple
+    cost = costs.stages
     for stages, count in stage_tuples.items():
         latency = 0.0
         for stage in stages:
             stage_counts[stage] += count
-            latency += costs.latency(stage)
+            latency += cost[stage].latency_ms
         stage_latency[stages] = latency
     latencies = list(map(stage_latency.__getitem__, traces.stages))
     ordered = sorted(latencies)
-    total_energy = add_in_order(count * costs.energy(s) for s, count in stage_counts.items())
-    currents = [costs.stages[s].current_mah for s in STAGES]
+    total_energy = add_in_order(count * cost[s].energy_wh for s, count in stage_counts.items())
     total_current = None
-    if all(c is not None for c in currents):
-        total_current = add_in_order(count * costs.stages[s].current_mah for s, count in stage_counts.items())
+    if all(cost[s].current_mah is not None for s in STAGES):
+        total_current = add_in_order(count * cost[s].current_mah for s, count in stage_counts.items())
     metrics = None
     if None not in traces.label:
         metrics = macro_metrics(traces.label, traces.predicted)
@@ -346,5 +335,5 @@ def format_curves_csv(curves: Sequence[DuplicationCurve]) -> str:
     lines = ["ratio,engine,total_energy_wh,hits"]
     for curve in curves:
         for ratio, energy, hits in curve.points:
-            lines.append(f"{ratio!r},{curve.engine_name},{energy!r},{hits}")
+            lines.append(f"{ratio!r},{csv_name(curve.engine_name)},{energy!r},{hits}")
     return "\n".join(lines) + "\n"

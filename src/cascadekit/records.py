@@ -133,16 +133,27 @@ class StageCost(NamedTuple):
 
 
 class CostProfile:
-    """Per-invocation energy and latency for each pipeline stage."""
+    """Per-invocation energy and latency for each pipeline stage: ``stages``, a
+    read-only map from each of STAGES to its StageCost. A hand-built profile gets
+    the parse's checks: every stage and no other, each value a finite number >= 0
+    (``current_mah`` may be None)."""
 
-    def __init__(self, stages: dict[str, StageCost] | None = None) -> None:
-        self.stages = {} if stages is None else stages
-
-    def energy(self, stage: str) -> float:
-        return self.stages[stage].energy_wh
-
-    def latency(self, stage: str) -> float:
-        return self.stages[stage].latency_ms
+    def __init__(self, stages: dict[str, StageCost]) -> None:
+        unknown = set(stages) - set(STAGES)
+        if unknown:
+            raise DataError(f"unknown stage(s) in cost profile: {', '.join(sorted(unknown))}")
+        missing = set(STAGES) - set(stages)
+        if missing:
+            raise DataError(f"missing stage(s) in cost profile: {', '.join(sorted(missing))}")
+        checked = {}
+        for name in STAGES:
+            energy, latency, current = stages[name]
+            checked[name] = StageCost(
+                non_negative_number(energy, f"stage {name} energy_wh"),
+                non_negative_number(latency, f"stage {name} latency_ms"),
+                None if current is None else non_negative_number(current, f"stage {name} current_mah"),
+            )
+        self.stages = MappingProxyType(checked)
 
 
 def _shown(rid: str) -> str:
@@ -339,7 +350,8 @@ def parse_cost_profile(data: bytes | str) -> CostProfile:
 
     Schema: ``{"stages": {<stage>: {"energy_wh": f, "latency_ms": f}}}`` with
     all four stages present and finite, non-negative values. A per-stage
-    ``current_mah`` and a top-level ``comments`` field are optional.
+    ``current_mah`` and a top-level ``comments`` field are optional. The JSON
+    shape is checked here; the stages and values, by ``CostProfile``.
     """
     obj = parse_json(data, "cost-profile")
     if not isinstance(obj, dict) or "stages" not in obj:
@@ -347,26 +359,14 @@ def parse_cost_profile(data: bytes | str) -> CostProfile:
     stages_obj = obj["stages"]
     if not isinstance(stages_obj, dict):
         raise DataError("'stages' must be an object")
-    unknown = set(stages_obj) - set(STAGES)
-    if unknown:
-        raise DataError(f"unknown stage(s) in cost profile: {', '.join(sorted(unknown))}")
-    missing = set(STAGES) - set(stages_obj)
-    if missing:
-        raise DataError(f"missing stage(s) in cost profile: {', '.join(sorted(missing))}")
     stages: dict[str, StageCost] = {}
-    for name in STAGES:
-        entry = stages_obj[name]
+    for name, entry in stages_obj.items():
         if not isinstance(entry, dict):
             raise DataError(f"stage {name} must be an object")
         for key in ("energy_wh", "latency_ms"):
             if key not in entry:
                 raise DataError(f"stage {name} missing {key}")
-        current = entry.get("current_mah")
-        stages[name] = StageCost(
-            non_negative_number(entry["energy_wh"], f"stage {name} energy_wh"),
-            non_negative_number(entry["latency_ms"], f"stage {name} latency_ms"),
-            None if current is None else non_negative_number(current, f"stage {name} current_mah"),
-        )
+        stages[name] = StageCost(entry["energy_wh"], entry["latency_ms"], entry.get("current_mah"))
     return CostProfile(stages)
 
 

@@ -26,7 +26,7 @@ from cascadekit.calibration import (
     find_lambda_star,
 )
 from cascadekit.complementarity import complementarity_of_vectors
-from cascadekit.confidence import ScoreFunction, entropy_denominator, score, softmax
+from cascadekit.confidence import ScoreFunction, entropy_denominator, score_rows
 from cascadekit.engine import CascadeEngine, ReplayClassifier, SampleRef, run_batch
 from cascadekit.images import (
     ImageBuffer,
@@ -40,7 +40,7 @@ from cascadekit.metering import aggregate, build_duplicated_stream, compare, dup
 from cascadekit.phash import dhash, dhash_fingerprint, moment_invariants, moments_fingerprint
 from cascadekit.records import RecordTable, load_cost_profile
 from cascadekit.synthetic import synthetic_image
-from test_calibration_oracles import better_score, oracle_decide, predicted_label
+from test_calibration_oracles import better_score, oracle_decide, oracle_score, oracle_softmax, predicted_label
 
 MAX = ScoreFunction.MAX_PROBABILITY
 DIFF = ScoreFunction.DIFFERENCE
@@ -91,8 +91,8 @@ def _decision_table(paired, fn):
     """Per-sample score and both possible outcomes, independent of lambda."""
     scores, correct_pass, correct_esc = [], [], []
     for s in paired.samples:
-        probs_a, probs_b = softmax(s.logits_a), softmax(s.logits_b)
-        s_a, s_b = score(probs_a, fn), score(probs_b, fn)
+        probs_a, probs_b = oracle_softmax(s.logits_a), oracle_softmax(s.logits_b)
+        s_a, s_b = oracle_score(probs_a, fn), oracle_score(probs_b, fn)
         scores.append(s_a)
         correct_pass.append(predicted_label(probs_a) == s.label)
         chosen = better_score(s_a, s_b, fn)
@@ -120,7 +120,7 @@ def test_02_lambda_star_equals_dense_grid_search(bundled_paired):
     standalone = sum(
         1
         for s in bundled_paired.samples
-        if predicted_label(softmax(s.logits_a)) == s.label
+        if predicted_label(oracle_softmax(s.logits_a)) == s.label
     ) / n
     accuracy, usage = accuracy_at(bundled_paired, DIFF, 0.0, True)
     assert accuracy == standalone
@@ -153,18 +153,18 @@ def test_04_score_function_contracts():
         k = rng.randrange(2, 17)
         raw = [rng.random() + 1e-9 for _ in range(k)]
         total = sum(raw)
-        probs = [v / total for v in raw]
-        assert score(probs, DIFF) <= score(probs, MAX)
+        probs = np.array([[v / total for v in raw]])
+        assert score_rows(probs, DIFF) <= score_rows(probs, MAX)
 
-    one_hot = [0.0] * 10
-    one_hot[3] = 1.0
-    assert score(one_hot, ENTROPY) == 0.0
+    one_hot = np.zeros((1, 10))
+    one_hot[0, 3] = 1.0
+    assert score_rows(one_hot, ENTROPY) == 0.0
 
     independent = -math.fsum(i / 10 * math.log(i / 10) for i in range(1, 11))
     assert entropy_denominator(10) == pytest.approx(independent, rel=1e-12)
     assert entropy_denominator(10) == pytest.approx(2.4559, abs=1e-3)
-    uniform = [0.1] * 10
-    assert score(uniform, ENTROPY) == pytest.approx(0.9376, abs=1e-3)
+    uniform = np.full((1, 10), 0.1)
+    assert score_rows(uniform, ENTROPY) == pytest.approx(0.9376, abs=1e-3)
 
 
 @criterion(5, "moment fingerprint invariance")
@@ -461,7 +461,7 @@ def test_13_headline_energy_on_the_bundled_pair(bundled_paired, costs_dir):
             yield aggregate(traces, costs), traces
 
     def by_hand(counts, costs):
-        return sum(count * costs.energy(stage) for stage, count in counts.items())
+        return sum(count * costs.stages[stage].energy_wh for stage, count in counts.items())
 
     runs = list(reports(config.threshold, "none", "identity", small))
     escalated = [t.path == "model_ab" for t in runs[0][1]]  # at ratio 0: each sample once
@@ -496,7 +496,7 @@ def test_13_headline_energy_on_the_bundled_pair(bundled_paired, costs_dir):
         assert round(reduction, 2) == (80.95 if hits[-1] else 62.10)
 
     # the paper's 85.8% at ratio 1 needs this usage u: a + u * b + 2 lookups + 1 insert = 14.2% of 2 large calls
-    per_pair = (1 - 0.858) * 2 * large.energy("model_a")
-    usage = (per_pair - small.energy("model_a") - 2 * small.energy("memory_lookup") - small.energy("memory_insert")) \
-        / small.energy("model_b")
+    energy = {stage: cost.energy_wh for stage, cost in small.stages.items()}
+    per_pair = (1 - 0.858) * 2 * large.stages["model_a"].energy_wh
+    usage = (per_pair - energy["model_a"] - 2 * energy["memory_lookup"] - energy["memory_insert"]) / energy["model_b"]
     assert round(usage, 3) == 0.204

@@ -19,10 +19,10 @@ from cascadekit.calibration import (
     load_config,
     save_config,
 )
-from cascadekit.confidence import ScoreFunction, score, softmax, softmax_rows
+from cascadekit.confidence import ScoreFunction, softmax_rows
 from cascadekit.errors import DataError
 from cascadekit.records import PairedDataset, RecordTable, align_records, load_prediction_records
-from test_calibration_oracles import better_score
+from test_calibration_oracles import better_score, oracle_score, oracle_softmax
 
 DIFF = ScoreFunction.DIFFERENCE
 MAX = ScoreFunction.MAX_PROBABILITY
@@ -167,7 +167,7 @@ class TestDecideOffline:
         config = CascadeConfig("a", "b", DIFF, 0.5, True)
         predicted, chosen_a, score_a, score_b = decide(config, _rows((6.0, 0.0, 0.0)), _b_never_called)
         assert (predicted, chosen_a, score_b) == ([0], [True], [None])
-        assert score_a == [score(softmax((6.0, 0.0, 0.0)), DIFF)]
+        assert score_a == [oracle_score(oracle_softmax((6.0, 0.0, 0.0)), DIFF)]
 
     def test_fail_without_post_check_takes_second(self):
         config = CascadeConfig("a", "b", DIFF, 0.9, False)
@@ -182,14 +182,14 @@ class TestDecideOffline:
         )
         assert asked == [[1]]  # once, for the escalated row only
         assert (predicted, chosen_a) == ([0, 1], [True, False])
-        assert score_b == [None, score(softmax((0.0, 5.0, 0.0)), DIFF)]
+        assert score_b == [None, oracle_score(oracle_softmax((0.0, 5.0, 0.0)), DIFF)]
 
     def test_fail_with_post_check_can_keep_first(self):
         # A misses the threshold but still outscores B
         logits_a = (2.0, 0.0, 0.0)
         logits_b = (0.2, 0.1, 0.0)
-        s_a = score(softmax(logits_a), DIFF)
-        s_b = score(softmax(logits_b), DIFF)
+        s_a = oracle_score(oracle_softmax(logits_a), DIFF)
+        s_b = oracle_score(oracle_softmax(logits_b), DIFF)
         assert s_b < s_a < 0.99
         config = CascadeConfig("a", "b", DIFF, 0.99, True)
         got = decide(config, _rows(logits_a), lambda rows: [logits_b])
@@ -221,7 +221,7 @@ class TestAccuracyAt:
         below = sum(
             1
             for s in bundled_paired.samples
-            if score(softmax(s.logits_a), DIFF) < 1.0
+            if oracle_score(oracle_softmax(s.logits_a), DIFF) < 1.0
         )
         assert usage == below / len(bundled_paired)
 
@@ -256,7 +256,7 @@ class TestCandidateLambdas:
     def test_one_midpoint(self):
         paired = _paired([(0, (3.0, 0.0, 0.0), (3.0, 0.0, 0.0)),
                           (0, (0.5, 0.0, 0.0), (3.0, 0.0, 0.0))])
-        scores = sorted(score(softmax(s.logits_a), DIFF) for s in paired.samples)
+        scores = sorted(oracle_score(oracle_softmax(s.logits_a), DIFF) for s in paired.samples)
         mid = (scores[0] + scores[1]) / 2
         assert candidate_lambdas(paired, DIFF) == [0.0, mid, 1.0]
 
@@ -270,7 +270,7 @@ class TestCandidateLambdas:
             (0, (1.5, 0.0, 0.0), (1.0, 0.0, 0.0)),
             (0, (4.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
         ])
-        scores = sorted(score(softmax(s.logits_a), DIFF) for s in paired.samples)
+        scores = sorted(oracle_score(oracle_softmax(s.logits_a), DIFF) for s in paired.samples)
         expected = [0.0, (scores[0] + scores[1]) / 2, (scores[1] + scores[2]) / 2, 1.0]
         assert candidate_lambdas(paired, DIFF) == expected
 
@@ -278,7 +278,7 @@ class TestCandidateLambdas:
         # for K=2 near-uniform vectors the entropy score exceeds 1, so the
         # midpoints between such scores fall outside the threshold domain
         paired = _paired([(0, (0.02, 0.0), (1.0, 0.0)), (0, (0.05, 0.0), (1.0, 0.0))])
-        high = [score(softmax(s.logits_a), ENTROPY) for s in paired.samples]
+        high = [oracle_score(oracle_softmax(s.logits_a), ENTROPY) for s in paired.samples]
         assert all(v > 1.0 for v in high)
         assert candidate_lambdas(paired, ENTROPY) == [0.0, 1.0]
 
@@ -311,7 +311,7 @@ class TestFindLambdaStar:
 
     def test_three_sample_set_picks_separating_midpoint(self):
         paired = _three_sample_set()
-        scores = sorted(score(softmax(s.logits_a), DIFF) for s in paired.samples)
+        scores = sorted(oracle_score(oracle_softmax(s.logits_a), DIFF) for s in paired.samples)
         result = find_lambda_star(paired, DIFF)
         assert result.accuracy == 1.0
         assert result.config.threshold == (scores[0] + scores[1]) / 2
@@ -349,8 +349,8 @@ class TestFindLambdaStar:
         assert usage == 1.0
         correct = 0
         for s in bundled_paired.samples:
-            probs_a, probs_b = softmax(s.logits_a), softmax(s.logits_b)
-            s_a, s_b = score(probs_a, DIFF), score(probs_b, DIFF)
+            probs_a, probs_b = oracle_softmax(s.logits_a), oracle_softmax(s.logits_b)
+            s_a, s_b = oracle_score(probs_a, DIFF), oracle_score(probs_b, DIFF)
             probs = probs_a if better_score(s_a, s_b, DIFF) == "a" else probs_b
             predicted = max(range(10), key=lambda i: probs[i])
             correct += predicted == s.label

@@ -3,10 +3,13 @@ per-sample, per-candidate loop it replaced, and the engine's replay against
 both.
 
 The oracles below are that loop and the per-sample decision function with
-its scalar helpers (the threshold test, the post-check comparator and the
-argmax of the logits), and the candidate set as two ``np.unique`` calls,
-which the search used before it read its candidates off its one sort; all
-are kept unchanged apart from their names. The kernel reproduces their
+its scalar helpers (the per-element softmax and score loops, the threshold
+test, the post-check comparator and the argmax of the logits), and the
+candidate set as two ``np.unique`` calls, which the search used before it
+read its candidates off its one sort; all are kept unchanged apart from
+their names. The other test modules take their per-sample scores from
+``oracle_softmax`` / ``oracle_score`` too, so no test checks the row
+kernels against their own one-row calls. The kernel reproduces their
 arithmetic (``math.exp``/``math.log`` per element, sums left to right), so
 curves, configs, accuracy and usage must be equal, and the per-sample
 scores equal bit for bit.
@@ -14,6 +17,7 @@ scores equal bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,10 +36,50 @@ from cascadekit.calibration import (
     candidate_lambdas,
     find_lambda_star,
 )
-from cascadekit.confidence import ScoreFunction, score, score_rows, softmax, softmax_rows
+from cascadekit.confidence import ScoreFunction, add_in_order, entropy_denominator, score_rows, softmax_rows
 from cascadekit.engine import PATH_MODEL_AB, CascadeEngine, ReplayClassifier, SampleRef, run_batch
 from cascadekit.errors import DataError
 from cascadekit.records import PairedDataset, RecordTable
+
+
+def oracle_softmax(logits: Sequence[float]) -> list[float]:
+    """Numerically stable softmax: the max logit is subtracted before
+    exponentiation, so arbitrarily large logits cannot overflow."""
+    if len(logits) < 2:
+        raise DataError("softmax needs at least 2 logits")
+    for v in logits:
+        if not math.isfinite(v):
+            raise DataError("non-finite logit")
+    m = max(logits)
+    exps = [math.exp(v - m) for v in logits]
+    total = add_in_order(exps)
+    return [e / total for e in exps]
+
+
+def oracle_top_two(probs: Sequence[float]) -> tuple[float, float]:
+    first = second = -math.inf
+    for p in probs:
+        if p > first:
+            first, second = p, first
+        elif p > second:
+            second = p
+    return first, second
+
+
+def oracle_score(probs: Sequence[float], kind: ScoreFunction) -> float:
+    """Confidence score of a probability vector under the given function.
+
+    max: largest entry. diff: largest minus second largest (by position, so
+    a repeated maximum scores 0). entropy: -sum p ln p over the K-dependent
+    normalization, with the 0 ln 0 = 0 convention.
+    """
+    if kind is ScoreFunction.MAX_PROBABILITY:
+        return max(probs)
+    if kind is ScoreFunction.DIFFERENCE:
+        first, second = oracle_top_two(probs)
+        return first - second
+    entropy = -add_in_order(p * math.log(p) for p in probs if p > 0.0)
+    return entropy / entropy_denominator(len(probs))
 
 
 def predicted_label(logits: Sequence[float]) -> int:
@@ -72,13 +116,13 @@ def oracle_decide(
     """
     if len(logits_a) != len(logits_b):
         raise DataError("logits length mismatch between models")
-    probs_a = softmax(logits_a)
-    score_a = score(probs_a, score_fn)
+    probs_a = oracle_softmax(logits_a)
+    score_a = oracle_score(probs_a, score_fn)
     if passes_threshold(score_a, threshold, score_fn):
         return predicted_label(logits_a), False, "a"
-    probs_b = softmax(logits_b)
+    probs_b = oracle_softmax(logits_b)
     if post_check:
-        chosen = better_score(score_a, score(probs_b, score_fn), score_fn)
+        chosen = better_score(score_a, oracle_score(probs_b, score_fn), score_fn)
     else:
         chosen = "b"
     predicted = predicted_label(logits_a if chosen == "a" else logits_b)
@@ -104,13 +148,13 @@ def oracle_build_table(paired: PairedDataset, score_fn: ScoreFunction, post_chec
     correct_pass = np.empty(n, dtype=bool)
     correct_esc = np.empty(n, dtype=bool)
     for i, s in enumerate(paired.samples):
-        probs_a = softmax(s.logits_a)
-        probs_b = softmax(s.logits_b)
-        score_a = score(probs_a, score_fn)
+        probs_a = oracle_softmax(s.logits_a)
+        probs_b = oracle_softmax(s.logits_b)
+        score_a = oracle_score(probs_a, score_fn)
         scores_a[i] = score_a
         correct_pass[i] = predicted_label(s.logits_a) == s.label
         if post_check:
-            chosen = better_score(score_a, score(probs_b, score_fn), score_fn)
+            chosen = better_score(score_a, oracle_score(probs_b, score_fn), score_fn)
         else:
             chosen = "b"
         predicted = predicted_label(s.logits_a if chosen == "a" else s.logits_b)
@@ -150,7 +194,7 @@ def oracle_candidate_lambdas(paired: PairedDataset, score_fn: ScoreFunction) -> 
     """
     if len(paired) == 0:
         raise DataError("empty dataset")
-    scores_a = sorted({score(softmax(s.logits_a), score_fn) for s in paired.samples})
+    scores_a = sorted({oracle_score(oracle_softmax(s.logits_a), score_fn) for s in paired.samples})
     candidates = {0.0, 1.0}
     for lo, hi in zip(scores_a, scores_a[1:]):
         mid = (lo + hi) / 2.0
@@ -222,16 +266,26 @@ def oracle_auto_select(paired: PairedDataset) -> CalibrationResult:
 # A small value set makes score ties and repeated maxima (diff = 0) common;
 # narrow floats give many distinct probabilities, where numpy's exp and log
 # would differ from math's; wide floats push probabilities to 0, where entropy
-# skips the 0 ln 0 term.
+# skips the 0 ln 0 term; extreme floats span the whole finite range, where
+# v - max overflows to -inf.
 SMALL_LOGITS = st.sampled_from((-3.0, -1.0, 0.0, 0.5, 1.0, 2.0, 4.0))
 NARROW_LOGITS = st.floats(-6.0, 6.0, allow_nan=False)
 WIDE_LOGITS = st.floats(-800.0, 800.0, allow_nan=False)
+EXTREME_LOGITS = st.floats(allow_nan=False, allow_infinity=False)
+LOGITS = (SMALL_LOGITS, NARROW_LOGITS, WIDE_LOGITS)
 
 
 @st.composite
-def logit_rows(draw, n: int, k: int) -> list[tuple[float, ...]]:
-    values = draw(st.sampled_from((SMALL_LOGITS, NARROW_LOGITS, WIDE_LOGITS)))
+def logit_rows(draw, n: int, k: int, kinds=LOGITS) -> list[tuple[float, ...]]:
+    values = draw(st.sampled_from(kinds))
     return [tuple(row) for row in draw(arrays(np.float64, (n, k), elements=values)).tolist()]
+
+
+@st.composite
+def kernel_shapes(draw) -> tuple[int, int]:
+    """N x K with K = 2..1000 (mostly small) and at most 4000 entries, so the per-element loops stay quick."""
+    k = draw(st.one_of(st.integers(2, 12), st.integers(2, 1000)))
+    return draw(st.integers(1, min(60, 4000 // k))), k
 
 
 @st.composite
@@ -260,15 +314,30 @@ def _assert_same_result(got: CalibrationResult, want: CalibrationResult) -> None
     assert repr((got.accuracy, got.second_model_usage)) == repr((want.accuracy, want.second_model_usage))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 60), st.integers(2, 12), st.data())
-def test_row_softmax_and_scores_bitwise_equal_per_sample(n, k, data):
-    rows = data.draw(logit_rows(n, k))
+@settings(max_examples=300, deadline=None)
+@given(kernel_shapes(), st.data())
+def test_row_softmax_and_scores_bitwise_equal_per_sample(shape, data):
+    rows = data.draw(logit_rows(*shape, kinds=(*LOGITS, EXTREME_LOGITS)))
     probs = softmax_rows(np.array(rows))
-    assert probs.tobytes() == np.array([softmax(row) for row in rows]).tobytes()
+    assert probs.tobytes() == np.array([oracle_softmax(row) for row in rows]).tobytes()
     for fn in ScoreFunction:
-        want = np.array([score(softmax(row), fn) for row in rows])
+        want = np.array([oracle_score(oracle_softmax(row), fn) for row in rows])
         assert score_rows(probs, fn).tobytes() == want.tobytes()
+
+
+# any probability entries, not only softmax outputs, whatever their sum: ties, zeros (0 ln 0) and
+# subnormals; -0.0 is left out, since which of two signed zeros is the larger is an order of the
+# loop, not of the score
+PROBABILITIES = st.one_of(st.sampled_from((0.0, 0.25, 0.5, 1.0)), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_shapes(), st.data())
+def test_score_rows_match_the_per_element_loop_on_any_probabilities(shape, data):
+    rows = data.draw(arrays(np.float64, shape, elements=PROBABILITIES))
+    for fn in ScoreFunction:
+        want = np.array([oracle_score(row, fn) for row in rows.tolist()])
+        assert score_rows(rows, fn).tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -395,7 +464,7 @@ def test_engine_replay_matches_decide_oracle_and_sweep(paired, fn, post_check, o
     classifier_b = ReplayClassifier(
         dataset.name_b, RecordTable(dataset.ids, dataset.labels, dataset.logits_b)
     )
-    scores_a = {score(softmax(s.logits_a), fn) for s in dataset.samples}
+    scores_a = {oracle_score(oracle_softmax(s.logits_a), fn) for s in dataset.samples}
     # every exact model-A score is a >= / <= boundary; the threshold domain is [0, 1]
     for lam in sorted({0.0, 1.0, *(v for v in scores_a if 0.0 <= v <= 1.0)}):
         config = CascadeConfig(dataset.name_a, dataset.name_b, fn, lam, post_check)

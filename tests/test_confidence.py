@@ -8,7 +8,7 @@ import pytest
 
 from cascadekit.confidence import ScoreFunction, entropy_denominator, score, softmax
 from cascadekit.errors import DataError
-from test_calibration_oracles import better_score, passes_threshold
+from test_calibration_oracles import better_score, oracle_score, oracle_softmax, passes_threshold
 
 
 def _random_probs(rng: random.Random, k: int) -> list[float]:
@@ -90,6 +90,23 @@ class TestScore:
             d = score(probs, ScoreFunction.DIFFERENCE)
             m = score(probs, ScoreFunction.MAX_PROBABILITY)
             assert 0.0 <= d <= m <= 1.0
+
+    def test_needs_two_finite_entries(self):
+        for probs in ([], [0.5], [0.5, math.nan], [math.inf, 0.1], [0.5, -math.inf]):
+            for kind in ScoreFunction:
+                with pytest.raises(DataError, match="at least 2 finite"):
+                    score(probs, kind)
+
+    def test_one_row_calls_match_the_per_element_loops(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            logits = [rng.uniform(-30, 30) for _ in range(rng.randrange(2, 12))]
+            probs = softmax(logits)
+            assert type(probs) is list and probs == oracle_softmax(logits)
+            for kind in ScoreFunction:
+                got = score(probs, kind)
+                assert type(got) is float and got == oracle_score(probs, kind)
+        assert type(score([0, 1], ScoreFunction.MAX_PROBABILITY)) is float
 
     def test_parse_names(self):
         assert ScoreFunction.parse("max") is ScoreFunction.MAX_PROBABILITY

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cascadekit import engine as engine_module
-from cascadekit import metering
 from cascadekit.calibration import CascadeConfig, accuracy_at
 from cascadekit.confidence import ScoreFunction
 from cascadekit.engine import (
@@ -289,15 +288,14 @@ class TestRunBatch:
 
         monkeypatch.setattr(StageTrace, "__new__", refuse)
         monkeypatch.setattr(StageTrace, "_make", classmethod(refuse))
-        for module in (engine_module, metering):
-            monkeypatch.setattr(module, "StageTrace", None)
+        monkeypatch.setattr(engine_module, "StageTrace", None)
         traces, summary = run_batch(engine, samples)
         report = aggregate(traces, costs)
         text = format_traces_jsonl(traces)
         monkeypatch.undo()
         assert text.count("\n") == report.sample_count == len(traces) == 500
         assert 0 < summary.path_counts[PATH_MODEL_AB] < 500
-        assert text == format_traces_jsonl(list(traces))
+        assert text == format_traces_jsonl(Traces.from_rows(list(traces)))
 
     def test_order_matters_for_memory(self):
         img = synthetic_image(16, 16, seed=5)

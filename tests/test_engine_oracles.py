@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascadekit.calibration import CascadeConfig
-from cascadekit.confidence import ScoreFunction, score, softmax
+from cascadekit.confidence import ScoreFunction
 from cascadekit.engine import (
     PATH_MEMORY_HIT,
     PATH_MODEL_A_ONLY,
@@ -41,7 +41,14 @@ from cascadekit.errors import DataError
 from cascadekit.images import TRANSFORMS, ImageBuffer, to_grayscale
 from cascadekit.phash import Fingerprint, dhash_fingerprint, moments_fingerprint
 from cascadekit.synthetic import synthetic_image
-from test_calibration_oracles import better_score, logit_rows, passes_threshold, predicted_label
+from test_calibration_oracles import (
+    better_score,
+    logit_rows,
+    oracle_score,
+    oracle_softmax,
+    passes_threshold,
+    predicted_label,
+)
 
 
 # the per-image fingerprint of each memory method
@@ -58,13 +65,13 @@ def oracle_decide_one(
     A's score misses the threshold; score_b is None when it was not called.
     """
     score_fn = config.score_fn
-    score_a = score(softmax(logits_a), score_fn)
+    score_a = oracle_score(oracle_softmax(logits_a), score_fn)
     if passes_threshold(score_a, config.threshold, score_fn):
         return predicted_label(logits_a), "a", score_a, None
     logits_b = infer_b()
     if len(logits_b) != len(logits_a):
         raise DataError("logits length mismatch between models")
-    score_b = score(softmax(logits_b), score_fn)
+    score_b = oracle_score(oracle_softmax(logits_b), score_fn)
     chosen = better_score(score_a, score_b, score_fn) if config.post_check else "b"
     return predicted_label(logits_a if chosen == "a" else logits_b), chosen, score_a, score_b
 
@@ -203,7 +210,7 @@ def test_batches_match_per_sample_oracle(n, k, data):
     ids = [f"s{i}" for i in range(n)]
     rows_a = dict(zip(ids, data.draw(logit_rows(n, k))))
     rows_b = dict(zip(ids, data.draw(logit_rows(n, k))))
-    config = data.draw(configs([score(softmax(row), fn) for row in rows_a.values() for fn in ScoreFunction]))
+    config = data.draw(configs([oracle_score(oracle_softmax(row), fn) for row in rows_a.values() for fn in ScoreFunction]))
     stream = data.draw(streams(ids))
     cuts = sorted(data.draw(st.lists(st.integers(1, len(stream)), max_size=2)))
     engine, oracle = _engines(config, rows_a, rows_b)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import inspect
 import json
 import math
@@ -18,6 +19,7 @@ from cascadekit.engine import (
     ReplayClassifier,
     SampleRef,
     StageTrace,
+    Traces,
     run_batch,
 )
 from cascadekit.errors import DataError
@@ -97,13 +99,13 @@ class TestCostOf:
     """The cost of one trace: aggregate adds its stage latencies left to right."""
 
     def test_single_stage(self):
-        report = aggregate([_trace(["model_a"])], _costs())
+        report = aggregate(Traces.from_rows([_trace(["model_a"])]), _costs())
         assert report.latencies_ms == [10.0]
         assert report.total_energy_wh == 0.1
 
     def test_memory_hit(self):
         trace = _trace(["memory_lookup"], path=PATH_MEMORY_HIT)
-        report = aggregate([trace], _costs())
+        report = aggregate(Traces.from_rows([trace]), _costs())
         assert report.latencies_ms == [1.0]
         assert report.total_energy_wh == 0.001
 
@@ -112,13 +114,13 @@ class TestCostOf:
             ["memory_lookup", "model_a", "model_b", "memory_insert"],
             path=PATH_MODEL_AB,
         )
-        report = aggregate([trace], _costs())
+        report = aggregate(Traces.from_rows([trace]), _costs())
         assert report.total_energy_wh == pytest.approx(0.302)
         assert report.latencies_ms == [32.0]
 
     def test_unknown_stage(self):
         with pytest.raises(DataError, match="unknown stage 'model_c' in trace 's0'"):
-            aggregate([_trace(["model_a", "model_c"])], _costs())
+            aggregate(Traces.from_rows([_trace(["model_a", "model_c"])]), _costs())
 
 
 class TestNearestRank:
@@ -154,7 +156,7 @@ class TestNearestRank:
 class TestAggregate:
     def test_counts_first_beats_per_sample_rounding(self):
         traces = [_trace(["model_a"], sample_id=f"s{i}") for i in range(10)]
-        report = aggregate(traces, _costs())
+        report = aggregate(Traces.from_rows(traces), _costs())
         assert report.total_energy_wh == 10 * 0.1
         running = 0.0
         for _ in range(10):
@@ -171,7 +173,7 @@ class TestAggregate:
                 PATH_MODEL_AB,
             ),
         ]
-        report = aggregate(traces, _costs())
+        report = aggregate(Traces.from_rows(traces), _costs())
         assert report.sample_count == 3
         assert report.path_counts == {
             PATH_MEMORY_HIT: 1, PATH_MODEL_A_ONLY: 1, PATH_MODEL_AB: 1,
@@ -185,40 +187,38 @@ class TestAggregate:
             _trace(["model_a"], "s0"),
             _trace(["model_a", "model_b"], "s1", PATH_MODEL_AB),
         ]
-        report = aggregate(traces, _costs())
+        report = aggregate(Traces.from_rows(traces), _costs())
         assert report.latencies_ms == [10.0, 30.0]
         assert report.mean_latency_ms == 20.0
         assert report.p95_latency_ms == 30.0
         assert report.p99_latency_ms == 30.0
 
     def test_current_requires_every_stage(self):
-        traces = [_trace(["model_a"])]
+        traces = Traces.from_rows([_trace(["model_a"])])
         assert aggregate(traces, _costs(current=2.0)).total_current_mah == 2.0
-        costs = _costs(current=2.0)
-        costs.stages["model_b"] = StageCost(0.2, 20.0, None)
+        costs = CostProfile({**_costs(current=2.0).stages, "model_b": StageCost(0.2, 20.0, None)})
         assert aggregate(traces, costs).total_current_mah is None
 
     def test_metrics_gating(self):
         labeled = [_trace(["model_a"], "s0", predicted=0, label=0)]
-        assert aggregate(labeled, _costs()).metrics is not None
+        assert aggregate(Traces.from_rows(labeled), _costs()).metrics is not None
         unlabeled = [
             StageTrace("s0", PATH_MODEL_A_ONLY, "a", 0, None, 0.5, None, ("model_a",))
         ]
-        assert aggregate(unlabeled, _costs()).metrics is None
+        assert aggregate(Traces.from_rows(unlabeled), _costs()).metrics is None
 
     def test_config_is_echoed(self):
         config = CascadeConfig("model_a", "model_b", DIFF, 0.5, True, "none")
-        report = aggregate([_trace(["model_a"])], _costs(), config=config)
+        report = aggregate(Traces.from_rows([_trace(["model_a"])]), _costs(), config=config)
         assert report.config == config
 
     def test_incomplete_profile(self):
-        costs = CostProfile({"model_a": StageCost(0.1, 1.0)})
-        with pytest.raises(DataError, match="cost profile missing stage"):
-            aggregate([_trace(["model_a"])], costs)
+        with pytest.raises(DataError, match=r"^missing stage\(s\) in cost profile: memory_insert, memory_lookup, model_b$"):
+            CostProfile({"model_a": StageCost(0.1, 1.0)})
 
     def test_no_traces(self):
         with pytest.raises(DataError, match="no traces"):
-            aggregate([], _costs())
+            aggregate(Traces.from_rows([]), _costs())
 
 
 class TestCompare:
@@ -457,7 +457,7 @@ class TestReportSerialization:
             _trace(["model_a", "model_b"], "s1", PATH_MODEL_AB, predicted=1, label=label),
         ]
         config = CascadeConfig("model_a", "model_b", DIFF, 0.62, True, "none") if config else None
-        return aggregate(traces, _costs(current=current), config=config)
+        return aggregate(Traces.from_rows(traces), _costs(current=current), config=config)
 
     @pytest.mark.parametrize("current", [0.25, None], ids=["current", "no_current"])
     @pytest.mark.parametrize("config", [True, False], ids=["config", "no_config"])
@@ -593,7 +593,7 @@ class TestReportSerialization:
     def test_from_dict_does_not_bound_the_mean_by_the_latencies(self):
         # a float mean can round above equal latencies
         traces = [_trace(["memory_lookup"], f"s{i}", PATH_MEMORY_HIT) for i in range(3)]
-        report = aggregate(traces, _costs())
+        report = aggregate(Traces.from_rows(traces), _costs())
         obj = report.to_dict()
         obj["latencies_ms"] = [0.1] * 3
         obj.update(mean_latency_ms=sum(obj["latencies_ms"]) / 3, p95_latency_ms=0.1, p99_latency_ms=0.1)
@@ -627,7 +627,7 @@ class TestReportSerialization:
         assert cells[6:] == ["0", "1", "1"]
 
     def test_csv_blank_accuracy_without_metrics(self):
-        report = aggregate([_trace(["model_a"], label=None)], _costs())
+        report = aggregate(Traces.from_rows([_trace(["model_a"], label=None)]), _costs())
         cells = format_report_csv(report).splitlines()[1].split(",")
         assert cells[5] == ""
 
@@ -635,9 +635,13 @@ class TestReportSerialization:
         curves = [
             DuplicationCurve("plain", [(0.0, 0.5, 0), (1.0, 1.0, 0)]),
             DuplicationCurve("memo", [(0.0, 0.5, 0), (1.0, 0.6, 4)]),
+            DuplicationCurve('a,"b"', [(0.0, 1.0, 0)]),
         ]
         text = format_curves_csv(curves)
         lines = text.splitlines()
         assert lines[0] == "ratio,engine,total_energy_wh,hits"
         assert lines[1] == "0.0,plain,0.5,0"
         assert lines[4] == "1.0,memo,0.6,4"
+        # an engine name with a comma or a quote is one quoted field, as in the matrix CSV
+        assert lines[5] == '0.0,"a,""b""",1.0,0'
+        assert [len(row) for row in csv.reader(lines)] == [4] * 6

@@ -142,9 +142,9 @@ def oracle_aggregate(
             if stage not in stage_counts:
                 raise DataError(f"unknown stage {stage!r} in trace {t.sample_id!r}")
             stage_counts[stage] += 1
-            latency += costs.latency(stage)
+            latency += costs.stages[stage].latency_ms
         latencies.append(latency)
-    total_energy = _left_to_right(count * costs.energy(s) for s, count in stage_counts.items())
+    total_energy = _left_to_right(count * costs.stages[s].energy_wh for s, count in stage_counts.items())
     currents = [costs.stages[s].current_mah for s in STAGES]
     total_current = None
     if all(c is not None for c in currents):
@@ -246,7 +246,7 @@ def traces_st(draw) -> list[StageTrace]:
 @settings(max_examples=300, deadline=None)
 @given(traces_st())
 def test_trace_lines_match_json_dumps_oracle(traces):
-    text = format_traces_jsonl(traces)
+    text = format_traces_jsonl(Traces.from_rows(traces))
     assert text.endswith("\n")
     assert text[:-1].split("\n") == [
         json.dumps(oracle_trace_to_dict(t), separators=(",", ":")) for t in traces
@@ -333,7 +333,7 @@ def _report_or_error(fn, traces, costs):
 @given(priced_traces())
 def test_aggregate_matches_per_trace_oracle(case):
     traces, costs = case
-    assert _report_or_error(aggregate, traces, costs) == _report_or_error(oracle_aggregate, traces, costs)
+    assert _report_or_error(aggregate, Traces.from_rows(traces), costs) == _report_or_error(oracle_aggregate, traces, costs)
 
 
 def oracle_format_report_json(report: RunReport) -> str:
@@ -374,7 +374,7 @@ def test_aggregate_bad_trace_after_cached_tuple_raises_oracle_error():
                    [good, bad_stage, bad_stage._replace(sample_id="t")]):
         want = _outcome(oracle_aggregate, traces, costs)
         assert isinstance(want, tuple)
-        assert _outcome(aggregate, traces, costs) == want
+        assert _outcome(aggregate, Traces.from_rows(traces), costs) == want
 
 
 
@@ -449,7 +449,6 @@ def test_each_percentile_reads_its_own_rank(n):
 
 def test_zero_traces_write_an_empty_file():
     assert format_traces_jsonl(Traces.from_rows([])) == ""
-    assert format_traces_jsonl([]) == ""
 
 
 DUP_COSTS = CostProfile({

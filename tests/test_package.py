@@ -5,6 +5,8 @@ import gc
 import importlib
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 import types
@@ -429,6 +431,26 @@ def test_readme_library_snippet_runs():
         env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
     ).stdout
     assert out == expected + "\n"
+
+
+def test_readme_quick_start_runs(tmp_path):
+    """Each command of the Quick start block exits 0 through ``python -m cascadekit.cli``,
+    run in order in a fresh directory that holds copies of data/ and costs/."""
+    root = SOURCE.parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.strip() and not line.startswith("#")]
+    assert [argv[0] for argv in commands] == ["cascadekit"] * 6
+    for name in ("data", "costs"):
+        shutil.copytree(root / name, tmp_path / name)
+    for argv in commands:
+        run = subprocess.run(
+            [sys.executable, "-m", "cascadekit.cli", *argv[1:]], capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
+        )
+        assert (run.returncode, run.stderr) == (0, ""), argv
+    assert (tmp_path / "baseline.json").is_file() and (tmp_path / "report.json").is_file()
 
 
 JSON_READERS = {"load", "loads", "JSONDecoder"}

@@ -12,7 +12,9 @@ import pytest
 from cascadekit import errors, records
 from cascadekit.errors import DataError
 from cascadekit.records import (
+    CostProfile,
     RecordTable,
+    StageCost,
     align_records,
     format_prediction_records,
     load_cost_profile,
@@ -501,12 +503,25 @@ def _profile_dict():
     }
 
 
+def _hand_built(obj: dict) -> CostProfile:
+    """The profile dict's stages as StageCost values, through the constructor."""
+    return CostProfile({
+        name: StageCost(entry["energy_wh"], entry["latency_ms"], entry.get("current_mah"))
+        for name, entry in obj["stages"].items()
+    })
+
+
+def _parsed(obj: dict) -> CostProfile:
+    return parse_cost_profile(json.dumps(obj))  # a float nan or inf is dumped as NaN, Infinity, -Infinity
+
+
 class TestCostProfile:
     def test_happy_path(self):
         profile = parse_cost_profile(json.dumps(_profile_dict()))
-        assert profile.energy("model_a") == 1e-5
-        assert profile.latency("model_b") == 40.0
+        assert profile.stages["model_a"].energy_wh == 1e-5
+        assert profile.stages["model_b"].latency_ms == 40.0
         assert profile.stages["model_a"].current_mah is None
+        assert dict(_hand_built(_profile_dict()).stages) == dict(profile.stages)
 
     def test_comments_tolerated(self):
         obj = _profile_dict()
@@ -519,49 +534,73 @@ class TestCostProfile:
         profile = parse_cost_profile(json.dumps(obj))
         assert profile.stages["model_a"].current_mah == 3.5
 
-    def test_missing_stage(self):
+    def test_stages_are_read_only_and_required(self):
+        profile = _hand_built(_profile_dict())
+        with pytest.raises(TypeError):
+            profile.stages["model_a"] = StageCost(0.0, 0.0)
+        with pytest.raises(TypeError):
+            CostProfile()
+
+    @pytest.mark.parametrize("build", [_parsed, _hand_built], ids=["parsed", "hand_built"])
+    def test_missing_stage(self, build):
         obj = _profile_dict()
         del obj["stages"]["model_b"]
-        with pytest.raises(DataError, match="missing stage.*model_b"):
-            parse_cost_profile(json.dumps(obj))
+        with pytest.raises(DataError, match=r"^missing stage\(s\) in cost profile: model_b$"):
+            build(obj)
 
-    def test_unknown_stage(self):
+    @pytest.mark.parametrize("build", [_parsed, _hand_built], ids=["parsed", "hand_built"])
+    def test_unknown_stage(self, build):
         obj = _profile_dict()
         obj["stages"]["model_c"] = {"energy_wh": 0.0, "latency_ms": 0.0}
-        with pytest.raises(DataError, match="unknown stage.*model_c"):
-            parse_cost_profile(json.dumps(obj))
+        with pytest.raises(DataError, match=r"^unknown stage\(s\) in cost profile: model_c$"):
+            build(obj)
 
-    def test_negative_energy(self):
+    @pytest.mark.parametrize("build", [_parsed, _hand_built], ids=["parsed", "hand_built"])
+    def test_negative_energy(self, build):
         obj = _profile_dict()
         obj["stages"]["model_a"]["energy_wh"] = -1.0
-        with pytest.raises(DataError, match="model_a energy_wh must be >= 0"):
-            parse_cost_profile(json.dumps(obj))
+        with pytest.raises(DataError, match="^stage model_a energy_wh must be >= 0$"):
+            build(obj)
 
-    def test_bool_value_rejected(self):
+    @pytest.mark.parametrize("build", [_parsed, _hand_built], ids=["parsed", "hand_built"])
+    def test_bool_value_rejected(self, build):
         obj = _profile_dict()
         obj["stages"]["model_a"]["latency_ms"] = True
-        with pytest.raises(DataError, match="latency_ms must be a number"):
-            parse_cost_profile(json.dumps(obj))
+        with pytest.raises(DataError, match="^stage model_a latency_ms must be a number$"):
+            build(obj)
+
+    @pytest.mark.parametrize("entry, message", [
+        (1.0, "must be an object"),
+        ({"latency_ms": 1.0}, "missing energy_wh"),
+        ({"energy_wh": 1.0}, "missing latency_ms"),
+    ])
+    def test_entry_shape(self, entry, message):
+        obj = _profile_dict()
+        obj["stages"]["model_b"] = entry
+        with pytest.raises(DataError, match=f"^stage model_b {message}$"):
+            _parsed(obj)
 
     def test_invalid_json(self):
         with pytest.raises(DataError, match="invalid cost-profile JSON"):
             parse_cost_profile("{")
 
+    @pytest.mark.parametrize("build", [_parsed, _hand_built], ids=["parsed", "hand_built"])
     @pytest.mark.parametrize("key", ["energy_wh", "latency_ms", "current_mah"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_value_rejected(self, key, value):
+    def test_non_finite_value_rejected(self, key, value, build):
         obj = _profile_dict()
-        obj["stages"]["model_b"][key] = float(value)  # dumped as NaN, Infinity, -Infinity
-        with pytest.raises(DataError, match=f"model_b {key} must be finite"):
-            parse_cost_profile(json.dumps(obj))
+        obj["stages"]["model_b"][key] = float(value)
+        with pytest.raises(DataError, match=f"^stage model_b {key} must be finite$"):
+            build(obj)
 
+    @pytest.mark.parametrize("build", [_parsed, _hand_built], ids=["parsed", "hand_built"])
     @pytest.mark.parametrize("key", ["energy_wh", "latency_ms", "current_mah"])
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_integer_beyond_float_range_rejected(self, key, sign):
+    def test_integer_beyond_float_range_rejected(self, key, sign, build):
         obj = _profile_dict()
         obj["stages"]["model_a"][key] = sign * 10**400
-        with pytest.raises(DataError, match=f"model_a {key} is out of float range"):
-            parse_cost_profile(json.dumps(obj))
+        with pytest.raises(DataError, match=f"^stage model_a {key} is out of float range$"):
+            build(obj)
 
     def test_non_utf8_bytes_rejected(self):
         with pytest.raises(DataError, match="not valid UTF-8"):
