@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Six seeded 32x32 RGB frames, one black, through the stacked grayscale and
 # fingerprint kernels of `cascadekit duplication`: at ratio 1 every identity
-# copy hits under dhash; under moments every rot90 copy hits but the black one,
-# which has no moments. Then `cascadekit run --traces` under moments writes one
-# trace per frame: the black one carries its hash error, the other five look the
-# memory up. Exits non-zero if either hit count or that trace file differs.
+# copy hits under dhash; under moments every rot90, rot180, mirror_h, mirror_v
+# and random_of_these copy hits but the black one, which has no moments. Then
+# `cascadekit run --traces` under moments writes one trace per frame: the black
+# one carries its hash error, the other five look the memory up. Exits non-zero
+# if a hit count or that trace file differs.
 #
 # usage, from the repository root: bash .github/dup6.sh WORKDIR [CLI...]
 # CLI is the command that runs cascadekit (default: the console script), for
@@ -33,11 +34,13 @@ for n, sample_id in enumerate(tables[0].ids):
     open(os.path.join(d, "images", sample_id + ".ppm"), "wb").write(write_image_pnm(image))
 EOF
 
-for case in "dhash identity 6" "moments rot90 5"; do
-  read -r memory transform hits <<< "$case"
+for memory in dhash moments; do
   printf '{"first_model": "model_a", "second_model": "model_b", "score_fn": "diff", "lambda": 0.5, "post_check": true, "memory": "%s"}\n' "$memory" > "$dir/$memory.json"
-  "${cli[@]}" duplication --config "$dir/$memory.json" --records-a "$dir/model_a.jsonl" --records-b "$dir/model_b.jsonl" --images "$dir/images" --costs costs/cifar10.json --ratios 0,1 --transform "$transform" --out "$dir/$memory.csv" | tee "$dir/$memory.txt"
-  grep -E "^ratio=1\.0 .* hits=$hits\$" "$dir/$memory.txt"
+done
+for case in "dhash identity 6" "moments rot90 5" "moments rot180 5" "moments mirror_h 5" "moments mirror_v 5" "moments random_of_these 5"; do
+  read -r memory transform hits <<< "$case"
+  "${cli[@]}" duplication --config "$dir/$memory.json" --records-a "$dir/model_a.jsonl" --records-b "$dir/model_b.jsonl" --images "$dir/images" --costs costs/cifar10.json --ratios 0,1 --transform "$transform" --out "$dir/$memory-$transform.csv" | tee "$dir/$memory-$transform.txt"
+  grep -E "^ratio=1\.0 .* hits=$hits\$" "$dir/$memory-$transform.txt"
 done
 
 blank='"hash_error":"zero total intensity"'

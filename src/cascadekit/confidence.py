@@ -50,9 +50,10 @@ class ScoreFunction(enum.Enum):
 
 
 def add_in_order(values: Iterable[float]) -> float:
-    """Left-to-right float sum, as numpy's row adds in ``softmax_rows`` and
-    ``score_rows`` and ``sum()`` before Python 3.12 (which compensates) add;
-    report totals add this way, so they match on every Python version."""
+    """Left-to-right float sum, as ``_row_sums`` adds the rows of
+    ``softmax_rows`` and ``score_rows`` and ``sum()`` before Python 3.12
+    (which compensates) adds; report totals add this way, so they match on
+    every Python version."""
     return reduce(add, values, 0.0)
 
 
@@ -67,8 +68,9 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax of each row of an N x K float64 matrix: the
     row's max logit is subtracted before exponentiation, so arbitrarily large
     logits cannot overflow. One ``math.exp`` per element (numpy's exp can
-    differ in the last bit; Python floats map faster than numpy scalars) and
-    ``sum`` over the columns, which adds them left to right."""
+    differ in the last bit), fed from a memoryview of the shifted buffer, so
+    no list of floats is built and at most two N x K buffers are alive at
+    once, and ``_row_sums``, which adds left to right."""
     import numpy as np
 
     if logits.shape[1] < 2:
@@ -76,9 +78,24 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     if not np.isfinite(logits).all():
         raise DataError("non-finite logit")
     with np.errstate(over="ignore"):  # v - max past the float range is -inf, whose exp is 0
-        shifted = (logits - logits.max(axis=1, keepdims=True)).ravel()
-    exps = np.fromiter(map(math.exp, shifted.tolist()), np.float64, shifted.size).reshape(logits.shape)
-    return exps / sum(exps.T)[:, None]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+    exps = np.fromiter(map(math.exp, memoryview(shifted.ravel())), np.float64, shifted.size)
+    del shifted
+    exps = exps.reshape(logits.shape)
+    exps /= _row_sums(exps)[:, None]
+    return exps
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Each row of x added left to right from 0.0, bit for bit as ``add_in_order`` adds it.
+
+    ``np.add.accumulate`` adds in order by definition; ``np.sum`` and
+    ``np.add.reduce`` pair-sum, even over axis 0 of a one-row transpose. The
+    trailing ``+ 0.0`` stands for the leading one: it turns an all -0.0 row's
+    -0.0 into 0.0 and changes no other sum."""
+    import numpy as np
+
+    return np.add.accumulate(x, axis=1)[:, -1] + 0.0
 
 
 @lru_cache(maxsize=None)
@@ -117,6 +134,9 @@ def score_rows(probs: np.ndarray, kind: ScoreFunction) -> np.ndarray:
     if kind is ScoreFunction.DIFFERENCE:
         top = np.partition(probs, -2, axis=1)
         return top[:, -1] - top[:, -2]
-    positive = np.where(probs > 0.0, probs, 1.0).ravel()  # p = 0 takes ln 1: 0 ln 0 = 0
-    logs = np.fromiter(map(math.log, positive.tolist()), np.float64, positive.size).reshape(probs.shape)
-    return -sum((probs * logs).T) / entropy_denominator(probs.shape[1])
+    positive = np.where(probs > 0.0, probs, 1.0)  # p = 0 takes ln 1: 0 ln 0 = 0
+    terms = np.fromiter(map(math.log, memoryview(positive.ravel())), np.float64, positive.size)
+    del positive
+    terms = terms.reshape(probs.shape)
+    terms *= probs
+    return -_row_sums(terms) / entropy_denominator(probs.shape[1])

@@ -95,13 +95,15 @@ def write_image_pnm(img: ImageBuffer) -> bytes:
 
 
 def _array(img: ImageBuffer) -> np.ndarray:
-    """Read-only (height, width, channels) uint8 view of the pixels."""
-    return np.frombuffer(img.pixels, dtype=np.uint8).reshape(img.height, img.width, img.channels)
+    """Read-only (height, width) view of the pixels, one ``V{channels}`` item per pixel, so
+    a transform moves whole pixels."""
+    return np.frombuffer(img.pixels, dtype=f"V{img.channels}").reshape(img.height, img.width)
 
 
 def _from_array(pixels: np.ndarray) -> ImageBuffer:
-    height, width, channels = pixels.shape
-    return ImageBuffer(width, height, channels, pixels.tobytes())
+    """The image of a (height, width) array of one-item pixels (``V{channels}`` or uint8)."""
+    height, width = pixels.shape
+    return ImageBuffer(width, height, pixels.dtype.itemsize, pixels.tobytes())
 
 
 def grayscale_stack(images: Sequence[ImageBuffer]) -> np.ndarray:
@@ -113,10 +115,15 @@ def grayscale_stack(images: Sequence[ImageBuffer]) -> np.ndarray:
     px = px.reshape(len(images), first.height, first.width, first.channels)
     if first.channels == 1:
         return px[..., 0]
-    # int32 in place (numpy's int64 matmul skips BLAS); weights sum to 1000, so luma <= 255
-    luma = np.multiply(px[..., 0], 299, dtype=np.int32)
-    luma += np.multiply(px[..., 1], 587, dtype=np.int32)
-    luma += np.multiply(px[..., 2], 114, dtype=np.int32)
+    # int32, scaled and added in place; weights sum to 1000, so luma <= 255. Each channel is
+    # cast once, as numpy runs a mixed uint8-by-int32 multiply through buffered casts.
+    luma = px[..., 0].astype(np.int32)
+    luma *= 299
+    for channel, weight in ((1, 587), (2, 114)):
+        term = px[..., channel].astype(np.int32)
+        term *= weight
+        luma += term
+        del term  # freed before the next channel's cast
     luma += 500
     luma //= 1000
     return luma.astype(np.uint8)
@@ -126,7 +133,7 @@ def to_grayscale(img: ImageBuffer) -> ImageBuffer:
     """``grayscale_stack`` of one image; identity for 1-channel input."""
     if img.channels == 1:
         return img
-    return _from_array(grayscale_stack([img])[0, :, :, np.newaxis])
+    return _from_array(grayscale_stack([img])[0])
 
 
 def rotate90(img: ImageBuffer) -> ImageBuffer:

@@ -92,13 +92,19 @@ def _raw_moments(planes: np.ndarray) -> list[list[list[int]]]:
     h, w = planes.shape[1:]
     sx, sy = _power_sums(w), _power_sums(h)
     # int64 is exact while no used moment of an all-255 image reaches 2**63; past that
-    # (thin or huge images) the same product runs on Python ints. p + q > 3 may wrap.
+    # (thin or huge images) the same products run on Python ints. p + q > 3 may wrap.
     fits = all(255 * sx[p] * sy[q] < 2**63 for p in range(4) for q in range(4 - p))
     dtype = np.int64 if fits else object
-    f = planes.astype(dtype)
+    # The row moments f @ xs run on float64, where numpy's matmul calls BLAS (its int64 matmul
+    # does not), while each of them and every partial sum of one is an integer below 2**53
+    # (widths up to 3448): any order of adds is exact. They are then made int64, as object
+    # columns made from float64 would hold floats.
+    row_dtype = np.float64 if 255 * max(sx) < 2**53 else dtype
+    rows = planes.astype(row_dtype) @ np.vander(np.arange(w).astype(row_dtype), 4, increasing=True)
+    if row_dtype is np.float64:
+        rows = rows.astype(np.int64)
     ys = np.vander(np.arange(h).astype(dtype), 4, increasing=True)
-    xs = np.vander(np.arange(w).astype(dtype), 4, increasing=True)
-    return (ys.T @ (f @ xs)).tolist()
+    return (ys.T @ rows.astype(dtype, copy=False)).tolist()
 
 
 def _gmul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
@@ -189,8 +195,8 @@ FINGERPRINTS: dict[str, Callable[[np.ndarray], list[Fingerprint | str]]] = {
     "moments": _moments_stack,
 }
 
-# The most pixels one stacked call takes, so its int64 planes stay within 512 KB (peak RSS
-# stays flat at 224x224); a larger image goes alone.
+# The most pixels one stacked call takes, so its 8-byte planes (float64 for the moments, int64
+# for dhash) stay within 512 KB (peak RSS stays flat at 224x224); a larger image goes alone.
 CHUNK_PIXELS = 1 << 16
 
 

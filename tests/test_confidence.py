@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cascadekit.confidence import ScoreFunction, entropy_denominator, score, softmax
+from cascadekit.confidence import ScoreFunction, entropy_denominator, score, score_rows, softmax, softmax_rows
 from cascadekit.errors import DataError
 from test_calibration_oracles import better_score, oracle_score, oracle_softmax, passes_threshold
 
@@ -184,3 +185,29 @@ class TestLeftToRightSums:
         terms = [(i / k) * math.log(i / k) for i in range(1, k + 1)]
         assert self._left_to_right(terms) != math.fsum(terms)
         assert entropy_denominator(k) == -self._left_to_right(terms)
+
+    def test_rows_of_non_positive_entries(self):
+        # each p ln p term is -0.0 (p <= 0 takes ln 1): the sum starts from 0.0, as the loop's does
+        rows = [[-0.0, -0.0, -0.0], [-0.5, 0.0, -0.25]]
+        got = score_rows(np.array(rows), ScoreFunction.ENTROPY_NORMALIZED).tolist()
+        assert repr(got) == repr([oracle_score(row, ScoreFunction.ENTROPY_NORMALIZED) for row in rows])
+        assert repr(got) == "[-0.0, -0.0]"
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [softmax_rows, lambda matrix: score_rows(matrix, ScoreFunction.ENTROPY_NORMALIZED)],
+    ids=["softmax", "entropy"],
+)
+def test_row_kernel_peak_memory(kernel):
+    """The kernels feed math.exp / math.log from a buffer, not from a list of floats: at
+    200 x K1000 they hold at most four matrices' bytes at once."""
+    matrix = softmax_rows(np.random.default_rng(0).normal(0.0, 3.0, (200, 1000)))
+    kernel(matrix)  # first-call costs (a cached denominator) are not the kernel's
+    tracemalloc.start()
+    try:
+        kernel(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * matrix.nbytes

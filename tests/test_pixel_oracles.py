@@ -504,6 +504,25 @@ def test_thin_images_stack_on_python_ints():
     assert [f.key for f in found[:3] + found[4:]] == [oracle_exact_key(img) for img in batch[:3] + batch[4:]]
 
 
+# 3448 is the widest plane whose row moments take the float64 product, 3449 the narrowest past it
+@pytest.mark.parametrize(
+    "width, height",
+    [(1, 20000), (20000, 1), (3448, 3), (3449, 3), (6000, 3)],
+    ids=["tall", "thin", "float-bound", "past-float-bound", "wide"],
+)
+def test_raw_moments_are_exact_python_ints(width, height):
+    """Tall: float64 row moments, then a column product too tall for int64, on Python ints.
+    Thin: both products on Python ints. At and past the float64 bound: float64 and int64 rows;
+    6000 wide, float64 row sums of these pixels would round."""
+    assert 255 * phash._power_sums(3448)[3] < 2**53 <= 255 * phash._power_sums(3449)[3]
+    rng = np.random.default_rng(width)
+    batch = [ImageBuffer(width, height, 1, rng.integers(0, 256, width * height, dtype=np.uint8).tobytes()),
+             ImageBuffer(width, height, 1, b"\xff" * (width * height))]
+    got = phash._raw_moments(grayscale_stack(batch))
+    assert got == [oracle_raw_moments(img) for img in batch]
+    assert {type(m) for plane in got for row in plane for m in row} == {int}
+
+
 def test_one_call_per_chunk(monkeypatch):
     calls = []
     kernel = FINGERPRINTS["dhash"]
