@@ -3,11 +3,11 @@ perceptual-hash memoization, and linear energy/latency metering over replayed
 prediction records.
 
 Public names are bound on first use (PEP 562), so ``import cascadekit`` loads
-no submodule and no numpy, and a command imports only the modules it runs."""
+no submodule and no numpy, and a command imports only the modules it runs. No
+public name shares a submodule's name, so the package is a plain module: a
+loaded submodule is the package attribute of its name."""
 
-import sys
 from importlib import import_module
-from types import ModuleType
 
 __version__ = "0.1.0"
 
@@ -16,9 +16,7 @@ _EXPORTS = {
         "CalibrationResult", "CascadeConfig", "accuracy_at", "auto_select",
         "candidate_lambdas", "decide", "find_lambda_star", "load_config", "save_config",
     ),
-    "complementarity": (
-        "ComplementarityMatrix", "complementarity", "complementarity_matrix",
-    ),
+    "complementarity": ("ComplementarityMatrix", "complementarity_matrix"),
     "confidence": ("ScoreFunction", "score", "softmax"),
     "engine": (
         "CascadeEngine", "Classifier", "MacroMetrics", "ReplayClassifier", "SampleRef",
@@ -41,19 +39,6 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-
-class _Package(ModuleType):
-    """The package module. The import system sets a package attribute to each
-    submodule it loads; a public name keeps its value instead (the function
-    ``complementarity`` shares its submodule's name), whatever loads first."""
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in _MODULE_OF and isinstance(value, ModuleType):
-            return
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package
 
 __all__ = sorted(_MODULE_OF)
 

@@ -145,11 +145,10 @@ def decide(
 
 
 def _model_columns(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, dict]:
-    """One model's (argmax of the logits == label, {score function: scores})."""
-    from .complementarity import correct_rows
-
+    """One model's (predicted label == label, {score function: scores}); the predicted
+    label is the argmax of the logits, lowest index on ties, as ``decide`` picks it."""
     probs = softmax_rows(logits)
-    return correct_rows(logits, labels), {fn: score_rows(probs, fn) for fn in ScoreFunction}
+    return logits.argmax(axis=1) == labels, {fn: score_rows(probs, fn) for fn in ScoreFunction}
 
 
 def _table(paired: PairedDataset) -> tuple[tuple[np.ndarray, dict], tuple[np.ndarray, dict]]:

@@ -77,11 +77,26 @@ def _load_replay(args: argparse.Namespace, config: CascadeConfig, with_images: b
     engine = CascadeEngine(config, *map(ReplayClassifier, names, tables))
     if not with_labels:
         labels = [None] * len(ids)
+    if with_images:
+        _check_image_ids(ids)
     samples = [
         SampleRef(sid, _load_sample_image(args.images, sid) if with_images else None, label)
         for sid, label in zip(ids, labels)
     ]
     return costs, engine, samples
+
+
+def _check_image_ids(ids: tuple[str, ...]) -> None:
+    """An id names its image inside --images: one that is absolute or has a '..' part is a
+    DataError, raised before any image is read."""
+    from .errors import DataError
+
+    for sample_id in ids:
+        if sample_id.isalnum():  # no separator, drive or dot: only other ids need the path parse
+            continue
+        path = Path(sample_id)
+        if path.anchor or ".." in path.parts:
+            raise DataError(f"sample id {sample_id!r} names an image outside --images")
 
 
 def _load_sample_image(directory: str, sample_id: str):

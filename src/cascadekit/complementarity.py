@@ -4,28 +4,19 @@ complementarity(a, b) = (n(a or b) - n(a and b) - |n(a) - n(b)|) / N over the
 N samples of an id-aligned pair: high when the two models are correct on
 mostly disjoint, similarly sized parts of the dataset.
 
-This module imports no numpy, and ``complementarity_matrix`` runs in plain
-Python, so the ``complementarity`` command never loads numpy; ``correct_rows``
-and ``complementarity`` take a ``PairedDataset``'s numpy arrays.
+``complementarity_matrix`` scores every pair of record tables, one pair's score
+being ``complementarity_matrix([a, b]).values[0][1]``. It runs in plain Python
+and this module imports no numpy, so the ``complementarity`` command loads none.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from operator import and_
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import DataError, csv_name
-from .records import PairedDataset, RecordTable, align_rows
-
-if TYPE_CHECKING:
-    import numpy as np
-
-
-def correct_rows(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Whether each row's predicted label (the argmax of the logits, lowest
-    index on ties, as ``calibration.decide`` picks it) equals its label."""
-    return logits.argmax(axis=1) == labels
+from .records import RecordTable, align_rows
 
 
 def complementarity_of_vectors(correct_a: Sequence[bool], correct_b: Sequence[bool]) -> float:
@@ -43,13 +34,6 @@ def complementarity_of_vectors(correct_a: Sequence[bool], correct_b: Sequence[bo
     n_a, n_b, n_inter = sum(a), sum(b), sum(map(and_, a, b))
     n_union = n_a + n_b - n_inter
     return (n_union - n_inter - abs(n_a - n_b)) / n
-
-
-def complementarity(paired: PairedDataset) -> float:
-    """Complementarity score of an aligned model pair."""
-    return complementarity_of_vectors(
-        correct_rows(paired.logits_a, paired.labels), correct_rows(paired.logits_b, paired.labels)
-    )
 
 
 class ComplementarityMatrix:

@@ -5,8 +5,9 @@ and latency taken from a CostProfile. ``aggregate`` reads a batch's
 ``Traces`` by column: it counts the paths and the distinct stages tuples,
 prices each distinct tuple once, and sums raw stage counts first and
 multiplies once per stage, so the grand total is immune to per-sample
-rounding. Percentiles use the nearest-rank order statistic; both of a
-report's come from one sort. The duplication experiment builds each
+rounding. Percentiles use the nearest-rank order statistic. A report's mean
+and both percentiles come from one sum and one sort, and a report read back
+must match them to the last bit. The duplication experiment builds each
 engine once and empties its label memory before every ratio, so each
 ratio's stream starts cold; that is how the memory component's
 flat-energy behavior shows up against a linear baseline. Only it loads
@@ -110,9 +111,11 @@ class RunReport(NamedTuple):
             raise DataError(f"path_counts must count each of {', '.join(PATHS)} and sum to {n}")
         if set(self.stage_counts) != set(STAGES):
             raise DataError(f"stage_counts must count each of {', '.join(STAGES)}")
-        for name, percentile in (("p95_latency_ms", 95), ("p99_latency_ms", 99)):
-            if getattr(self, name) != nearest_rank(self.latencies_ms, percentile):
-                raise DataError(f"{name} is not the nearest-rank p{percentile} of latencies_ms")
+        names = "mean_latency_ms", "p95_latency_ms", "p99_latency_ms"
+        stats = "mean", "nearest-rank p95", "nearest-rank p99"
+        for name, stat, value in zip(names, stats, _latency_summary(self.latencies_ms)):
+            if getattr(self, name) != value:
+                raise DataError(f"{name} is not the {stat} of latencies_ms")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunReport":
@@ -138,6 +141,14 @@ def nearest_rank(values: Sequence[float], percentile: float) -> float:
 
 def _ranked(ordered: list[float], percentile: float) -> float:
     return ordered[math.ceil(percentile * len(ordered) / 100) - 1]
+
+
+def _latency_summary(latencies: list[float]) -> tuple[float, float, float]:
+    """(mean, nearest-rank p95, nearest-rank p99): one left-to-right sum and one sort."""
+    if not latencies:
+        raise DataError("no values for percentile")
+    ordered = sorted(latencies)
+    return add_in_order(latencies) / len(latencies), _ranked(ordered, 95), _ranked(ordered, 99)
 
 
 _KNOWN_STAGES = frozenset(STAGES)
@@ -167,7 +178,7 @@ def aggregate(traces: Traces, costs: CostProfile, config: CascadeConfig | None =
             latency += cost[stage].latency_ms
         stage_latency[stages] = latency
     latencies = list(map(stage_latency.__getitem__, traces.stages))
-    ordered = sorted(latencies)
+    mean, p95, p99 = _latency_summary(latencies)
     total_energy = add_in_order(count * cost[s].energy_wh for s, count in stage_counts.items())
     total_current = None
     if all(cost[s].current_mah is not None for s in STAGES):
@@ -182,9 +193,9 @@ def aggregate(traces: Traces, costs: CostProfile, config: CascadeConfig | None =
         total_energy_wh=total_energy,
         total_current_mah=total_current,
         latencies_ms=latencies,
-        mean_latency_ms=add_in_order(latencies) / len(latencies),
-        p95_latency_ms=_ranked(ordered, 95),
-        p99_latency_ms=_ranked(ordered, 99),
+        mean_latency_ms=mean,
+        p95_latency_ms=p95,
+        p99_latency_ms=p99,
         metrics=metrics,
         config=config,
     )

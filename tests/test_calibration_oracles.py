@@ -13,6 +13,10 @@ kernels against their own one-row calls. The kernel reproduces their
 arithmetic (``math.exp``/``math.log`` per element, sums left to right), so
 curves, configs, accuracy and usage must be equal, and the per-sample
 scores equal bit for bit.
+
+``oracle_complementarity`` over ``oracle_correct_rows`` is the numpy pair path
+of the complementarity score that ``complementarity_matrix`` replaced; the
+matrix must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from cascadekit.calibration import (
     candidate_lambdas,
     find_lambda_star,
 )
+from cascadekit.complementarity import complementarity_of_vectors
 from cascadekit.confidence import ScoreFunction, add_in_order, entropy_denominator, score_rows, softmax_rows
 from cascadekit.engine import PATH_MODEL_AB, CascadeEngine, ReplayClassifier, SampleRef, run_batch
 from cascadekit.errors import DataError
@@ -89,6 +94,19 @@ def predicted_label(logits: Sequence[float]) -> int:
         if logits[i] > logits[best]:
             best = i
     return best
+
+
+def oracle_correct_rows(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Whether each row's predicted label (the argmax of the logits, lowest
+    index on ties, as ``calibration.decide`` picks it) equals its label."""
+    return logits.argmax(axis=1) == labels
+
+
+def oracle_complementarity(paired: PairedDataset) -> float:
+    """Complementarity score of an aligned model pair."""
+    return complementarity_of_vectors(
+        oracle_correct_rows(paired.logits_a, paired.labels), oracle_correct_rows(paired.logits_b, paired.labels)
+    )
 
 
 def passes_threshold(s: float, threshold: float, kind: ScoreFunction) -> bool:

@@ -14,7 +14,7 @@ from cascadekit.confidence import ScoreFunction
 from cascadekit.images import TRANSFORMS, ImageBuffer, write_image_pnm
 from cascadekit.metering import RANDOM_TRANSFORM
 from cascadekit.phash import FINGERPRINTS
-from cascadekit.records import format_prediction_records
+from cascadekit.records import RecordTable, format_prediction_records
 from cascadekit.synthetic import synthetic_image, synthetic_pair
 
 from test_errors import BAD_FILES, bad_file
@@ -578,6 +578,45 @@ class TestHash:
         assert err.value.code == 2
 
 
+class TestImageIds:
+    """A record id names its image inside --images; an id that leaves it is refused before any
+    image is read (the first id's image, "+s0", sorts first and is unreadable)."""
+
+    @staticmethod
+    def _argv(command: str, workspace, tmp_path, ids: list[str]) -> list[str]:
+        table = RecordTable(ids, [0] * len(ids), [[1.0, 0.0, 0.0]] * len(ids))
+        for name in ("small", "big"):
+            (tmp_path / f"{name}.jsonl").write_text(format_prediction_records(table))
+        common = [
+            "--config", str(workspace / "config_moments.json"),
+            "--records-a", str(tmp_path / "small.jsonl"), "--records-b", str(tmp_path / "big.jsonl"),
+            "--images", str(tmp_path / "images"), "--costs", str(workspace / "costs.json"),
+        ]
+        if command == "run":
+            return ["run", *common, "--report", str(tmp_path / "report.json")]
+        return ["duplication", *common, "--ratios", "0,1", "--out", str(tmp_path / "curve.csv")]
+
+    @pytest.mark.parametrize("escape", ["dotdot", "absolute"])
+    @pytest.mark.parametrize("command", ["run", "duplication"])
+    def test_an_id_outside_the_images_directory_is_a_data_error(self, workspace, tmp_path, capsys, command, escape):
+        (tmp_path / "images").mkdir()
+        (tmp_path / "images" / "+s0.pgm").write_bytes(OVERLONG_HEADER)
+        (tmp_path / "outside").mkdir()
+        outside = tmp_path / "outside" / "s1"
+        (tmp_path / "outside" / "s1.ppm").write_bytes(write_image_pnm(synthetic_image(16, 16, seed=1, channels=3)))
+        bad_id = "../outside/s1" if escape == "dotdot" else str(outside)
+        assert main(self._argv(command, workspace, tmp_path, ["+s0", bad_id])) == 1
+        assert_one_error_line(capsys, f"error: sample id {bad_id!r} names an image outside --images\n")
+
+    @pytest.mark.parametrize("command", ["run", "duplication"])
+    def test_an_id_with_a_subdirectory_resolves_inside(self, workspace, tmp_path, command):
+        (tmp_path / "images" / "sub").mkdir(parents=True)
+        for sample_id in ("s0", "sub/s1", "sub/./s2"):
+            image = synthetic_image(16, 16, seed=len(sample_id))
+            (tmp_path / "images" / f"{sample_id}.pgm").write_bytes(write_image_pnm(image))
+        assert main(self._argv(command, workspace, tmp_path, ["s0", "sub/s1", "sub/./s2"])) == 0
+
+
 class TestDuplication:
     def _run(self, workspace, tmp_path, config, transform, capsys):
         out = tmp_path / f"curve_{config}_{transform}.csv"
@@ -736,8 +775,9 @@ class TestReport:
             ("total_energy_wh", 10**400),
             ("total_energy_wh", math.nan),
             ("sample_count", True),
+            ("mean_latency_ms", 1e6),  # well-typed, but not the mean of the latencies
         ],
-        ids=["list_path_counts", "huge_energy", "nan_energy", "bool_sample_count"],
+        ids=["list_path_counts", "huge_energy", "nan_energy", "bool_sample_count", "inconsistent_mean"],
     )
     def test_ill_typed_report_is_a_data_error(self, workspace, tmp_path, capsys, key, value):
         baseline = self._write_report(workspace, tmp_path, "base.json")

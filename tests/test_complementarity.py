@@ -9,12 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cascadekit.calibration import _model_columns
 from cascadekit.complementarity import (
     ComplementarityMatrix,
-    complementarity,
     complementarity_matrix,
     complementarity_of_vectors,
-    correct_rows,
     format_matrix_csv,
 )
 from cascadekit.errors import DataError
@@ -26,7 +25,7 @@ from cascadekit.records import (
     parse_prediction_records,
 )
 from cascadekit.synthetic import synthetic_pair
-from test_calibration_oracles import predicted_label
+from test_calibration_oracles import oracle_complementarity, predicted_label
 from test_synthetic import synthetic_model
 
 
@@ -118,28 +117,45 @@ class TestComplementarityValue:
             assert type(from_arrays) is float and from_arrays == got
 
 
+# right, right, wrong when ties take the lowest index; wrong everywhere when they take the highest
+TIED = RecordTable(["t0", "t1", "t2"], [0, 1, 1], [(1.0, 1.0, 0.0), (0.0, 2.0, 2.0), (3.0, 3.0, 3.0)])
+
+
+def _correct_by_predicted_label(paired) -> tuple[list[bool], list[bool]]:
+    samples = paired.samples
+    return (
+        [predicted_label(s.logits_a) == s.label for s in samples],
+        [predicted_label(s.logits_b) == s.label for s in samples],
+    )
+
+
 class TestCorrectnessVectors:
+    """The lowest-index tie rule on both correctness paths in the package: the
+    matrix's plain-Python argmax and calibration's correctness column."""
+
     def test_from_aligned_records(self):
         a = RecordTable(["x", "y"], [0, 1], [(5.0, 0.0), (5.0, 0.0)])  # right, wrong
         b = RecordTable(["x", "y"], [0, 1], [(0.0, 5.0), (0.0, 5.0)])  # wrong, right
         paired = align_records(a, b)
-        correct_a = correct_rows(paired.logits_a, paired.labels)
-        correct_b = correct_rows(paired.logits_b, paired.labels)
-        assert correct_a.tolist() == [True, False]
-        assert correct_b.tolist() == [False, True]
-        assert complementarity(paired) == 1.0
+        assert _model_columns(paired.logits_a, paired.labels)[0].tolist() == [True, False]
+        assert _model_columns(paired.logits_b, paired.labels)[0].tolist() == [False, True]
+        assert complementarity_matrix([a, b]).values[0][1] == 1.0
 
     def test_ties_resolve_like_predicted_label(self, bundled_paired):
-        logits = np.array([(1.0, 1.0, 0.0), (0.0, 2.0, 2.0), (3.0, 3.0, 3.0)])
-        table = RecordTable(["t0", "t1", "t2"], [0, 1, 1], logits)
-        paired = align_records(table, table)
-        correct_a = correct_rows(paired.logits_a, paired.labels)
-        assert correct_a.tolist() == [True, True, False]
-        expected_a = [predicted_label(s.logits_a) == s.label for s in bundled_paired.samples]
-        expected_b = [predicted_label(s.logits_b) == s.label for s in bundled_paired.samples]
-        correct_a = correct_rows(bundled_paired.logits_a, bundled_paired.labels)
-        correct_b = correct_rows(bundled_paired.logits_b, bundled_paired.labels)
-        assert correct_a.tolist() == expected_a and correct_b.tolist() == expected_b
+        paired = align_records(TIED, TIED)
+        assert _model_columns(paired.logits_a, paired.labels)[0].tolist() == [True, True, False]
+        for paired in (bundled_paired, align_records(*_tied_pair(300, 10, seed=5))):
+            expected_a, expected_b = _correct_by_predicted_label(paired)
+            assert _model_columns(paired.logits_a, paired.labels)[0].tolist() == expected_a
+            assert _model_columns(paired.logits_b, paired.labels)[0].tolist() == expected_b
+
+    def test_matrix_ties_resolve_like_predicted_label(self, data_dir):
+        plain = RecordTable(["t0", "t1", "t2"], [0, 1, 1], [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+        assert complementarity_matrix([TIED, plain]).values[0][1] == 2 / 3  # 0.0 under the highest index
+        bundled = [load_prediction_records(str(data_dir / name)) for name in ("model_a.jsonl", "model_b.jsonl")]
+        for a, b in (bundled, _tied_pair(300, 10, seed=5), _tied_pair(16, 1000, seed=6)):
+            expected = complementarity_of_vectors(*_correct_by_predicted_label(align_records(a, b)))
+            assert complementarity_matrix([a, b]).values[0][1] == expected
 
 
 class TestMatrix:
@@ -219,8 +235,9 @@ class TestMatrix:
 
 
 class TestOnBundledPair:
-    def test_bundled_dataset_is_complementary(self, bundled_paired):
-        value = complementarity(bundled_paired)
+    def test_bundled_dataset_is_complementary(self, data_dir):
+        tables = [load_prediction_records(str(data_dir / name)) for name in ("model_a.jsonl", "model_b.jsonl")]
+        value = complementarity_matrix(tables).values[0][1]
         assert 0.0 < value <= 1.0
 
     def test_generator_pair_alignment(self):
@@ -283,14 +300,14 @@ def _tied_pair(n: int, k: int, seed: int) -> tuple[RecordTable, RecordTable]:
 def test_matrix_matches_the_aligned_pair_path(pair):
     a, b = pair()
     matrix = complementarity_matrix([a, b, a], ["a", "b", "a2"])
-    assert matrix.values[0][1] == complementarity(align_records(a, b))
-    assert matrix.values[1][2] == complementarity(align_records(b, a))
-    assert matrix.values[0][2] == complementarity(align_records(a, a)) == 0.0
+    assert matrix.values[0][1] == oracle_complementarity(align_records(a, b))
+    assert matrix.values[1][2] == oracle_complementarity(align_records(b, a))
+    assert matrix.values[0][2] == oracle_complementarity(align_records(a, a)) == 0.0
 
 
 def test_matrix_on_the_bundled_pair_matches_the_aligned_pair_path(data_dir, bundled_paired):
     tables = [load_prediction_records(str(data_dir / name)) for name in ("model_a.jsonl", "model_b.jsonl")]
-    assert complementarity_matrix(tables).values[0][1] == complementarity(bundled_paired)
+    assert complementarity_matrix(tables).values[0][1] == oracle_complementarity(bundled_paired)
 
 
 def _pair_with(fault: str) -> tuple[RecordTable, RecordTable]:

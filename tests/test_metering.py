@@ -576,18 +576,31 @@ class TestReportSerialization:
             ("stage_counts", {"model_a": 2, "model_b": 1}, "stage_counts must count each of"),
             ("stage_counts", {"memory_lookup": 0, "memory_insert": 0, "model_a": 2, "model_b": 1,
                               "model_c": 0}, "stage_counts must count each of"),
+            ("mean_latency_ms", 30.0, "mean_latency_ms is not the mean of latencies_ms"),
             ("p95_latency_ms", 10.0, "p95_latency_ms is not the nearest-rank p95 of latencies_ms"),
             ("p99_latency_ms", 31.0, "p99_latency_ms is not the nearest-rank p99 of latencies_ms"),
         ],
         ids=[
             "more_samples", "fewer_latencies", "extra_path", "missing_path", "path_sum",
-            "missing_stages", "extra_stage", "p95", "p99",
+            "missing_stages", "extra_stage", "mean", "p95", "p99",
         ],
     )
     def test_from_dict_rejects_inconsistent_fields(self, key, value, message):
         obj = self._report().to_dict()
         obj[key] = value
         with pytest.raises(DataError, match=f"^malformed run report: {message}"):
+            RunReport.from_dict(obj)
+
+    def test_from_dict_checks_the_mean_to_the_last_bit(self):
+        obj = self._report().to_dict()
+        obj["mean_latency_ms"] = math.nextafter(obj["mean_latency_ms"], math.inf)
+        with pytest.raises(DataError, match="^malformed run report: mean_latency_ms is not the mean of latencies_ms$"):
+            RunReport.from_dict(obj)
+
+    def test_from_dict_rejects_an_empty_report(self):
+        obj = self._report().to_dict()
+        obj.update(sample_count=0, latencies_ms=[], path_counts=dict.fromkeys(obj["path_counts"], 0))
+        with pytest.raises(DataError, match="^malformed run report: no values for percentile$"):
             RunReport.from_dict(obj)
 
     def test_from_dict_does_not_bound_the_mean_by_the_latencies(self):

@@ -34,7 +34,6 @@ def test_every_exported_name_resolves():
 
 NAMESPACE_CHECK = """
 import importlib, json, sys
-from cascadekit import complementarity
 import cascadekit
 
 listed = set(dir(cascadekit))
@@ -45,9 +44,8 @@ try:
 except AttributeError as exc:
     unknown = str(exc)
 print(json.dumps({
-    "complementarity": type(complementarity).__name__,
-    "attribute": type(cascadekit.complementarity).__name__,
     "submodule": type(sys.modules["cascadekit.complementarity"]).__name__,
+    "attribute": cascadekit.complementarity is sys.modules["cascadekit.complementarity"],
     "unlisted": sorted(set(cascadekit.__all__) - listed),
     "elsewhere": sorted(
         name for name, value in exports.items()
@@ -58,9 +56,9 @@ print(json.dumps({
 }))
 """
 
-# Ways the complementarity submodule can load before NAMESPACE_CHECK reads the package attribute.
+# Ways submodules can load before NAMESPACE_CHECK reads the package's names.
 FIRST_IMPORTS = [
-    "import cascadekit.calibration  # imports the complementarity submodule first",
+    "import cascadekit.calibration  # with confidence, errors and records",
     "import cascadekit.complementarity",
     "from cascadekit.complementarity import complementarity_matrix",
     "from cascadekit import cli\n"
@@ -79,12 +77,19 @@ def test_package_binds_each_name_to_its_defining_module(tmp_path):
         )
         assert run.returncode == 0, (first, run.stderr)
         result = json.loads(run.stdout.splitlines()[-1])  # cli.main prints its summary line first
-        assert (result["complementarity"], result["attribute"]) == ("function", "function"), first
-        assert result["submodule"] == "module", first
+        assert (result["submodule"], result["attribute"]) == ("module", True), first
         assert result["unlisted"] == [], first
         assert result["elsewhere"] == [], first
         assert "cascadekit" not in result["modules"], first
         assert result["unknown"] == "module 'cascadekit' has no attribute 'no_such_name'", first
+
+
+def test_package_is_a_plain_module():
+    """No public name is a submodule's name, so the import system's submodule attributes
+    shadow none of them and the package module keeps its own type."""
+    stems = {path.stem for path in SOURCE.glob("*.py")}
+    assert sorted(stems.intersection(cascadekit.__all__)) == []
+    assert type(sys.modules["cascadekit"]) is types.ModuleType
 
 
 def _modules_loaded(argv: list[str]) -> set[str]:
@@ -100,10 +105,11 @@ def _modules_loaded(argv: list[str]) -> set[str]:
 STARTUP = set()  # what the CLI loads before it runs a command
 # complementarity loads no numpy either (test_start_path_loads_no_numpy); calibrate's modules do
 COMPLEMENTARITY = STARTUP | {"errors", "records", "complementarity"}
-CALIBRATE = COMPLEMENTARITY | {"calibration", "confidence"}
-# replay and pricing without memory, and reading reports back, load no image, fingerprint or
-# complementarity module (a report loads no numpy either)
-METERING = CALIBRATE - {"complementarity"} | {"engine", "metering"}
+# calibration computes its own correctness column: no complementarity module from here on
+CALIBRATE = STARTUP | {"errors", "records", "calibration", "confidence"}
+# replay and pricing without memory, and reading reports back, load no image or fingerprint
+# module (a report loads no numpy either)
+METERING = CALIBRATE | {"engine", "metering"}
 
 
 @pytest.mark.parametrize(

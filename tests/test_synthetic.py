@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 
-from cascadekit.complementarity import complementarity
+from cascadekit.complementarity import complementarity_matrix
 from cascadekit.records import (
     RecordTable,
     align_records,
@@ -67,7 +67,7 @@ class TestSyntheticPair:
 
     def test_pair_is_complementary(self):
         records_a, records_b = synthetic_pair(400, 10, seed=5)
-        value = complementarity(align_records(records_a, records_b))
+        value = complementarity_matrix([records_a, records_b]).values[0][1]
         assert 0.1 < value < 0.9
 
 
