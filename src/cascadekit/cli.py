@@ -87,15 +87,13 @@ def _load_replay(args: argparse.Namespace, config: CascadeConfig, with_images: b
 
 
 def _check_image_ids(ids: tuple[str, ...]) -> None:
-    """An id names its image inside --images: one that is absolute or has a '..' part is a
-    DataError, raised before any image is read."""
+    """An id names its image inside --images: one that is absolute or has a '..' part between
+    '/' or '\\' separators is a DataError, raised before any image is read. Both separators
+    count on every platform, so a record file is refused or accepted the same everywhere."""
     from .errors import DataError
 
     for sample_id in ids:
-        if sample_id.isalnum():  # no separator, drive or dot: only other ids need the path parse
-            continue
-        path = Path(sample_id)
-        if path.anchor or ".." in path.parts:
+        if os.path.isabs(sample_id) or ".." in sample_id.replace("\\", "/").split("/"):
             raise DataError(f"sample id {sample_id!r} names an image outside --images")
 
 

@@ -596,7 +596,7 @@ class TestImageIds:
             return ["run", *common, "--report", str(tmp_path / "report.json")]
         return ["duplication", *common, "--ratios", "0,1", "--out", str(tmp_path / "curve.csv")]
 
-    @pytest.mark.parametrize("escape", ["dotdot", "absolute"])
+    @pytest.mark.parametrize("escape", ["dotdot", "backslash_dotdot", "absolute"])
     @pytest.mark.parametrize("command", ["run", "duplication"])
     def test_an_id_outside_the_images_directory_is_a_data_error(self, workspace, tmp_path, capsys, command, escape):
         (tmp_path / "images").mkdir()
@@ -604,17 +604,17 @@ class TestImageIds:
         (tmp_path / "outside").mkdir()
         outside = tmp_path / "outside" / "s1"
         (tmp_path / "outside" / "s1.ppm").write_bytes(write_image_pnm(synthetic_image(16, 16, seed=1, channels=3)))
-        bad_id = "../outside/s1" if escape == "dotdot" else str(outside)
+        bad_id = {"dotdot": "../outside/s1", "backslash_dotdot": "..\\outside\\s1", "absolute": str(outside)}[escape]
         assert main(self._argv(command, workspace, tmp_path, ["+s0", bad_id])) == 1
         assert_one_error_line(capsys, f"error: sample id {bad_id!r} names an image outside --images\n")
 
     @pytest.mark.parametrize("command", ["run", "duplication"])
     def test_an_id_with_a_subdirectory_resolves_inside(self, workspace, tmp_path, command):
         (tmp_path / "images" / "sub").mkdir(parents=True)
-        for sample_id in ("s0", "sub/s1", "sub/./s2"):
+        for sample_id in ("s0", "sub/s1", "sub/./s2", "sub/s..3"):
             image = synthetic_image(16, 16, seed=len(sample_id))
             (tmp_path / "images" / f"{sample_id}.pgm").write_bytes(write_image_pnm(image))
-        assert main(self._argv(command, workspace, tmp_path, ["s0", "sub/s1", "sub/./s2"])) == 0
+        assert main(self._argv(command, workspace, tmp_path, ["s0", "sub/s1", "sub/./s2", "sub/s..3"])) == 0
 
 
 class TestDuplication:
