@@ -7,16 +7,22 @@ on a tie). It lives here only, in two forms over the same row kernels:
 ``decide`` applies it to a batch at one threshold for the runtime engine, and
 ``_sweep`` to a whole validation pair at every threshold at once.
 
-Calibration keeps the most accurate threshold. The candidate set (midpoints
-between consecutive distinct model-A scores, plus the endpoints 0 and 1)
-realizes every achievable threshold behavior, so the search is exactly
-optimal without a grid; one sort yields candidates and prefix sums, O(N log N).
-Each public call builds its own score table from the pair's arrays and
-passes it down; nothing derived from the pair is stored on it.
-``auto_select`` compares its six searches on their accuracy and usage arrays
-and builds the (lambda, accuracy, usage) curve of the winner only. numpy is
-imported by the functions that compute, so loading a config (or a run report,
-through ``metering``) loads none.
+Calibration searches thresholds. The candidate set (midpoints between
+consecutive distinct model-A scores, plus the endpoints 0 and 1) realizes
+every achievable threshold behavior, so each search is exactly optimal without
+a grid; one sort yields candidates and prefix sums, O(N log N). Each public
+call builds its own score table from the pair's arrays, holding only the score
+functions it searches; nothing derived from the pair is stored on it.
+``_searches`` turns the table into a list of searches, one per score function
+and model order, and ``_select`` picks the winner by the selection rule and
+builds the curve of the winner only. numpy is imported by the functions that
+compute, so loading a config (or a run report, through ``metering``) loads none.
+
+The selection rule: the most accurate candidate wins. Ties go to the lower
+second-model usage, then to the earlier search (``auto_select`` searches diff,
+max, entropy, each in the pair's order before its swap), then to the low-usage
+end of the threshold range: the smallest threshold for max and diff, the
+largest for entropy.
 """
 
 from __future__ import annotations
@@ -144,18 +150,18 @@ def decide(
     return predicted.tolist(), chosen_a.tolist(), scores_a.tolist(), scores_b.tolist()
 
 
-def _model_columns(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, dict]:
-    """One model's (predicted label == label, {score function: scores}); the predicted
-    label is the argmax of the logits, lowest index on ties, as ``decide`` picks it."""
+def _model_columns(logits: np.ndarray, labels: np.ndarray, score_fns: tuple = tuple(ScoreFunction)) -> tuple:
+    """One model's (predicted label == label, {score function: scores}) for ``score_fns``; the
+    predicted label is the argmax of the logits, lowest index on ties, as ``decide`` picks it."""
     probs = softmax_rows(logits)
-    return logits.argmax(axis=1) == labels, {fn: score_rows(probs, fn) for fn in ScoreFunction}
+    return logits.argmax(axis=1) == labels, {fn: score_rows(probs, fn) for fn in score_fns}
 
 
-def _table(paired: PairedDataset) -> tuple[tuple[np.ndarray, dict], tuple[np.ndarray, dict]]:
-    """Both models' ``_model_columns``, model A's first: the score table one call searches."""
+def _table(paired: PairedDataset, score_fns: tuple = tuple(ScoreFunction)) -> tuple:
+    """Both models' ``_model_columns`` for ``score_fns``, model A's first: the score table one call searches."""
     if len(paired) == 0:
         raise DataError("empty dataset")
-    return _model_columns(paired.logits_a, paired.labels), _model_columns(paired.logits_b, paired.labels)
+    return tuple(_model_columns(logits, paired.labels, score_fns) for logits in (paired.logits_a, paired.logits_b))
 
 
 def _ranked(table: tuple, score_fn: ScoreFunction) -> tuple:
@@ -190,7 +196,8 @@ def accuracy_at(
     """(accuracy, second-model usage fraction) at a fixed threshold."""
     import numpy as np
 
-    accuracy, usage = _sweep(_ranked(_table(paired), score_fn), score_fn, post_check, np.array([threshold]))
+    ranked = _ranked(_table(paired, (score_fn,)), score_fn)
+    accuracy, usage = _sweep(ranked, score_fn, post_check, np.array([threshold]))
     return float(accuracy[0]), float(usage[0])
 
 
@@ -210,7 +217,7 @@ def candidate_lambdas(paired: PairedDataset, score_fn: ScoreFunction) -> list[fl
     midpoints outside [0, 1] are dropped because the threshold domain is
     [0, 1] (this only happens for the entropy score with K < 10).
     """
-    return _candidates(_ranked(_table(paired), score_fn), score_fn).tolist()
+    return _candidates(_ranked(_table(paired, (score_fn,)), score_fn), score_fn).tolist()
 
 
 class CalibrationResult(NamedTuple):
@@ -222,28 +229,35 @@ class CalibrationResult(NamedTuple):
     curve: list[tuple[float, float, float]]  # (lambda, acc, usage)
 
 
-def _search(table: tuple, score_fn: ScoreFunction, post_check: bool) -> tuple:
-    """The candidate array, its accuracy and usage arrays, and the winner's index."""
+def _searches(table: tuple, names: tuple[str, str], post_check: bool, swap: bool) -> list[tuple]:
+    """One (names, score function, lambdas, accuracy, usage) search per column of the table, in
+    the table's column order, each in the table's model order and then, with ``swap``, swapped."""
+    orders = [(names, table), (names[::-1], table[::-1])] if swap else [(names, table)]
+    searches = []
+    for score_fn in table[0][1]:
+        for ordered_names, ordered_table in orders:
+            ranked = _ranked(ordered_table, score_fn)
+            lambdas = _candidates(ranked, score_fn)
+            searches.append((ordered_names, score_fn, lambdas, *_sweep(ranked, score_fn, post_check, lambdas)))
+    return searches
+
+
+def _select(searches: list[tuple], post_check: bool) -> CalibrationResult:
+    """The selection rule's one implementation: the winning candidate as a config, with its
+    search's whole sweep as the curve."""
     import numpy as np
 
-    ranked = _ranked(table, score_fn)
-    lambdas = _candidates(ranked, score_fn)
-    accuracy, usage = _sweep(ranked, score_fn, post_check, lambdas)
-    # Usage grows with the threshold for max/diff and shrinks for entropy; of the
-    # most accurate, lowest-usage candidates the one at the low-usage end wins.
-    best = np.flatnonzero(accuracy == accuracy.max())
-    best = best[usage[best] == usage[best].min()]
-    return lambdas, accuracy, usage, best[-1] if score_fn.lower_is_better else best[0]
-
-
-def _result(
-    names: tuple[str, str], score_fn: ScoreFunction, post_check: bool, search: tuple
-) -> CalibrationResult:
-    """A ``_search``'s winner as a config for ``names``, with the whole sweep as its curve."""
-    lambdas, accuracy, usage, best = search
+    best = []  # each search's winner: usage grows with the threshold for max/diff, shrinks for entropy
+    for _, score_fn, _, accuracy, usage in searches:
+        ties = np.flatnonzero(accuracy == accuracy.max())
+        ties = ties[usage[ties] == usage[ties].min()]
+        best.append(ties[-1] if score_fn.lower_is_better else ties[0])
+    keys = [(accuracy[i], -usage[i]) for (*_, accuracy, usage), i in zip(searches, best)]
+    pick = keys.index(max(keys))  # the earliest of equal keys
+    names, score_fn, lambdas, accuracy, usage = searches[pick]
     curve = list(zip(lambdas.tolist(), accuracy.tolist(), usage.tolist()))
-    config = CascadeConfig(*names, score_fn, curve[best][0], post_check)
-    return CalibrationResult(config, *curve[best][1:], curve)
+    config = CascadeConfig(*names, score_fn, curve[best[pick]][0], post_check)
+    return CalibrationResult(config, *curve[best[pick]][1:], curve)
 
 
 def find_lambda_star(
@@ -251,35 +265,30 @@ def find_lambda_star(
     score_fn: ScoreFunction,
     post_check: bool = True,
 ) -> CalibrationResult:
-    """Exhaustive-optimal threshold search over the candidate set.
+    """Exhaustive-optimal threshold search over the candidate set: one search, in the pair's order.
 
-    Among accuracy-maximizing candidates the one with the lowest
-    second-model usage wins (the smallest threshold for max/diff, the
-    largest for entropy).
+    The selection rule: the most accurate candidate wins. Ties go to the lower
+    second-model usage, then to the earlier search (``auto_select`` searches
+    diff, max, entropy, each in the pair's order before its swap), then to the
+    low-usage end of the threshold range: the smallest threshold for max and
+    diff, the largest for entropy.
     """
-    search = _search(_table(paired), score_fn, post_check)
-    return _result((paired.name_a, paired.name_b), score_fn, post_check, search)
+    names = paired.name_a, paired.name_b
+    return _select(_searches(_table(paired, (score_fn,)), names, post_check, swap=False), post_check)
 
 
 def auto_select(paired: PairedDataset) -> CalibrationResult:
-    """Best of all three score functions x both model orderings.
+    """Best of all three score functions x both model orderings, with post-check on: six
+    searches over one table.
 
-    Always calibrates with post-check on. Ties break to lower second-model
-    usage, then to the score-function order diff, max, entropy, then to the
-    original model ordering. One table serves both orders; the six sweeps'
-    winners are compared on their arrays, and only the winner's becomes a curve.
+    The selection rule: the most accurate candidate wins. Ties go to the lower
+    second-model usage, then to the earlier search (``auto_select`` searches
+    diff, max, entropy, each in the pair's order before its swap), then to the
+    low-usage end of the threshold range: the smallest threshold for max and
+    diff, the largest for entropy.
     """
-    table = _table(paired)
-    names = paired.name_a, paired.name_b
     order = (ScoreFunction.DIFFERENCE, ScoreFunction.MAX_PROBABILITY, ScoreFunction.ENTROPY_NORMALIZED)
-    searches = [
-        (ordered_names, score_fn, _search(ordered_table, score_fn, True))
-        for score_fn in order
-        for ordered_names, ordered_table in ((names, table), (names[::-1], table[::-1]))
-    ]
-    keys = [(accuracy[i], -usage[i]) for _, _, (_, accuracy, usage, i) in searches]
-    names, score_fn, search = searches[keys.index(max(keys))]
-    return _result(names, score_fn, True, search)
+    return _select(_searches(_table(paired, order), (paired.name_a, paired.name_b), True, swap=True), True)
 
 
 def format_curve_csv(curve: list[tuple[float, float, float]]) -> str:

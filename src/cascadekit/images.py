@@ -145,10 +145,6 @@ def rotate180(img: ImageBuffer) -> ImageBuffer:
     return _from_array(np.rot90(_array(img), k=2))
 
 
-def rotate270(img: ImageBuffer) -> ImageBuffer:
-    return _from_array(np.rot90(_array(img), k=1))
-
-
 def mirror_horizontal(img: ImageBuffer) -> ImageBuffer:
     """Flip left-right."""
     return _from_array(_array(img)[:, ::-1])

@@ -34,13 +34,13 @@ from cascadekit.images import (
     mirror_vertical,
     rotate90,
     rotate180,
-    rotate270,
 )
 from cascadekit.metering import aggregate, build_duplicated_stream, compare, duplication_experiment, nearest_rank
 from cascadekit.phash import dhash, dhash_fingerprint, moment_invariants, moments_fingerprint
 from cascadekit.records import RecordTable, load_cost_profile
 from cascadekit.synthetic import synthetic_image
 from test_calibration_oracles import better_score, oracle_decide, oracle_score, oracle_softmax, predicted_label
+from test_pixel_oracles import rotate270
 
 MAX = ScoreFunction.MAX_PROBABILITY
 DIFF = ScoreFunction.DIFFERENCE

@@ -19,7 +19,7 @@ from cascadekit.calibration import (
     load_config,
     save_config,
 )
-from cascadekit.confidence import ScoreFunction, softmax_rows
+from cascadekit.confidence import ScoreFunction, score_rows, softmax_rows
 from cascadekit.errors import DataError
 from cascadekit.records import PairedDataset, RecordTable, align_records, load_prediction_records
 from test_calibration_oracles import better_score, oracle_score, oracle_softmax
@@ -416,6 +416,26 @@ class TestColumnarKernel:
         accuracy_at(paired, ENTROPY, 0.5, post_check=False)
         find_lambda_star(paired, DIFF)
         assert calls == [(3, 3)] * 6  # each public call computes its own table, one softmax per model
+
+    def test_each_call_scores_only_the_functions_it_searches(self, monkeypatch):
+        calls = []
+
+        def counting(probs, fn):
+            calls.append((fn, tuple(probs.argmax(axis=1).tolist())))  # the argmax tells the models apart
+            return score_rows(probs, fn)
+
+        monkeypatch.setattr(calibration, "score_rows", counting)
+        paired = _three_sample_set()
+        a, b = (0, 1, 0), (2, 0, 2)
+        for call, fn in ((lambda: find_lambda_star(paired, DIFF, post_check=False), DIFF),
+                         (lambda: accuracy_at(paired, ENTROPY, 0.5, post_check=True), ENTROPY),
+                         (lambda: candidate_lambdas(paired, MAX), MAX)):
+            calls.clear()
+            call()
+            assert sorted(calls, key=repr) == [(fn, a), (fn, b)]
+        calls.clear()
+        auto_select(paired)  # six searches, one score column per model and function
+        assert sorted(calls, key=repr) == sorted(((fn, m) for fn in ScoreFunction for m in (a, b)), key=repr)
 
 
 STALE_PAIR_CALLS = {

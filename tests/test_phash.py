@@ -16,7 +16,6 @@ from cascadekit.images import (
     mirror_vertical,
     rotate90,
     rotate180,
-    rotate270,
     to_grayscale,
     write_image_pnm,
 )
@@ -31,7 +30,7 @@ from cascadekit.phash import (
 )
 from cascadekit.synthetic import synthetic_image
 
-from test_pixel_oracles import images, oracle_complex_moment, oracle_exact_key
+from test_pixel_oracles import images, oracle_complex_moment, oracle_exact_key, rotate270
 
 
 def _gray(width: int, height: int, values) -> ImageBuffer:

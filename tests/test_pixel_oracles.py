@@ -37,7 +37,6 @@ from cascadekit.images import (
     mirror_vertical,
     rotate90,
     rotate180,
-    rotate270,
     to_grayscale,
 )
 from cascadekit import phash
@@ -102,6 +101,11 @@ def oracle_numpy_to_grayscale(img: ImageBuffer) -> ImageBuffer:
     luma += 500
     luma //= 1000
     return ImageBuffer(img.width, img.height, 1, luma.astype(np.uint8).tobytes())
+
+
+def rotate270(img: ImageBuffer) -> ImageBuffer:
+    """Three clockwise quarter turns. The package has no rotate270: no transform makes one."""
+    return rotate90(rotate180(img))
 
 
 def oracle_rotate90(img: ImageBuffer) -> ImageBuffer:
